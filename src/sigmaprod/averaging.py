@@ -207,7 +207,8 @@ def fiber_map(y: Point, y_prime: Point, k: int) -> FiberMap:
     if len(sizes) != 1:
         raise AssertionError(f"fibers have unequal sizes {sorted(sizes)}")
     n = sizes.pop()
-    assert len(big) == n * len(small)
+    if len(big) != n * len(small):
+        raise AssertionError(f"|L(y')| = {len(big)} is not {n} times |L(y)| = {len(small)}")
     return FiberMap(y, y_prime, k, assignment, n)
 
 
@@ -256,7 +257,8 @@ def restrict_operator(op: AveragingOperator, m) -> AveragingOperator:
     rows = {}
     for y in codomain:
         kept = [(x, w) for x, w in op.rows[y] if op.surjection[x] in m_set]
-        assert kept, "a row lost all support; the surjection was not onto the target"
+        if not kept:
+            raise AssertionError("a row lost all support; the surjection was not onto the target")
         total = sum(w for _x, w in kept)
         rows[y] = tuple((x, w / total) for x, w in kept)
     return AveragingOperator(domain, codomain, surjection, rows)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ground import (
     EMPTY,
@@ -39,13 +39,13 @@ from .ground import (
 )
 from .clopen import (
     BasicBox,
+    BoxIndex,
     ClopenSet,
     box_complement,
     box_contains,
     box_intersect,
     box_is_empty,
     box_reduce,
-    box_subset,
     box_to_json,
 )
 
@@ -268,7 +268,8 @@ def cb_invariants(ks) -> tuple:
         last = expr
         expr = cb_derivative(expr)
         steps += 1
-    assert last.terms == ((0,) * len(ks),)
+    if last.terms != ((0,) * len(ks),):
+        raise AssertionError(f"last nonempty stage is {last.terms}, not the all-zero vector")
     return steps, 1
 
 
@@ -371,6 +372,11 @@ class Decomposition:
     witnesses: tuple
     depth: int
 
+    @cached_property
+    def index(self) -> BoxIndex:
+        """Per-coordinate constraint index of the piece boxes, built on first use."""
+        return BoxIndex(self.ambient, tuple(p.box for p in self.pieces))
+
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
                            witnesses: tuple | None = None) -> Decomposition:
@@ -402,9 +408,12 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
             0: (Point(witnesses[:j]), Point.of(witnesses[j])),
         })
         pieces.append(DecompositionPiece(
-            f"B'({j})", box, box_reduce(box).descriptor))
+            f"B'({j})", box, ProductDescriptor((SigmaFactor(m - j),), SigmaFactor(n))))
     prefix_label = "B" if m > 0 else "A"
     for k in range(depth):
+        # the small coordinate and the first k omega coordinates are pinned
+        # to a full set, a single point each
+        pinned = (SigmaFactor(0),) * (offset + k)
         for i in range(n):
             constraints = {}
             if m > 0:
@@ -414,7 +423,8 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
             constraints[offset + k] = (Point(witnesses[:i]), Point.of(witnesses[i]))
             box = BasicBox.make(ambient, constraints)
             pieces.append(DecompositionPiece(
-                f"{prefix_label}({k},{i})", box, box_reduce(box).descriptor))
+                f"{prefix_label}({k},{i})", box,
+                ProductDescriptor(pinned + (SigmaFactor(n - i),), SigmaFactor(n))))
     prefix = (small_set,) if m > 0 else ()
     limit = ProductPoint(prefix, full_set)
     return Decomposition(f"absorb_small({m},{n})", ambient, tuple(pieces),
@@ -434,8 +444,8 @@ def decompose_classif_k(element: int = 0, depth: int = 6) -> Decomposition:
         constraints = {s: (single, EMPTY) for s in range(t)}
         constraints[t] = (EMPTY, single)
         box = BasicBox.make(ambient, constraints)
-        pieces.append(DecompositionPiece(f"K({t + 1})", box,
-                                         box_reduce(box).descriptor))
+        pieces.append(DecompositionPiece(
+            f"K({t + 1})", box, ProductDescriptor((SigmaFactor(0),) * t, SigmaFactor(1))))
     limit = ProductPoint((), single)
     return Decomposition("classif_K", ambient, tuple(pieces), limit,
                          (element,), depth)
@@ -443,13 +453,8 @@ def decompose_classif_k(element: int = 0, depth: int = 6) -> Decomposition:
 
 def check_pairwise_disjoint(dec: Decomposition) -> list:
     """Symbolically empty pairwise intersections; returns the offending pairs."""
-    bad = []
-    for a in range(len(dec.pieces)):
-        for b in range(a + 1, len(dec.pieces)):
-            inter = box_intersect(dec.pieces[a].box, dec.pieces[b].box)
-            if not box_is_empty(inter):
-                bad.append((dec.pieces[a].label, dec.pieces[b].label))
-    return bad
+    return [(dec.pieces[a].label, dec.pieces[b].label)
+            for a, b in dec.index.meeting_pairs()]
 
 
 def piece_for_point(dec: Decomposition, x: ProductPoint):
@@ -457,7 +462,7 @@ def piece_for_point(dec: Decomposition, x: ProductPoint):
     beyond the materialized depth."""
     if x == dec.limit_point:
         return "limit"
-    hits = [p.label for p in dec.pieces if box_contains(p.box, x)]
+    hits = [dec.pieces[i].label for i in dec.index.containing(x)]
     if len(hits) > 1:
         raise AssertionError(f"point {x} lies in several pieces: {hits}")
     return hits[0] if hits else None
@@ -533,7 +538,8 @@ def limit_neighborhood_boxes(dec: Decomposition, count: int, seed: int,
             g = Point(tuple(rng.sample(g_pool, rng.randint(0, len(g_pool)))))
             constraints[s] = (f, g)
         box = BasicBox.make(dec.ambient, constraints)
-        assert box_contains(box, dec.limit_point)
+        if not box_contains(box, dec.limit_point):
+            raise AssertionError(f"neighborhood {box} misses the limit point")
         boxes.append(box)
     return boxes
 
@@ -551,14 +557,15 @@ class CofinitenessReport:
 def check_limit_cofinite(dec: Decomposition, boxes) -> CofinitenessReport:
     """Each neighborhood of the limit must contain every piece that starts
     beyond the neighborhood's last constrained coordinate."""
+    boxes = list(boxes)
     violations = []
     for box in boxes:
         cutoff = box.max_constrained_coord()
-        for piece in dec.pieces:
+        for i in dec.index.not_within(box):
+            piece = dec.pieces[i]
             if piece.box.max_constrained_coord() > cutoff:
-                if not box_subset(piece.box, box):
-                    violations.append((str(box), piece.label))
-    return CofinitenessReport(len(list(boxes)), tuple(violations))
+                violations.append((str(box), piece.label))
+    return CofinitenessReport(len(boxes), tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: tuple
     budget: int
     seed: int
-    out: str | None
 
 
 def _common_flags() -> _Parser:
@@ -394,11 +392,12 @@ _HANDLERS = {
 }
 
 
-def dispatch(argv) -> tuple:
-    """Run one invocation; returns (exit code, JSON-ready payload)."""
-    parser = build_parser()
+def _invoke(argv) -> tuple:
+    """Run one invocation; returns (exit code, JSON-ready payload, the
+    parsed arguments or None when parsing failed)."""
+    args = None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command is None:
             raise CliError("missing subcommand")
         budget = getattr(args, "budget", None)
@@ -406,23 +405,25 @@ def dispatch(argv) -> tuple:
             budget = int(os.environ.get(BUDGET_ENV, ground.DEFAULT_BUDGET))
         if budget <= 0:
             raise CliError("budget must be positive")
-        config = RunConfig(tuple(argv), budget,
-                           getattr(args, "seed", 0), getattr(args, "out", None))
+        config = RunConfig(budget, getattr(args, "seed", 0))
         payload = _HANDLERS[args.command](args, config)
-        return 0, {"schema": SCHEMA, **payload}
+        return 0, {"schema": SCHEMA, **payload}, args
     except ground.BudgetExceeded as exc:
-        return 2, {"schema": SCHEMA,
-                   "error": {"type": "budget-exceeded", "message": str(exc),
-                             "needed": exc.needed, "budget": exc.budget}}
+        code, error = 2, {"type": "budget-exceeded", "message": str(exc),
+                          "needed": exc.needed, "budget": exc.budget}
     except CliError as exc:
-        return 1, {"schema": SCHEMA, "error": {"type": "usage", "message": str(exc)}}
+        code, error = 1, {"type": "usage", "message": str(exc)}
     except (ValueError, KeyError) as exc:
-        return 1, {"schema": SCHEMA,
-                   "error": {"type": "invalid-input", "message": str(exc)}}
+        code, error = 1, {"type": "invalid-input", "message": str(exc)}
     except Exception as exc:  # never a bare crash
-        return 1, {"schema": SCHEMA,
-                   "error": {"type": "internal",
-                             "message": f"{type(exc).__name__}: {exc}"}}
+        code, error = 1, {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}
+    return code, {"schema": SCHEMA, "error": error}, args
+
+
+def dispatch(argv) -> tuple:
+    """Run one invocation; returns (exit code, JSON-ready payload)."""
+    code, payload, _args = _invoke(argv)
+    return code, payload
 
 
 def render(payload: dict) -> str:
@@ -431,11 +432,9 @@ def render(payload: dict) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    code, payload = dispatch(argv)
+    code, payload, args = _invoke(argv)
     text = render(payload)
-    out = None
-    if "--out" in argv and argv.index("--out") + 1 < len(argv):
-        out = argv[argv.index("--out") + 1]
+    out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text + "\n")
     else:

@@ -96,9 +96,7 @@ class ClopenSet:
 def box_is_empty(b: BasicBox) -> bool:
     """Symbolic emptiness: some F meets its G, or some F exceeds its factor bound."""
     for coord, f, g in b.constraints:
-        if not f.isdisjoint(g):
-            return True
-        if len(f) > b.ambient.bound_at(coord):
+        if not _constraints_meet(f, g, EMPTY, EMPTY, b.ambient.bound_at(coord)):
             return True
     return False
 
@@ -106,11 +104,7 @@ def box_is_empty(b: BasicBox) -> bool:
 def box_contains(b: BasicBox, x: ProductPoint) -> bool:
     if not point_in_ambient(b.ambient, x):
         raise ValueError(f"point {x} outside ambient {b.ambient}")
-    for coord, f, g in b.constraints:
-        value = x.coordinate(coord)
-        if not f.issubset(value) or not value.isdisjoint(g):
-            return False
-    return True
+    return all(_admits(f, g, x.coordinate(coord).elements) for coord, f, g in b.constraints)
 
 
 def box_intersect(b1: BasicBox, b2: BasicBox) -> BasicBox:
@@ -120,25 +114,161 @@ def box_intersect(b1: BasicBox, b2: BasicBox) -> BasicBox:
 
 
 def box_subset(b1: BasicBox, b2: BasicBox) -> bool:
-    """Is ``b1`` contained in ``b2``, symbolically over an infinite ground set?
-
-    At a coordinate with constraint (F2, G2) in ``b2`` and (F1, G1) in ``b1``:
-    membership forces F2 inside F1, F1 clear of G2, and G2 avoided either
-    because G1 already excludes it or because F1 fills the factor bound.
-    """
+    """Is ``b1`` contained in ``b2``, symbolically over an infinite ground set?"""
     if b1.ambient != b2.ambient:
         raise ValueError("cannot compare boxes over different ambients")
     if box_is_empty(b1):
         return True
     for coord, f2, g2 in b2.constraints:
         f1, g1 = b1.constraint_at(coord)
-        if not f2.issubset(f1):
-            return False
-        if not f1.isdisjoint(g2):
-            return False
-        if len(g2 - g1) and len(f1) < b1.ambient.bound_at(coord):
+        if not _constraint_within(f1, g1, f2, g2, b1.ambient.bound_at(coord)):
             return False
     return True
+
+
+def _constraint_within(f1: Point, g1: Point, f2: Point, g2: Point, bound: int) -> bool:
+    """Does the satisfiable constraint (F1, G1) at a coordinate imply (F2, G2)?
+
+    Membership forces F2 inside F1, F1 clear of G2, and G2 avoided either
+    because G1 already excludes it or because F1 fills the factor bound.
+    """
+    return (f2.issubset(f1) and f1.isdisjoint(g2)
+            and (g2.issubset(g1) or len(f1) >= bound))
+
+
+def _constraints_meet(f1: Point, g1: Point, f2: Point, g2: Point, bound: int) -> bool:
+    """Can one coordinate value satisfy both (F1, G1) and (F2, G2)?
+
+    Their conjunction is (F1 | F2, G1 | G2): the union of the F parts must
+    miss both G parts and fit the factor bound.  Scans the element tuples
+    instead of building the union.
+    """
+    common = 0
+    for e in f1.elements:
+        if e in g1.elements or e in g2.elements:
+            return False
+        if e in f2.elements:
+            common += 1
+    for e in f2.elements:
+        if e in g1.elements or e in g2.elements:
+            return False
+    return len(f1.elements) + len(f2.elements) - common <= bound
+
+
+def _admits(f: Point, g: Point, value: tuple) -> bool:
+    """Does the coordinate value (a sorted element tuple) contain F and avoid G?"""
+    for e in f.elements:
+        if e not in value:
+            return False
+    for e in g.elements:
+        if e in value:
+            return False
+    return True
+
+
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class BoxIndex:
+    """Per-coordinate index of a family of nonempty boxes over one ambient.
+
+    For each constrained coordinate it lists the distinct (F, G) constraints
+    found there, each with a bitmask of the boxes that carry it (bit i is
+    box i), plus the mask of the boxes left unconstrained there.  Queries
+    about the whole family then compare a few distinct constraints per
+    coordinate instead of building a box per pair or scanning every box.
+    Every query answers in increasing box order.
+    """
+
+    def __init__(self, ambient: ProductDescriptor, boxes):
+        self.ambient = ambient
+        self.size = len(boxes)
+        self.everything = (1 << self.size) - 1
+        by_coord: dict = {}
+        for i, box in enumerate(boxes):
+            if box.ambient != ambient:
+                raise ValueError("all boxes of an index must share the ambient")
+            for s, f, g in box.constraints:
+                by_coord.setdefault(s, {}).setdefault((f, g), []).append(i)
+        # coordinate -> (factor bound, mask of the boxes free there, mask of
+        # the boxes constrained there or further on, [(F, G, mask, members), ...])
+        self.coords = {}
+        pending = 0
+        # walk down from the last coordinate so that ``pending`` accumulates;
+        # the order is put back to increasing at the end
+        for s in sorted(by_coord, reverse=True):
+            bound = ambient.bound_at(s)
+            groups = []
+            constrained = 0
+            for (f, g), members in by_coord[s].items():
+                mask = sum(1 << i for i in members)
+                constrained |= mask
+                groups.append((f, g, mask, members))
+                if not _constraints_meet(f, g, EMPTY, EMPTY, bound):
+                    raise ValueError(f"box {members[0]} of the family is empty")
+            pending |= constrained
+            self.coords[s] = (bound, self.everything & ~constrained, pending, groups)
+        self.coords = dict(reversed(self.coords.items()))
+
+    def meeting_pairs(self) -> list:
+        """Pairs (a, b) with a < b of boxes that share a point, in lexicographic order.
+
+        Two nonempty boxes are disjoint exactly when, at some coordinate both
+        constrain, their two constraints admit no common value.
+        """
+        conflict = [0] * self.size
+        for bound, _free, _pending, groups in self.coords.values():
+            clashes = [0] * len(groups)
+            for i, (f1, g1, mask1, _members) in enumerate(groups):
+                for j in range(i + 1, len(groups)):
+                    f2, g2, mask2, _ = groups[j]
+                    if not _constraints_meet(f1, g1, f2, g2, bound):
+                        clashes[i] |= mask2
+                        clashes[j] |= mask1
+            for (_f, _g, _mask, members), clash in zip(groups, clashes):
+                if clash:
+                    for a in members:
+                        conflict[a] |= clash
+        pairs = []
+        for a in range(self.size):
+            later = self.everything >> (a + 1) << (a + 1)
+            pairs.extend((a, b) for b in _bits(later & ~conflict[a]))
+        return pairs
+
+    def containing(self, x: ProductPoint) -> list:
+        """Indices of the boxes that contain ``x``."""
+        if not point_in_ambient(self.ambient, x):
+            raise ValueError(f"point {x} outside ambient {self.ambient}")
+        hits = self.everything
+        for s, (_bound, free, pending, groups) in self.coords.items():
+            if not hits & pending:
+                break  # no later coordinate constrains a remaining hit
+            value = x.coordinate(s).elements
+            for f, g, mask, _members in groups:
+                if _admits(f, g, value):
+                    free |= mask
+            hits &= free
+        return list(_bits(hits))
+
+    def not_within(self, box: BasicBox) -> list:
+        """Indices of the boxes not contained in ``box``."""
+        if box.ambient != self.ambient:
+            raise ValueError("cannot compare boxes over different ambients")
+        inside = self.everything
+        for s, f2, g2 in box.constraints:
+            bound, free, _pending, groups = self.coords.get(
+                s, (self.ambient.bound_at(s), self.everything, 0, ()))
+            here = free if _constraint_within(EMPTY, EMPTY, f2, g2, bound) else 0
+            for f1, g1, mask, _members in groups:
+                if _constraint_within(f1, g1, f2, g2, bound):
+                    here |= mask
+            inside &= here
+        return list(_bits(self.everything & ~inside))
 
 
 def box_complement(b: BasicBox) -> ClopenSet:
@@ -196,15 +326,12 @@ def box_reduce(b: BasicBox) -> BoxReduction:
     if box_is_empty(b):
         raise ValueError("cannot reduce an empty box")
     width = max(b.ambient.explicit_len, b.max_constrained_coord() + 1)
-    factors = []
-    removed = []
-    for s in range(width):
-        f, _g = b.constraint_at(s)
-        factors.append(SigmaFactor(b.ambient.bound_at(s) - len(f)))
-        if len(f):
-            removed.append((s, f))
-    desc = ProductDescriptor(tuple(factors), b.ambient.omega_tail)
-    return BoxReduction(desc, tuple(removed))
+    removed = tuple((s, f) for s, f, _g in b.constraints if len(f))
+    dropped = dict(removed)
+    factors = tuple(SigmaFactor(b.ambient.bound_at(s) - len(dropped.get(s, EMPTY)))
+                    for s in range(width))
+    desc = ProductDescriptor(factors, b.ambient.omega_tail)
+    return BoxReduction(desc, removed)
 
 
 def preimage_under_union(b: BasicBox, k: int) -> ClopenSet:
@@ -276,7 +403,7 @@ def parse_box(text: str) -> BasicBox:
     if not (head.startswith("[") and head.endswith("]")):
         raise ValueError(f"malformed box {text!r}: constraints must be bracketed")
     inner = head[1:-1].strip()
-    constraints = {}
+    constraints = []
     if inner:
         for part in inner.split(";"):
             coord_tok, _, rest = part.partition(":")
@@ -285,8 +412,9 @@ def parse_box(text: str) -> BasicBox:
             if not rest.startswith("F=") or " G=" not in rest:
                 raise ValueError(f"malformed box constraint {part!r}")
             f_tok, _, g_tok = rest[2:].partition(" G=")
-            constraints[coord] = (parse_point(f_tok), parse_point(g_tok))
-    return BasicBox.make(ambient, constraints)
+            constraints.append((coord, parse_point(f_tok), parse_point(g_tok)))
+    # BasicBox merges repeated coordinates
+    return BasicBox(ambient, tuple(constraints))
 
 
 def box_to_json(b: BasicBox) -> dict:

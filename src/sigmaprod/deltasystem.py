@@ -205,7 +205,8 @@ def extract_delta_system(fam: SetFamily, p: int,
     if count >= p:
         petals = [fam.get(label) for label in labels]
         ok, check_root = is_delta_system(petals)
-        assert ok and check_root == root, "extracted family fails the predicate"
+        if not (ok and check_root == root):
+            raise AssertionError("extracted family fails the predicate")
         return ExtractionResult(DeltaSystem(root, tuple(labels), size), count, method)
     return ExtractionResult(None, count, method)
 

@@ -352,10 +352,6 @@ def materialize(desc: ProductDescriptor, ground_size: int, depth: int | None = N
 # text forms
 
 
-def format_point(p: Point) -> str:
-    return str(p)
-
-
 def parse_point(text: str) -> Point:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -207,3 +209,21 @@ def test_locality_rejects_non_union_operators():
     prod = product_operator([build_operator(1, 1), build_operator(1, 1)])
     with pytest.raises(ValueError):
         locality_profile(prod, A)
+
+
+def test_restrict_operator_support_check_survives_optimized_mode():
+    # a row supported off its own fiber loses all support on restriction;
+    # the check is an explicit raise, so it holds under ``python -O`` too
+    code = (
+        "from fractions import Fraction\n"
+        "from sigmaprod.averaging import AveragingOperator, restrict_operator\n"
+        "op = AveragingOperator(('a', 'b'), ('y', 'z'), {'a': 'y', 'b': 'z'},\n"
+        "                       {'y': (('b', Fraction(1)),), 'z': (('a', Fraction(1)),)})\n"
+        "try:\n"
+        "    restrict_operator(op, ['y'])\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: a row lost all support")

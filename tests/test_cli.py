@@ -119,6 +119,9 @@ def test_clopen_subcommands():
     assert code == 0 and payload["descriptor"]["factors"] == [2]
     code, payload = run(["clopen", "preimage", "--box", "[0: F={0} G={}] @ 2", "--k", "2"])
     assert code == 0 and payload["count"] == 2
+    # a repeated coordinate merges into one constraint, here an unsatisfiable one
+    code, payload = run(["clopen", "empty", "--box", "[0: F={1} G={}; 0: F={} G={1}] @ 3"])
+    assert code == 0 and payload["empty"] is True
 
 
 def test_error_paths_are_structured():
@@ -190,3 +193,13 @@ def test_out_flag_writes_file(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["index"] == 3
+
+
+def test_out_flag_with_equals_sign_writes_file(tmp_path, capsys):
+    out = tmp_path / "result.json"
+    from sigmaprod.cli import main
+
+    code = main(["cb", "--ks", "1,1", f"--out={out}"])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["index"] == 3

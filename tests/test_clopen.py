@@ -2,9 +2,11 @@ import random
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sigmaprod.clopen import (
     BasicBox,
+    BoxIndex,
     ClopenSet,
     box_complement,
     box_contains,
@@ -16,6 +18,7 @@ from sigmaprod.clopen import (
     parse_box,
     preimage_under_union,
     union_membership_cover,
+    _constraints_meet,
 )
 from sigmaprod.ground import (
     EMPTY,
@@ -240,3 +243,68 @@ def test_box_text_round_trip():
     assert parse_box(format_box(box)) == box
     with pytest.raises(ValueError):
         parse_box("[0: F={1}] oops")
+
+
+def test_parse_box_merges_repeated_coordinates():
+    box = parse_box("[0: F={1} G={}; 0: F={} G={1}] @ 3")
+    assert box.constraints == ((0, Point.of(1), Point.of(1)),)
+    assert box_is_empty(box)
+    assert parse_box("[2: F={0} G={}; 0: F={} G={4}; 2: F={1} G={3}] @ 2^w") == \
+        BasicBox.make(ProductDescriptor.omega_power(2),
+                      {0: (EMPTY, Point.of(4)), 2: (Point.of(0, 1), Point.of(3))})
+
+
+_small_sets = st.frozensets(st.integers(0, 4), max_size=4).map(lambda s: Point(tuple(s)))
+
+
+@given(st.integers(0, 3), _small_sets, _small_sets, _small_sets, _small_sets)
+def test_constraints_meet_agrees_with_intersection(bound, f1, g1, f2, g2):
+    desc = ProductDescriptor.single(bound)
+    b1 = BasicBox.make(desc, {0: (f1, g1)})
+    b2 = BasicBox.make(desc, {0: (f2, g2)})
+    meet = _constraints_meet(f1, g1, f2, g2, bound)
+    assert meet == (not box_is_empty(box_intersect(b1, b2)))
+    # the elements all lie below 5, so a ground of 5 decides it pointwise
+    assert meet == any(box_contains(b1, x) and box_contains(b2, x)
+                       for x in materialize(desc, 5))
+
+
+def test_box_index_matches_the_pairwise_and_per_box_answers():
+    # families with shared constraints, over a product with a one-point
+    # factor and a tail
+    rng = random.Random(8)
+    desc = ProductDescriptor((SigmaFactor(1), SigmaFactor(0), SigmaFactor(2)), SigmaFactor(1))
+    points = materialize(desc, 3, depth=4)
+
+    def random_box():
+        constraints = {}
+        for s in rng.sample(range(5), rng.randint(0, 3)):
+            f = Point(tuple(rng.sample(range(2), rng.randint(0, 2))))
+            g = Point(tuple(rng.sample(range(2), rng.randint(0, 1))))
+            constraints[s] = (f, g)
+        return BasicBox.make(desc, constraints)
+
+    for _ in range(60):
+        boxes = [random_box() for _ in range(rng.randint(0, 12))]
+        boxes = [b for b in boxes if not box_is_empty(b)]
+        index = BoxIndex(desc, boxes)
+        assert index.meeting_pairs() == [
+            (a, b) for a in range(len(boxes)) for b in range(a + 1, len(boxes))
+            if not box_is_empty(box_intersect(boxes[a], boxes[b]))
+        ]
+        for x in points:
+            assert index.containing(x) == [
+                i for i, b in enumerate(boxes) if box_contains(b, x)]
+        for other in (random_box() for _ in range(5)):
+            assert index.not_within(other) == [
+                i for i, b in enumerate(boxes) if not box_subset(b, other)]
+    # a later box repeating an earlier constraint still clashes with the
+    # boxes in between
+    inside, outside = single_box(2, (0,), ()), single_box(2, (), (0,))
+    assert BoxIndex(SIGMA2, [inside, outside, inside]).meeting_pairs() == [(0, 2)]
+    with pytest.raises(ValueError):
+        BoxIndex(desc, [single_box(1, (0,), ())])
+    with pytest.raises(ValueError):
+        BoxIndex(SIGMA2, [inside, single_box(2, (0,), (0,))])
+    with pytest.raises(ValueError):
+        BoxIndex(desc, []).containing(ProductPoint((Point.of(0, 1),)))
