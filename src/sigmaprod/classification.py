@@ -60,6 +60,13 @@ OPEN_QUESTION = (
     "the n-bounded spaces over all n >= 1 versus over all n >= 2)"
 )
 
+OPEN_QUESTION_ONE_SATURATED = (
+    "one sequence is omega-saturated (every bound occurs omega-many times "
+    "after absorption) while the other has a finite omega-threshold and "
+    "positive exponents cofinally above it; whether such products are "
+    "homeomorphic is an open question"
+)
+
 
 @dataclass(frozen=True)
 class NormalForm:
@@ -172,6 +179,8 @@ def classify(tau: TauSequence, tau2: TauSequence,
             NOT_HOMEOMORPHIC, "upper-exponents",
             "some exponent above the common omega-threshold differs; it is "
             "recoverable from maximal embeddable powers inside clopen sets")
+    if is_omega(nf1.i) or is_omega(nf2.i):
+        return ClassificationVerdict(OPEN, "open-question", OPEN_QUESTION_ONE_SATURATED)
     return ClassificationVerdict(OPEN, "open-question", OPEN_QUESTION)
 
 
@@ -356,8 +365,7 @@ class DecompositionPiece:
     claimed_type: ProductDescriptor
 
     def __post_init__(self):
-        if box_is_empty(self.box):
-            raise ValueError(f"piece {self.label} has an empty box")
+        # box_reduce raises ValueError on an empty box
         if box_reduce(self.box).descriptor != self.claimed_type:
             raise ValueError(f"piece {self.label}: claimed type does not match the "
                              "box reduction")

@@ -8,10 +8,10 @@ seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,10 +30,60 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    budget: int
-    seed: int
+_REQUIRED_INT = dict(type=int, required=True)
+_K_GROUND = [("--k", _REQUIRED_INT), ("--ground", _REQUIRED_INT)]
+
+# command -> action -> flags as (name, add_argument keywords); the action None
+# marks a command that takes its flags directly instead of an action
+_COMMANDS = {
+    "classify": {None: [
+        ("--tau", dict(required=True)),
+        ("--tau2", dict(required=True)),
+        ("--gamma", dict(choices=["uncountable", "countable"], default="uncountable")),
+    ]},
+    "cb": {None: [("--ks", dict(required=True, help="comma list of factor bounds, e.g. 2,3"))]},
+    "decompose": {None: [
+        ("--kind", dict(choices=["absorb_small", "classif_K"], required=True)),
+        ("--m", dict(type=int, default=0)),
+        ("--n", dict(type=int, default=2)),
+        ("--element", dict(type=int, default=0)),
+        ("--depth", dict(type=int, default=6)),
+        ("--samples", dict(type=int, default=200)),
+        ("--boxes", dict(type=int, default=20)),
+    ]},
+    "avg": {
+        "build": _K_GROUND,
+        "check": _K_GROUND,
+        "apply": [*_K_GROUND,
+                  ("--f", dict(required=True, help="JSON file with the function values"))],
+    },
+    "uec": {
+        "phi": [("--bits", dict(required=True, help="0/1 string, lowest level first")),
+                ("--levels", dict(type=int))],
+        "preimage": [("--target", dict(required=True, help="rational in [0,1], e.g. 1/2")),
+                     ("--levels", _REQUIRED_INT),
+                     ("--limit", dict(type=int, default=50,
+                                      help="solutions listed in the output"))],
+        "l0": [("--bits-file", dict(required=True, help="JSON list of [element, level] pairs"))],
+        "bounds": [("--levels", _REQUIRED_INT)],
+        "pipeline": [("--points-file", dict(required=True,
+                                            help="JSON list of {label: rational} objects")),
+                     ("--levels", _REQUIRED_INT)],
+    },
+    "ds": {
+        "extract": [("--family", dict(required=True, help="file with lines 'label: {e1,e2}'")),
+                    ("--petals", _REQUIRED_INT)],
+        "witness": [("--spec", dict(required=True,
+                                    help="JSON file with side_g / side_h exclusion tuples")),
+                    ("--n", _REQUIRED_INT),
+                    ("--k", _REQUIRED_INT)],
+    },
+    "clopen": {
+        "empty": [("--box", dict(required=True))],
+        "reduce": [("--box", dict(required=True))],
+        "preimage": [("--box", dict(required=True)), ("--k", _REQUIRED_INT)],
+    },
+}
 
 
 def _common_flags() -> _Parser:
@@ -47,82 +97,29 @@ def _common_flags() -> _Parser:
                         help="seed for sampled checks (default 0)")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the JSON document here")
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="JSON output (the only mode; accepted for compatibility)")
     return common
 
 
+def _leaf(subparsers, name: str, common: _Parser, flags) -> None:
+    parser = subparsers.add_parser(name, parents=[common])
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+
+
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser for every command in ``_COMMANDS``, built on first use."""
     common = _common_flags()
     parser = _Parser(prog="sigmaprod", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("classify", parents=[common])
-    p.add_argument("--tau", required=True)
-    p.add_argument("--tau2", required=True)
-    p.add_argument("--gamma", choices=["uncountable", "countable"],
-                   default="uncountable")
-
-    p = sub.add_parser("cb", parents=[common])
-    p.add_argument("--ks", required=True, help="comma list of factor bounds, e.g. 2,3")
-
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("--kind", choices=["absorb_small", "classif_K"], required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--element", type=int, default=0)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--boxes", type=int, default=20)
-
-    p = sub.add_parser("avg")
-    avg_sub = p.add_subparsers(dest="action", parser_class=_Parser)
-    for action in ("build", "check", "apply"):
-        q = avg_sub.add_parser(action, parents=[common])
-        q.add_argument("--k", type=int, required=True)
-        q.add_argument("--ground", type=int, required=True)
-        if action == "apply":
-            q.add_argument("--f", required=True, help="JSON file with the function values")
-
-    p = sub.add_parser("uec")
-    uec_sub = p.add_subparsers(dest="action", parser_class=_Parser)
-    q = uec_sub.add_parser("phi", parents=[common])
-    q.add_argument("--bits", required=True, help="0/1 string, lowest level first")
-    q.add_argument("--levels", type=int, default=None)
-    q = uec_sub.add_parser("preimage", parents=[common])
-    q.add_argument("--target", required=True, help="rational in [0,1], e.g. 1/2")
-    q.add_argument("--levels", type=int, required=True)
-    q.add_argument("--limit", type=int, default=50, help="solutions listed in the output")
-    q = uec_sub.add_parser("l0", parents=[common])
-    q.add_argument("--bits-file", required=True,
-                   help="JSON list of [element, level] pairs")
-    q = uec_sub.add_parser("bounds", parents=[common])
-    q.add_argument("--levels", type=int, required=True)
-    q = uec_sub.add_parser("pipeline", parents=[common])
-    q.add_argument("--points-file", required=True,
-                   help="JSON list of {label: rational} objects")
-    q.add_argument("--levels", type=int, required=True)
-
-    p = sub.add_parser("ds")
-    ds_sub = p.add_subparsers(dest="action", parser_class=_Parser)
-    q = ds_sub.add_parser("extract", parents=[common])
-    q.add_argument("--family", required=True, help="file with lines 'label: {e1,e2}'")
-    q.add_argument("--petals", type=int, required=True)
-    q = ds_sub.add_parser("witness", parents=[common])
-    q.add_argument("--spec", required=True,
-                   help="JSON file with side_g / side_h exclusion tuples")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("clopen")
-    cl_sub = p.add_subparsers(dest="action", parser_class=_Parser)
-    q = cl_sub.add_parser("empty", parents=[common])
-    q.add_argument("--box", required=True)
-    q = cl_sub.add_parser("reduce", parents=[common])
-    q.add_argument("--box", required=True)
-    q = cl_sub.add_parser("preimage", parents=[common])
-    q.add_argument("--box", required=True)
-    q.add_argument("--k", type=int, required=True)
+    for command, actions in _COMMANDS.items():
+        if None in actions:
+            _leaf(sub, command, common, actions[None])
+            continue
+        action_sub = sub.add_parser(command).add_subparsers(dest="action",
+                                                            parser_class=_Parser)
+        for action, flags in actions.items():
+            _leaf(action_sub, action, common, flags)
     return parser
 
 
@@ -142,11 +139,7 @@ def _read_json(path: str):
         raise CliError(f"malformed JSON in {path}: {exc}") from None
 
 
-def _frac_json(q: Fraction) -> str:
-    return uec.fraction_to_json(q)
-
-
-def _handle_classify(args, config) -> dict:
+def _handle_classify(args) -> dict:
     tau = ground.parse_tau(args.tau)
     tau2 = ground.parse_tau(args.tau2)
     verdict = classification.classify(tau, tau2, args.gamma)
@@ -160,7 +153,7 @@ def _handle_classify(args, config) -> dict:
     }
 
 
-def _handle_cb(args, config) -> dict:
+def _handle_cb(args) -> dict:
     try:
         ks = tuple(int(tok) for tok in args.ks.split(",") if tok.strip() != "")
     except ValueError:
@@ -169,14 +162,14 @@ def _handle_cb(args, config) -> dict:
     return {"ks": list(ks), "index": index, "last_cardinality": last}
 
 
-def _handle_decompose(args, config) -> dict:
+def _handle_decompose(args) -> dict:
     if args.kind == "absorb_small":
         dec = classification.decompose_absorb_small(args.m, args.n, args.depth)
     else:
         dec = classification.decompose_classif_k(args.element, args.depth)
     disjoint = classification.check_pairwise_disjoint(dec)
-    membership = classification.check_sample_membership(dec, args.samples, config.seed)
-    boxes = classification.limit_neighborhood_boxes(dec, args.boxes, config.seed + 1)
+    membership = classification.check_sample_membership(dec, args.samples, args.seed)
+    boxes = classification.limit_neighborhood_boxes(dec, args.boxes, args.seed + 1)
     cofinite = classification.check_limit_cofinite(dec, boxes)
     return {
         **classification.decomposition_to_json(dec),
@@ -196,14 +189,12 @@ def _handle_decompose(args, config) -> dict:
                 "ok": cofinite.ok,
             },
         },
-        "seed": config.seed,
+        "seed": args.seed,
     }
 
 
-def _handle_avg(args, config) -> dict:
-    if args.action is None:
-        raise CliError("avg needs one of: build, check, apply")
-    op = averaging.build_operator(args.k, args.ground, config.budget)
+def _handle_avg(args) -> dict:
+    op = averaging.build_operator(args.k, args.ground, args.budget)
     if args.action == "build":
         return {"k": args.k, "ground": args.ground, **averaging.operator_to_json(op)}
     if args.action == "check":
@@ -233,29 +224,27 @@ def _handle_avg(args, config) -> dict:
         "k": args.k,
         "ground": args.ground,
         "values": [
-            {"y": ground.point_to_json(y), "value": _frac_json(result[y])}
+            {"y": ground.point_to_json(y), "value": uec.fraction_to_json(result[y])}
             for y in op.codomain
         ],
     }
 
 
-def _handle_uec(args, config) -> dict:
-    if args.action is None:
-        raise CliError("uec needs one of: phi, preimage, l0, bounds, pipeline")
+def _handle_uec(args) -> dict:
     if args.action == "phi":
         if not set(args.bits) <= {"0", "1"}:
             raise CliError(f"malformed bit string {args.bits!r}")
         bits = tuple(int(b) for b in args.bits)
         levels = args.levels if args.levels is not None else max(len(bits), 1)
         value = uec.phi(bits, levels)
-        return {"bits": list(bits), "levels": levels, "value": _frac_json(value)}
+        return {"bits": list(bits), "levels": levels, "value": uec.fraction_to_json(value)}
     if args.action == "preimage":
         target = _parse_fraction(args.target)
-        solutions = uec.phi_preimage(target, args.levels, config.budget)
+        solutions = uec.phi_preimage(target, args.levels, args.budget)
         return {
             "target": args.target,
             "levels": args.levels,
-            "tolerance": _frac_json(uec.truncation_tail(args.levels)),
+            "tolerance": uec.fraction_to_json(uec.truncation_tail(args.levels)),
             "count": len(solutions),
             "solutions": [list(bits) for bits in solutions[:args.limit]],
         }
@@ -268,14 +257,14 @@ def _handle_uec(args, config) -> dict:
         cert = uec.in_L0(array)
         return {
             "member": cert.member,
-            "total": _frac_json(cert.total),
+            "total": uec.fraction_to_json(cert.total),
             "counts": {str(n): c for n, c in cert.counts.items()},
         }
     if args.action == "bounds":
         table = uec.level_bounds(args.levels)
         return {
             "levels": args.levels,
-            "r": [_frac_json(w) for w in table.r],
+            "r": [uec.fraction_to_json(w) for w in table.r],
             "M": list(table.m),
         }
     raw = _read_json(args.points_file)
@@ -287,7 +276,7 @@ def _handle_uec(args, config) -> dict:
         ]
     except (TypeError, ValueError, AttributeError):
         raise CliError("malformed points file; expected [{label: rational}, …]") from None
-    report = uec.pipeline_check(points, args.levels, config.budget)
+    report = uec.pipeline_check(points, args.levels, args.budget)
     return uec.pipeline_report_to_json(report)
 
 
@@ -310,9 +299,7 @@ def _parse_family_file(path: str) -> deltasystem.SetFamily:
     return deltasystem.SetFamily.from_pairs(pairs)
 
 
-def _handle_ds(args, config) -> dict:
-    if args.action is None:
-        raise CliError("ds needs one of: extract, witness")
+def _handle_ds(args) -> dict:
     if args.action == "extract":
         fam = _parse_family_file(args.family)
         result = deltasystem.extract_delta_system(fam, args.petals)
@@ -330,18 +317,15 @@ def _handle_ds(args, config) -> dict:
         return payload
     raw = _read_json(args.spec)
     try:
-        side_g = tuple(
-            (int(label), tuple(ground.Point(tuple(s)) for s in sets))
-            for label, sets in sorted(raw["side_g"].items(), key=lambda kv: int(kv[0]))
-        )
-        side_h = tuple(
-            (int(label), tuple(ground.Point(tuple(s)) for s in sets))
-            for label, sets in sorted(raw["side_h"].items(), key=lambda kv: int(kv[0]))
+        side_g, side_h = (
+            tuple((int(label), tuple(ground.Point(tuple(s)) for s in sets))
+                  for label, sets in sorted(raw[side].items(), key=lambda kv: int(kv[0])))
+            for side in ("side_g", "side_h")
         )
     except (TypeError, ValueError, KeyError):
         raise CliError("malformed spec file; expected side_g / side_h objects") from None
     spec = deltasystem.NeighborhoodSpec(args.k, side_g, side_h)
-    result = deltasystem.common_point_witness(spec, args.n, args.k, config.budget)
+    result = deltasystem.common_point_witness(spec, args.n, args.k, args.budget)
     return {
         "ok": result.ok,
         "lambda0": result.lambda0,
@@ -357,9 +341,7 @@ def _handle_ds(args, config) -> dict:
     }
 
 
-def _handle_clopen(args, config) -> dict:
-    if args.action is None:
-        raise CliError("clopen needs one of: empty, reduce, preimage")
+def _handle_clopen(args) -> dict:
     box = clopen.parse_box(args.box)
     if args.action == "empty":
         return {"box": clopen.box_to_json(box), "empty": clopen.box_is_empty(box)}
@@ -400,13 +382,15 @@ def _invoke(argv) -> tuple:
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise CliError("missing subcommand")
-        budget = getattr(args, "budget", None)
-        if budget is None:
-            budget = int(os.environ.get(BUDGET_ENV, ground.DEFAULT_BUDGET))
-        if budget <= 0:
+        if not hasattr(args, "budget"):
+            args.budget = int(os.environ.get(BUDGET_ENV, ground.DEFAULT_BUDGET))
+        if args.budget <= 0:
             raise CliError("budget must be positive")
-        config = RunConfig(budget, getattr(args, "seed", 0))
-        payload = _HANDLERS[args.command](args, config)
+        args.seed = getattr(args, "seed", 0)
+        actions = _COMMANDS[args.command]
+        if None not in actions and args.action is None:
+            raise CliError(f"{args.command} needs one of: {', '.join(actions)}")
+        payload = _HANDLERS[args.command](args)
         return 0, {"schema": SCHEMA, **payload}, args
     except ground.BudgetExceeded as exc:
         code, error = 2, {"type": "budget-exceeded", "message": str(exc),

@@ -126,7 +126,8 @@ def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
 
     Depth-first search in lexicographic bit order with exact interval pruning,
     so the result equals the exhaustive enumeration; never empty for targets
-    in [0, 1].
+    in [0, 1].  The search keeps an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     target = Fraction(target)
     if target < 0 or target > 1:
@@ -134,22 +135,21 @@ def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
     tol = truncation_tail(levels)
     solutions = []
     visited = 0
-
-    def search(n: int, acc: Fraction, bits: tuple):
-        nonlocal visited
+    stack = [(0, Fraction(0), ())]
+    while stack:
+        n, acc, bits = stack.pop()
         visited += 1
         if visited > budget:
             raise BudgetExceeded(visited, budget)
         remaining = truncation_tail(n) - tol if n < levels else Fraction(0)
         if acc - target > tol or target - acc - remaining > tol:
-            return
+            continue
         if n == levels:
             solutions.append(bits)
-            return
-        search(n + 1, acc, bits + (0,))
-        search(n + 1, acc + level_weight(n), bits + (1,))
-
-    search(0, Fraction(0), ())
+            continue
+        # the 1-branch goes on first so the 0-branch is searched first
+        stack.append((n + 1, acc + level_weight(n), bits + (1,)))
+        stack.append((n + 1, acc, bits + (0,)))
     return tuple(solutions)
 
 

@@ -6,6 +6,7 @@ from sigmaprod.classification import (
     HOMEOMORPHIC,
     NOT_HOMEOMORPHIC,
     OPEN,
+    DecompositionPiece,
     NormalForm,
     SpaceExpression,
     cb_derivative,
@@ -26,13 +27,14 @@ from sigmaprod.classification import (
     retract_witness,
     split_tagged_point,
 )
-from sigmaprod.clopen import box_contains, box_is_empty, box_reduce
+from sigmaprod.clopen import BasicBox, box_contains, box_is_empty, box_reduce
 from sigmaprod.ground import (
     EMPTY,
     OMEGA,
     Point,
     ProductDescriptor,
     ProductPoint,
+    SigmaFactor,
     TauSequence,
     is_omega,
     materialize,
@@ -91,6 +93,15 @@ def test_classify_spec_examples():
 
     v = classify(tau(0, 1), tau(2), gamma="countable")
     assert v.outcome == HOMEOMORPHIC   # derivation index 3 on both sides
+
+
+def test_classify_open_with_one_side_omega_saturated():
+    v = classify(parse_tau("tail=w"), parse_tau("tail=1"))
+    assert v.outcome == OPEN and v.rule == "open-question"
+    assert "open question" in v.detail
+    assert "omega-saturated" in v.detail
+    assert "both sequences" not in v.detail
+    assert classify(parse_tau("tail=1"), parse_tau("tail=w")).detail == v.detail
 
 
 def test_classify_omega_saturated():
@@ -286,6 +297,16 @@ def test_decomposition_pieces_verified():
         assert report.ok
         boxes = limit_neighborhood_boxes(dec, 20, seed=1)
         assert check_limit_cofinite(dec, boxes).ok
+
+
+def test_decomposition_piece_rejects_bad_boxes():
+    ambient = ProductDescriptor((SigmaFactor(1),), None)
+    empty = BasicBox(ambient, ((0, Point((0, 1)), EMPTY),))
+    with pytest.raises(ValueError):
+        DecompositionPiece("empty", empty, ambient)
+    singleton = BasicBox(ambient, ((0, Point((0,)), EMPTY),))
+    with pytest.raises(ValueError):
+        DecompositionPiece("mistyped", singleton, ambient)
 
 
 def test_absorb_small_piece_types():

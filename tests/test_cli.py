@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 
-from sigmaprod.cli import dispatch, render
+from sigmaprod.cli import build_parser, dispatch, render
 
 
 def run(argv):
@@ -135,6 +135,41 @@ def test_error_paths_are_structured():
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
     code, payload = run(["clopen", "reduce", "--box", "[0: F={0,1} G={}] @ 1"])
     assert code == 1  # reducing an empty box is a precondition failure
+    code, payload = run(["cb", "--ks", "2,3", "--json"])
+    assert code == 1 and payload["error"]["type"] == "usage"
+    # deep enough to overflow a recursive search before the budget runs out
+    code, payload = run(["uec", "preimage", "--target", "1/2", "--levels", "2000",
+                         "--budget", "10000"])
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+
+
+def test_command_without_action_names_the_actions():
+    expected = {
+        "avg": "avg needs one of: build, check, apply",
+        "uec": "uec needs one of: phi, preimage, l0, bounds, pipeline",
+        "ds": "ds needs one of: extract, witness",
+        "clopen": "clopen needs one of: empty, reduce, preimage",
+    }
+    for command, message in expected.items():
+        code, payload = run([command])
+        assert code == 1
+        assert payload["error"] == {"type": "usage", "message": message}
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_flags_do_not_leak_between_dispatches():
+    preimage = ["uec", "preimage", "--target", "1/2", "--levels", "12"]
+    assert run(preimage + ["--budget", "10"])[0] == 2
+    assert run(["--budget", "10"] + preimage)[0] == 2
+    assert run(preimage)[0] == 0
+    decompose = ["decompose", "--kind", "classif_K", "--depth", "3",
+                 "--samples", "20", "--boxes", "4"]
+    assert run(decompose + ["--seed", "3"])[1]["seed"] == 3
+    assert run(["--seed", "3"] + decompose)[1]["seed"] == 3
+    assert run(decompose)[1]["seed"] == 0
 
 
 def test_fuzz_malformed_inputs_never_crash():
