@@ -239,6 +239,8 @@ def _handle_uec(args) -> dict:
         value = uec.phi(bits, levels)
         return {"bits": list(bits), "levels": levels, "value": uec.fraction_to_json(value)}
     if args.action == "preimage":
+        if args.limit < 0:
+            raise CliError("limit must be non-negative")
         target = _parse_fraction(args.target)
         solutions = uec.phi_preimage(target, args.levels, args.budget)
         return {

@@ -121,43 +121,71 @@ def phi(bits, levels: int) -> Fraction:
     return total
 
 
-def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
-    """All 0/1 vectors of the given length mapping within (2/3)^levels of target.
+def _preimage_search(target, levels: int, budget: int, spent: int = 0) -> tuple:
+    """Every 0/1 vector of the given length mapping within (2/3)^levels of target.
 
-    Depth-first search in lexicographic bit order with exact interval pruning,
-    so the result equals the exhaustive enumeration; never empty for targets
-    in [0, 1].  The search keeps an explicit stack, so its depth is not
-    bounded by the interpreter's recursion limit.
+    Returns ``(solutions, scale, visited)``: each solution pairs its bits with
+    its error phi(bits) - target times ``scale``, and ``visited`` is the node
+    count charged against ``budget`` on top of ``spent``.
+
+    For target p/q everything is scaled by q * 3^L into integers: tolerance
+    (2/3)^L is q * 2^L and weight n is q * 2^n * 3^(L-1-n).  A node at depth n
+    carries d = scaled target - scaled partial sum and its reach
+    q * 2^n * 3^(L-n) (the weights still to come plus the tolerance); it is
+    kept iff -tolerance <= d <= reach, the exact rational interval test.
+    Depth first in lexicographic bit order on an explicit stack, so the
+    result equals the exhaustive enumeration and the depth is not bounded by
+    the interpreter's recursion limit.
     """
+    if levels < 1:
+        raise ValueError("need at least one level")
     target = Fraction(target)
     if target < 0 or target > 1:
         raise ValueError(f"target {target} outside [0, 1]")
-    tol = truncation_tail(levels)
+    power = 3 ** levels
+    scale = target.denominator * power
+    low = -(target.denominator << levels)
     solutions = []
-    visited = 0
-    stack = [(0, Fraction(0), ())]
+    visited = spent
+    stack = [(target.numerator * power, scale, ())]
     while stack:
-        n, acc, bits = stack.pop()
+        d, reach, bits = stack.pop()
         visited += 1
         if visited > budget:
             raise BudgetExceeded(visited, budget)
-        remaining = truncation_tail(n) - tol if n < levels else Fraction(0)
-        if acc - target > tol or target - acc - remaining > tol:
+        if not low <= d <= reach:
             continue
-        if n == levels:
-            solutions.append(bits)
+        if len(bits) == levels:
+            solutions.append((bits, -d))
             continue
+        weight = reach // 3
+        reach = weight + weight
         # the 1-branch goes on first so the 0-branch is searched first
-        stack.append((n + 1, acc + level_weight(n), bits + (1,)))
-        stack.append((n + 1, acc, bits + (0,)))
-    return tuple(solutions)
+        stack.append((d - weight, reach, bits + (1,)))
+        stack.append((d, reach, bits + (0,)))
+    return solutions, scale, visited
+
+
+def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
+    """All 0/1 vectors of the given length mapping within (2/3)^levels of target.
+
+    In lexicographic bit order, equal to the exhaustive enumeration; never
+    empty for targets in [0, 1].
+    """
+    solutions, _scale, _visited = _preimage_search(target, levels, budget)
+    return tuple(bits for bits, _err in solutions)
+
+
+def _best_preimage(target, levels: int, budget: int, spent: int = 0) -> tuple:
+    """``(bits, error, visited)`` for the best preimage; see ``best_phi_preimage``."""
+    solutions, scale, visited = _preimage_search(target, levels, budget, spent)
+    _abs_err, bits, err = min((abs(err), bits, err) for bits, err in solutions)
+    return bits, Fraction(err, scale), visited
 
 
 def best_phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
     """The preimage vector minimizing the error, ties broken lexicographically."""
-    target = Fraction(target)
-    candidates = phi_preimage(target, levels, budget)
-    return min(candidates, key=lambda bits: (abs(phi(bits, levels) - target), bits))
+    return _best_preimage(target, levels, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -237,12 +265,14 @@ def pipeline_check(points, levels: int, budget: int = DEFAULT_BUDGET) -> Pipelin
     Per point: a best coordinatewise preimage at the given truncation, its
     level counts against the M_n bounds, and the weighted-sum certificate,
     accepted up to the exact truncation slack (support size times (2/3)^levels).
+    The searches of all coordinates of all points share the one budget.
     The stage log documents the factored surjection chain that carries an
     averaging operator at every finite scale.
     """
     table = level_bounds(levels)
     tol = truncation_tail(levels)
     witnesses = []
+    visited = 0
     for vec in points:
         if not isinstance(vec, SignedVector):
             vec = SignedVector.from_dict(vec)
@@ -253,8 +283,7 @@ def pipeline_check(points, levels: int, budget: int = DEFAULT_BUDGET) -> Pipelin
         all_bits = []
         per_coordinate = []
         for label, value in vec.coords:
-            bits = best_phi_preimage(value, levels, budget)
-            err = phi(bits, levels) - value
+            bits, err, visited = _best_preimage(value, levels, budget, visited)
             per_coordinate.append((label, value, bits, err))
             all_bits.extend((label, n) for n, bit in enumerate(bits) if bit)
         array = BinaryArray(tuple(all_bits))

@@ -2,7 +2,9 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
+from sigmaprod import ground, uec
 from sigmaprod.cli import build_parser, dispatch, render
 
 
@@ -83,6 +85,30 @@ def test_uec_pipeline_file(tmp_path):
     assert payload["points"][0]["bits"] == [[0, 0]]
 
 
+def test_uec_pipeline_budget_covers_the_whole_run(tmp_path):
+    levels = 8
+    values = ["1/3", "1/4", "1/5"]
+    costs = [uec._preimage_search(Fraction(v), levels, ground.DEFAULT_BUDGET)[2]
+             for v in values]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([dict(zip("012", values))]))
+    argv = ["uec", "pipeline", "--points-file", str(path), "--levels", str(levels)]
+    assert run(argv + ["--budget", str(sum(costs))])[0] == 0
+    # every coordinate fits the budget alone, the three together do not
+    code, payload = run(argv + ["--budget", str(max(costs))])
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    assert payload["error"]["needed"] == max(costs) + 1
+
+
+def test_uec_preimage_rejects_levels_below_one():
+    # --levels -1 used to search without end, --levels 0 answered an empty vector
+    for levels in ("0", "-1"):
+        code, payload = run(["uec", "preimage", "--target", "1/2", "--levels", levels])
+        assert code == 1
+        assert payload["error"] == {"type": "invalid-input",
+                                    "message": "need at least one level"}
+
+
 def test_ds_extract_file(tmp_path):
     path = tmp_path / "family.txt"
     path.write_text("1: {1,2}\n2: {1,3}\n3: {1,4}\n")
@@ -141,6 +167,11 @@ def test_error_paths_are_structured():
     code, payload = run(["uec", "preimage", "--target", "1/2", "--levels", "2000",
                          "--budget", "10000"])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    # a negative limit used to slice off the last solutions
+    code, payload = run(["uec", "preimage", "--target", "1/2", "--levels", "4",
+                         "--limit", "-1"])
+    assert code == 1 and payload["error"] == {"type": "usage",
+                                              "message": "limit must be non-negative"}
 
 
 def test_command_without_action_names_the_actions():

@@ -5,6 +5,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, strategies as st
 
+from sigmaprod.ground import BudgetExceeded
 from sigmaprod.uec import (
     BinaryArray,
     SignedVector,
@@ -198,3 +199,108 @@ def test_pipeline_stage_log_documents_the_chain():
     stages = [s["stage"] for s in report.stages]
     assert stages == ["union-maps", "product", "restriction", "level-decoding"]
     assert report.stages[0]["bounds"] == [3, 4, 6, 10, 15]
+
+
+# ---------------------------------------------------------------------------
+# the scaled-integer search against the rational search it replaced
+
+
+def fraction_preimage_search(target, levels):
+    """The rational depth-first search: (solutions, visited nodes)."""
+    tol = truncation_tail(levels)
+    solutions = []
+    visited = 0
+    stack = [(0, Fraction(0), ())]
+    while stack:
+        n, acc, bits = stack.pop()
+        visited += 1
+        remaining = truncation_tail(n) - tol if n < levels else Fraction(0)
+        if acc - target > tol or target - acc - remaining > tol:
+            continue
+        if n == levels:
+            solutions.append(bits)
+            continue
+        stack.append((n + 1, acc + level_weight(n), bits + (1,)))
+        stack.append((n + 1, acc, bits + (0,)))
+    return tuple(solutions), visited
+
+
+def exhaustive_best(target, levels):
+    """Minimum over all 2^levels vectors by (|error|, bits)."""
+    values = [Fraction(0)]
+    for n in range(levels):
+        w = level_weight(n)
+        values = [v + bit * w for v in values for bit in (0, 1)]
+    # values are in lexicographic bit order, so the first minimum wins ties
+    errors = [abs(v - target) for v in values]
+    index = errors.index(min(errors))
+    return tuple(int(b) for b in format(index, f"0{levels}b"))
+
+
+def seeded_targets(levels, count, seed=7):
+    rng = random.Random(seed * 100 + levels)
+    return [Fraction(rng.randint(0, den), den)
+            for den in (rng.randint(1, 60) for _ in range(count))]
+
+
+def test_preimage_search_matches_the_rational_search():
+    for levels in range(1, 17):
+        for target in seeded_targets(levels, 6 if levels <= 12 else 3):
+            expected, _visited = fraction_preimage_search(target, levels)
+            assert phi_preimage(target, levels) == expected
+            assert best_phi_preimage(target, levels) == exhaustive_best(target, levels)
+
+
+def test_best_preimage_breaks_halfway_ties_lexicographically():
+    # 1/6 lies halfway between phi((0,)) = 0 and phi((1,)) = 1/3
+    assert best_phi_preimage(Fraction(1, 6), 1) == (0,)
+    # 5/18 lies halfway between phi((0, 1)) = 2/9 and phi((1, 0)) = 1/3
+    assert best_phi_preimage(Fraction(5, 18), 2) == (0, 1)
+    assert exhaustive_best(Fraction(5, 18), 2) == (0, 1)
+
+
+def test_preimage_search_charges_the_same_nodes():
+    for levels in (1, 4, 9, 13):
+        for target in seeded_targets(levels, 4, seed=11):
+            expected, visited = fraction_preimage_search(target, levels)
+            assert phi_preimage(target, levels, budget=visited) == expected
+            assert best_phi_preimage(target, levels, budget=visited) in expected
+            for search in (phi_preimage, best_phi_preimage):
+                with pytest.raises(BudgetExceeded) as info:
+                    search(target, levels, budget=visited - 1)
+                assert info.value.needed == visited
+
+
+def test_preimage_rejects_levels_below_one():
+    for levels in (0, -1):
+        for search in (phi_preimage, best_phi_preimage):
+            with pytest.raises(ValueError, match="need at least one level"):
+                search(Fraction(1, 2), levels)
+
+
+def test_pipeline_errors_are_exact():
+    rng = random.Random(3)
+    for levels in (1, 5, 9):
+        points = [SignedVector.from_dict({label: Fraction(rng.randint(0, 4), 16)
+                                          for label in range(rng.randint(1, 4))})
+                  for _ in range(5)]
+        for point in pipeline_check(points, levels).points:
+            for _label, value, bits, err in point.per_coordinate:
+                assert err == phi(bits, levels) - value
+                assert bits == best_phi_preimage(value, levels)
+
+
+def test_pipeline_charges_one_budget_for_the_run():
+    levels = 8
+    values = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
+    costs = [fraction_preimage_search(v, levels)[1] for v in values]
+    point = SignedVector.from_dict(dict(enumerate(values)))
+    pipeline_check([point], levels, budget=sum(costs))
+    with pytest.raises(BudgetExceeded) as info:
+        pipeline_check([point], levels, budget=sum(costs) - 1)
+    assert info.value.needed == sum(costs)
+    # the budget runs across points too, not per point
+    singles = [SignedVector.from_dict({0: v}) for v in values]
+    pipeline_check(singles, levels, budget=sum(costs))
+    with pytest.raises(BudgetExceeded):
+        pipeline_check(singles, levels, budget=max(costs))
