@@ -79,14 +79,19 @@ def enumerate_L(y: Point, k: int) -> DisjointTupleSet:
     """
     if len(y) > k:
         raise ValueError(f"|y|={len(y)} exceeds k={k}: the fiber is empty")
-    elements = list(y)
+    return DisjointTupleSet(y, k, _placements([Point.of(el) for el in y], k))
+
+
+def _placements(singletons: list, k: int) -> tuple:
+    """The k-tuples holding each of ``singletons`` in a slot of its own and
+    EMPTY in the other slots, in the order of ``permutations``."""
     tuples = []
-    for placement in permutations(range(k), len(elements)):
+    for placement in permutations(range(k), len(singletons)):
         coords = [EMPTY] * k
-        for el, slot in zip(elements, placement):
-            coords[slot] = Point.of(el)
+        for single, slot in zip(singletons, placement):
+            coords[slot] = single
         tuples.append(tuple(coords))
-    return DisjointTupleSet(y, k, tuple(tuples))
+    return tuple(tuples)
 
 
 @dataclass(frozen=True)
@@ -131,26 +136,29 @@ class AveragingOperator:
         return out
 
     def check(self) -> RaoCheck:
-        unital = True
-        positive = True
-        section = True
-        fiber_supported = True
+        """Test the axioms on every term of every row; weights are rationals.
+
+        A row is unital when its weights, summed exactly over the row's
+        common denominator, make one.  A row passes ``section`` when all its
+        terms lie on its fiber and it is unital (then composing with the
+        surjection gives back the value at its point), so over all rows
+        ``section`` is the conjunction of the other two tests.
+        """
+        unital = positive = fiber_supported = True
+        surjection = self.surjection
         for y in self.codomain:
-            total = Fraction(0)
-            by_image: dict = {}
-            for x, w in self.rows[y]:
-                total += w
-                if w <= 0:
-                    positive = False
-                z = self.surjection[x]
-                by_image[z] = by_image.get(z, Fraction(0)) + w
-                if z != y:
-                    fiber_supported = False
-            if total != 1:
+            row = self.rows[y]
+            ratios = [w.as_integer_ratio() for _x, w in row]
+            den = math.lcm(*(d for _n, d in ratios))
+            if sum(n * (den // d) for n, d in ratios) != den:
                 unital = False
-            if by_image != {y: Fraction(1)}:
-                section = False
-        return RaoCheck(unital, positive, section, fiber_supported)
+            if not all(n > 0 for n, _d in ratios):
+                positive = False
+            for x, _w in row:
+                z = surjection[x]
+                if z is not y and z != y:
+                    fiber_supported = False
+        return RaoCheck(unital, positive, unital and fiber_supported, fiber_supported)
 
 
 def build_operator(k: int, ground_size: int, budget: int = DEFAULT_BUDGET) -> AveragingOperator:
@@ -160,18 +168,27 @@ def build_operator(k: int, ground_size: int, budget: int = DEFAULT_BUDGET) -> Av
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    singles = enumerate_sigma_points(1, ground_size)
-    needed = len(singles) ** k
+    needed = (ground_size + 1) ** k
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    domain = tuple(iter_product(singles, repeat=k))
+    singletons = [Point.of(el) for el in range(ground_size)]
     codomain = tuple(enumerate_sigma_points(k, ground_size))
-    surjection = {x: apply_union(x) for x in domain}
+    # the domain tuples are built coordinate by coordinate together with the
+    # bitmask of their elements, which picks each image among the codomain
+    # points; the rows reuse the same EMPTY and singletons, so looking a term
+    # up in the surjection compares its coordinates by identity
+    by_mask = {sum(1 << el for el in y): y for y in codomain}
+    coords = [(EMPTY, 0)] + [(p, 1 << el) for el, p in enumerate(singletons)]
+    tuples = [((), 0)]
+    for _ in range(k):
+        tuples = [(x + (p,), mask | bit) for x, mask in tuples for p, bit in coords]
+    domain = tuple(x for x, _mask in tuples)
+    surjection = {x: by_mask[mask] for x, mask in tuples}
     rows = {}
     for y in codomain:
-        fiber = enumerate_L(y, k)
+        fiber = _placements([singletons[el] for el in y], k)
         w = Fraction(1, len(fiber))
-        rows[y] = tuple((x, w) for x in fiber.tuples)
+        rows[y] = tuple((x, w) for x in fiber)
     return AveragingOperator(domain, codomain, surjection, rows)
 
 

@@ -131,6 +131,72 @@ class ClassificationVerdict:
     detail: str
 
 
+# verdicts whose text does not depend on the sequences, shared by every call
+OMEGA_SATURATED = ClassificationVerdict(
+    HOMEOMORPHIC, "omega-saturated",
+    "every bound occurs omega-many times after absorption; all such products "
+    "are homeomorphic")
+FINITE_SUPPORT_INVARIANTS = ClassificationVerdict(
+    HOMEOMORPHIC, "finite-support-invariants",
+    "complete classification for finitely supported sequences: equal "
+    "omega-thresholds and identical exponents above them")
+ABSORPTION_NORMAL_FORM = ClassificationVerdict(
+    HOMEOMORPHIC, "absorption-normal-form",
+    "equal omega-thresholds and identical exponents above them; the lower "
+    "factors are absorbed")
+UPPER_EXPONENTS = ClassificationVerdict(
+    NOT_HOMEOMORPHIC, "upper-exponents",
+    "some exponent above the common omega-threshold differs; it is recoverable "
+    "from maximal embeddable powers inside clopen sets")
+OPEN_VERDICT = ClassificationVerdict(OPEN, "open-question", OPEN_QUESTION)
+OPEN_VERDICT_ONE_SATURATED = ClassificationVerdict(
+    OPEN, "open-question", OPEN_QUESTION_ONE_SATURATED)
+COUNTABLE_INFINITE_PRODUCT = ClassificationVerdict(
+    HOMEOMORPHIC, "countable-infinite-product",
+    "both are perfect totally disconnected metrizable compacta; all infinite "
+    "products over a countable ground set are homeomorphic")
+COUNTABLE_VERSUS_PERFECT = ClassificationVerdict(
+    NOT_HOMEOMORPHIC, "countable-versus-perfect",
+    "a countable compactum cannot be homeomorphic to a perfect one")
+
+
+class _Invariants:
+    """Everything ``classify`` reads of one sequence, computed once.
+
+    ``i`` and ``j`` are the JSON forms of the omega-threshold and the support
+    bound, which compare like the values and render as the verdicts print
+    them; with ``upper`` and ``tail``, the exponents above i, they make up the
+    normal form.  ``index`` is the derivation index 1 + sum of n * v of a
+    finite product (finitely many nontrivial factors) and None otherwise.
+    """
+
+    __slots__ = ("i", "j", "upper", "tail", "saturated", "j_finite", "index")
+
+    def __init__(self, tau: TauSequence):
+        nf = normal_form(tau)
+        j = j_of(tau)
+        self.i = value_to_json(nf.i)
+        self.j = value_to_json(j)
+        self.upper = nf.upper_entries
+        self.tail = nf.upper_tail
+        self.saturated = is_omega(nf.i)
+        self.j_finite = not is_omega(j)
+        finite = tau.tail == 0 and not any(is_omega(v) for _n, v in tau.entries)
+        self.index = 1 + sum(n * v for n, v in tau.entries) if finite else None
+
+
+def _invariants(tau: TauSequence) -> _Invariants:
+    """The invariants of ``tau``, kept on the object itself: they live as long
+    as the sequence does, and a new sequence object computes its own."""
+    try:
+        return tau._invariants
+    except AttributeError:
+        inv = _Invariants(tau)
+        # not a dataclass field: equality, hashing and repr ignore it
+        object.__setattr__(tau, "_invariants", inv)
+        return inv
+
+
 def classify(tau: TauSequence, tau2: TauSequence,
              gamma: str = "uncountable") -> ClassificationVerdict:
     """Decide whether two products of sigma spaces are homeomorphic.
@@ -144,71 +210,40 @@ def classify(tau: TauSequence, tau2: TauSequence,
     """
     if gamma not in ("uncountable", "countable"):
         raise ValueError(f"gamma must be 'uncountable' or 'countable', got {gamma!r}")
+    a, b = _invariants(tau), _invariants(tau2)
     if gamma == "countable":
-        return _classify_countable(tau, tau2)
-    nf1, nf2 = normal_form(tau), normal_form(tau2)
-    j1, j2 = j_of(tau), j_of(tau2)
-    if nf1 == nf2:
-        if is_omega(nf1.i):
+        if a.index is not None and b.index is not None:
+            if a.index == b.index:
+                return ClassificationVerdict(
+                    HOMEOMORPHIC, "countable-derivation-index",
+                    f"both countable compacta have derivation index {a.index} "
+                    "and a single point at the last stage")
             return ClassificationVerdict(
-                HOMEOMORPHIC, "omega-saturated",
-                "every bound occurs omega-many times after absorption; all such "
-                "products are homeomorphic")
-        if not is_omega(j1):
-            return ClassificationVerdict(
-                HOMEOMORPHIC, "finite-support-invariants",
-                "complete classification for finitely supported sequences: "
-                "equal omega-thresholds and identical exponents above them")
-        return ClassificationVerdict(
-            HOMEOMORPHIC, "absorption-normal-form",
-            "equal omega-thresholds and identical exponents above them; the "
-            "lower factors are absorbed")
-    if j1 != j2:
+                NOT_HOMEOMORPHIC, "countable-derivation-index",
+                f"derivation indices differ: {a.index} versus {b.index}")
+        if a.index is None and b.index is None:
+            return COUNTABLE_INFINITE_PRODUCT
+        return COUNTABLE_VERSUS_PERFECT
+    if a.i == b.i and a.upper == b.upper and a.tail == b.tail:
+        if a.saturated:
+            return OMEGA_SATURATED
+        if a.j_finite:
+            return FINITE_SUPPORT_INVARIANTS
+        return ABSORPTION_NORMAL_FORM
+    if a.j != b.j:
         return ClassificationVerdict(
             NOT_HOMEOMORPHIC, "largest-embeddable-bound",
-            f"the largest n whose space embeds differs: {value_to_json(j1)} "
-            f"versus {value_to_json(j2)}")
-    if not is_omega(j1):
-        if nf1.i != nf2.i:
+            f"the largest n whose space embeds differs: {a.j} versus {b.j}")
+    if a.j_finite:
+        if a.i != b.i:
             return ClassificationVerdict(
                 NOT_HOMEOMORPHIC, "omega-threshold",
-                f"omega-thresholds differ: {value_to_json(nf1.i)} versus "
-                f"{value_to_json(nf2.i)} (largest bound embeddable into every "
-                "clopen set)")
-        return ClassificationVerdict(
-            NOT_HOMEOMORPHIC, "upper-exponents",
-            "some exponent above the common omega-threshold differs; it is "
-            "recoverable from maximal embeddable powers inside clopen sets")
-    if is_omega(nf1.i) or is_omega(nf2.i):
-        return ClassificationVerdict(OPEN, "open-question", OPEN_QUESTION_ONE_SATURATED)
-    return ClassificationVerdict(OPEN, "open-question", OPEN_QUESTION)
-
-
-def _is_finite_product(tau: TauSequence) -> bool:
-    return tau.tail == 0 and all(not is_omega(v) for _n, v in tau.entries)
-
-
-def _classify_countable(tau: TauSequence, tau2: TauSequence) -> ClassificationVerdict:
-    fin1, fin2 = _is_finite_product(tau), _is_finite_product(tau2)
-    if fin1 and fin2:
-        inv1 = 1 + sum(n * v for n, v in tau.entries)
-        inv2 = 1 + sum(n * v for n, v in tau2.entries)
-        if inv1 == inv2:
-            return ClassificationVerdict(
-                HOMEOMORPHIC, "countable-derivation-index",
-                f"both countable compacta have derivation index {inv1} and a "
-                "single point at the last stage")
-        return ClassificationVerdict(
-            NOT_HOMEOMORPHIC, "countable-derivation-index",
-            f"derivation indices differ: {inv1} versus {inv2}")
-    if not fin1 and not fin2:
-        return ClassificationVerdict(
-            HOMEOMORPHIC, "countable-infinite-product",
-            "both are perfect totally disconnected metrizable compacta; all "
-            "infinite products over a countable ground set are homeomorphic")
-    return ClassificationVerdict(
-        NOT_HOMEOMORPHIC, "countable-versus-perfect",
-        "a countable compactum cannot be homeomorphic to a perfect one")
+                f"omega-thresholds differ: {a.i} versus {b.i} (largest bound "
+                "embeddable into every clopen set)")
+        return UPPER_EXPONENTS
+    if a.saturated or b.saturated:
+        return OPEN_VERDICT_ONE_SATURATED
+    return OPEN_VERDICT
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +282,15 @@ class SpaceExpression:
     def is_empty(self) -> bool:
         return not self.terms
 
+    @property
+    def point_count(self) -> TauValue:
+        """How many points the terms denote over a countably infinite ground
+        set: a term with a positive degree denotes infinitely many, and the
+        all-zero term the one point whose coordinates are all empty."""
+        if any(any(v) for v in self.terms):
+            return OMEGA
+        return len(self.terms)
+
 
 def cb_derivative(expr: SpaceExpression) -> SpaceExpression:
     """Derived set: full-degree points are isolated, so each term loses one
@@ -279,7 +323,7 @@ def cb_invariants(ks) -> tuple:
         steps += 1
     if last.terms != ((0,) * len(ks),):
         raise AssertionError(f"last nonempty stage is {last.terms}, not the all-zero vector")
-    return steps, 1
+    return steps, last.point_count
 
 
 # ---------------------------------------------------------------------------

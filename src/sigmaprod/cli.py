@@ -25,9 +25,17 @@ class CliError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
+
+    def print_help(self, file=None):
+        # -h/--help: hand the text back instead of printing it and exiting
+        raise _HelpRequested(self.format_help())
 
 
 _REQUIRED_INT = dict(type=int, required=True)
@@ -242,13 +250,13 @@ def _handle_uec(args) -> dict:
         if args.limit < 0:
             raise CliError("limit must be non-negative")
         target = _parse_fraction(args.target)
-        solutions = uec.phi_preimage(target, args.levels, args.budget)
+        count, first = uec.phi_preimage_head(target, args.levels, args.limit, args.budget)
         return {
             "target": args.target,
             "levels": args.levels,
             "tolerance": uec.fraction_to_json(uec.truncation_tail(args.levels)),
-            "count": len(solutions),
-            "solutions": [list(bits) for bits in solutions[:args.limit]],
+            "count": count,
+            "solutions": [list(bits) for bits in first],
         }
     if args.action == "l0":
         raw = _read_json(args.bits_file)
@@ -394,6 +402,8 @@ def _invoke(argv) -> tuple:
             raise CliError(f"{args.command} needs one of: {', '.join(actions)}")
         payload = _HANDLERS[args.command](args)
         return 0, {"schema": SCHEMA, **payload}, args
+    except _HelpRequested as exc:
+        return 0, {"help": exc.args[0]}, None
     except ground.BudgetExceeded as exc:
         code, error = 2, {"type": "budget-exceeded", "message": str(exc),
                           "needed": exc.needed, "budget": exc.budget}
@@ -407,7 +417,10 @@ def _invoke(argv) -> tuple:
 
 
 def dispatch(argv) -> tuple:
-    """Run one invocation; returns (exit code, JSON-ready payload)."""
+    """Run one invocation; returns (exit code, JSON-ready payload).
+
+    With -h/--help the payload is ``{"help": <the parser's help text>}``.
+    """
     code, payload, _args = _invoke(argv)
     return code, payload
 
@@ -419,6 +432,9 @@ def render(payload: dict) -> str:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     code, payload, args = _invoke(argv)
+    if args is None and "help" in payload:
+        sys.stdout.write(payload["help"])
+        return code
     text = render(payload)
     out = getattr(args, "out", None)
     if out:

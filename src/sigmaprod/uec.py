@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .ground import DEFAULT_BUDGET, BudgetExceeded, GroundElement
 
@@ -121,12 +122,13 @@ def phi(bits, levels: int) -> Fraction:
     return total
 
 
-def _preimage_search(target, levels: int, budget: int, spent: int = 0) -> tuple:
+class _PreimageSearch:
     """Every 0/1 vector of the given length mapping within (2/3)^levels of target.
 
-    Returns ``(solutions, scale, visited)``: each solution pairs its bits with
-    its error phi(bits) - target times ``scale``, and ``visited`` is the node
-    count charged against ``budget`` on top of ``spent``.
+    Iterating yields each solution's bits with its error phi(bits) - target
+    times ``scale`` and keeps no solution after yielding it; once the
+    iteration ends, ``visited`` is the node count charged against ``budget``
+    on top of ``spent``.
 
     For target p/q everything is scaled by q * 3^L into integers: tolerance
     (2/3)^L is q * 2^L and weight n is q * 2^n * 3^(L-1-n).  A node at depth n
@@ -134,36 +136,43 @@ def _preimage_search(target, levels: int, budget: int, spent: int = 0) -> tuple:
     q * 2^n * 3^(L-n) (the weights still to come plus the tolerance); it is
     kept iff -tolerance <= d <= reach, the exact rational interval test.
     Depth first in lexicographic bit order on an explicit stack, so the
-    result equals the exhaustive enumeration and the depth is not bounded by
-    the interpreter's recursion limit.
+    solutions come in the order of the exhaustive enumeration and the depth is
+    not bounded by the interpreter's recursion limit.
     """
-    if levels < 1:
-        raise ValueError("need at least one level")
-    target = Fraction(target)
-    if target < 0 or target > 1:
-        raise ValueError(f"target {target} outside [0, 1]")
-    power = 3 ** levels
-    scale = target.denominator * power
-    low = -(target.denominator << levels)
-    solutions = []
-    visited = spent
-    stack = [(target.numerator * power, scale, ())]
-    while stack:
-        d, reach, bits = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceeded(visited, budget)
-        if not low <= d <= reach:
-            continue
-        if len(bits) == levels:
-            solutions.append((bits, -d))
-            continue
-        weight = reach // 3
-        reach = weight + weight
-        # the 1-branch goes on first so the 0-branch is searched first
-        stack.append((d - weight, reach, bits + (1,)))
-        stack.append((d, reach, bits + (0,)))
-    return solutions, scale, visited
+
+    def __init__(self, target, levels: int, budget: int, spent: int = 0):
+        if levels < 1:
+            raise ValueError("need at least one level")
+        target = Fraction(target)
+        if target < 0 or target > 1:
+            raise ValueError(f"target {target} outside [0, 1]")
+        self.target = target
+        self.levels = levels
+        self.budget = budget
+        self.scale = target.denominator * 3 ** levels
+        self.visited = spent
+
+    def __iter__(self):
+        levels, budget = self.levels, self.budget
+        low = -(self.target.denominator << levels)
+        visited = self.visited
+        stack = [(self.target.numerator * 3 ** levels, self.scale, ())]
+        while stack:
+            d, reach, bits = stack.pop()
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(visited, budget)
+            if not low <= d <= reach:
+                continue
+            if len(bits) == levels:
+                yield bits, -d
+                continue
+            weight = reach // 3
+            reach = weight + weight
+            # the 1-branch goes on first so the 0-branch is searched first
+            stack.append((d - weight, reach, bits + (1,)))
+            stack.append((d, reach, bits + (0,)))
+        self.visited = visited
 
 
 def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -172,15 +181,28 @@ def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
     In lexicographic bit order, equal to the exhaustive enumeration; never
     empty for targets in [0, 1].
     """
-    solutions, _scale, _visited = _preimage_search(target, levels, budget)
-    return tuple(bits for bits, _err in solutions)
+    return tuple(bits for bits, _err in _PreimageSearch(target, levels, budget))
+
+
+def phi_preimage_head(target, levels: int, limit: int,
+                      budget: int = DEFAULT_BUDGET) -> tuple:
+    """``(count, first)``: how many vectors ``phi_preimage`` lists, and the
+    first ``limit`` of them; the others are counted, not kept."""
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
+    solutions = iter(_PreimageSearch(target, levels, budget))
+    first = tuple(bits for bits, _err in islice(solutions, limit))
+    return len(first) + sum(1 for _solution in solutions), first
 
 
 def _best_preimage(target, levels: int, budget: int, spent: int = 0) -> tuple:
-    """``(bits, error, visited)`` for the best preimage; see ``best_phi_preimage``."""
-    solutions, scale, visited = _preimage_search(target, levels, budget, spent)
-    _abs_err, bits, err = min((abs(err), bits, err) for bits, err in solutions)
-    return bits, Fraction(err, scale), visited
+    """``(bits, error, visited)`` for the best preimage; see ``best_phi_preimage``.
+
+    The minimum is a running one, so only the best solution so far is kept.
+    """
+    search = _PreimageSearch(target, levels, budget, spent)
+    _abs_err, bits, err = min((abs(err), bits, err) for bits, err in search)
+    return bits, Fraction(err, search.scale), search.visited
 
 
 def best_phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from itertools import product as iter_product
 import pytest
 
 from sigmaprod.averaging import (
+    AveragingOperator,
+    RaoCheck,
     UnionMap,
     apply_union,
     build_operator,
@@ -227,3 +230,80 @@ def test_restrict_operator_support_check_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: a row lost all support")
+
+
+# ---------------------------------------------------------------------------
+# the operator build and check against the per-tuple versions they replaced
+
+
+def test_build_operator_matches_the_per_tuple_build():
+    for k in range(1, 5):
+        for g in range(1, 5):
+            op = build_operator(k, g)
+            singles = enumerate_sigma_points(1, g)
+            assert op.domain == tuple(iter_product(singles, repeat=k))
+            assert op.codomain == tuple(enumerate_sigma_points(k, g))
+            assert op.surjection == {x: apply_union(x) for x in op.domain}
+            for y in op.codomain:
+                fiber = enumerate_L(y, k).tuples
+                assert op.rows[y] == tuple((x, Fraction(1, len(fiber))) for x in fiber)
+
+
+def oracle_check(op):
+    """The check that tallied each row's weight per image point."""
+    unital = positive = section = fiber_supported = True
+    for y in op.codomain:
+        total = Fraction(0)
+        by_image = {}
+        for x, w in op.rows[y]:
+            total += w
+            if w <= 0:
+                positive = False
+            z = op.surjection[x]
+            by_image[z] = by_image.get(z, Fraction(0)) + w
+            if z != y:
+                fiber_supported = False
+        if total != 1:
+            unital = False
+        if by_image != {y: Fraction(1)}:
+            section = False
+    return RaoCheck(unital, positive, section, fiber_supported)
+
+
+def with_row(op, y, terms):
+    return dataclasses.replace(op, rows={**op.rows, y: tuple(terms)})
+
+
+def test_check_matches_the_oracle_on_broken_operators():
+    op = build_operator(2, 2)
+    on_a = [(A, EMPTY), (EMPTY, A)]          # the fiber of {0}
+    broken = {
+        "zero weight": with_row(op, A, zip(on_a, (Fraction(1), Fraction(0)))),
+        "negative weight": with_row(op, A, zip(on_a, (Fraction(3, 2), Fraction(-1, 2)))),
+        "sum not one": with_row(op, A, zip(on_a, (Fraction(1, 2), Fraction(1, 3)))),
+        "off the fiber": with_row(op, A, [((A, EMPTY), Fraction(1, 2)),
+                                          ((B, EMPTY), Fraction(1, 2))]),
+        "empty row": with_row(op, A, []),
+    }
+    expected = {
+        "zero weight": RaoCheck(True, False, True, True),
+        "negative weight": RaoCheck(True, False, True, True),
+        "sum not one": RaoCheck(False, True, False, True),
+        "off the fiber": RaoCheck(True, True, False, False),
+        "empty row": RaoCheck(False, True, False, True),
+    }
+    for name, bad in broken.items():
+        assert bad.check() == oracle_check(bad) == expected[name], name
+
+
+def test_check_matches_the_oracle_on_unequal_weights():
+    # a hand-built operator over plain labels, with unequal and integer weights
+    skew = AveragingOperator(
+        ("a", "b", "c"), ("y", "z"), {"a": "y", "b": "y", "c": "z"},
+        {"y": (("a", Fraction(1, 3)), ("b", Fraction(2, 3))), "z": (("c", 1),)})
+    prod = product_operator([skew, build_operator(2, 2)])
+    restricted = restrict_operator(prod, [("y", EMPTY), ("y", A), ("z", Point.of(0, 1))])
+    for op in (skew, prod, restricted, restrict_operator(skew, ["y"])):
+        assert op.check() == oracle_check(op)
+        assert op.check().ok
+    assert {w for _x, w in prod.rows[("y", A)]} == {Fraction(1, 6), Fraction(1, 3)}

@@ -6,6 +6,9 @@ from sigmaprod.classification import (
     HOMEOMORPHIC,
     NOT_HOMEOMORPHIC,
     OPEN,
+    OPEN_QUESTION,
+    OPEN_QUESTION_ONE_SATURATED,
+    ClassificationVerdict,
     DecompositionPiece,
     NormalForm,
     SpaceExpression,
@@ -37,8 +40,10 @@ from sigmaprod.ground import (
     SigmaFactor,
     TauSequence,
     is_omega,
+    j_of,
     materialize,
     parse_tau,
+    value_to_json,
 )
 
 
@@ -171,6 +176,127 @@ def test_classify_reflexive_symmetric_transitive():
 
 
 # ---------------------------------------------------------------------------
+# classify against the verdict-by-verdict classifier it replaced
+
+
+def oracle_classify(tau, tau2, gamma="uncountable"):
+    """The classifier that recomputed every invariant and verdict per call."""
+    if gamma not in ("uncountable", "countable"):
+        raise ValueError(f"gamma must be 'uncountable' or 'countable', got {gamma!r}")
+    if gamma == "countable":
+        return oracle_classify_countable(tau, tau2)
+    nf1, nf2 = normal_form(tau), normal_form(tau2)
+    j1, j2 = j_of(tau), j_of(tau2)
+    if nf1 == nf2:
+        if is_omega(nf1.i):
+            return ClassificationVerdict(
+                HOMEOMORPHIC, "omega-saturated",
+                "every bound occurs omega-many times after absorption; all such "
+                "products are homeomorphic")
+        if not is_omega(j1):
+            return ClassificationVerdict(
+                HOMEOMORPHIC, "finite-support-invariants",
+                "complete classification for finitely supported sequences: "
+                "equal omega-thresholds and identical exponents above them")
+        return ClassificationVerdict(
+            HOMEOMORPHIC, "absorption-normal-form",
+            "equal omega-thresholds and identical exponents above them; the "
+            "lower factors are absorbed")
+    if j1 != j2:
+        return ClassificationVerdict(
+            NOT_HOMEOMORPHIC, "largest-embeddable-bound",
+            f"the largest n whose space embeds differs: {value_to_json(j1)} "
+            f"versus {value_to_json(j2)}")
+    if not is_omega(j1):
+        if nf1.i != nf2.i:
+            return ClassificationVerdict(
+                NOT_HOMEOMORPHIC, "omega-threshold",
+                f"omega-thresholds differ: {value_to_json(nf1.i)} versus "
+                f"{value_to_json(nf2.i)} (largest bound embeddable into every "
+                "clopen set)")
+        return ClassificationVerdict(
+            NOT_HOMEOMORPHIC, "upper-exponents",
+            "some exponent above the common omega-threshold differs; it is "
+            "recoverable from maximal embeddable powers inside clopen sets")
+    if is_omega(nf1.i) or is_omega(nf2.i):
+        return ClassificationVerdict(OPEN, "open-question", OPEN_QUESTION_ONE_SATURATED)
+    return ClassificationVerdict(OPEN, "open-question", OPEN_QUESTION)
+
+
+def oracle_classify_countable(tau, tau2):
+    def finite(t):
+        return t.tail == 0 and all(not is_omega(v) for _n, v in t.entries)
+
+    fin1, fin2 = finite(tau), finite(tau2)
+    if fin1 and fin2:
+        inv1 = 1 + sum(n * v for n, v in tau.entries)
+        inv2 = 1 + sum(n * v for n, v in tau2.entries)
+        if inv1 == inv2:
+            return ClassificationVerdict(
+                HOMEOMORPHIC, "countable-derivation-index",
+                f"both countable compacta have derivation index {inv1} and a "
+                "single point at the last stage")
+        return ClassificationVerdict(
+            NOT_HOMEOMORPHIC, "countable-derivation-index",
+            f"derivation indices differ: {inv1} versus {inv2}")
+    if not fin1 and not fin2:
+        return ClassificationVerdict(
+            HOMEOMORPHIC, "countable-infinite-product",
+            "both are perfect totally disconnected metrizable compacta; all "
+            "infinite products over a countable ground set are homeomorphic")
+    return ClassificationVerdict(
+        NOT_HOMEOMORPHIC, "countable-versus-perfect",
+        "a countable compactum cannot be homeomorphic to a perfect one")
+
+
+def seeded_taus(count=160, seed=29):
+    """Seeded sequences: empty ones, omega tails, and groups that differ only
+    at or below their omega-threshold, so absorbed prefixes meet."""
+    rng = random.Random(seed)
+    values = (0, 0, 1, 2, 3, OMEGA)
+    seqs = [TauSequence(), TauSequence((), OMEGA), TauSequence((), 1), tau(OMEGA)]
+    while len(seqs) < count:
+        vals = [rng.choice(values) for _ in range(rng.randint(0, 6))]
+        tail = rng.choice((0, 0, 1, 2, OMEGA))
+        seqs.append(TauSequence.from_values(vals, tail))
+        if OMEGA in vals:
+            i = len(vals) - vals[::-1].index(OMEGA)
+            for _ in range(2):
+                absorbed = [rng.choice(values) for _ in range(i - 1)] + vals[i - 1:]
+                seqs.append(TauSequence.from_values(absorbed, tail))
+    return seqs[:count]
+
+
+def test_classify_matches_the_oracle_on_every_pair():
+    seqs = seeded_taus()
+    rules = set()
+    open_details = set()
+    for gamma in ("uncountable", "countable"):
+        for a in seqs:
+            for b in seqs:
+                v = classify(a, b, gamma)
+                assert v == oracle_classify(a, b, gamma), (a, b, gamma)
+                rules.add(v.rule)
+                if v.outcome == OPEN:
+                    open_details.add(v.detail)
+    # every verdict occurs, both open-question texts included
+    assert open_details == {OPEN_QUESTION, OPEN_QUESTION_ONE_SATURATED}
+    assert len(rules) == 10
+
+
+def test_classify_keeps_the_invariants_on_each_sequence_object():
+    a, b = parse_tau("1,w,2"), parse_tau("3 tail=1")
+    classify(a, b)
+    normal_form.cache_clear()
+    classify(a, b)
+    classify(b, a, gamma="countable")
+    assert normal_form.cache_info().misses == 0
+    # an equal but new object computes its own, through normal_form
+    assert classify(parse_tau("1,w,2"), b) == classify(a, b)
+    assert normal_form.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
 # derived-set engine
 
 
@@ -210,6 +336,13 @@ def test_cb_invariants_examples():
 def test_cb_invariants_match_closed_form():
     for ks in [(1,), (4,), (2, 2), (1, 2, 3), (0, 5), (2, 0, 2)]:
         assert cb_invariants(ks) == (1 + sum(ks), 1)
+
+
+def test_space_expression_point_count():
+    assert SpaceExpression((2, 3), ((0, 0),)).point_count == 1
+    assert SpaceExpression((2, 3)).point_count == 0
+    assert is_omega(SpaceExpression.full((2, 3)).point_count)
+    assert is_omega(SpaceExpression((2, 3), ((0, 0), (0, 1))).point_count)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 from sigmaprod import ground, uec
-from sigmaprod.cli import build_parser, dispatch, render
+from sigmaprod.cli import build_parser, dispatch, main, render
 
 
 def run(argv):
@@ -88,7 +88,7 @@ def test_uec_pipeline_file(tmp_path):
 def test_uec_pipeline_budget_covers_the_whole_run(tmp_path):
     levels = 8
     values = ["1/3", "1/4", "1/5"]
-    costs = [uec._preimage_search(Fraction(v), levels, ground.DEFAULT_BUDGET)[2]
+    costs = [uec._best_preimage(Fraction(v), levels, ground.DEFAULT_BUDGET)[2]
              for v in values]
     path = tmp_path / "points.json"
     path.write_text(json.dumps([dict(zip("012", values))]))
@@ -98,6 +98,21 @@ def test_uec_pipeline_budget_covers_the_whole_run(tmp_path):
     code, payload = run(argv + ["--budget", str(max(costs))])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
     assert payload["error"]["needed"] == max(costs) + 1
+
+
+def test_uec_preimage_memory_is_bounded():
+    # every solution's 2000-bit tuple used to be kept: about 1 GB at this budget
+    code = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'sigmaprod', 'uec', 'preimage',\n"
+        "                       '--target', '1/2', '--levels', '2000',\n"
+        "                       '--budget', '250000'], capture_output=True)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    returncode, peak_kb = map(int, proc.stdout.split())
+    assert returncode == 2
+    assert peak_kb < 150 * 1024
 
 
 def test_uec_preimage_rejects_levels_below_one():
@@ -185,6 +200,22 @@ def test_command_without_action_names_the_actions():
         code, payload = run([command])
         assert code == 1
         assert payload["error"] == {"type": "usage", "message": message}
+
+
+def test_help_is_returned_as_a_payload(capsys):
+    for argv in (["--help"], ["cb", "-h"], ["avg", "build", "--help"]):
+        code, payload = dispatch(argv)
+        assert code == 0 and set(payload) == {"help"}
+        assert payload["help"].startswith("usage: sigmaprod")
+    assert capsys.readouterr().out == ""
+    assert dispatch(["--help"])[1]["help"] == build_parser().format_help()
+    assert "--ks KS" in dispatch(["cb", "--help"])[1]["help"]
+
+
+def test_main_prints_help_as_plain_text(capsys):
+    for argv in (["--help"], ["cb", "--help"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == dispatch(argv)[1]["help"]
 
 
 def test_parser_is_built_once():

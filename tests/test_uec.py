@@ -16,6 +16,7 @@ from sigmaprod.uec import (
     level_weight,
     phi,
     phi_preimage,
+    phi_preimage_head,
     pipeline_check,
     support_counts,
     truncation_tail,
@@ -269,6 +270,19 @@ def test_preimage_search_charges_the_same_nodes():
                 with pytest.raises(BudgetExceeded) as info:
                     search(target, levels, budget=visited - 1)
                 assert info.value.needed == visited
+
+
+def test_preimage_head_counts_all_and_keeps_the_first():
+    for levels in (1, 6, 12):
+        for target in seeded_targets(levels, 4, seed=5):
+            expected, visited = fraction_preimage_search(target, levels)
+            for limit in (0, 1, 3, len(expected) + 2):
+                count, first = phi_preimage_head(target, levels, limit, budget=visited)
+                assert count == len(expected) and first == expected[:limit]
+            with pytest.raises(BudgetExceeded):
+                phi_preimage_head(target, levels, 1, budget=visited - 1)
+    with pytest.raises(ValueError, match="limit must be non-negative"):
+        phi_preimage_head(Fraction(1, 2), 4, -1)
 
 
 def test_preimage_rejects_levels_below_one():
