@@ -23,18 +23,20 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .ground import (
+    DEFAULT_BUDGET,
     EMPTY,
     OMEGA,
+    BudgetExceeded,
     Point,
     ProductDescriptor,
     ProductPoint,
-    SigmaFactor,
     TauSequence,
     TauValue,
     descriptor_to_json,
     i_of,
     is_omega,
     j_of,
+    sigma_factor,
     value_to_json,
 )
 from .clopen import (
@@ -46,7 +48,6 @@ from .clopen import (
     box_intersect,
     box_is_empty,
     box_reduce,
-    box_to_json,
 )
 
 HOMEOMORPHIC = "HOMEOMORPHIC"
@@ -303,11 +304,13 @@ def cb_derivative(expr: SpaceExpression) -> SpaceExpression:
     return SpaceExpression(expr.bounds, tuple(derived))
 
 
-def cb_invariants(ks) -> tuple:
+def cb_invariants(ks, budget: int = DEFAULT_BUDGET) -> tuple:
     """Iterate the derived-set engine from the full product.
 
     Returns (first empty derivative index, point count of the last nonempty
-    stage); the last stage is always the single all-zero vector.
+    stage); the last stage is always the single all-zero vector.  Each
+    stage's term count is charged to ``budget`` before its derivative is
+    taken.
     """
     ks = tuple(ks)
     if not ks:
@@ -316,8 +319,12 @@ def cb_invariants(ks) -> tuple:
         raise ValueError("factor bounds must be non-negative integers")
     expr = SpaceExpression.full(ks)
     steps = 0
+    spent = 0
     last = expr
     while not expr.is_empty:
+        spent += len(expr.terms)
+        if spent > budget:
+            raise BudgetExceeded(spent, budget)
         last = expr
         expr = cb_derivative(expr)
         steps += 1
@@ -397,7 +404,7 @@ def type_signature(desc: ProductDescriptor) -> ProductDescriptor:
     """Descriptor modulo homeomorphism-preserving rewrites: one-point factors
     drop out and the order of the explicit factors is irrelevant."""
     bounds = sorted(f.n for f in desc.factors if f.n > 0)
-    return ProductDescriptor(tuple(SigmaFactor(b) for b in bounds), desc.omega_tail)
+    return ProductDescriptor(tuple(sigma_factor(b) for b in bounds), desc.omega_tail)
 
 
 @dataclass(frozen=True)
@@ -431,12 +438,15 @@ class Decomposition:
 
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
-                           witnesses: tuple | None = None) -> Decomposition:
+                           witnesses: tuple | None = None,
+                           budget: int = DEFAULT_BUDGET) -> Decomposition:
     """Clopen partition of (m-bounded space) x (n-bounded space)^omega minus one point.
 
     With m = 0 this is the partition of the omega power itself.  The pieces
     index the first witness element missing from the first non-full omega
     coordinate; their only limit point is the constant witness-set sequence.
+    The pieces' coordinate constraints, counted before any is built, are
+    charged to ``budget``.
     """
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
@@ -447,57 +457,62 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
     witnesses = tuple(witnesses)
     if len(witnesses) != n or len(set(witnesses)) != n:
         raise ValueError(f"need {n} distinct witness elements")
+    offset = 1 if m > 0 else 0
+    # B'(j) carries one constraint, A/B(k, i) carries k + 1 + offset
+    needed = m + n * (depth * (depth - 1) // 2 + depth * (1 + offset))
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
     full_set = Point(witnesses)
     small_set = Point(witnesses[:m])
-    offset = 1 if m > 0 else 0
-    if m > 0:
-        ambient = ProductDescriptor((SigmaFactor(m),), SigmaFactor(n))
-    else:
-        ambient = ProductDescriptor.omega_power(n)
+    # (F, G) at the first coordinate that misses witness i, shared by every piece
+    misses = [(Point(witnesses[:i]), Point.of(witnesses[i])) for i in range(n)]
+    tail = sigma_factor(n)
+    ambient = ProductDescriptor((sigma_factor(m),) if m > 0 else (), tail)
     pieces = []
     for j in range(m):
-        box = BasicBox.make(ambient, {
-            0: (Point(witnesses[:j]), Point.of(witnesses[j])),
-        })
+        box = BasicBox(ambient, ((0, *misses[j]),))
         pieces.append(DecompositionPiece(
-            f"B'({j})", box, ProductDescriptor((SigmaFactor(m - j),), SigmaFactor(n))))
+            f"B'({j})", box, ProductDescriptor((sigma_factor(m - j),), tail)))
     prefix_label = "B" if m > 0 else "A"
+    # the small coordinate and the first k omega coordinates are pinned to a
+    # full set, a single point each
+    pinned = ((0, small_set, EMPTY),) if m > 0 else ()
     for k in range(depth):
-        # the small coordinate and the first k omega coordinates are pinned
-        # to a full set, a single point each
-        pinned = (SigmaFactor(0),) * (offset + k)
+        pinned_types = (sigma_factor(0),) * (offset + k)
         for i in range(n):
-            constraints = {}
-            if m > 0:
-                constraints[0] = (small_set, EMPTY)
-            for t in range(k):
-                constraints[offset + t] = (full_set, EMPTY)
-            constraints[offset + k] = (Point(witnesses[:i]), Point.of(witnesses[i]))
-            box = BasicBox.make(ambient, constraints)
+            box = BasicBox(ambient, pinned + ((offset + k, *misses[i]),))
             pieces.append(DecompositionPiece(
                 f"{prefix_label}({k},{i})", box,
-                ProductDescriptor(pinned + (SigmaFactor(n - i),), SigmaFactor(n))))
+                ProductDescriptor(pinned_types + (sigma_factor(n - i),), tail)))
+        pinned += ((offset + k, full_set, EMPTY),)
     prefix = (small_set,) if m > 0 else ()
     limit = ProductPoint(prefix, full_set)
     return Decomposition(f"absorb_small({m},{n})", ambient, tuple(pieces),
                          limit, witnesses, depth)
 
 
-def decompose_classif_k(element: int = 0, depth: int = 6) -> Decomposition:
+def decompose_classif_k(element: int = 0, depth: int = 6,
+                        budget: int = DEFAULT_BUDGET) -> Decomposition:
     """Clopen partition of the omega power of the 1-bounded space minus the
     constant-singleton sequence: piece t pins the witness into the first t
-    coordinates and out of the next."""
+    coordinates and out of the next.  The pieces' coordinate constraints,
+    counted before any is built, are charged to ``budget``."""
     if depth < 1:
         raise ValueError("depth must be positive")
+    # piece K(t + 1) carries t + 1 constraints
+    needed = depth * (depth + 1) // 2
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
     ambient = ProductDescriptor.omega_power(1)
     single = Point.of(element)
+    zero, tail = sigma_factor(0), sigma_factor(1)
     pieces = []
+    pinned = ()
     for t in range(depth):
-        constraints = {s: (single, EMPTY) for s in range(t)}
-        constraints[t] = (EMPTY, single)
-        box = BasicBox.make(ambient, constraints)
+        box = BasicBox(ambient, pinned + ((t, EMPTY, single),))
         pieces.append(DecompositionPiece(
-            f"K({t + 1})", box, ProductDescriptor((SigmaFactor(0),) * t, SigmaFactor(1))))
+            f"K({t + 1})", box, ProductDescriptor((zero,) * t, tail)))
+        pinned += ((t, single, EMPTY),)
     limit = ProductPoint((), single)
     return Decomposition("classif_K", ambient, tuple(pieces), limit,
                          (element,), depth)
@@ -528,18 +543,33 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
     ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
     explicit = dec.ambient.explicit_len
+    widest = explicit + dec.depth - 1
+    limit = dec.limit_point
+    # per coordinate: the limit point's value and the largest sample size
+    limit_values = [limit.coordinate(s) for s in range(widest)]
+    caps = [min(dec.ambient.bound_at(s), len(ground)) for s in range(widest)]
+    # positions in ``ground`` draw the same random numbers as its elements;
+    # each tuple of positions, as drawn, is turned into a point once
+    positions = range(len(ground))
+    drawn: dict = {}
     points = []
     for _ in range(count):
-        width = rng.randint(explicit, explicit + dec.depth - 1)
+        width = rng.randint(explicit, widest)
         coords = []
         for s in range(width):
             if rng.random() < 0.5:
-                coords.append(dec.limit_point.coordinate(s))
+                coords.append(limit_values[s])
             else:
-                bound = dec.ambient.bound_at(s)
-                size = rng.randint(0, min(bound, len(ground)))
-                coords.append(Point(tuple(rng.sample(ground, size))))
-        points.append(ProductPoint(tuple(coords), dec.limit_point.tail_value))
+                size = rng.randint(0, caps[s])
+                if not size:  # sampling nothing draws nothing
+                    coords.append(EMPTY)
+                    continue
+                picked = tuple(rng.sample(positions, size))
+                value = drawn.get(picked)
+                if value is None:
+                    value = drawn[picked] = Point(tuple(ground[j] for j in picked))
+                coords.append(value)
+        points.append(ProductPoint(tuple(coords), limit.tail_value))
     return points
 
 
@@ -717,6 +747,7 @@ def normal_form_to_json(nf: NormalForm) -> dict:
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
+    boxes = dec.index.to_json()
     return {
         "kind": dec.kind,
         "ambient": descriptor_to_json(dec.ambient),
@@ -726,10 +757,10 @@ def decomposition_to_json(dec: Decomposition) -> dict:
         "pieces": [
             {
                 "label": p.label,
-                "box": box_to_json(p.box),
+                "box": box,
                 "type": descriptor_to_json(p.claimed_type),
                 "type_signature": descriptor_to_json(type_signature(p.claimed_type)),
             }
-            for p in dec.pieces
+            for p, box in zip(dec.pieces, boxes)
         ],
     }

@@ -166,15 +166,16 @@ def _handle_cb(args) -> dict:
         ks = tuple(int(tok) for tok in args.ks.split(",") if tok.strip() != "")
     except ValueError:
         raise CliError(f"malformed bounds list {args.ks!r}") from None
-    index, last = classification.cb_invariants(ks)
+    index, last = classification.cb_invariants(ks, args.budget)
     return {"ks": list(ks), "index": index, "last_cardinality": last}
 
 
 def _handle_decompose(args) -> dict:
     if args.kind == "absorb_small":
-        dec = classification.decompose_absorb_small(args.m, args.n, args.depth)
+        dec = classification.decompose_absorb_small(args.m, args.n, args.depth,
+                                                    budget=args.budget)
     else:
-        dec = classification.decompose_classif_k(args.element, args.depth)
+        dec = classification.decompose_classif_k(args.element, args.depth, args.budget)
     disjoint = classification.check_pairwise_disjoint(dec)
     membership = classification.check_sample_membership(dec, args.samples, args.seed)
     boxes = classification.limit_neighborhood_boxes(dec, args.boxes, args.seed + 1)

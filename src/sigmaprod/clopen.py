@@ -16,13 +16,13 @@ from .ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
-    SigmaFactor,
     descriptor_to_json,
     format_descriptor,
     parse_descriptor,
     parse_point,
     point_in_ambient,
     point_to_json,
+    sigma_factor,
 )
 
 
@@ -40,18 +40,23 @@ class BasicBox:
     def __post_init__(self):
         merged: dict[int, tuple[Point, Point]] = {}
         for coord, f, g in self.constraints:
-            if not self.ambient.has_coordinate(coord):
-                raise ValueError(f"coordinate {coord} outside ambient")
             if coord in merged:
                 f0, g0 = merged[coord]
                 f, g = f0 | f, g0 | g
             merged[coord] = (f, g)
-        canon = tuple(
-            (coord, f, g)
-            for coord, (f, g) in sorted(merged.items())
-            if len(f) or len(g)
-        )
-        object.__setattr__(self, "constraints", canon)
+        coords = sorted(merged)
+        # an ambient's coordinates are an initial segment of the naturals, so
+        # the least and the greatest coordinate decide all of them
+        has = self.ambient.has_coordinate
+        if coords and not (has(coords[0]) and has(coords[-1])):
+            bad = next(c for c, _f, _g in self.constraints if not has(c))
+            raise ValueError(f"coordinate {bad} outside ambient")
+        canon = []
+        for coord in coords:
+            f, g = merged[coord]
+            if f.elements or g.elements:
+                canon.append((coord, f, g))
+        object.__setattr__(self, "constraints", tuple(canon))
 
     @classmethod
     def make(cls, ambient: ProductDescriptor, constraints: dict) -> "BasicBox":
@@ -255,6 +260,19 @@ class BoxIndex:
             hits &= free
         return list(_bits(hits))
 
+    def to_json(self) -> list:
+        """``box_to_json`` of every box, in order.  The boxes share one ambient
+        object, and each distinct constraint is encoded once."""
+        ambient_json = descriptor_to_json(self.ambient)
+        forms = [[] for _ in range(self.size)]
+        # coordinates ascend, so each box collects its constraints in order
+        for s, (_bound, _free, _pending, groups) in self.coords.items():
+            for f, g, _mask, members in groups:
+                form = _constraint_forms(s, f, g)
+                for i in members:
+                    forms[i].append(form)
+        return [_box_json(ambient_json, box_forms) for box_forms in forms]
+
     def not_within(self, box: BasicBox) -> list:
         """Indices of the boxes not contained in ``box``."""
         if box.ambient != self.ambient:
@@ -325,13 +343,17 @@ def box_reduce(b: BasicBox) -> BoxReduction:
     drops |F| from its bound; unconstrained coordinates and the tail pass through."""
     if box_is_empty(b):
         raise ValueError("cannot reduce an empty box")
-    width = max(b.ambient.explicit_len, b.max_constrained_coord() + 1)
-    removed = tuple((s, f) for s, f, _g in b.constraints if len(f))
-    dropped = dict(removed)
-    factors = tuple(SigmaFactor(b.ambient.bound_at(s) - len(dropped.get(s, EMPTY)))
-                    for s in range(width))
-    desc = ProductDescriptor(factors, b.ambient.omega_tail)
-    return BoxReduction(desc, removed)
+    ambient = b.ambient
+    # a coordinate past the explicit factors is constrained, so the tail exists
+    factors = list(ambient.factors)
+    factors += [ambient.omega_tail] * (b.max_constrained_coord() + 1 - len(factors))
+    removed = []
+    for s, f, _g in b.constraints:
+        if f.elements:
+            removed.append((s, f))
+            factors[s] = sigma_factor(factors[s].n - len(f.elements))
+    return BoxReduction(ProductDescriptor(tuple(factors), ambient.omega_tail),
+                        tuple(removed))
 
 
 def preimage_under_union(b: BasicBox, k: int) -> ClopenSet:
@@ -388,8 +410,14 @@ def union_membership_cover(target: ClopenSet,
 # text and JSON forms
 
 
+def _constraint_forms(s: int, f: Point, g: Point) -> tuple:
+    """The JSON object and the text fragment of the constraint (s, F, G)."""
+    return ({"coord": s, "F": point_to_json(f), "G": point_to_json(g)},
+            f"{s}: F={f} G={g}")
+
+
 def format_box(b: BasicBox) -> str:
-    inner = "; ".join(f"{s}: F={f} G={g}" for s, f, g in b.constraints)
+    inner = "; ".join(_constraint_forms(s, f, g)[1] for s, f, g in b.constraints)
     return f"[{inner}] @ {format_descriptor(b.ambient)}"
 
 
@@ -417,15 +445,18 @@ def parse_box(text: str) -> BasicBox:
     return BasicBox(ambient, tuple(constraints))
 
 
-def box_to_json(b: BasicBox) -> dict:
+def _box_json(ambient_json: dict, forms) -> dict:
+    """A box's JSON form from its ambient's and its constraints' forms."""
     return {
-        "ambient": descriptor_to_json(b.ambient),
-        "constraints": [
-            {"coord": s, "F": point_to_json(f), "G": point_to_json(g)}
-            for s, f, g in b.constraints
-        ],
-        "text": format_box(b),
+        "ambient": ambient_json,
+        "constraints": [obj for obj, _text in forms],
+        "text": "[" + "; ".join([text for _obj, text in forms]) + "] @ " + ambient_json["text"],
     }
+
+
+def box_to_json(b: BasicBox) -> dict:
+    return _box_json(descriptor_to_json(b.ambient),
+                     [_constraint_forms(s, f, g) for s, f, g in b.constraints])
 
 
 def clopen_to_json(c: ClopenSet) -> dict:

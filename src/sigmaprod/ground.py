@@ -155,6 +155,18 @@ class SigmaFactor:
             raise ValueError(f"factor bound must be a non-negative integer, got {self.n!r}")
 
 
+# one shared factor per small bound: descriptors built from these compare
+# their factors by identity before falling back to the dataclass equality
+_SMALL_FACTORS = tuple(SigmaFactor(n) for n in range(64))
+
+
+def sigma_factor(n: int) -> SigmaFactor:
+    """The n-bounded factor, taken from the shared table when n is small."""
+    if isinstance(n, int) and 0 <= n < len(_SMALL_FACTORS):
+        return _SMALL_FACTORS[n]
+    return SigmaFactor(n)
+
+
 @dataclass(frozen=True)
 class ProductDescriptor:
     """A finite or countable product of sigma factors.
@@ -179,15 +191,15 @@ class ProductDescriptor:
 
     @classmethod
     def single(cls, n: int) -> "ProductDescriptor":
-        return cls((SigmaFactor(n),))
+        return cls((sigma_factor(n),))
 
     @classmethod
     def power(cls, n: int, k: int) -> "ProductDescriptor":
-        return cls((SigmaFactor(n),) * k)
+        return cls((sigma_factor(n),) * k)
 
     @classmethod
     def omega_power(cls, n: int) -> "ProductDescriptor":
-        return cls((), SigmaFactor(n))
+        return cls((), sigma_factor(n))
 
     @property
     def explicit_len(self) -> int:

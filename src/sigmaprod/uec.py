@@ -125,10 +125,13 @@ def phi(bits, levels: int) -> Fraction:
 class _PreimageSearch:
     """Every 0/1 vector of the given length mapping within (2/3)^levels of target.
 
-    Iterating yields each solution's bits with its error phi(bits) - target
-    times ``scale`` and keeps no solution after yielding it; once the
-    iteration ends, ``visited`` is the node count charged against ``budget``
-    on top of ``spent``.
+    Iterating yields each solution's bits, as an int whose most significant
+    of ``levels`` bits is level 0 (``_bit_tuple`` turns it into the bit
+    vector), with its error phi(bits) - target times ``scale``, and keeps no
+    solution after yielding it; once the iteration ends, ``visited`` is the
+    node count charged against ``budget`` on top of ``spent``.  For one
+    level count the ints compare like the bit vectors, so a node extends its
+    bits by a shift instead of copying a tuple.
 
     For target p/q everything is scaled by q * 3^L into integers: tolerance
     (2/3)^L is q * 2^L and weight n is q * 2^n * 3^(L-1-n).  A node at depth n
@@ -153,10 +156,11 @@ class _PreimageSearch:
         self.visited = spent
 
     def __iter__(self):
-        levels, budget = self.levels, self.budget
-        low = -(self.target.denominator << levels)
+        budget = self.budget
+        tolerance = self.target.denominator << self.levels
+        low = -tolerance
         visited = self.visited
-        stack = [(self.target.numerator * 3 ** levels, self.scale, ())]
+        stack = [(self.target.numerator * 3 ** self.levels, self.scale, 0)]
         while stack:
             d, reach, bits = stack.pop()
             visited += 1
@@ -164,15 +168,24 @@ class _PreimageSearch:
                 raise BudgetExceeded(visited, budget)
             if not low <= d <= reach:
                 continue
-            if len(bits) == levels:
+            if reach == tolerance:  # a leaf: no weight is left to come
                 yield bits, -d
                 continue
             weight = reach // 3
             reach = weight + weight
+            bits <<= 1
             # the 1-branch goes on first so the 0-branch is searched first
-            stack.append((d - weight, reach, bits + (1,)))
-            stack.append((d, reach, bits + (0,)))
+            stack.append((d - weight, reach, bits | 1))
+            stack.append((d, reach, bits))
         self.visited = visited
+
+
+_BIT_OF_DIGIT = {"0": 0, "1": 1}
+
+
+def _bit_tuple(bits: int, levels: int) -> tuple:
+    """The 0/1 vector, level 0 first, of a search's int-coded bits."""
+    return tuple(map(_BIT_OF_DIGIT.__getitem__, format(bits, f"0{levels}b")))
 
 
 def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -181,7 +194,8 @@ def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
     In lexicographic bit order, equal to the exhaustive enumeration; never
     empty for targets in [0, 1].
     """
-    return tuple(bits for bits, _err in _PreimageSearch(target, levels, budget))
+    return tuple(_bit_tuple(bits, levels)
+                 for bits, _err in _PreimageSearch(target, levels, budget))
 
 
 def phi_preimage_head(target, levels: int, limit: int,
@@ -191,7 +205,7 @@ def phi_preimage_head(target, levels: int, limit: int,
     if limit < 0:
         raise ValueError("limit must be non-negative")
     solutions = iter(_PreimageSearch(target, levels, budget))
-    first = tuple(bits for bits, _err in islice(solutions, limit))
+    first = tuple(_bit_tuple(bits, levels) for bits, _err in islice(solutions, limit))
     return len(first) + sum(1 for _solution in solutions), first
 
 
@@ -202,7 +216,7 @@ def _best_preimage(target, levels: int, budget: int, spent: int = 0) -> tuple:
     """
     search = _PreimageSearch(target, levels, budget, spent)
     _abs_err, bits, err = min((abs(err), bits, err) for bits, err in search)
-    return bits, Fraction(err, search.scale), search.visited
+    return _bit_tuple(bits, levels), Fraction(err, search.scale), search.visited
 
 
 def best_phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:

@@ -206,18 +206,35 @@ def test_criterion_07_cb_engine_vs_closed_form():
     report(7, "derived-set engine equals 1 + sum(k_i) with final count 1", ok)
 
 
+class _Facts:
+    """What the oracle reads of one sequence, computed once per sequence."""
+
+    def __init__(self, tau, top):
+        self.tau = tau
+        self.i, self.j = i_of(tau), j_of(tau)
+        self.tail = tau.tail
+        self.max_index = tau.max_index
+        # value_at(n) for n = 0..top, where top bounds every pair's range
+        self.values = [tau.value_at(n) for n in range(top + 1)]
+
+
+def _facts(seqs):
+    top = max(t.max_index for t in seqs) + 1
+    return [_Facts(t, top) for t in seqs]
+
+
 def _upper_match(a, b):
-    ia, ib = i_of(a), i_of(b)
+    ia, ib = a.i, b.i
     if ia != ib or a.tail != b.tail:
         return False
     top = max(a.max_index, b.max_index) + 1
-    return all(a.value_at(n) == b.value_at(n) for n in range(ia + 1, top + 1))
+    return all(a.values[n] == b.values[n] for n in range(ia + 1, top + 1))
 
 
 def _oracle(a, b):
     """Direct restatement of the classification rules, bypassing normal forms."""
-    ia, ib = i_of(a), i_of(b)
-    ja, jb = j_of(a), j_of(b)
+    ia, ib = a.i, b.i
+    ja, jb = a.j, b.j
     if is_omega(ia) and is_omega(ib):
         return HOMEOMORPHIC
     if not is_omega(ja) and not is_omega(jb):
@@ -229,42 +246,47 @@ def _oracle(a, b):
 
 def test_criterion_08_classification_table():
     values = [0, 1, 2, 3, OMEGA]
-    seqs = [
+    seqs = _facts([
         TauSequence.from_values(head, tail)
         for tail in (0, OMEGA)
         for head in iter_product(values, repeat=4)
-    ]
-    nfs = {t: normal_form(t) for t in seqs}
-    outcomes = {}
+    ])
+    # equal normal forms get equal class numbers
+    classes = {}
+    nf_class = [classes.setdefault(normal_form(a.tau), len(classes)) for a in seqs]
+    # outcomes[x][y] is the outcome for the pair (seqs[x], seqs[y])
+    outcomes = []
     ok = True
-    for a in seqs:
-        for b in seqs:
-            v = classify(a, b)
-            outcomes[(a, b)] = v.outcome
+    for a, nf_a in zip(seqs, nf_class):
+        row = []
+        for b, nf_b in zip(seqs, nf_class):
+            v = classify(a.tau, b.tau)
+            row.append(v.outcome)
             if v.outcome != _oracle(a, b):
                 ok = False
             if v.outcome != OPEN:
-                if (v.outcome == HOMEOMORPHIC) != (nfs[a] == nfs[b]):
+                if (v.outcome == HOMEOMORPHIC) != (nf_a == nf_b):
                     ok = False
-    for a in seqs:
-        for b in seqs:
-            if outcomes[(a, b)] != outcomes[(b, a)]:
+        outcomes.append(row)
+    for x, row in enumerate(outcomes):
+        for y, outcome in enumerate(row):
+            if outcome != outcomes[y][x]:
                 ok = False
     # positive finite tails produce the undecided regime; every mismatched
     # pair there must come back OPEN with the question attached
-    small = [
+    small = _facts([
         TauSequence.from_values(head, tail)
         for tail in (0, 1, 2, OMEGA)
         for head in iter_product((0, 1, OMEGA), repeat=2)
-    ]
+    ])
     open_seen = 0
     for a in small:
         for b in small:
-            v = classify(a, b)
+            v = classify(a.tau, b.tau)
             if v.outcome != _oracle(a, b):
                 ok = False
-            undecided = (is_omega(j_of(a)) and is_omega(j_of(b))
-                         and not (is_omega(i_of(a)) and is_omega(i_of(b)))
+            undecided = (is_omega(a.j) and is_omega(b.j)
+                         and not (is_omega(a.i) and is_omega(b.i))
                          and not _upper_match(a, b))
             if undecided:
                 open_seen += 1

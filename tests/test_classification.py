@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from sigmaprod.clopen import BasicBox, box_contains, box_is_empty, box_reduce
 from sigmaprod.ground import (
     EMPTY,
     OMEGA,
+    BudgetExceeded,
     Point,
     ProductDescriptor,
     ProductPoint,
@@ -336,6 +338,17 @@ def test_cb_invariants_examples():
 def test_cb_invariants_match_closed_form():
     for ks in [(1,), (4,), (2, 2), (1, 2, 3), (0, 5), (2, 0, 2)]:
         assert cb_invariants(ks) == (1 + sum(ks), 1)
+
+
+def test_cb_invariants_charge_every_stage():
+    # the stages partition the degree vectors below ks, so the whole run
+    # costs the product of (k + 1); the last stage is the one that overflows
+    for ks in [(0,), (2, 3), (1, 2, 3)]:
+        total = math.prod(k + 1 for k in ks)
+        assert cb_invariants(ks, budget=total) == (1 + sum(ks), 1)
+        with pytest.raises(BudgetExceeded) as info:
+            cb_invariants(ks, budget=total - 1)
+        assert info.value.needed == total
 
 
 def test_space_expression_point_count():

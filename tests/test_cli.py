@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from sigmaprod import ground, uec
@@ -151,6 +152,20 @@ def test_decompose_reports_checks():
     assert payload["checks"]["pairwise_disjoint"] is True
     assert payload["checks"]["membership"]["ok"] is True
     assert payload["checks"]["limit_cofinite"]["ok"] is True
+
+
+def test_decompose_and_cb_count_against_the_budget():
+    # both used to run to the end under any budget: 16.5 s and 54 MB of JSON
+    # for this decompose, 2.1 s for this cb
+    started = time.monotonic()
+    code, payload = run(["decompose", "--kind", "absorb_small", "--m", "1", "--n", "2",
+                         "--depth", "1000", "--budget", "100"])
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    # the closed-form constraint count, charged before any piece is built
+    assert payload["error"]["needed"] == 1 + 2 * (999 * 1000 // 2 + 2 * 1000)
+    code, payload = run(["cb", "--ks", "12,12,12,12,12", "--budget", "10"])
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    assert time.monotonic() - started < 2
 
 
 def test_clopen_subcommands():

@@ -3,6 +3,9 @@
 The oracles below are the pairwise ``box_intersect`` + ``box_is_empty`` loop,
 the linear scan of ``box_contains`` over every piece, and the per-piece
 ``box_subset`` test; the library answers from the per-coordinate index.
+The JSON encoder, the point sampler and ``box_reduce`` are checked against
+the per-occurrence code they replace: a per-piece box encoder, the sampler
+that draws ground elements, and a reduction that builds every factor anew.
 """
 
 import random
@@ -16,24 +19,31 @@ from sigmaprod.classification import (
     check_pairwise_disjoint,
     decompose_absorb_small,
     decompose_classif_k,
+    decomposition_to_json,
     limit_neighborhood_boxes,
     piece_for_point,
     sample_decomposition_points,
 )
+from sigmaprod.cli import render
 from sigmaprod.clopen import (
     BasicBox,
+    BoxReduction,
     box_contains,
     box_intersect,
     box_is_empty,
     box_reduce,
     box_subset,
+    box_to_json,
 )
 from sigmaprod.ground import (
     EMPTY,
+    BudgetExceeded,
     Point,
     ProductDescriptor,
     ProductPoint,
     SigmaFactor,
+    descriptor_to_json,
+    format_descriptor,
     materialize,
 )
 
@@ -182,3 +192,142 @@ def test_random_hand_built_decompositions_match_the_brute_force_checks():
         assert list(check_limit_cofinite(dec, boxes).violations) == \
             cofinite_oracle(dec, boxes)
     assert seen_overlaps and seen_multiple_hits
+
+
+def box_json_oracle(b):
+    """The per-box encoder: every constraint formatted where it occurs."""
+    return {
+        "ambient": descriptor_to_json(b.ambient),
+        "constraints": [{"coord": s, "F": list(f.elements), "G": list(g.elements)}
+                        for s, f, g in b.constraints],
+        "text": "[" + "; ".join(f"{s}: F={f} G={g}" for s, f, g in b.constraints)
+                + "] @ " + format_descriptor(b.ambient),
+    }
+
+
+def signature_oracle(desc):
+    bounds = sorted(f.n for f in desc.factors if f.n > 0)
+    return ProductDescriptor(tuple(SigmaFactor(b) for b in bounds), desc.omega_tail)
+
+
+def decomposition_json_oracle(dec):
+    return {
+        "kind": dec.kind,
+        "ambient": descriptor_to_json(dec.ambient),
+        "limit_point": str(dec.limit_point),
+        "witnesses": list(dec.witnesses),
+        "depth": dec.depth,
+        "pieces": [
+            {
+                "label": p.label,
+                "box": box_json_oracle(p.box),
+                "type": descriptor_to_json(p.claimed_type),
+                "type_signature": descriptor_to_json(signature_oracle(p.claimed_type)),
+            }
+            for p in dec.pieces
+        ],
+    }
+
+
+def sample_oracle(dec, count, seed, extra_elements=2):
+    """The sampler drawing ground elements, one new point per coordinate."""
+    rng = random.Random(seed)
+    base = max(dec.witnesses) + 1 if dec.witnesses else 0
+    ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
+    explicit = dec.ambient.explicit_len
+    points = []
+    for _ in range(count):
+        width = rng.randint(explicit, explicit + dec.depth - 1)
+        coords = []
+        for s in range(width):
+            if rng.random() < 0.5:
+                coords.append(dec.limit_point.coordinate(s))
+            else:
+                bound = dec.ambient.bound_at(s)
+                size = rng.randint(0, min(bound, len(ground)))
+                coords.append(Point(tuple(rng.sample(ground, size))))
+        points.append(ProductPoint(tuple(coords), dec.limit_point.tail_value))
+    return points
+
+
+def reduce_oracle(b):
+    """``box_reduce`` building each factor of the reduced type anew."""
+    if box_is_empty(b):
+        raise ValueError("cannot reduce an empty box")
+    width = max(b.ambient.explicit_len, b.max_constrained_coord() + 1)
+    removed = tuple((s, f) for s, f, _g in b.constraints if len(f))
+    dropped = dict(removed)
+    factors = tuple(SigmaFactor(b.ambient.bound_at(s) - len(dropped.get(s, EMPTY)))
+                    for s in range(width))
+    return BoxReduction(ProductDescriptor(factors, b.ambient.omega_tail), removed)
+
+
+def constraint_count(dec):
+    return sum(len(p.box.constraints) for p in dec.pieces)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_the_json_document_matches_the_per_box_encoder(kind):
+    for depth in [*range(1, 13), 40]:
+        dec = build(kind, depth)
+        assert render(decomposition_to_json(dec)) == render(decomposition_json_oracle(dec))
+    assert [box_to_json(p.box) for p in dec.pieces] == \
+        [box_json_oracle(p.box) for p in dec.pieces]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_sampled_points_match_the_element_sampler(kind):
+    for depth in (1, 2, 5, 12):
+        dec = build(kind, depth)
+        for seed in range(20):
+            assert sample_decomposition_points(dec, 40, seed) == sample_oracle(dec, 40, seed)
+        assert sample_decomposition_points(dec, 40, 3, extra_elements=0) == \
+            sample_oracle(dec, 40, 3, extra_elements=0)
+
+
+def test_box_reduce_matches_the_factor_by_factor_reduction():
+    rng = random.Random(6)
+    seen_empty = 0
+    for _trial in range(400):
+        # bounds on both sides of the shared table of small factors
+        bounds = [rng.choice((0, 1, 2, 3, 63, 64, 70)) for _ in range(rng.randint(0, 3))]
+        tail = rng.choice((None, 1, 2, 64))
+        if not bounds and tail is None:
+            tail = 2
+        ambient = ProductDescriptor(tuple(SigmaFactor(b) for b in bounds),
+                                    None if tail is None else SigmaFactor(tail))
+        max_coord = len(bounds) + (3 if tail is not None else 0)
+        box = random_box(rng, ambient, max_coord)
+        answer = outcome(box_reduce, box)
+        assert answer == outcome(reduce_oracle, box)
+        seen_empty += isinstance(answer, tuple) and answer[0] is ValueError
+    assert seen_empty
+
+
+def test_basic_box_names_the_first_coordinate_outside_the_ambient():
+    ambient = ProductDescriptor((SigmaFactor(2), SigmaFactor(2)))
+    for constraints, bad in [([(1, EMPTY, EMPTY), (5, EMPTY, EMPTY), (-1, EMPTY, EMPTY)], 5),
+                             ([(-2, EMPTY, EMPTY), (7, EMPTY, EMPTY)], -2),
+                             ([(1, EMPTY, EMPTY), (-1, EMPTY, EMPTY)], -1),
+                             ([(0, Point.of(1), EMPTY), (2, EMPTY, EMPTY)], 2)]:
+        with pytest.raises(ValueError, match=rf"^coordinate {bad} outside ambient$"):
+            BasicBox(ambient, tuple(constraints))
+    tail = ProductDescriptor((SigmaFactor(2),), SigmaFactor(1))
+    assert BasicBox(tail, ((9, Point.of(1), EMPTY), (0, EMPTY, EMPTY))).constraints == \
+        ((9, Point.of(1), EMPTY),)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_the_constraint_count_is_charged_before_building(kind):
+    for depth in (1, 2, 7):
+        needed = constraint_count(build(kind, depth))
+        if kind == "K":
+            assert decompose_classif_k(3, depth, budget=needed).depth == depth
+            with pytest.raises(BudgetExceeded) as info:
+                decompose_classif_k(3, depth, budget=needed - 1)
+        else:
+            m, n = kind
+            assert decompose_absorb_small(m, n, depth, budget=needed).depth == depth
+            with pytest.raises(BudgetExceeded) as info:
+                decompose_absorb_small(m, n, depth, budget=needed - 1)
+        assert info.value.needed == needed
