@@ -15,7 +15,6 @@ from .ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
-    SigmaFactor,
     TauSequence,
     i_of,
     j_of,

@@ -36,7 +36,6 @@ from .ground import (
     i_of,
     is_omega,
     j_of,
-    sigma_factor,
     value_to_json,
 )
 from .clopen import (
@@ -103,12 +102,6 @@ class NormalForm:
             if v != self.upper_tail:
                 canon.append((n, v))
         object.__setattr__(self, "upper_entries", tuple(canon))
-
-    def exponent_at(self, n: int) -> int:
-        for idx, v in self.upper_entries:
-            if idx == n:
-                return v
-        return self.upper_tail
 
     @property
     def max_entry_index(self) -> int:
@@ -403,8 +396,7 @@ def recover_tau(profile: dict) -> NormalForm:
 def type_signature(desc: ProductDescriptor) -> ProductDescriptor:
     """Descriptor modulo homeomorphism-preserving rewrites: one-point factors
     drop out and the order of the explicit factors is irrelevant."""
-    bounds = sorted(f.n for f in desc.factors if f.n > 0)
-    return ProductDescriptor(tuple(sigma_factor(b) for b in bounds), desc.omega_tail)
+    return ProductDescriptor(tuple(sorted(n for n in desc.factors if n > 0)), desc.omega_tail)
 
 
 @dataclass(frozen=True)
@@ -466,24 +458,23 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
     small_set = Point(witnesses[:m])
     # (F, G) at the first coordinate that misses witness i, shared by every piece
     misses = [(Point(witnesses[:i]), Point.of(witnesses[i])) for i in range(n)]
-    tail = sigma_factor(n)
-    ambient = ProductDescriptor((sigma_factor(m),) if m > 0 else (), tail)
+    ambient = ProductDescriptor((m,) if m > 0 else (), n)
     pieces = []
     for j in range(m):
         box = BasicBox(ambient, ((0, *misses[j]),))
         pieces.append(DecompositionPiece(
-            f"B'({j})", box, ProductDescriptor((sigma_factor(m - j),), tail)))
+            f"B'({j})", box, ProductDescriptor((m - j,), n)))
     prefix_label = "B" if m > 0 else "A"
     # the small coordinate and the first k omega coordinates are pinned to a
     # full set, a single point each
     pinned = ((0, small_set, EMPTY),) if m > 0 else ()
     for k in range(depth):
-        pinned_types = (sigma_factor(0),) * (offset + k)
+        pinned_types = (0,) * (offset + k)
         for i in range(n):
             box = BasicBox(ambient, pinned + ((offset + k, *misses[i]),))
             pieces.append(DecompositionPiece(
                 f"{prefix_label}({k},{i})", box,
-                ProductDescriptor(pinned_types + (sigma_factor(n - i),), tail)))
+                ProductDescriptor(pinned_types + (n - i,), n)))
         pinned += ((offset + k, full_set, EMPTY),)
     prefix = (small_set,) if m > 0 else ()
     limit = ProductPoint(prefix, full_set)
@@ -505,13 +496,12 @@ def decompose_classif_k(element: int = 0, depth: int = 6,
         raise BudgetExceeded(needed, budget)
     ambient = ProductDescriptor.omega_power(1)
     single = Point.of(element)
-    zero, tail = sigma_factor(0), sigma_factor(1)
     pieces = []
     pinned = ()
     for t in range(depth):
         box = BasicBox(ambient, pinned + ((t, EMPTY, single),))
         pieces.append(DecompositionPiece(
-            f"K({t + 1})", box, ProductDescriptor((zero,) * t, tail)))
+            f"K({t + 1})", box, ProductDescriptor((0,) * t, 1)))
         pinned += ((t, single, EMPTY),)
     limit = ProductPoint((), single)
     return Decomposition("classif_K", ambient, tuple(pieces), limit,

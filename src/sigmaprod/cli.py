@@ -176,6 +176,13 @@ def _handle_decompose(args) -> dict:
                                                     budget=args.budget)
     else:
         dec = classification.decompose_classif_k(args.element, args.depth, args.budget)
+    # on top of the constraints, each sampled point costs its widest prefix
+    # plus its tail, and each neighborhood box one unit
+    width = dec.ambient.explicit_len + dec.depth
+    needed = (sum(len(p.box.constraints) for p in dec.pieces)
+              + args.samples * width + args.boxes)
+    if needed > args.budget:
+        raise ground.BudgetExceeded(needed, args.budget)
     disjoint = classification.check_pairwise_disjoint(dec)
     membership = classification.check_sample_membership(dec, args.samples, args.seed)
     boxes = classification.limit_neighborhood_boxes(dec, args.boxes, args.seed + 1)
@@ -272,7 +279,7 @@ def _handle_uec(args) -> dict:
             "counts": {str(n): c for n, c in cert.counts.items()},
         }
     if args.action == "bounds":
-        table = uec.level_bounds(args.levels)
+        table = uec.level_bounds(args.levels, args.budget)
         return {
             "levels": args.levels,
             "r": [uec.fraction_to_json(w) for w in table.r],

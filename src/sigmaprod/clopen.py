@@ -22,7 +22,6 @@ from .ground import (
     parse_point,
     point_in_ambient,
     point_to_json,
-    sigma_factor,
 )
 
 
@@ -54,7 +53,7 @@ class BasicBox:
         canon = []
         for coord in coords:
             f, g = merged[coord]
-            if f.elements or g.elements:
+            if f or g:
                 canon.append((coord, f, g))
         object.__setattr__(self, "constraints", tuple(canon))
 
@@ -109,7 +108,7 @@ def box_is_empty(b: BasicBox) -> bool:
 def box_contains(b: BasicBox, x: ProductPoint) -> bool:
     if not point_in_ambient(b.ambient, x):
         raise ValueError(f"point {x} outside ambient {b.ambient}")
-    return all(_admits(f, g, x.coordinate(coord).elements) for coord, f, g in b.constraints)
+    return all(_admits(f, g, x.coordinate(coord)) for coord, f, g in b.constraints)
 
 
 def box_intersect(b1: BasicBox, b2: BasicBox) -> BasicBox:
@@ -149,23 +148,23 @@ def _constraints_meet(f1: Point, g1: Point, f2: Point, g2: Point, bound: int) ->
     instead of building the union.
     """
     common = 0
-    for e in f1.elements:
-        if e in g1.elements or e in g2.elements:
+    for e in f1:
+        if e in g1 or e in g2:
             return False
-        if e in f2.elements:
+        if e in f2:
             common += 1
-    for e in f2.elements:
-        if e in g1.elements or e in g2.elements:
+    for e in f2:
+        if e in g1 or e in g2:
             return False
-    return len(f1.elements) + len(f2.elements) - common <= bound
+    return len(f1) + len(f2) - common <= bound
 
 
-def _admits(f: Point, g: Point, value: tuple) -> bool:
-    """Does the coordinate value (a sorted element tuple) contain F and avoid G?"""
-    for e in f.elements:
+def _admits(f: Point, g: Point, value: Point) -> bool:
+    """Does the coordinate value contain F and avoid G?"""
+    for e in f:
         if e not in value:
             return False
-    for e in g.elements:
+    for e in g:
         if e in value:
             return False
     return True
@@ -253,7 +252,7 @@ class BoxIndex:
         for s, (_bound, free, pending, groups) in self.coords.items():
             if not hits & pending:
                 break  # no later coordinate constrains a remaining hit
-            value = x.coordinate(s).elements
+            value = x.coordinate(s)
             for f, g, mask, _members in groups:
                 if _admits(f, g, value):
                     free |= mask
@@ -349,9 +348,9 @@ def box_reduce(b: BasicBox) -> BoxReduction:
     factors += [ambient.omega_tail] * (b.max_constrained_coord() + 1 - len(factors))
     removed = []
     for s, f, _g in b.constraints:
-        if f.elements:
+        if f:
             removed.append((s, f))
-            factors[s] = sigma_factor(factors[s].n - len(f.elements))
+            factors[s] -= len(f)
     return BoxReduction(ProductDescriptor(tuple(factors), ambient.omega_tail),
                         tuple(removed))
 
@@ -389,16 +388,13 @@ class CoverWitness:
     space: ProductDescriptor
 
 
-def union_membership_cover(target: ClopenSet,
-                           probe: ProductDescriptor | None = None) -> CoverWitness:
+def union_membership_cover(target: ClopenSet) -> CoverWitness:
     """Pick the member of a covering union that contains the all-empty point.
 
     That member has no F constraints, so it reduces to the full ambient space
     (over the ground set minus its finitely many excluded elements), which is
     what ``space`` reports.
     """
-    if probe is not None and probe != target.ambient:
-        raise ValueError("probe descriptor does not match the union's ambient")
     for index, box in enumerate(target.boxes):
         if all(len(f) == 0 for _s, f, _g in box.constraints):
             return CoverWitness(index, box, box_reduce(box).descriptor)

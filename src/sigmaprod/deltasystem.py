@@ -177,18 +177,17 @@ def _er_extract(cands, petal_size):
     return best
 
 
-def extract_delta_system(fam: SetFamily, p: int,
-                         exact_limit: int = EXACT_SEARCH_LIMIT) -> ExtractionResult:
+def extract_delta_system(fam: SetFamily, p: int) -> ExtractionResult:
     """Search for a delta-system with at least p petals among subfamilies.
 
-    Exact (maximal) for families up to ``exact_limit`` members; greedy
+    Exact (maximal) for families up to ``EXACT_SEARCH_LIMIT`` members; greedy
     root-bucketing beyond.  On failure the result still reports the best
     petal count found.
     """
     if p < 2:
         raise ValueError("need at least two petals")
     members = list(fam.members)
-    if len(members) <= exact_limit:
+    if len(members) <= EXACT_SEARCH_LIMIT:
         count, root, labels, size = _extract_exact(members)
         method = "exact"
     else:

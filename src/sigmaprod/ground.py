@@ -95,111 +95,79 @@ def _check_tau_value(value):
         raise ValueError(f"value must be a non-negative integer or OMEGA, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Point:
-    """A finite subset of the ground set, stored canonically sorted."""
+class Point(tuple):
+    """A finite subset of the ground set: the tuple of its elements, sorted."""
 
-    elements: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+    def __new__(cls, elements=()):
+        return super().__new__(cls, sorted(set(elements)))
 
     @classmethod
     def of(cls, *elements) -> "Point":
         return cls(elements)
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, element):
-        return element in self.elements
-
     def __or__(self, other: "Point") -> "Point":
-        return Point(self.elements + other.elements)
+        return Point(self + other)
 
     def __and__(self, other: "Point") -> "Point":
-        keep = set(other.elements)
-        return Point(tuple(e for e in self.elements if e in keep))
+        keep = set(other)
+        return Point(e for e in self if e in keep)
 
     def __sub__(self, other: "Point") -> "Point":
-        drop = set(other.elements)
-        return Point(tuple(e for e in self.elements if e not in drop))
+        drop = set(other)
+        return Point(e for e in self if e not in drop)
 
     def isdisjoint(self, other: "Point") -> bool:
-        return not set(self.elements) & set(other.elements)
+        return set(self).isdisjoint(other)
 
     def issubset(self, other: "Point") -> bool:
-        return set(self.elements) <= set(other.elements)
+        return set(self).issubset(other)
 
     def __str__(self):
-        return "{" + ",".join(str(e) for e in self.elements) + "}"
+        return "{" + ",".join(map(str, self)) + "}"
 
 
 EMPTY = Point()
 
 
 @dataclass(frozen=True)
-class SigmaFactor:
-    """The space of all subsets of the ground set with at most ``n`` elements.
-
-    ``n == 0`` is the one-point space consisting of the empty set.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"factor bound must be a non-negative integer, got {self.n!r}")
-
-
-# one shared factor per small bound: descriptors built from these compare
-# their factors by identity before falling back to the dataclass equality
-_SMALL_FACTORS = tuple(SigmaFactor(n) for n in range(64))
-
-
-def sigma_factor(n: int) -> SigmaFactor:
-    """The n-bounded factor, taken from the shared table when n is small."""
-    if isinstance(n, int) and 0 <= n < len(_SMALL_FACTORS):
-        return _SMALL_FACTORS[n]
-    return SigmaFactor(n)
-
-
-@dataclass(frozen=True)
 class ProductDescriptor:
-    """A finite or countable product of sigma factors.
+    """A finite or countable product of sigma factors, each given by its bound.
 
-    ``factors`` lists the explicit coordinates; ``omega_tail`` (optional) is a
-    factor repeated omega-many times after them.  Canonical form drops
-    trailing explicit factors equal to the tail factor, so descriptors compare
-    by the space they denote.
+    The factor with bound n is the space of all subsets of the ground set
+    with at most n elements (n = 0 is the one-point space of the empty set).
+    ``factors`` lists the bounds of the explicit coordinates; ``omega_tail``
+    (optional) is a bound repeated omega-many times after them.  Canonical
+    form drops trailing explicit factors equal to the tail, so descriptors
+    compare by the space they denote.
     """
 
     factors: tuple = ()
-    omega_tail: SigmaFactor | None = None
+    omega_tail: int | None = None
 
     def __post_init__(self):
         factors = tuple(self.factors)
-        if not all(isinstance(f, SigmaFactor) for f in factors):
-            raise ValueError("factors must be SigmaFactor instances")
-        if self.omega_tail is not None:
+        tail = () if self.omega_tail is None else (self.omega_tail,)
+        for n in factors + tail:
+            if not isinstance(n, int) or n < 0:
+                raise ValueError(f"factor bound must be a non-negative integer, got {n!r}")
+        if tail:
             while factors and factors[-1] == self.omega_tail:
                 factors = factors[:-1]
         object.__setattr__(self, "factors", factors)
 
     @classmethod
     def single(cls, n: int) -> "ProductDescriptor":
-        return cls((sigma_factor(n),))
+        return cls((n,))
 
     @classmethod
     def power(cls, n: int, k: int) -> "ProductDescriptor":
-        return cls((sigma_factor(n),) * k)
+        return cls((n,) * k)
 
     @classmethod
     def omega_power(cls, n: int) -> "ProductDescriptor":
-        return cls((), sigma_factor(n))
+        return cls((), n)
 
     @property
     def explicit_len(self) -> int:
@@ -212,9 +180,9 @@ class ProductDescriptor:
         if s < 0:
             raise IndexError(f"negative coordinate {s}")
         if s < len(self.factors):
-            return self.factors[s].n
+            return self.factors[s]
         if self.omega_tail is not None:
-            return self.omega_tail.n
+            return self.omega_tail
         raise IndexError(f"coordinate {s} outside a product with {len(self.factors)} factors")
 
 
@@ -253,7 +221,7 @@ def point_in_ambient(desc: ProductDescriptor, x: ProductPoint) -> bool:
         if x.tail_value != EMPTY or len(x.prefix) > len(desc.factors):
             return False
     else:
-        if len(x.tail_value) > desc.omega_tail.n:
+        if len(x.tail_value) > desc.omega_tail:
             return False
     for s, pt in enumerate(x.prefix):
         if len(pt) > desc.bound_at(s):
@@ -411,9 +379,9 @@ def format_tau(tau: TauSequence) -> str:
 
 
 def format_descriptor(desc: ProductDescriptor) -> str:
-    parts = [str(f.n) for f in desc.factors]
+    parts = [str(n) for n in desc.factors]
     if desc.omega_tail is not None:
-        parts.append(f"{desc.omega_tail.n}^w")
+        parts.append(f"{desc.omega_tail}^w")
     return "x".join(parts) if parts else "()"
 
 
@@ -429,9 +397,9 @@ def parse_descriptor(text: str) -> ProductDescriptor:
         if tok.endswith("^w"):
             if pos != len(tokens) - 1:
                 raise ValueError(f"malformed descriptor {text!r}: tail must come last")
-            tail = SigmaFactor(int(tok[:-2]))
+            tail = int(tok[:-2])
         elif tok.isdigit():
-            factors.append(SigmaFactor(int(tok)))
+            factors.append(int(tok))
         else:
             raise ValueError(f"malformed descriptor {text!r}")
     return ProductDescriptor(tuple(factors), tail)
@@ -446,7 +414,7 @@ def value_to_json(v: TauValue):
 
 
 def point_to_json(p: Point) -> list:
-    return list(p.elements)
+    return list(p)
 
 
 def tau_to_json(tau: TauSequence) -> dict:
@@ -459,7 +427,7 @@ def tau_to_json(tau: TauSequence) -> dict:
 
 def descriptor_to_json(desc: ProductDescriptor) -> dict:
     return {
-        "factors": [f.n for f in desc.factors],
-        "omega_tail": desc.omega_tail.n if desc.omega_tail is not None else None,
+        "factors": list(desc.factors),
+        "omega_tail": desc.omega_tail,
         "text": format_descriptor(desc),
     }

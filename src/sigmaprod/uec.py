@@ -41,9 +41,17 @@ class WeightTable:
     m: tuple
 
 
-def level_bounds(levels: int) -> WeightTable:
+def level_bounds(levels: int, budget: int = DEFAULT_BUDGET) -> WeightTable:
+    """The weights and bounds of the first ``levels`` levels.  The digits of
+    the weights grow linearly with the level, so an upper bound on the digits
+    of the whole r column, Σ_{n<levels} (n·log10 2 + (n + 1)·log10 3 + 2), is
+    charged to ``budget`` before any weight is built."""
     if levels < 1:
         raise ValueError("need at least one level")
+    needed = math.ceil((math.log10(2) * (levels - 1) + math.log10(3) * (levels + 1))
+                       * levels / 2) + 2 * levels
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
     r = tuple(level_weight(n) for n in range(levels))
     m = tuple(math.floor(1 / w) for w in r)
     return WeightTable(levels, r, m)
@@ -301,11 +309,12 @@ def pipeline_check(points, levels: int, budget: int = DEFAULT_BUDGET) -> Pipelin
     Per point: a best coordinatewise preimage at the given truncation, its
     level counts against the M_n bounds, and the weighted-sum certificate,
     accepted up to the exact truncation slack (support size times (2/3)^levels).
-    The searches of all coordinates of all points share the one budget.
+    The searches of all coordinates of all points share the one budget; the
+    weight table must fit it on its own.
     The stage log documents the factored surjection chain that carries an
     averaging operator at every finite scale.
     """
-    table = level_bounds(levels)
+    table = level_bounds(levels, budget)
     tol = truncation_tail(levels)
     witnesses = []
     visited = 0

@@ -104,8 +104,8 @@ def test_criterion_03_continuity_witnesses():
                     union = EMPTY
                     for s in range(k):
                         union = union | x.coordinate(s)
-                    in_image = (set(f) <= set(union.elements)
-                                and not set(g) & set(union.elements))
+                    in_image = (set(f) <= set(union)
+                                and not set(g) & set(union))
                     if pre.contains(x) != in_image:
                         mismatches += 1
     report(3, "union-map preimages agree pointwise (ground<=4, k<=4)", mismatches == 0)

@@ -39,7 +39,6 @@ from sigmaprod.ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
-    SigmaFactor,
     TauSequence,
     is_omega,
     j_of,
@@ -446,7 +445,7 @@ def test_decomposition_pieces_verified():
 
 
 def test_decomposition_piece_rejects_bad_boxes():
-    ambient = ProductDescriptor((SigmaFactor(1),), None)
+    ambient = ProductDescriptor((1,), None)
     empty = BasicBox(ambient, ((0, Point((0, 1)), EMPTY),))
     with pytest.raises(ValueError):
         DecompositionPiece("empty", empty, ambient)
@@ -456,16 +455,12 @@ def test_decomposition_piece_rejects_bad_boxes():
 
 
 def test_absorb_small_piece_types():
-    from sigmaprod.ground import SigmaFactor
-
     dec = decompose_absorb_small(1, 2, depth=3)
     by_label = {p.label: p for p in dec.pieces}
     # B'(0) keeps the small factor intact: type (1-bounded) x (2-bounded)^omega
-    assert by_label["B'(0)"].claimed_type == ProductDescriptor(
-        (SigmaFactor(1),), SigmaFactor(2))
+    assert by_label["B'(0)"].claimed_type == ProductDescriptor((1,), 2)
     # B(0,1) collapses the small factor and leaves a 1-bounded fresh factor
-    assert by_label["B(0,1)"].claimed_type == ProductDescriptor(
-        (SigmaFactor(0), SigmaFactor(1)), SigmaFactor(2))
+    assert by_label["B(0,1)"].claimed_type == ProductDescriptor((0, 1), 2)
 
 
 def test_piece_types_follow_the_absorption_accounting():
@@ -476,7 +471,7 @@ def test_piece_types_follow_the_absorption_accounting():
     from collections import Counter
 
     from sigmaprod.classification import type_signature
-    from sigmaprod.ground import SigmaFactor, format_descriptor
+    from sigmaprod.ground import format_descriptor
 
     n, m, depth = 3, 2, 4
     power = decompose_absorb_small(0, n, depth=depth)
@@ -488,8 +483,7 @@ def test_piece_types_follow_the_absorption_accounting():
         )
 
     per_index = {
-        format_descriptor(type_signature(
-            ProductDescriptor((SigmaFactor(n - i),), SigmaFactor(n))))
+        format_descriptor(type_signature(ProductDescriptor((n - i,), n)))
         for i in range(n)
     }
     a_sigs = signatures(power)

@@ -168,6 +168,41 @@ def test_decompose_and_cb_count_against_the_budget():
     assert time.monotonic() - started < 2
 
 
+def test_decompose_checks_count_against_the_budget():
+    # --samples and --boxes used to be unbounded: this ran for about 10 s
+    started = time.monotonic()
+    code, payload = run(["decompose", "--kind", "classif_K", "--depth", "40",
+                         "--samples", "100000", "--boxes", "100000", "--budget", "1000"])
+    assert time.monotonic() - started < 2
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    # 820 constraints, then each sample its 40 coordinates, each box one unit
+    assert payload["error"]["needed"] == 820 + 100000 * 40 + 100000
+    argv = ["decompose", "--kind", "absorb_small", "--m", "1", "--n", "2", "--depth", "3",
+            "--samples", "7", "--boxes", "5"]
+    needed = 1 + 2 * (3 + 3 * 2) + 7 * 4 + 5
+    assert run(argv + ["--budget", str(needed)])[0] == 0
+    code, payload = run(argv + ["--budget", str(needed - 1)])
+    assert code == 2 and payload["error"]["needed"] == needed
+
+
+def test_uec_bounds_counts_its_digits_against_the_budget():
+    # the output grows as levels squared: 12 MB at 5000 levels, no end at 100000
+    started = time.monotonic()
+    code, payload = run(["uec", "bounds", "--levels", "100000", "--budget", "10"])
+    assert time.monotonic() - started < 2
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    for levels in (1, 2, 7, 40, 300):
+        code, payload = run(["uec", "bounds", "--levels", str(levels)])
+        assert code == 0 and payload["r"] == [uec.fraction_to_json(uec.level_weight(n))
+                                              for n in range(levels)]
+        # the charge bounds the digits of the r column from above
+        digits = sum(len(w) - len("/") for w in payload["r"])
+        needed = run(["uec", "bounds", "--levels", str(levels), "--budget", "1"])[1]
+        assert digits <= needed["error"]["needed"] <= digits + 2 * levels
+        argv = ["uec", "bounds", "--levels", str(levels), "--budget"]
+        assert run(argv + [str(needed["error"]["needed"])]) == (code, payload)
+
+
 def test_clopen_subcommands():
     code, payload = run(["clopen", "empty", "--box", "[0: F={0,1} G={}] @ 1"])
     assert code == 0 and payload["empty"] is True

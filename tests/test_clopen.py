@@ -25,7 +25,6 @@ from sigmaprod.ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
-    SigmaFactor,
     materialize,
 )
 
@@ -69,7 +68,7 @@ def test_contains_examples():
     assert box_contains(box, ProductPoint((Point.of(0, 2),)))
     assert not box_contains(box, ProductPoint((Point.of(0, 1),)))
     # a constraint on coordinate 7 sees the tail value beyond the prefix
-    tail_desc = ProductDescriptor((), SigmaFactor(2))
+    tail_desc = ProductDescriptor((), 2)
     far = BasicBox.make(tail_desc, {7: (Point.of(0), EMPTY)})
     x = ProductPoint((Point.of(0), Point.of(0), Point.of(0)))
     assert not box_contains(far, x)
@@ -108,7 +107,7 @@ def test_intersect_agrees_with_conjunction():
 
 def test_reduce_examples():
     assert box_reduce(single_box(3, (0,), (1,))).descriptor == SIGMA2
-    tail_desc = ProductDescriptor((SigmaFactor(2),), SigmaFactor(1))
+    tail_desc = ProductDescriptor((2,), 1)
     assert box_reduce(BasicBox.full(tail_desc)).descriptor == tail_desc
     assert box_reduce(single_box(2, (0, 1), ())).descriptor == ProductDescriptor.single(0)
     with pytest.raises(ValueError):
@@ -123,7 +122,7 @@ def test_reduce_witness_is_bijective():
         {0: (Point.of(2), Point.of(3)), 1: (EMPTY, Point.of(2, 3))},
     )
     red = box_reduce(box)
-    assert red.descriptor == ProductDescriptor((SigmaFactor(1), SigmaFactor(2)))
+    assert red.descriptor == ProductDescriptor((1, 2))
     members = [x for x in materialize(box.ambient, 4) if box_contains(box, x)]
     image = {red.transform(x) for x in members}
     assert image == set(materialize(red.descriptor, 2))
@@ -180,7 +179,7 @@ def test_preimage_membership_equivalence():
             pre = preimage_under_union(box, k)
             for x in domain:
                 y = union_of(x)
-                in_box = set(f) <= set(y.elements) and not (set(g) & set(y.elements))
+                in_box = set(f) <= set(y) and not (set(g) & set(y))
                 assert pre.contains(x) == in_box
 
 
@@ -238,7 +237,7 @@ def test_box_complement_is_pointwise_complement():
 
 
 def test_box_text_round_trip():
-    desc = ProductDescriptor((SigmaFactor(2),), SigmaFactor(1))
+    desc = ProductDescriptor((2,), 1)
     box = BasicBox.make(desc, {0: (Point.of(1, 3), Point.of(2)), 2: (EMPTY, Point.of(0))})
     assert parse_box(format_box(box)) == box
     with pytest.raises(ValueError):
@@ -273,7 +272,7 @@ def test_box_index_matches_the_pairwise_and_per_box_answers():
     # families with shared constraints, over a product with a one-point
     # factor and a tail
     rng = random.Random(8)
-    desc = ProductDescriptor((SigmaFactor(1), SigmaFactor(0), SigmaFactor(2)), SigmaFactor(1))
+    desc = ProductDescriptor((1, 0, 2), 1)
     points = materialize(desc, 3, depth=4)
 
     def random_box():

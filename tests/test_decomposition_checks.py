@@ -41,7 +41,6 @@ from sigmaprod.ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
-    SigmaFactor,
     descriptor_to_json,
     format_descriptor,
     materialize,
@@ -170,7 +169,7 @@ def test_overlapping_pieces_are_reported_in_order():
 
 def test_random_hand_built_decompositions_match_the_brute_force_checks():
     rng = random.Random(21)
-    ambient = ProductDescriptor((SigmaFactor(2), SigmaFactor(1)), SigmaFactor(2))
+    ambient = ProductDescriptor((2, 1), 2)
     points = materialize(ambient, 3, depth=3)
     seen_overlaps = seen_multiple_hits = 0
     for _trial in range(40):
@@ -198,7 +197,7 @@ def box_json_oracle(b):
     """The per-box encoder: every constraint formatted where it occurs."""
     return {
         "ambient": descriptor_to_json(b.ambient),
-        "constraints": [{"coord": s, "F": list(f.elements), "G": list(g.elements)}
+        "constraints": [{"coord": s, "F": list(f), "G": list(g)}
                         for s, f, g in b.constraints],
         "text": "[" + "; ".join(f"{s}: F={f} G={g}" for s, f, g in b.constraints)
                 + "] @ " + format_descriptor(b.ambient),
@@ -206,8 +205,8 @@ def box_json_oracle(b):
 
 
 def signature_oracle(desc):
-    bounds = sorted(f.n for f in desc.factors if f.n > 0)
-    return ProductDescriptor(tuple(SigmaFactor(b) for b in bounds), desc.omega_tail)
+    bounds = sorted(n for n in desc.factors if n > 0)
+    return ProductDescriptor(tuple(bounds), desc.omega_tail)
 
 
 def decomposition_json_oracle(dec):
@@ -257,7 +256,7 @@ def reduce_oracle(b):
     width = max(b.ambient.explicit_len, b.max_constrained_coord() + 1)
     removed = tuple((s, f) for s, f, _g in b.constraints if len(f))
     dropped = dict(removed)
-    factors = tuple(SigmaFactor(b.ambient.bound_at(s) - len(dropped.get(s, EMPTY)))
+    factors = tuple(b.ambient.bound_at(s) - len(dropped.get(s, EMPTY))
                     for s in range(width))
     return BoxReduction(ProductDescriptor(factors, b.ambient.omega_tail), removed)
 
@@ -289,13 +288,12 @@ def test_box_reduce_matches_the_factor_by_factor_reduction():
     rng = random.Random(6)
     seen_empty = 0
     for _trial in range(400):
-        # bounds on both sides of the shared table of small factors
+        # bounds that an F of up to two elements exceeds or fills, and large ones
         bounds = [rng.choice((0, 1, 2, 3, 63, 64, 70)) for _ in range(rng.randint(0, 3))]
         tail = rng.choice((None, 1, 2, 64))
         if not bounds and tail is None:
             tail = 2
-        ambient = ProductDescriptor(tuple(SigmaFactor(b) for b in bounds),
-                                    None if tail is None else SigmaFactor(tail))
+        ambient = ProductDescriptor(tuple(bounds), tail)
         max_coord = len(bounds) + (3 if tail is not None else 0)
         box = random_box(rng, ambient, max_coord)
         answer = outcome(box_reduce, box)
@@ -305,14 +303,14 @@ def test_box_reduce_matches_the_factor_by_factor_reduction():
 
 
 def test_basic_box_names_the_first_coordinate_outside_the_ambient():
-    ambient = ProductDescriptor((SigmaFactor(2), SigmaFactor(2)))
+    ambient = ProductDescriptor((2, 2))
     for constraints, bad in [([(1, EMPTY, EMPTY), (5, EMPTY, EMPTY), (-1, EMPTY, EMPTY)], 5),
                              ([(-2, EMPTY, EMPTY), (7, EMPTY, EMPTY)], -2),
                              ([(1, EMPTY, EMPTY), (-1, EMPTY, EMPTY)], -1),
                              ([(0, Point.of(1), EMPTY), (2, EMPTY, EMPTY)], 2)]:
         with pytest.raises(ValueError, match=rf"^coordinate {bad} outside ambient$"):
             BasicBox(ambient, tuple(constraints))
-    tail = ProductDescriptor((SigmaFactor(2),), SigmaFactor(1))
+    tail = ProductDescriptor((2,), 1)
     assert BasicBox(tail, ((9, Point.of(1), EMPTY), (0, EMPTY, EMPTY))).constraints == \
         ((9, Point.of(1), EMPTY),)
 

@@ -10,7 +10,6 @@ from sigmaprod.ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
-    SigmaFactor,
     TauSequence,
     format_descriptor,
     format_tau,
@@ -45,7 +44,7 @@ def test_omega_ordering():
 
 
 def test_point_canonicalization():
-    assert Point((3, 1, 1, 3)).elements == (1, 3)
+    assert tuple(Point((3, 1, 1, 3))) == (1, 3)
     assert Point.of(2, 0) == Point.of(0, 2)
     assert str(Point.of(0, 3, 7)) == "{0,3,7}"
     assert parse_point("{0,3,7}") == Point.of(0, 3, 7)
@@ -60,6 +59,33 @@ def test_point_set_operations():
     assert a.issubset(Point.of(0, 1, 2))
     assert Point.of(0).isdisjoint(Point.of(1))
     assert 1 in a and 5 not in a
+
+
+element_sets = st.frozensets(st.integers(-3, 12), max_size=6)
+
+
+@given(element_sets, element_sets)
+def test_point_matches_the_frozenset_oracle(a, b):
+    p, q = Point(a), Point(b)
+    assert tuple(p) == tuple(sorted(a)) and str(p) == "{" + ",".join(map(str, sorted(a))) + "}"
+    assert len(p) == len(a) and all(e in p for e in a) and 13 not in p
+    for got, want in [(p | q, a | b), (p & q, a & b), (p - q, a - b)]:
+        assert type(got) is Point and got == Point(want) and tuple(got) == tuple(sorted(want))
+    assert p.isdisjoint(q) == a.isdisjoint(b)
+    assert p.issubset(q) == (a <= b)
+    shuffled = Point(reversed(sorted(a)))
+    assert shuffled == p and hash(shuffled) == hash(p)
+    assert (p == q) == (a == b)
+
+
+def test_descriptor_rejects_bad_bounds():
+    for factors, tail, bad in [((2, -1), None, "-1"), ((), -1, "-1"), ((1.5,), 2, "1.5"),
+                               (("2",), None, "'2'"), ((1,), 2.0, "2.0")]:
+        with pytest.raises(ValueError) as info:
+            ProductDescriptor(factors, tail)
+        assert str(info.value) == f"factor bound must be a non-negative integer, got {bad}"
+    with pytest.raises(ValueError, match=r"^factor bound must be a non-negative integer, got -1$"):
+        parse_descriptor("-1^w")
 
 
 def test_i_of_examples():
@@ -102,9 +128,9 @@ def test_tau_canonical_drops_tail_entries():
 
 
 def test_descriptor_canonical_form():
-    tail = SigmaFactor(1)
-    a = ProductDescriptor((SigmaFactor(2), SigmaFactor(1)), tail)
-    b = ProductDescriptor((SigmaFactor(2),), tail)
+    tail = 1
+    a = ProductDescriptor((2, 1), tail)
+    b = ProductDescriptor((2,), tail)
     assert a == b
     assert a.bound_at(0) == 2 and a.bound_at(7) == 1
     with pytest.raises(IndexError):
