@@ -11,6 +11,7 @@ homeomorphism decision procedure with its decomposition witnesses.
 from .ground import (
     EMPTY,
     OMEGA,
+    Budget,
     BudgetExceeded,
     Point,
     ProductDescriptor,

@@ -19,8 +19,8 @@ from itertools import permutations, product as iter_product
 
 from .ground import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     EMPTY,
+    Budget,
     Point,
     enumerate_sigma_points,
     point_to_json,
@@ -55,7 +55,7 @@ class UnionMap:
             raise ValueError(f"expected a {self.k}-tuple, got {len(xs)} coordinates")
         return apply_union(xs)
 
-    def operator(self, budget: int = DEFAULT_BUDGET) -> "AveragingOperator":
+    def operator(self, budget: Budget | int = DEFAULT_BUDGET) -> "AveragingOperator":
         return build_operator(self.k, self.ground_size, budget)
 
 
@@ -161,16 +161,18 @@ class AveragingOperator:
         return RaoCheck(unital, positive, unital and fiber_supported, fiber_supported)
 
 
-def build_operator(k: int, ground_size: int, budget: int = DEFAULT_BUDGET) -> AveragingOperator:
+def build_operator(k: int, ground_size: int,
+                   budget: Budget | int = DEFAULT_BUDGET) -> AveragingOperator:
     """The averaging operator of the k-fold union map over a finite ground set.
 
     Row y carries uniform weight 1/|L(y)| on the disjoint-support fiber L(y).
+    Charges its (ground_size + 1)^k domain tuples to ``budget``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    needed = (ground_size + 1) ** k
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    if ground_size < 0:
+        raise ValueError(f"ground_size must be non-negative, got {ground_size}")
+    Budget.of(budget).charge((ground_size + 1) ** k)
     singletons = [Point.of(el) for el in range(ground_size)]
     codomain = tuple(enumerate_sigma_points(k, ground_size))
     # the domain tuples are built coordinate by coordinate together with the
@@ -229,17 +231,15 @@ def fiber_map(y: Point, y_prime: Point, k: int) -> FiberMap:
     return FiberMap(y, y_prime, k, assignment, n)
 
 
-def product_operator(ops, budget: int = DEFAULT_BUDGET) -> AveragingOperator:
+def product_operator(ops, budget: Budget | int = DEFAULT_BUDGET) -> AveragingOperator:
     """Operator for the product surjection; rows are products of factor rows."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one factor operator")
     if len(ops) == 1:
         return ops[0]
-    dom_size = math.prod(len(op.domain) for op in ops)
-    cod_size = math.prod(len(op.codomain) for op in ops)
-    if max(dom_size, cod_size) > budget:
-        raise BudgetExceeded(max(dom_size, cod_size), budget)
+    Budget.of(budget).charge(max(math.prod(len(op.domain) for op in ops),
+                                 math.prod(len(op.codomain) for op in ops)))
     domain = tuple(iter_product(*(op.domain for op in ops)))
     codomain = tuple(iter_product(*(op.codomain for op in ops)))
     surjection = {

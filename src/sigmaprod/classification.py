@@ -26,7 +26,7 @@ from .ground import (
     DEFAULT_BUDGET,
     EMPTY,
     OMEGA,
-    BudgetExceeded,
+    Budget,
     Point,
     ProductDescriptor,
     ProductPoint,
@@ -297,7 +297,7 @@ def cb_derivative(expr: SpaceExpression) -> SpaceExpression:
     return SpaceExpression(expr.bounds, tuple(derived))
 
 
-def cb_invariants(ks, budget: int = DEFAULT_BUDGET) -> tuple:
+def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     """Iterate the derived-set engine from the full product.
 
     Returns (first empty derivative index, point count of the last nonempty
@@ -310,14 +310,12 @@ def cb_invariants(ks, budget: int = DEFAULT_BUDGET) -> tuple:
         raise ValueError("need at least one factor")
     if any(not isinstance(k, int) or k < 0 for k in ks):
         raise ValueError("factor bounds must be non-negative integers")
+    budget = Budget.of(budget)
     expr = SpaceExpression.full(ks)
     steps = 0
-    spent = 0
     last = expr
     while not expr.is_empty:
-        spent += len(expr.terms)
-        if spent > budget:
-            raise BudgetExceeded(spent, budget)
+        budget.charge(len(expr.terms))
         last = expr
         expr = cb_derivative(expr)
         steps += 1
@@ -431,7 +429,7 @@ class Decomposition:
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
                            witnesses: tuple | None = None,
-                           budget: int = DEFAULT_BUDGET) -> Decomposition:
+                           budget: Budget | int = DEFAULT_BUDGET) -> Decomposition:
     """Clopen partition of (m-bounded space) x (n-bounded space)^omega minus one point.
 
     With m = 0 this is the partition of the omega power itself.  The pieces
@@ -451,9 +449,7 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
         raise ValueError(f"need {n} distinct witness elements")
     offset = 1 if m > 0 else 0
     # B'(j) carries one constraint, A/B(k, i) carries k + 1 + offset
-    needed = m + n * (depth * (depth - 1) // 2 + depth * (1 + offset))
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    Budget.of(budget).charge(m + n * (depth * (depth - 1) // 2 + depth * (1 + offset)))
     full_set = Point(witnesses)
     small_set = Point(witnesses[:m])
     # (F, G) at the first coordinate that misses witness i, shared by every piece
@@ -483,7 +479,7 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
 
 
 def decompose_classif_k(element: int = 0, depth: int = 6,
-                        budget: int = DEFAULT_BUDGET) -> Decomposition:
+                        budget: Budget | int = DEFAULT_BUDGET) -> Decomposition:
     """Clopen partition of the omega power of the 1-bounded space minus the
     constant-singleton sequence: piece t pins the witness into the first t
     coordinates and out of the next.  The pieces' coordinate constraints,
@@ -491,9 +487,7 @@ def decompose_classif_k(element: int = 0, depth: int = 6,
     if depth < 1:
         raise ValueError("depth must be positive")
     # piece K(t + 1) carries t + 1 constraints
-    needed = depth * (depth + 1) // 2
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    Budget.of(budget).charge(depth * (depth + 1) // 2)
     ambient = ProductDescriptor.omega_power(1)
     single = Point.of(element)
     pieces = []

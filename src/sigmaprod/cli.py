@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +17,6 @@ from pathlib import Path
 from . import averaging, classification, clopen, deltasystem, ground, uec
 
 SCHEMA = 1
-BUDGET_ENV = "SIGMAPROD_BUDGET"
 
 
 class CliError(Exception):
@@ -99,8 +97,7 @@ def _common_flags() -> _Parser:
     # SUPPRESS keeps inner defaults from clobbering values parsed earlier
     common = _Parser(add_help=False)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help=f"enumeration budget (default {ground.DEFAULT_BUDGET}, "
-                             f"env {BUDGET_ENV})")
+                        help=f"enumeration budget (default {ground.DEFAULT_BUDGET})")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled checks (default 0)")
     common.add_argument("--out", default=argparse.SUPPRESS,
@@ -171,6 +168,9 @@ def _handle_cb(args) -> dict:
 
 
 def _handle_decompose(args) -> dict:
+    for flag in ("samples", "boxes"):
+        if getattr(args, flag) < 0:
+            raise CliError(f"{flag} must be non-negative")
     if args.kind == "absorb_small":
         dec = classification.decompose_absorb_small(args.m, args.n, args.depth,
                                                     budget=args.budget)
@@ -179,10 +179,7 @@ def _handle_decompose(args) -> dict:
     # on top of the constraints, each sampled point costs its widest prefix
     # plus its tail, and each neighborhood box one unit
     width = dec.ambient.explicit_len + dec.depth
-    needed = (sum(len(p.box.constraints) for p in dec.pieces)
-              + args.samples * width + args.boxes)
-    if needed > args.budget:
-        raise ground.BudgetExceeded(needed, args.budget)
+    args.budget.charge(args.samples * width + args.boxes)
     disjoint = classification.check_pairwise_disjoint(dec)
     membership = classification.check_sample_membership(dec, args.samples, args.seed)
     boxes = classification.limit_neighborhood_boxes(dec, args.boxes, args.seed + 1)
@@ -372,7 +369,7 @@ def _handle_clopen(args) -> dict:
                 {"coord": s, "F": ground.point_to_json(f)} for s, f in reduction.removed
             ],
         }
-    preimage = clopen.preimage_under_union(box, args.k)
+    preimage = clopen.preimage_under_union(box, args.k, args.budget)
     return {
         "box": clopen.box_to_json(box),
         "k": args.k,
@@ -400,9 +397,8 @@ def _invoke(argv) -> tuple:
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise CliError("missing subcommand")
-        if not hasattr(args, "budget"):
-            args.budget = int(os.environ.get(BUDGET_ENV, ground.DEFAULT_BUDGET))
-        if args.budget <= 0:
+        args.budget = ground.Budget(getattr(args, "budget", ground.DEFAULT_BUDGET))
+        if args.budget.limit <= 0:
             raise CliError("budget must be positive")
         args.seed = getattr(args, "seed", 0)
         actions = _COMMANDS[args.command]

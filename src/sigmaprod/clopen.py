@@ -8,11 +8,14 @@ ground set; finite enumeration is only ever a test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 from .ground import (
+    DEFAULT_BUDGET,
     EMPTY,
+    Budget,
     Point,
     ProductDescriptor,
     ProductPoint,
@@ -355,12 +358,13 @@ def box_reduce(b: BasicBox) -> BoxReduction:
                         tuple(removed))
 
 
-def preimage_under_union(b: BasicBox, k: int) -> ClopenSet:
+def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUDGET) -> ClopenSet:
     """Preimage of a box under the k-fold union map from k-tuples of at-most-singletons.
 
     One box per injective placement of the F elements into coordinates: the
     receiving coordinate must contain its element (hence equals that
-    singleton), and every coordinate avoids G.
+    singleton), and every coordinate avoids G.  The placements, k!/(k - |F|)!
+    of them, are charged to ``budget`` before any box is built.
     """
     if b.ambient.omega_tail is not None or b.ambient.explicit_len != 1:
         raise ValueError("expected a box over a single factor")
@@ -369,6 +373,7 @@ def preimage_under_union(b: BasicBox, k: int) -> ClopenSet:
     if box_is_empty(b):
         raise ValueError("expected a nonempty box")
     f, g = b.constraint_at(0)
+    Budget.of(budget).charge(math.perm(k, len(f)))
     domain = ProductDescriptor.power(1, k)
     elements = list(f)
     boxes = []

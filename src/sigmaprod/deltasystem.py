@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .ground import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     EMPTY,
+    Budget,
     Point,
     ProductDescriptor,
     ProductPoint,
@@ -289,7 +289,7 @@ class CommonPointWitness:
 
 
 def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
-                         budget: int = DEFAULT_BUDGET) -> CommonPointWitness:
+                         budget: Budget | int = DEFAULT_BUDGET) -> CommonPointWitness:
     """Find one side-one label and a large side-two set with all small joint
     intersections nonempty.
 
@@ -349,9 +349,7 @@ def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
         return CommonPointWitness(False, lambda0, s_labels, m_labels, root, (), "s-size",
                                   f"only {len(s_labels)} usable labels, need {n + 1}")
     ambient = ProductDescriptor.power(n + 1, k + 1)
-    n_subsets = math.comb(len(s_labels), n + 1)
-    if n_subsets > budget:
-        raise BudgetExceeded(n_subsets, budget)
+    Budget.of(budget).charge(math.comb(len(s_labels), n + 1))
     checks = []
     all_ok = True
     for f_labels in combinations(s_labels, n + 1):

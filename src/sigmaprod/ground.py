@@ -30,6 +30,25 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
+class Budget:
+    """A running total of enumerated units against ``limit``, charged by every
+    enumeration before it runs; one meter spans all the calls of a request."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    @classmethod
+    def of(cls, budget: Budget | int) -> Budget:
+        return budget if isinstance(budget, Budget) else cls(budget)
+
+    def charge(self, units: int) -> None:
+        needed = self.spent + units
+        if needed > self.limit:
+            raise BudgetExceeded(needed, self.limit)  # and charges nothing
+        self.spent = needed
+
+
 class Omega:
     """The first infinite ordinal as a marker value (singleton ``OMEGA``)."""
 
@@ -302,13 +321,13 @@ def enumerate_sigma_points(n: int, ground_size: int) -> list:
 
 
 def materialize(desc: ProductDescriptor, ground_size: int, depth: int | None = None,
-                budget: int = DEFAULT_BUDGET) -> list:
+                budget: Budget | int = DEFAULT_BUDGET) -> list:
     """Enumerate the product over ``{0..ground_size-1}``.
 
     Omega-tail coordinates are materialized up to ``depth`` (with the tail
     value empty beyond); for finite products ``depth`` is irrelevant beyond
     the explicit factors.  The result size is the product over materialized
-    coordinates of the per-factor point counts, guarded by ``budget``.
+    coordinates of the per-factor point counts, charged to ``budget``.
     """
     if ground_size < 1:
         raise ValueError("ground_size must be at least 1")
@@ -322,8 +341,7 @@ def materialize(desc: ProductDescriptor, ground_size: int, depth: int | None = N
     total = 1
     for b in bounds:
         total *= sigma_point_count(b, ground_size)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    Budget.of(budget).charge(total)
     per_coord = [enumerate_sigma_points(b, ground_size) for b in bounds]
     return [ProductPoint(combo) for combo in iter_product(*per_coord)]
 

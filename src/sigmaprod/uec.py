@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .ground import DEFAULT_BUDGET, BudgetExceeded, GroundElement
+from .ground import DEFAULT_BUDGET, Budget, GroundElement
 
 
 def level_weight(n: int) -> Fraction:
@@ -41,17 +41,16 @@ class WeightTable:
     m: tuple
 
 
-def level_bounds(levels: int, budget: int = DEFAULT_BUDGET) -> WeightTable:
+def level_bounds(levels: int, budget: Budget | int = DEFAULT_BUDGET) -> WeightTable:
     """The weights and bounds of the first ``levels`` levels.  The digits of
     the weights grow linearly with the level, so an upper bound on the digits
     of the whole r column, Σ_{n<levels} (n·log10 2 + (n + 1)·log10 3 + 2), is
     charged to ``budget`` before any weight is built."""
     if levels < 1:
         raise ValueError("need at least one level")
-    needed = math.ceil((math.log10(2) * (levels - 1) + math.log10(3) * (levels + 1))
-                       * levels / 2) + 2 * levels
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    Budget.of(budget).charge(
+        math.ceil((math.log10(2) * (levels - 1) + math.log10(3) * (levels + 1))
+                  * levels / 2) + 2 * levels)
     r = tuple(level_weight(n) for n in range(levels))
     m = tuple(math.floor(1 / w) for w in r)
     return WeightTable(levels, r, m)
@@ -136,8 +135,8 @@ class _PreimageSearch:
     Iterating yields each solution's bits, as an int whose most significant
     of ``levels`` bits is level 0 (``_bit_tuple`` turns it into the bit
     vector), with its error phi(bits) - target times ``scale``, and keeps no
-    solution after yielding it; once the iteration ends, ``visited`` is the
-    node count charged against ``budget`` on top of ``spent``.  For one
+    solution after yielding it; its nodes are counted locally and charged to
+    ``budget`` once, at the end or when they pass the room left.  For one
     level count the ints compare like the bit vectors, so a node extends its
     bits by a shift instead of copying a tuple.
 
@@ -151,7 +150,7 @@ class _PreimageSearch:
     not bounded by the interpreter's recursion limit.
     """
 
-    def __init__(self, target, levels: int, budget: int, spent: int = 0):
+    def __init__(self, target, levels: int, budget: Budget | int):
         if levels < 1:
             raise ValueError("need at least one level")
         target = Fraction(target)
@@ -159,21 +158,20 @@ class _PreimageSearch:
             raise ValueError(f"target {target} outside [0, 1]")
         self.target = target
         self.levels = levels
-        self.budget = budget
+        self.budget = Budget.of(budget)
         self.scale = target.denominator * 3 ** levels
-        self.visited = spent
 
     def __iter__(self):
-        budget = self.budget
+        room = self.budget.limit - self.budget.spent
         tolerance = self.target.denominator << self.levels
         low = -tolerance
-        visited = self.visited
+        visited = 0
         stack = [(self.target.numerator * 3 ** self.levels, self.scale, 0)]
         while stack:
             d, reach, bits = stack.pop()
             visited += 1
-            if visited > budget:
-                raise BudgetExceeded(visited, budget)
+            if visited > room:
+                self.budget.charge(visited)  # raises
             if not low <= d <= reach:
                 continue
             if reach == tolerance:  # a leaf: no weight is left to come
@@ -185,7 +183,7 @@ class _PreimageSearch:
             # the 1-branch goes on first so the 0-branch is searched first
             stack.append((d - weight, reach, bits | 1))
             stack.append((d, reach, bits))
-        self.visited = visited
+        self.budget.charge(visited)
 
 
 _BIT_OF_DIGIT = {"0": 0, "1": 1}
@@ -196,7 +194,7 @@ def _bit_tuple(bits: int, levels: int) -> tuple:
     return tuple(map(_BIT_OF_DIGIT.__getitem__, format(bits, f"0{levels}b")))
 
 
-def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
+def phi_preimage(target, levels: int, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     """All 0/1 vectors of the given length mapping within (2/3)^levels of target.
 
     In lexicographic bit order, equal to the exhaustive enumeration; never
@@ -207,7 +205,7 @@ def phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
 
 
 def phi_preimage_head(target, levels: int, limit: int,
-                      budget: int = DEFAULT_BUDGET) -> tuple:
+                      budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     """``(count, first)``: how many vectors ``phi_preimage`` lists, and the
     first ``limit`` of them; the others are counted, not kept."""
     if limit < 0:
@@ -217,17 +215,17 @@ def phi_preimage_head(target, levels: int, limit: int,
     return len(first) + sum(1 for _solution in solutions), first
 
 
-def _best_preimage(target, levels: int, budget: int, spent: int = 0) -> tuple:
-    """``(bits, error, visited)`` for the best preimage; see ``best_phi_preimage``.
+def _best_preimage(target, levels: int, budget: Budget | int) -> tuple:
+    """``(bits, error)`` for the best preimage; see ``best_phi_preimage``.
 
     The minimum is a running one, so only the best solution so far is kept.
     """
-    search = _PreimageSearch(target, levels, budget, spent)
+    search = _PreimageSearch(target, levels, budget)
     _abs_err, bits, err = min((abs(err), bits, err) for bits, err in search)
-    return _bit_tuple(bits, levels), Fraction(err, search.scale), search.visited
+    return _bit_tuple(bits, levels), Fraction(err, search.scale)
 
 
-def best_phi_preimage(target, levels: int, budget: int = DEFAULT_BUDGET) -> tuple:
+def best_phi_preimage(target, levels: int, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     """The preimage vector minimizing the error, ties broken lexicographically."""
     return _best_preimage(target, levels, budget)[0]
 
@@ -303,21 +301,21 @@ class PipelineReport:
         return all(p.within_tolerance for p in self.points)
 
 
-def pipeline_check(points, levels: int, budget: int = DEFAULT_BUDGET) -> PipelineReport:
+def pipeline_check(points, levels: int, budget: Budget | int = DEFAULT_BUDGET) -> PipelineReport:
     """Exhibit binary-array preimages for finitely many points of the positive ball.
 
     Per point: a best coordinatewise preimage at the given truncation, its
     level counts against the M_n bounds, and the weighted-sum certificate,
     accepted up to the exact truncation slack (support size times (2/3)^levels).
-    The searches of all coordinates of all points share the one budget; the
-    weight table must fit it on its own.
+    The weight table and the searches of all coordinates of all points are
+    charged to the one budget.
     The stage log documents the factored surjection chain that carries an
     averaging operator at every finite scale.
     """
+    budget = Budget.of(budget)
     table = level_bounds(levels, budget)
     tol = truncation_tail(levels)
     witnesses = []
-    visited = 0
     for vec in points:
         if not isinstance(vec, SignedVector):
             vec = SignedVector.from_dict(vec)
@@ -328,7 +326,7 @@ def pipeline_check(points, levels: int, budget: int = DEFAULT_BUDGET) -> Pipelin
         all_bits = []
         per_coordinate = []
         for label, value in vec.coords:
-            bits, err, visited = _best_preimage(value, levels, budget, visited)
+            bits, err = _best_preimage(value, levels, budget)
             per_coordinate.append((label, value, bits, err))
             all_bits.extend((label, n) for n, bit in enumerate(bits) if bit)
         array = BinaryArray(tuple(all_bits))

@@ -236,6 +236,17 @@ def test_restrict_operator_support_check_survives_optimized_mode():
 # the operator build and check against the per-tuple versions they replaced
 
 
+def test_build_operator_takes_ground_zero_and_rejects_a_negative_ground():
+    # ground 0 is the one-point space; a negative one used to leak a KeyError
+    op = build_operator(3, 0)
+    assert op.codomain == (EMPTY,) and op.domain == ((EMPTY,) * 3,)
+    assert op.rows[EMPTY] == (((EMPTY,) * 3, Fraction(1)),)
+    for ground_size in (-1, -3):
+        message = f"ground_size must be non-negative, got {ground_size}"
+        with pytest.raises(ValueError, match=message):
+            build_operator(3, ground_size)
+
+
 def test_build_operator_matches_the_per_tuple_build():
     for k in range(1, 5):
         for g in range(1, 5):

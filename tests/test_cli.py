@@ -1,12 +1,14 @@
 import json
+import math
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
-from sigmaprod import ground, uec
-from sigmaprod.cli import build_parser, dispatch, main, render
+from sigmaprod import uec
+from sigmaprod.cli import _invoke, build_parser, dispatch, main, render
+from test_uec import fraction_preimage_search, weight_table_charge
 
 
 def run(argv):
@@ -89,16 +91,19 @@ def test_uec_pipeline_file(tmp_path):
 def test_uec_pipeline_budget_covers_the_whole_run(tmp_path):
     levels = 8
     values = ["1/3", "1/4", "1/5"]
-    costs = [uec._best_preimage(Fraction(v), levels, ground.DEFAULT_BUDGET)[2]
-             for v in values]
+    table = weight_table_charge(levels)
+    costs = [fraction_preimage_search(Fraction(v), levels)[1] for v in values]
     path = tmp_path / "points.json"
     path.write_text(json.dumps([dict(zip("012", values))]))
     argv = ["uec", "pipeline", "--points-file", str(path), "--levels", str(levels)]
-    assert run(argv + ["--budget", str(sum(costs))])[0] == 0
-    # every coordinate fits the budget alone, the three together do not
-    code, payload = run(argv + ["--budget", str(max(costs))])
+    assert run(argv + ["--budget", str(table + sum(costs))])[0] == 0
+    # the table with any one coordinate fits the budget, with all three it
+    # does not; the first coordinate costs the most, so the second runs out
+    # at its first node
+    assert costs[0] == max(costs)
+    code, payload = run(argv + ["--budget", str(table + max(costs))])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-    assert payload["error"]["needed"] == max(costs) + 1
+    assert payload["error"]["needed"] == table + max(costs) + 1
 
 
 def test_uec_preimage_memory_is_bounded():
@@ -183,6 +188,75 @@ def test_decompose_checks_count_against_the_budget():
     assert run(argv + ["--budget", str(needed)])[0] == 0
     code, payload = run(argv + ["--budget", str(needed - 1)])
     assert code == 2 and payload["error"]["needed"] == needed
+
+
+def test_decompose_rejects_negative_check_counts():
+    # used to exit 0 with "total": -5, "ok": false, and a lowered charge
+    for flags in (["--samples", "-5"], ["--boxes", "-3"], ["--samples", "-5", "--boxes", "-3"]):
+        code, payload = run(["decompose", "--kind", "classif_K", "--depth", "2", *flags])
+        assert code == 1 and payload["error"]["type"] == "usage"
+        assert payload["error"]["message"] == f"{flags[0][2:]} must be non-negative"
+
+
+def test_clopen_preimage_counts_against_the_budget():
+    # its 30!/21! placements used to be built under any budget, for well over 10 s
+    started = time.monotonic()
+    code, payload = run(["clopen", "preimage", "--box", "[0: F={0,1,2,3,4,5,6,7,8} G={}] @ 30",
+                         "--k", "30", "--budget", "10"])
+    assert time.monotonic() - started < 2
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    assert payload["error"]["needed"] == math.perm(30, 9)
+
+
+def test_avg_rejects_a_negative_ground():
+    # used to answer {"type": "invalid-input", "message": "0"} from a KeyError
+    code, payload = run(["avg", "build", "--k", "3", "--ground", "-3"])
+    assert code == 1 and payload["error"] == {
+        "type": "invalid-input", "message": "ground_size must be non-negative, got -3"}
+    code, payload = run(["avg", "build", "--k", "3", "--ground", "0"])
+    assert code == 0 and payload["rows"] == [{"y": [], "terms": [[[[], [], []], 1, 1]]}]
+
+
+def test_each_request_charges_its_documented_count(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps([{"0": "1/3", "1": "1/4"}, {"0": "1/5"}]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"side_g": {"100": [[], []]},
+                                "side_h": {str(mu): [[], []] for mu in range(4)}}))
+    family = tmp_path / "family.txt"
+    family.write_text("1: {1,2}\n2: {1,3}\n")
+    bits = tmp_path / "bits.json"
+    bits.write_text("[[0, 0]]")
+    levels = 8
+    searches = [fraction_preimage_search(Fraction(v), levels)[1] for v in ("1/3", "1/4", "1/5")]
+    cases = [
+        # every vector v <= ks is a term of exactly one stage
+        (["cb", "--ks", "2,3"], 3 * 4),
+        # constraints 1 + ... + 4, then each sample its 4 coordinates, each box one
+        (["decompose", "--kind", "classif_K", "--depth", "4", "--samples", "60",
+          "--boxes", "8"], 10 + 60 * 4 + 8),
+        # the domain (ground + 1)^k
+        (["avg", "check", "--k", "2", "--ground", "3"], 4 ** 2),
+        # every node of the search
+        (["uec", "preimage", "--target", "1/3", "--levels", str(levels)],
+         fraction_preimage_search(Fraction(1, 3), levels)[1]),
+        (["uec", "bounds", "--levels", str(levels)], weight_table_charge(levels)),
+        (["uec", "pipeline", "--points-file", str(points), "--levels", str(levels)],
+         weight_table_charge(levels) + sum(searches)),
+        # each (n + 1)-subset of the four usable labels
+        (["ds", "witness", "--spec", str(spec), "--n", "1", "--k", "1"], math.comb(4, 2)),
+        # each placement of F's elements: 3 * 2
+        (["clopen", "preimage", "--box", "[0: F={0,1} G={}] @ 3", "--k", "3"], 6),
+        # no enumeration
+        (["classify", "--tau", "w,w", "--tau2", "5,w"], 0),
+        (["uec", "phi", "--bits", "101"], 0),
+        (["uec", "l0", "--bits-file", str(bits)], 0),
+        (["ds", "extract", "--family", str(family), "--petals", "2"], 0),
+        (["clopen", "reduce", "--box", "[0: F={0} G={}] @ 3"], 0),
+    ]
+    for argv, spent in cases:
+        code, _payload, args = _invoke(argv)
+        assert (code, args.budget.spent) == (0, spent), argv
 
 
 def test_uec_bounds_counts_its_digits_against_the_budget():

@@ -22,6 +22,7 @@ from sigmaprod.clopen import (
 )
 from sigmaprod.ground import (
     EMPTY,
+    BudgetExceeded,
     Point,
     ProductDescriptor,
     ProductPoint,
@@ -151,6 +152,15 @@ def test_preimage_of_full_box_is_full():
 def test_preimage_of_two_forced_elements():
     pre = preimage_under_union(single_box(2, (0, 1), ()), 2)
     assert len(pre.boxes) == 2
+
+
+def test_preimage_charges_its_placements_before_building():
+    # k!/(k - |F|)! placements: 4 * 3 here
+    box = single_box(4, (0, 1), (5,))
+    assert len(preimage_under_union(box, 4, budget=12).boxes) == 12
+    with pytest.raises(BudgetExceeded) as info:
+        preimage_under_union(box, 4, budget=11)
+    assert info.value.needed == 12
 
 
 def union_of(x):

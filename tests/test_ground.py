@@ -1,4 +1,6 @@
+import inspect
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from sigmaprod.ground import (
     EMPTY,
     OMEGA,
+    Budget,
     BudgetExceeded,
     Point,
     ProductDescriptor,
@@ -22,6 +25,10 @@ from sigmaprod.ground import (
     parse_tau,
     sigma_point_count,
 )
+from sigmaprod.averaging import build_operator
+from sigmaprod.classification import decompose_classif_k
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sigmaprod"
 
 tau_values = st.one_of(st.integers(0, 4), st.just(OMEGA))
 taus = st.builds(
@@ -187,3 +194,36 @@ def test_materialize_omega_tail_depth():
 def test_materialize_budget_guard():
     with pytest.raises(BudgetExceeded):
         materialize(ProductDescriptor.power(3, 3), 5, budget=10)
+
+
+def test_budget_charges_a_running_total():
+    b = Budget(10)
+    b.charge(4)
+    b.charge(6)
+    assert b.spent == 10
+    with pytest.raises(BudgetExceeded) as info:
+        b.charge(1)
+    assert (info.value.needed, info.value.budget) == (11, 10)
+    # a failed charge charges nothing
+    assert b.spent == 10
+    assert Budget.of(b) is b
+    assert Budget.of(7).limit == 7 and Budget.of(7).spent == 0
+
+
+def test_one_budget_spans_library_calls():
+    b = Budget(100)
+    decompose_classif_k(0, 6, budget=b)
+    # the pieces' constraints, 1 + 2 + ... + 6, then the domain (3 + 1)^2
+    build_operator(2, 3, budget=b)
+    assert b.spent == 21 + 16
+    with pytest.raises(BudgetExceeded) as info:
+        build_operator(2, 8, budget=b)
+    assert info.value.needed == 21 + 16 + 81 and b.spent == 37
+
+
+def test_only_the_budget_raises_budget_exceeded():
+    # every enumeration charges the one meter instead of checking on its own
+    raises = {path.name: path.read_text().count("raise BudgetExceeded")
+              for path in SRC.glob("*.py")}
+    assert sum(raises.values()) == 1
+    assert "raise BudgetExceeded" in inspect.getsource(Budget.charge)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product as iter_product
@@ -226,6 +227,12 @@ def fraction_preimage_search(target, levels):
     return tuple(solutions), visited
 
 
+def weight_table_charge(levels):
+    """What ``level_bounds`` charges: an upper bound on the digits of its r column."""
+    return math.ceil((math.log10(2) * (levels - 1) + math.log10(3) * (levels + 1))
+                     * levels / 2) + 2 * levels
+
+
 def exhaustive_best(target, levels):
     """Minimum over all 2^levels vectors by (|error|, bits)."""
     values = [Fraction(0)]
@@ -308,13 +315,18 @@ def test_pipeline_charges_one_budget_for_the_run():
     levels = 8
     values = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
     costs = [fraction_preimage_search(v, levels)[1] for v in values]
+    # the weight table and the search of every coordinate share one total
+    total = weight_table_charge(levels) + sum(costs)
     point = SignedVector.from_dict(dict(enumerate(values)))
-    pipeline_check([point], levels, budget=sum(costs))
+    pipeline_check([point], levels, budget=total)
     with pytest.raises(BudgetExceeded) as info:
-        pipeline_check([point], levels, budget=sum(costs) - 1)
-    assert info.value.needed == sum(costs)
+        pipeline_check([point], levels, budget=total - 1)
+    assert info.value.needed == total
     # the budget runs across points too, not per point
     singles = [SignedVector.from_dict({0: v}) for v in values]
-    pipeline_check(singles, levels, budget=sum(costs))
-    with pytest.raises(BudgetExceeded):
-        pipeline_check(singles, levels, budget=max(costs))
+    pipeline_check(singles, levels, budget=total)
+    assert costs[0] == max(costs)
+    with pytest.raises(BudgetExceeded) as info:
+        pipeline_check(singles, levels, budget=weight_table_charge(levels) + costs[0])
+    # the second point runs out at its first node
+    assert info.value.needed == weight_table_charge(levels) + costs[0] + 1
