@@ -23,8 +23,9 @@ from .ground import (
     Budget,
     Point,
     enumerate_sigma_points,
-    point_to_json,
 )
+# bound by this name in bench/tracing.py
+from .encode import operator_to_json  # noqa: F401
 
 
 def apply_union(xs) -> Point:
@@ -312,30 +313,3 @@ def locality_profile(op: AveragingOperator, f_set: Point) -> LocalityProfile:
         else:
             table[key] = dist
     return LocalityProfile(not conflicts, table, tuple(conflicts))
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-
-
-def _index_to_json(x):
-    if isinstance(x, Point):
-        return point_to_json(x)
-    return [_index_to_json(part) for part in x]
-
-
-def operator_to_json(op: AveragingOperator) -> dict:
-    return {
-        "rows": [
-            {
-                "y": _index_to_json(y),
-                "terms": [
-                    [_index_to_json(x), w.numerator, w.denominator]
-                    for x, w in op.rows[y]
-                ],
-            }
-            for y in op.codomain
-        ],
-        "domain_size": len(op.domain),
-        "codomain_size": len(op.codomain),
-    }

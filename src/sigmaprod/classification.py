@@ -19,8 +19,10 @@ point, so every claim is machine-checkable.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .ground import (
     DEFAULT_BUDGET,
@@ -32,11 +34,10 @@ from .ground import (
     ProductPoint,
     TauSequence,
     TauValue,
-    descriptor_to_json,
     i_of,
     is_omega,
     j_of,
-    value_to_json,
+    type_signature,
 )
 from .clopen import (
     BasicBox,
@@ -48,6 +49,8 @@ from .clopen import (
     box_is_empty,
     box_reduce,
 )
+# bound by this name in bench/tracing.py
+from .encode import decomposition_to_json  # noqa: F401
 
 HOMEOMORPHIC = "HOMEOMORPHIC"
 NOT_HOMEOMORPHIC = "NOT_HOMEOMORPHIC"
@@ -118,8 +121,7 @@ def normal_form(tau: TauSequence) -> NormalForm:
     return NormalForm(i, entries, tau.tail)
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     outcome: str
     rule: str
     detail: str
@@ -157,11 +159,12 @@ COUNTABLE_VERSUS_PERFECT = ClassificationVerdict(
 class _Invariants:
     """Everything ``classify`` reads of one sequence, computed once.
 
-    ``i`` and ``j`` are the JSON forms of the omega-threshold and the support
-    bound, which compare like the values and render as the verdicts print
-    them; with ``upper`` and ``tail``, the exponents above i, they make up the
-    normal form.  ``index`` is the derivation index 1 + sum of n * v of a
-    finite product (finitely many nontrivial factors) and None otherwise.
+    ``i`` and ``j`` are the text forms ("w" for omega) of the omega-threshold
+    and the support bound, interned so that sequences share them; they
+    compare like the values and read as the verdicts print them.  With
+    ``upper`` and ``tail``, the exponents above i, they make up the normal
+    form.  ``index`` is the derivation index 1 + sum of n * v of a finite
+    product (finitely many nontrivial factors) and None otherwise.
     """
 
     __slots__ = ("i", "j", "upper", "tail", "saturated", "j_finite", "index")
@@ -169,8 +172,8 @@ class _Invariants:
     def __init__(self, tau: TauSequence):
         nf = normal_form(tau)
         j = j_of(tau)
-        self.i = value_to_json(nf.i)
-        self.j = value_to_json(j)
+        self.i = sys.intern(str(nf.i))
+        self.j = sys.intern(str(j))
         self.upper = nf.upper_entries
         self.tail = nf.upper_tail
         self.saturated = is_omega(nf.i)
@@ -389,12 +392,6 @@ def recover_tau(profile: dict) -> NormalForm:
 
 # ---------------------------------------------------------------------------
 # decomposition witnesses
-
-
-def type_signature(desc: ProductDescriptor) -> ProductDescriptor:
-    """Descriptor modulo homeomorphism-preserving rewrites: one-point factors
-    drop out and the order of the explicit factors is irrelevant."""
-    return ProductDescriptor(tuple(sorted(n for n in desc.factors if n > 0)), desc.omega_tail)
 
 
 @dataclass(frozen=True)
@@ -712,39 +709,3 @@ def retract_witness(k: int, fixed: Point) -> RetractWitness:
     ambient = ProductDescriptor.single(k)
     image = BasicBox.make(ambient, {0: (fixed, EMPTY)})
     return RetractWitness(k, fixed, image)
-
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-
-def verdict_to_json(v: ClassificationVerdict) -> dict:
-    return {"outcome": v.outcome, "rule": v.rule, "detail": v.detail}
-
-
-def normal_form_to_json(nf: NormalForm) -> dict:
-    return {
-        "omega_threshold": value_to_json(nf.i),
-        "upper_entries": [[n, v] for n, v in nf.upper_entries],
-        "upper_tail": nf.upper_tail,
-    }
-
-
-def decomposition_to_json(dec: Decomposition) -> dict:
-    boxes = dec.index.to_json()
-    return {
-        "kind": dec.kind,
-        "ambient": descriptor_to_json(dec.ambient),
-        "limit_point": str(dec.limit_point),
-        "witnesses": list(dec.witnesses),
-        "depth": dec.depth,
-        "pieces": [
-            {
-                "label": p.label,
-                "box": box,
-                "type": descriptor_to_json(p.claimed_type),
-                "type_signature": descriptor_to_json(type_signature(p.claimed_type)),
-            }
-            for p, box in zip(dec.pieces, boxes)
-        ],
-    }

@@ -1,8 +1,8 @@
 """Command-line front end: every subcommand prints one JSON document.
 
 Exit codes: 0 success, 1 structured error (bad flags, malformed input,
-precondition failure), 2 enumeration budget exhausted.  Identical flags and
-seed give byte-identical output.
+precondition failure, an answer too large to write), 2 enumeration budget
+exhausted.  Identical flags and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import averaging, classification, clopen, deltasystem, ground, uec
+from . import averaging, classification, clopen, deltasystem, encode, ground, uec
 
 SCHEMA = 1
 
@@ -149,12 +149,12 @@ def _handle_classify(args) -> dict:
     tau2 = ground.parse_tau(args.tau2)
     verdict = classification.classify(tau, tau2, args.gamma)
     return {
-        **classification.verdict_to_json(verdict),
+        **encode.verdict(verdict),
         "gamma": args.gamma,
-        "tau": ground.tau_to_json(tau),
-        "tau2": ground.tau_to_json(tau2),
-        "normal_form": classification.normal_form_to_json(classification.normal_form(tau)),
-        "normal_form2": classification.normal_form_to_json(classification.normal_form(tau2)),
+        "tau": encode.tau(tau),
+        "tau2": encode.tau(tau2),
+        "normal_form": encode.normal_form(classification.normal_form(tau)),
+        "normal_form2": encode.normal_form(classification.normal_form(tau2)),
     }
 
 
@@ -185,23 +185,8 @@ def _handle_decompose(args) -> dict:
     boxes = classification.limit_neighborhood_boxes(dec, args.boxes, args.seed + 1)
     cofinite = classification.check_limit_cofinite(dec, boxes)
     return {
-        **classification.decomposition_to_json(dec),
-        "checks": {
-            "pairwise_disjoint": not disjoint,
-            "disjoint_violations": [list(p) for p in disjoint],
-            "membership": {
-                "total": membership.total,
-                "in_piece": membership.in_piece,
-                "at_limit": membership.at_limit,
-                "unresolved": len(membership.unresolved),
-                "ok": membership.ok,
-            },
-            "limit_cofinite": {
-                "boxes": cofinite.boxes,
-                "violations": len(cofinite.violations),
-                "ok": cofinite.ok,
-            },
-        },
+        **encode.decomposition_to_json(dec),
+        "checks": encode.decomposition_checks(disjoint, membership, cofinite),
         "seed": args.seed,
     }
 
@@ -209,18 +194,9 @@ def _handle_decompose(args) -> dict:
 def _handle_avg(args) -> dict:
     op = averaging.build_operator(args.k, args.ground, args.budget)
     if args.action == "build":
-        return {"k": args.k, "ground": args.ground, **averaging.operator_to_json(op)}
+        return {"k": args.k, "ground": args.ground, **encode.operator_to_json(op)}
     if args.action == "check":
-        report = op.check()
-        return {
-            "k": args.k,
-            "ground": args.ground,
-            "rao_axioms": "pass" if report.ok else "fail",
-            "unital": report.unital,
-            "positive": report.positive,
-            "section": report.section,
-            "fiber_supported": report.fiber_supported,
-        }
+        return {"k": args.k, "ground": args.ground, **encode.rao_check(op.check())}
     raw = _read_json(args.f)
     f = {}
     try:
@@ -232,15 +208,8 @@ def _handle_avg(args) -> dict:
     missing = [x for x in op.domain if x not in f]
     if missing:
         raise CliError(f"function file misses {len(missing)} domain points")
-    result = op.apply(f)
-    return {
-        "k": args.k,
-        "ground": args.ground,
-        "values": [
-            {"y": ground.point_to_json(y), "value": uec.fraction_to_json(result[y])}
-            for y in op.codomain
-        ],
-    }
+    return {"k": args.k, "ground": args.ground,
+            "values": encode.function_values(op.codomain, op.apply(f))}
 
 
 def _handle_uec(args) -> dict:
@@ -250,7 +219,7 @@ def _handle_uec(args) -> dict:
         bits = tuple(int(b) for b in args.bits)
         levels = args.levels if args.levels is not None else max(len(bits), 1)
         value = uec.phi(bits, levels)
-        return {"bits": list(bits), "levels": levels, "value": uec.fraction_to_json(value)}
+        return {"bits": list(bits), "levels": levels, "value": encode.fraction(value)}
     if args.action == "preimage":
         if args.limit < 0:
             raise CliError("limit must be non-negative")
@@ -259,7 +228,7 @@ def _handle_uec(args) -> dict:
         return {
             "target": args.target,
             "levels": args.levels,
-            "tolerance": uec.fraction_to_json(uec.truncation_tail(args.levels)),
+            "tolerance": encode.fraction(uec.truncation_tail(args.levels)),
             "count": count,
             "solutions": [list(bits) for bits in first],
         }
@@ -269,19 +238,9 @@ def _handle_uec(args) -> dict:
             array = uec.BinaryArray(tuple((int(el), int(lvl)) for el, lvl in raw))
         except (TypeError, ValueError):
             raise CliError("malformed bits file; expected [[element, level], …]") from None
-        cert = uec.in_L0(array)
-        return {
-            "member": cert.member,
-            "total": uec.fraction_to_json(cert.total),
-            "counts": {str(n): c for n, c in cert.counts.items()},
-        }
+        return encode.l0_certificate(uec.in_L0(array, args.budget))
     if args.action == "bounds":
-        table = uec.level_bounds(args.levels, args.budget)
-        return {
-            "levels": args.levels,
-            "r": [uec.fraction_to_json(w) for w in table.r],
-            "M": list(table.m),
-        }
+        return encode.weight_table(uec.level_bounds(args.levels, args.budget))
     raw = _read_json(args.points_file)
     try:
         points = [
@@ -291,8 +250,7 @@ def _handle_uec(args) -> dict:
         ]
     except (TypeError, ValueError, AttributeError):
         raise CliError("malformed points file; expected [{label: rational}, …]") from None
-    report = uec.pipeline_check(points, args.levels, args.budget)
-    return uec.pipeline_report_to_json(report)
+    return encode.pipeline_report(uec.pipeline_check(points, args.levels, args.budget))
 
 
 def _parse_family_file(path: str) -> deltasystem.SetFamily:
@@ -318,18 +276,7 @@ def _handle_ds(args) -> dict:
     if args.action == "extract":
         fam = _parse_family_file(args.family)
         result = deltasystem.extract_delta_system(fam, args.petals)
-        payload = {
-            "family_size": len(fam),
-            "petals_requested": args.petals,
-            "max_petals": result.max_petals,
-            "method": result.method,
-            "found": result.ok,
-        }
-        if result.system is not None:
-            payload["root"] = ground.point_to_json(result.system.root)
-            payload["petal_labels"] = [str(l) for l in result.system.petal_labels]
-            payload["petal_size"] = result.system.petal_size
-        return payload
+        return encode.delta_extraction(result, len(fam), args.petals)
     raw = _read_json(args.spec)
     try:
         side_g, side_h = (
@@ -341,41 +288,18 @@ def _handle_ds(args) -> dict:
         raise CliError("malformed spec file; expected side_g / side_h objects") from None
     spec = deltasystem.NeighborhoodSpec(args.k, side_g, side_h)
     result = deltasystem.common_point_witness(spec, args.n, args.k, args.budget)
-    return {
-        "ok": result.ok,
-        "lambda0": result.lambda0,
-        "s_labels": [str(l) for l in result.s_labels],
-        "m_labels": [str(l) for l in result.m_labels],
-        "root": ground.point_to_json(result.root) if result.root is not None else None,
-        "failed_stage": result.failed_stage,
-        "detail": result.detail,
-        "checks": [
-            {"F": [str(l) for l in f_labels], "nonempty": nonempty, "witnessed": witnessed}
-            for f_labels, nonempty, witnessed in result.checks
-        ],
-    }
+    return encode.common_point(result)
 
 
 def _handle_clopen(args) -> dict:
     box = clopen.parse_box(args.box)
     if args.action == "empty":
-        return {"box": clopen.box_to_json(box), "empty": clopen.box_is_empty(box)}
+        return {"box": encode.box(box), "empty": clopen.box_is_empty(box)}
     if args.action == "reduce":
-        reduction = clopen.box_reduce(box)
-        return {
-            "box": clopen.box_to_json(box),
-            "descriptor": ground.descriptor_to_json(reduction.descriptor),
-            "removed": [
-                {"coord": s, "F": ground.point_to_json(f)} for s, f in reduction.removed
-            ],
-        }
+        return {"box": encode.box(box), **encode.box_reduction(clopen.box_reduce(box))}
     preimage = clopen.preimage_under_union(box, args.k, args.budget)
-    return {
-        "box": clopen.box_to_json(box),
-        "k": args.k,
-        "preimage": clopen.clopen_to_json(preimage),
-        "count": len(preimage),
-    }
+    return {"box": encode.box(box), "k": args.k,
+            "preimage": encode.clopen_set(preimage), "count": len(preimage)}
 
 
 _HANDLERS = {
@@ -411,6 +335,8 @@ def _invoke(argv) -> tuple:
     except ground.BudgetExceeded as exc:
         code, error = 2, {"type": "budget-exceeded", "message": str(exc),
                           "needed": exc.needed, "budget": exc.budget}
+    except encode.OutputTooLarge as exc:
+        code, error = 1, {"type": "output-too-large", "message": str(exc)}
     except CliError as exc:
         code, error = 1, {"type": "usage", "message": str(exc)}
     except (ValueError, KeyError) as exc:

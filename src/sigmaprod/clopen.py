@@ -19,12 +19,10 @@ from .ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
-    descriptor_to_json,
     format_descriptor,
     parse_descriptor,
     parse_point,
     point_in_ambient,
-    point_to_json,
 )
 
 
@@ -262,18 +260,12 @@ class BoxIndex:
             hits &= free
         return list(_bits(hits))
 
-    def to_json(self) -> list:
-        """``box_to_json`` of every box, in order.  The boxes share one ambient
-        object, and each distinct constraint is encoded once."""
-        ambient_json = descriptor_to_json(self.ambient)
-        forms = [[] for _ in range(self.size)]
-        # coordinates ascend, so each box collects its constraints in order
+    def distinct_constraints(self):
+        """Each distinct constraint as (s, F, G, indices of the boxes that
+        carry it), coordinates ascending."""
         for s, (_bound, _free, _pending, groups) in self.coords.items():
             for f, g, _mask, members in groups:
-                form = _constraint_forms(s, f, g)
-                for i in members:
-                    forms[i].append(form)
-        return [_box_json(ambient_json, box_forms) for box_forms in forms]
+                yield s, f, g, members
 
     def not_within(self, box: BasicBox) -> list:
         """Indices of the boxes not contained in ``box``."""
@@ -408,17 +400,15 @@ def union_membership_cover(target: ClopenSet) -> CoverWitness:
 
 
 # ---------------------------------------------------------------------------
-# text and JSON forms
+# text forms
 
 
-def _constraint_forms(s: int, f: Point, g: Point) -> tuple:
-    """The JSON object and the text fragment of the constraint (s, F, G)."""
-    return ({"coord": s, "F": point_to_json(f), "G": point_to_json(g)},
-            f"{s}: F={f} G={g}")
+def format_constraint(s: int, f: Point, g: Point) -> str:
+    return f"{s}: F={f} G={g}"
 
 
 def format_box(b: BasicBox) -> str:
-    inner = "; ".join(_constraint_forms(s, f, g)[1] for s, f, g in b.constraints)
+    inner = "; ".join(format_constraint(s, f, g) for s, f, g in b.constraints)
     return f"[{inner}] @ {format_descriptor(b.ambient)}"
 
 
@@ -444,24 +434,3 @@ def parse_box(text: str) -> BasicBox:
             constraints.append((coord, parse_point(f_tok), parse_point(g_tok)))
     # BasicBox merges repeated coordinates
     return BasicBox(ambient, tuple(constraints))
-
-
-def _box_json(ambient_json: dict, forms) -> dict:
-    """A box's JSON form from its ambient's and its constraints' forms."""
-    return {
-        "ambient": ambient_json,
-        "constraints": [obj for obj, _text in forms],
-        "text": "[" + "; ".join([text for _obj, text in forms]) + "] @ " + ambient_json["text"],
-    }
-
-
-def box_to_json(b: BasicBox) -> dict:
-    return _box_json(descriptor_to_json(b.ambient),
-                     [_constraint_forms(s, f, g) for s, f, g in b.constraints])
-
-
-def clopen_to_json(c: ClopenSet) -> dict:
-    return {
-        "ambient": descriptor_to_json(c.ambient),
-        "boxes": [box_to_json(b) for b in c.boxes],
-    }

@@ -205,6 +205,12 @@ class ProductDescriptor:
         raise IndexError(f"coordinate {s} outside a product with {len(self.factors)} factors")
 
 
+def type_signature(desc: ProductDescriptor) -> ProductDescriptor:
+    """Descriptor modulo homeomorphism-preserving rewrites: one-point factors
+    drop out and the order of the explicit factors is irrelevant."""
+    return ProductDescriptor(tuple(sorted(n for n in desc.factors if n > 0)), desc.omega_tail)
+
+
 @dataclass(frozen=True)
 class ProductPoint:
     """A point of a product, as a finite prefix plus an eventually-constant tail.
@@ -421,31 +427,3 @@ def parse_descriptor(text: str) -> ProductDescriptor:
         else:
             raise ValueError(f"malformed descriptor {text!r}")
     return ProductDescriptor(tuple(factors), tail)
-
-
-# ---------------------------------------------------------------------------
-# JSON mirrors (used by the CLI; plain JSON-native values only)
-
-
-def value_to_json(v: TauValue):
-    return "w" if is_omega(v) else v
-
-
-def point_to_json(p: Point) -> list:
-    return list(p)
-
-
-def tau_to_json(tau: TauSequence) -> dict:
-    return {
-        "entries": [[idx, value_to_json(val)] for idx, val in tau.entries],
-        "tail": value_to_json(tau.tail),
-        "text": format_tau(tau),
-    }
-
-
-def descriptor_to_json(desc: ProductDescriptor) -> dict:
-    return {
-        "factors": list(desc.factors),
-        "omega_tail": desc.omega_tail,
-        "text": format_descriptor(desc),
-    }

@@ -41,6 +41,14 @@ class WeightTable:
     m: tuple
 
 
+def weight_digits(n: int) -> int:
+    """An upper bound on the digits of r_n = 2^n / 3^(n + 1), written "p/q":
+    n·log10 2 + (n + 1)·log10 3 + 2, rounded up.  The logarithms are rounded
+    up to five places and the sum is taken in integers, so a level of any
+    size can be charged."""
+    return -(-(30103 * n + 47713 * (n + 1)) // 100_000) + 2
+
+
 def level_bounds(levels: int, budget: Budget | int = DEFAULT_BUDGET) -> WeightTable:
     """The weights and bounds of the first ``levels`` levels.  The digits of
     the weights grow linearly with the level, so an upper bound on the digits
@@ -269,10 +277,18 @@ class L0Certificate:
     counts: dict
 
 
-def in_L0(x: BinaryArray) -> L0Certificate:
-    """Membership in the l1-ball preimage: sum of r_n * N_n(x) at most 1."""
+def in_L0(x: BinaryArray, budget: Budget | int = DEFAULT_BUDGET) -> L0Certificate:
+    """Membership in the l1-ball preimage: sum of r_n * N_n(x) at most 1.
+    ``weight_digits`` of each distinct level is charged to ``budget`` before
+    any weight is built."""
     counts = support_counts(x)
-    total = sum((level_weight(n) * c for n, c in counts.items()), Fraction(0))
+    Budget.of(budget).charge(sum(map(weight_digits, counts)))
+    return _certificate(counts, {n: level_weight(n) for n in counts})
+
+
+def _certificate(counts: dict, weights) -> L0Certificate:
+    """The certificate of the level counts, with r_n read from ``weights[n]``."""
+    total = sum((weights[n] * c for n, c in counts.items()), Fraction(0))
     return L0Certificate(total <= 1, total, counts)
 
 
@@ -330,7 +346,8 @@ def pipeline_check(points, levels: int, budget: Budget | int = DEFAULT_BUDGET) -
             per_coordinate.append((label, value, bits, err))
             all_bits.extend((label, n) for n, bit in enumerate(bits) if bit)
         array = BinaryArray(tuple(all_bits))
-        cert = in_L0(array)
+        # every level is below ``levels``, so the charged table has its weight
+        cert = _certificate(support_counts(array), table.r)
         slack = tol * len(vec.coords)
         bounds_ok = all(cert.counts.get(n, 0) <= table.m[n] for n in range(levels))
         witnesses.append(PointWitness(
@@ -367,46 +384,3 @@ def pipeline_check(points, levels: int, budget: Budget | int = DEFAULT_BUDGET) -
         },
     )
     return PipelineReport(levels, tol, table, tuple(witnesses), stages)
-
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-
-def fraction_to_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def signed_vector_to_json(v: SignedVector) -> dict:
-    return {str(label): fraction_to_json(value) for label, value in v.coords}
-
-
-def pipeline_report_to_json(report: PipelineReport) -> dict:
-    return {
-        "levels": report.levels,
-        "tolerance_per_coordinate": fraction_to_json(report.tolerance_per_coordinate),
-        "bounds": list(report.table.m),
-        "ok": report.ok,
-        "points": [
-            {
-                "vector": signed_vector_to_json(w.vector),
-                "bits": [[el, lvl] for el, lvl in w.bits.bits],
-                "per_coordinate": [
-                    {
-                        "label": str(label),
-                        "target": fraction_to_json(value),
-                        "bits": list(bits),
-                        "error": fraction_to_json(err),
-                    }
-                    for label, value, bits, err in w.per_coordinate
-                ],
-                "weighted_sum": fraction_to_json(w.l0_total),
-                "strictly_inside": w.strict_l0,
-                "within_tolerance": w.within_tolerance,
-                "level_counts": {str(n): c for n, c in w.level_counts.items()},
-                "bounds_ok": w.bounds_ok,
-            }
-            for w in report.points
-        ],
-        "stages": list(report.stages),
-    }

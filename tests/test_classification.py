@@ -44,8 +44,8 @@ from sigmaprod.ground import (
     j_of,
     materialize,
     parse_tau,
-    value_to_json,
 )
+from sigmaprod.encode import value as value_to_json
 
 
 def tau(*values, tail=0):
@@ -295,6 +295,13 @@ def test_classify_keeps_the_invariants_on_each_sequence_object():
     # an equal but new object computes its own, through normal_form
     assert classify(parse_tau("1,w,2"), b) == classify(a, b)
     assert normal_form.cache_info().misses == 1
+
+
+def test_verdicts_are_named_tuples():
+    verdict = classify(parse_tau("1"), parse_tau("2"))
+    assert isinstance(verdict, tuple)
+    assert verdict._fields == ("outcome", "rule", "detail")
+    assert verdict == ClassificationVerdict(*verdict)
 
 
 # ---------------------------------------------------------------------------

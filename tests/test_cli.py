@@ -6,7 +6,7 @@ import sys
 import time
 from fractions import Fraction
 
-from sigmaprod import uec
+from sigmaprod import encode, uec
 from sigmaprod.cli import _invoke, build_parser, dispatch, main, render
 from test_uec import fraction_preimage_search, weight_table_charge
 
@@ -250,7 +250,7 @@ def test_each_request_charges_its_documented_count(tmp_path):
         # no enumeration
         (["classify", "--tau", "w,w", "--tau2", "5,w"], 0),
         (["uec", "phi", "--bits", "101"], 0),
-        (["uec", "l0", "--bits-file", str(bits)], 0),
+        (["uec", "l0", "--bits-file", str(bits)], 3),  # weight_digits(0), for r_0 = 1/3
         (["ds", "extract", "--family", str(family), "--petals", "2"], 0),
         (["clopen", "reduce", "--box", "[0: F={0} G={}] @ 3"], 0),
     ]
@@ -267,7 +267,7 @@ def test_uec_bounds_counts_its_digits_against_the_budget():
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
     for levels in (1, 2, 7, 40, 300):
         code, payload = run(["uec", "bounds", "--levels", str(levels)])
-        assert code == 0 and payload["r"] == [uec.fraction_to_json(uec.level_weight(n))
+        assert code == 0 and payload["r"] == [encode.fraction(uec.level_weight(n))
                                               for n in range(levels)]
         # the charge bounds the digits of the r column from above
         digits = sum(len(w) - len("/") for w in payload["r"])
@@ -275,6 +275,42 @@ def test_uec_bounds_counts_its_digits_against_the_budget():
         assert digits <= needed["error"]["needed"] <= digits + 2 * levels
         argv = ["uec", "bounds", "--levels", str(levels), "--budget"]
         assert run(argv + [str(needed["error"]["needed"])]) == (code, payload)
+
+
+def test_uec_l0_counts_its_weights_digits_against_the_budget(tmp_path):
+    path = tmp_path / "bits.json"
+    argv = ["uec", "l0", "--bits-file", str(path)]
+    for level in (20000, 3000000, 10 ** 400):
+        path.write_text(json.dumps([[0, level]]))
+        started = time.monotonic()
+        code, payload = run(argv + ["--budget", "10"])
+        assert time.monotonic() - started < 2
+        assert code == 2 and payload["error"]["needed"] == uec.weight_digits(level)
+    # the weight at level 3000000 has 2.3 million digits, past the default budget
+    started = time.monotonic()
+    code, payload = run(argv)
+    assert time.monotonic() - started < 2
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    # each distinct level is charged once, before any weight is built
+    path.write_text(json.dumps([[0, 5], [1, 5], [2, 300]]))
+    needed = uec.weight_digits(5) + uec.weight_digits(300)
+    assert run(argv + ["--budget", str(needed - 1)])[1]["error"]["needed"] == needed
+    assert run(argv + ["--budget", str(needed)])[0] == 0
+    # and the charge bounds the digits of the weight from above
+    for n in range(400):
+        digits = len(encode.fraction(uec.level_weight(n))) - len("/")
+        assert digits <= uec.weight_digits(n) <= digits + 2
+
+
+def test_a_rational_too_long_to_write_is_output_too_large(tmp_path):
+    # the input is valid; the interpreter writes no int of more than 4300 digits
+    code, payload = run(["uec", "bounds", "--levels", "10000", "--budget", "100000000"])
+    assert code == 1 and payload["error"]["type"] == "output-too-large"
+    path = tmp_path / "bits.json"
+    path.write_text(json.dumps([[0, 20000]]))
+    code, payload = run(["uec", "l0", "--bits-file", str(path)])
+    assert code == 1 and payload["error"]["type"] == "output-too-large"
+    assert f"{sys.get_int_max_str_digits()} digits" in payload["error"]["message"]
 
 
 def test_clopen_subcommands():

@@ -113,6 +113,9 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_is_byte_identical(name, tmp_path):
     assert run_case(name, tmp_path) == _golden()[name]
+    # the payload holds JSON-native values only, so rendering loses nothing
+    payload = dispatch([arg.replace("{tmp}", str(tmp_path)) for arg in CASES[name][0]])[1]
+    assert json.loads(render(payload)) == payload
 
 
 if __name__ == "__main__":

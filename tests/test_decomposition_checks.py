@@ -33,15 +33,14 @@ from sigmaprod.clopen import (
     box_is_empty,
     box_reduce,
     box_subset,
-    box_to_json,
 )
+from sigmaprod.encode import box as box_to_json, descriptor as descriptor_to_json
 from sigmaprod.ground import (
     EMPTY,
     BudgetExceeded,
     Point,
     ProductDescriptor,
     ProductPoint,
-    descriptor_to_json,
     format_descriptor,
     materialize,
 )
