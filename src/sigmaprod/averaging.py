@@ -167,13 +167,14 @@ def build_operator(k: int, ground_size: int,
     """The averaging operator of the k-fold union map over a finite ground set.
 
     Row y carries uniform weight 1/|L(y)| on the disjoint-support fiber L(y).
-    Charges its (ground_size + 1)^k domain tuples to ``budget``.
+    Charges its (ground_size + 1)^k domain tuples to ``budget``, computing
+    the power only up to the room left (``Budget.charge_power``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if ground_size < 0:
         raise ValueError(f"ground_size must be non-negative, got {ground_size}")
-    Budget.of(budget).charge((ground_size + 1) ** k)
+    Budget.of(budget).charge_power(ground_size + 1, k)
     singletons = [Point.of(el) for el in range(ground_size)]
     codomain = tuple(enumerate_sigma_points(k, ground_size))
     # the domain tuples are built coordinate by coordinate together with the

@@ -275,7 +275,7 @@ def _parse_family_file(path: str) -> deltasystem.SetFamily:
 def _handle_ds(args) -> dict:
     if args.action == "extract":
         fam = _parse_family_file(args.family)
-        result = deltasystem.extract_delta_system(fam, args.petals)
+        result = deltasystem.extract_delta_system(fam, args.petals, args.budget)
         return encode.delta_extraction(result, len(fam), args.petals)
     raw = _read_json(args.spec)
     try:

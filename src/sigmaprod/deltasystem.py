@@ -94,16 +94,19 @@ class ExtractionResult:
         return self.system is not None
 
 
-def _max_disjoint(cands):
-    """Largest sub-list of (label, petal) with pairwise disjoint petals.
+def _max_disjoint(cands) -> tuple:
+    """``(labels, nodes)``: the largest sub-list of (label, petal) with pairwise
+    disjoint petals, and the nodes of the search that found it.
 
     Branch and bound in list order; the first maximum found wins, so the
     outcome is deterministic.
     """
     best: list = []
+    nodes = 0
 
     def extend(idx, chosen_petals, chosen_labels):
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
         if len(chosen_labels) + (len(cands) - idx) <= len(best):
             return
         if idx == len(cands):
@@ -120,12 +123,13 @@ def _max_disjoint(cands):
         extend(idx + 1, chosen_petals, chosen_labels)
 
     extend(0, [], [])
-    return best
+    return best, nodes
 
 
-def _extract_exact(members):
+def _extract_exact(members, budget: Budget):
     """Best delta-system over all subfamilies: per cardinality class, try every
-    candidate root (a pairwise intersection) and pack disjoint petals."""
+    candidate root (a pairwise intersection) and pack disjoint petals; the
+    nodes of each root's search are charged to ``budget`` once it ends."""
     if members:
         first_label, first_set = members[0]
         best = (1, EMPTY, (first_label,), len(first_set))
@@ -145,7 +149,8 @@ def _extract_exact(members):
                 roots.append(r)
         for root in roots:
             cands = [(label, s - root) for label, s in group if root.issubset(s)]
-            labels = _max_disjoint(cands)
+            labels, nodes = _max_disjoint(cands)
+            budget.charge(nodes)
             if len(labels) > best[0]:
                 best = (len(labels), root, tuple(labels), size)
     return best
@@ -177,18 +182,19 @@ def _er_extract(cands, petal_size):
     return best
 
 
-def extract_delta_system(fam: SetFamily, p: int) -> ExtractionResult:
+def extract_delta_system(fam: SetFamily, p: int,
+                         budget: Budget | int = DEFAULT_BUDGET) -> ExtractionResult:
     """Search for a delta-system with at least p petals among subfamilies.
 
-    Exact (maximal) for families up to ``EXACT_SEARCH_LIMIT`` members; greedy
-    root-bucketing beyond.  On failure the result still reports the best
-    petal count found.
+    Exact (maximal) for families up to ``EXACT_SEARCH_LIMIT`` members, with
+    the nodes of its searches charged to ``budget``; greedy root-bucketing
+    beyond.  On failure the result still reports the best petal count found.
     """
     if p < 2:
         raise ValueError("need at least two petals")
     members = list(fam.members)
     if len(members) <= EXACT_SEARCH_LIMIT:
-        count, root, labels, size = _extract_exact(members)
+        count, root, labels, size = _extract_exact(members, Budget.of(budget))
         method = "exact"
     else:
         by_size: dict = {}

@@ -13,6 +13,7 @@ values; every operation is pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 
@@ -22,10 +23,18 @@ DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceeded(Exception):
-    """Raised when an enumeration would exceed the configured size budget."""
+    """Raised when an enumeration would exceed the configured size budget.
+
+    ``needed`` is None when it has more digits than the interpreter writes as
+    text (``sys.get_int_max_str_digits()``), so the error can always be written.
+    """
 
     def __init__(self, needed: int, budget: int):
-        super().__init__(f"enumeration of size {needed} exceeds budget {budget}")
+        try:
+            size = str(needed)
+        except ValueError:
+            needed, size = None, f"over {sys.get_int_max_str_digits()} digits"
+        super().__init__(f"enumeration of size {size} exceeds budget {budget}")
         self.needed = needed
         self.budget = budget
 
@@ -47,6 +56,21 @@ class Budget:
         if needed > self.limit:
             raise BudgetExceeded(needed, self.limit)  # and charges nothing
         self.spent = needed
+
+    def charge_power(self, base: int, exp: int) -> None:
+        """Charge base ** exp units without computing a power past the room
+        left: it is multiplied up only until it passes the room, and then the
+        partial power, a lower bound, is the charge that raises."""
+        units = 1
+        if base < 2:
+            units = base ** exp
+        else:
+            room = self.limit - self.spent
+            for _ in range(exp):
+                units *= base
+                if units > room:
+                    break
+        self.charge(units)
 
 
 class Omega:

@@ -9,10 +9,12 @@ bounds every level-n support by M_n = floor(1/r_n).  All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .ground import DEFAULT_BUDGET, Budget, GroundElement
 
@@ -137,25 +139,47 @@ def phi(bits, levels: int) -> Fraction:
     return total
 
 
-class _PreimageSearch:
-    """Every 0/1 vector of the given length mapping within (2/3)^levels of target.
+_MAX_TAIL_LEVELS = 16
 
-    Iterating yields each solution's bits, as an int whose most significant
-    of ``levels`` bits is level 0 (``_bit_tuple`` turns it into the bit
-    vector), with its error phi(bits) - target times ``scale``, and keeps no
-    solution after yielding it; its nodes are counted locally and charged to
-    ``budget`` once, at the end or when they pass the room left.  For one
-    level count the ints compare like the bit vectors, so a node extends its
-    bits by a shift instead of copying a tuple.
+
+@functools.cache
+def _tail_table(t: int) -> tuple:
+    """``(sums, tails)``: the 2^t sums s = Σ_m c_m·2^m·3^(t-1-m) of the 0/1
+    vectors c of length t, ascending, and beside each its c as an int whose
+    most significant of t bits is c_0.  The sums are distinct: if two vectors
+    last differ at m, their sums differ by ±2^m·3^(t-1-m) modulo 3^(t-m).
+    Built on first use for each t, never at import."""
+    sums = [0]
+    for m in range(t):
+        weight = 2 ** m * 3 ** (t - 1 - m)
+        sums = [s + c for s in sums for c in (0, weight)]
+    tails = sorted(range(len(sums)), key=sums.__getitem__)
+    return tuple(sums[c] for c in tails), tuple(tails)
+
+
+class _SplitSearch:
+    """The 0/1 vectors of the given length mapping within (2/3)^levels of
+    target, by the meet-in-the-middle split of Horowitz and Sahni: a pruned
+    search over the first a levels (the head) and one sorted table of the sums
+    of the last t = min(levels // 2, 16) levels (the tail).
 
     For target p/q everything is scaled by q * 3^L into integers: tolerance
-    (2/3)^L is q * 2^L and weight n is q * 2^n * 3^(L-1-n).  A node at depth n
-    carries d = scaled target - scaled partial sum and its reach
+    (2/3)^L is q * 2^L and weight n is q * 2^n * 3^(L-1-n), so a tail's sum is
+    u * s with u = q * 2^a and s in ``_tail_table(t)``.  A head node at depth
+    n carries d = scaled target - scaled partial sum and its reach
     q * 2^n * 3^(L-n) (the weights still to come plus the tolerance); it is
     kept iff -tolerance <= d <= reach, the exact rational interval test.
-    Depth first in lexicographic bit order on an explicit stack, so the
-    solutions come in the order of the exhaustive enumeration and the depth is
-    not bounded by the interpreter's recursion limit.
+    Depth first in lexicographic bit order on an explicit stack, so the head
+    leaves (depth a) come in the order of the exhaustive enumeration and the
+    depth is not bounded by the interpreter's recursion limit.  At a leaf the
+    solving tails are exactly those with ceil(d/u) - 2^t <= s <= floor(d/u) +
+    2^t, a range [lo, hi) of the table.
+
+    A vector is an int whose most significant of ``levels`` bits is level 0;
+    for one level count the ints compare like the bit vectors.  The search
+    charges ``budget`` 2^t for the table, cached or not, then its head nodes,
+    counted locally and charged once, at the end or when they pass the room
+    left.
     """
 
     def __init__(self, target, levels: int, budget: Budget | int):
@@ -164,26 +188,34 @@ class _PreimageSearch:
         target = Fraction(target)
         if target < 0 or target > 1:
             raise ValueError(f"target {target} outside [0, 1]")
-        self.target = target
-        self.levels = levels
-        self.budget = Budget.of(budget)
-        self.scale = target.denominator * 3 ** levels
+        self.budget = budget = Budget.of(budget)
+        self.t = t = min(levels // 2, _MAX_TAIL_LEVELS)
+        budget.charge(1 << t)
+        self.sums, self.tails = _tail_table(t)
+        q = target.denominator
+        self.u = q << (levels - t)
+        self.scale = q * 3 ** levels
+        self.root = target.numerator * 3 ** levels
+        self.tolerance = q << levels
 
-    def __iter__(self):
-        room = self.budget.limit - self.budget.spent
-        tolerance = self.target.denominator << self.levels
-        low = -tolerance
+    def _leaves(self):
+        """``(head bits, d)`` of every kept head leaf, in bit order; the
+        visited head nodes are charged when the search ends."""
+        budget = self.budget
+        room = budget.limit - budget.spent
+        low = -self.tolerance
+        leaf_reach = self.u * 3 ** self.t
         visited = 0
-        stack = [(self.target.numerator * 3 ** self.levels, self.scale, 0)]
+        stack = [(self.root, self.scale, 0)]
         while stack:
             d, reach, bits = stack.pop()
             visited += 1
             if visited > room:
-                self.budget.charge(visited)  # raises
+                budget.charge(visited)  # raises
             if not low <= d <= reach:
                 continue
-            if reach == tolerance:  # a leaf: no weight is left to come
-                yield bits, -d
+            if reach == leaf_reach:
+                yield bits, d
                 continue
             weight = reach // 3
             reach = weight + weight
@@ -191,7 +223,48 @@ class _PreimageSearch:
             # the 1-branch goes on first so the 0-branch is searched first
             stack.append((d - weight, reach, bits | 1))
             stack.append((d, reach, bits))
-        self.budget.charge(visited)
+        budget.charge(visited)
+
+    def solutions(self, limit: int | None) -> tuple:
+        """``(count, first)``: how many solutions there are, and the first
+        ``limit`` of them (all when ``limit`` is None) in lexicographic order;
+        the listed ones are charged to the budget before any is built.  Only
+        the ranges holding those first ones are kept."""
+        sums, u, t = self.sums, self.u, self.t
+        width = 1 << t
+        count = 0
+        ranges = []
+        for head, d in self._leaves():
+            lo = bisect_left(sums, -(-d // u) - width)
+            hi = bisect_right(sums, d // u + width)
+            if lo < hi and (limit is None or count < limit):
+                ranges.append((head << t, lo, hi))
+            count += hi - lo
+        listed = count if limit is None else min(count, limit)
+        self.budget.charge(listed)
+        first = []
+        for head, lo, hi in ranges:
+            tails = heapq.nsmallest(listed - len(first), self.tails[lo:hi])
+            first.extend(head | tail for tail in tails)
+        return count, first
+
+    def best(self) -> tuple:
+        """``(bits, error * scale)`` minimizing (|error|, bits).  At each leaf
+        only the sums just below and just above d/u can be nearest; sums are
+        distinct, so a tie within a leaf is the halfway one, and the bits
+        decide it as they do across leaves."""
+        sums, tails, u, t = self.sums, self.tails, self.u, self.t
+        last = len(sums) - 1
+        best = None
+        for head, d in self._leaves():
+            i = bisect_right(sums, d // u)
+            for j in (max(i - 1, 0), min(i, last)):
+                err = u * sums[j] - d
+                candidate = (abs(err), head << t | tails[j], err)
+                if best is None or candidate < best:
+                    best = candidate
+        _abs_err, bits, err = best
+        return bits, err
 
 
 _BIT_OF_DIGIT = {"0": 0, "1": 1}
@@ -206,30 +279,27 @@ def phi_preimage(target, levels: int, budget: Budget | int = DEFAULT_BUDGET) -> 
     """All 0/1 vectors of the given length mapping within (2/3)^levels of target.
 
     In lexicographic bit order, equal to the exhaustive enumeration; never
-    empty for targets in [0, 1].
+    empty for targets in [0, 1].  Each listed vector is charged to ``budget``
+    on top of the search.
     """
-    return tuple(_bit_tuple(bits, levels)
-                 for bits, _err in _PreimageSearch(target, levels, budget))
+    _count, first = _SplitSearch(target, levels, budget).solutions(None)
+    return tuple(_bit_tuple(bits, levels) for bits in first)
 
 
 def phi_preimage_head(target, levels: int, limit: int,
                       budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     """``(count, first)``: how many vectors ``phi_preimage`` lists, and the
-    first ``limit`` of them; the others are counted, not kept."""
+    first ``limit`` of them; the others are counted, not listed or charged."""
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    solutions = iter(_PreimageSearch(target, levels, budget))
-    first = tuple(_bit_tuple(bits, levels) for bits, _err in islice(solutions, limit))
-    return len(first) + sum(1 for _solution in solutions), first
+    count, first = _SplitSearch(target, levels, budget).solutions(limit)
+    return count, tuple(_bit_tuple(bits, levels) for bits in first)
 
 
 def _best_preimage(target, levels: int, budget: Budget | int) -> tuple:
-    """``(bits, error)`` for the best preimage; see ``best_phi_preimage``.
-
-    The minimum is a running one, so only the best solution so far is kept.
-    """
-    search = _PreimageSearch(target, levels, budget)
-    _abs_err, bits, err = min((abs(err), bits, err) for bits, err in search)
+    """``(bits, error)`` for the best preimage; see ``best_phi_preimage``."""
+    search = _SplitSearch(target, levels, budget)
+    bits, err = search.best()
     return _bit_tuple(bits, levels), Fraction(err, search.scale)
 
 

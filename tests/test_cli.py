@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from sigmaprod import encode, uec
 from sigmaprod.cli import _invoke, build_parser, dispatch, main, render
-from test_uec import fraction_preimage_search, weight_table_charge
+from test_uec import split_charge, weight_table_charge
 
 
 def run(argv):
@@ -92,18 +92,58 @@ def test_uec_pipeline_budget_covers_the_whole_run(tmp_path):
     levels = 8
     values = ["1/3", "1/4", "1/5"]
     table = weight_table_charge(levels)
-    costs = [fraction_preimage_search(Fraction(v), levels)[1] for v in values]
+    costs = [split_charge(Fraction(v), levels) for v in values]
     path = tmp_path / "points.json"
     path.write_text(json.dumps([dict(zip("012", values))]))
     argv = ["uec", "pipeline", "--points-file", str(path), "--levels", str(levels)]
     assert run(argv + ["--budget", str(table + sum(costs))])[0] == 0
     # the table with any one coordinate fits the budget, with all three it
     # does not; the first coordinate costs the most, so the second runs out
-    # at its first node
+    # at its first charge, its 2^4 tail table entries
     assert costs[0] == max(costs)
     code, payload = run(argv + ["--budget", str(table + max(costs))])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-    assert payload["error"]["needed"] == table + max(costs) + 1
+    assert payload["error"]["needed"] == table + max(costs) + 2 ** 4
+
+
+def test_avg_charges_its_power_without_computing_it():
+    # (10^6 + 1)^800 has 4801 digits: the error could not be written
+    # ("invalid-input"), and at k = 3000000 the power took 33 s to build
+    for k in ("800", "3000000"):
+        started = time.monotonic()
+        code, payload = run(["avg", "build", "--k", k, "--ground", "1000000"])
+        assert time.monotonic() - started < 1
+        assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+        # the power is multiplied up only until it passes the room left
+        assert payload["error"]["needed"] == 1000001 ** 2
+    code, payload = run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "63"])
+    assert code == 2 and payload["error"]["needed"] == 4 ** 3
+    assert run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "64"])[0] == 0
+
+
+def test_a_budget_error_too_long_to_write_drops_its_count():
+    ground = "9" * sys.get_int_max_str_digits()  # the longest int --ground takes
+    code, payload = run(["avg", "build", "--k", "2", "--ground", ground])
+    assert code == 2 and payload["error"] == {
+        "type": "budget-exceeded", "needed": None, "budget": 2000000,
+        "message": f"enumeration of size over {sys.get_int_max_str_digits()} digits "
+                   "exceeds budget 2000000"}
+    render(payload)
+
+
+def test_ds_extract_counts_its_search_against_the_budget(tmp_path):
+    # the exact search ran under any budget: this exited 0 under --budget 1
+    path = tmp_path / "family.txt"
+    path.write_text("".join(f"{i}: {{{i % 3},{10 + i}}}\n" for i in range(20)))
+    argv = ["ds", "extract", "--family", str(path), "--petals", "2"]
+    code, payload = run(argv + ["--budget", "1"])
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    code, _payload, args = _invoke(argv)
+    assert code == 0
+    spent = args.budget.spent
+    assert run(argv + ["--budget", str(spent)])[0] == 0
+    code, payload = run(argv + ["--budget", str(spent - 1)])
+    assert code == 2 and payload["error"]["needed"] == spent
 
 
 def test_uec_preimage_memory_is_bounded():
@@ -119,6 +159,20 @@ def test_uec_preimage_memory_is_bounded():
     returncode, peak_kb = map(int, proc.stdout.split())
     assert returncode == 2
     assert peak_kb < 150 * 1024
+
+
+def test_uec_preimage_memory_is_bounded_under_the_default_budget():
+    # the head search streams its leaves: keeping them took 235 MB here
+    code = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'sigmaprod', 'uec', 'preimage',\n"
+        "                       '--target', '1/2', '--levels', '2000'], capture_output=True)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    returncode, peak_kb = map(int, proc.stdout.split())
+    assert returncode == 2
+    assert peak_kb < 100 * 1024
 
 
 def test_uec_preimage_rejects_levels_below_one():
@@ -228,7 +282,7 @@ def test_each_request_charges_its_documented_count(tmp_path):
     bits = tmp_path / "bits.json"
     bits.write_text("[[0, 0]]")
     levels = 8
-    searches = [fraction_preimage_search(Fraction(v), levels)[1] for v in ("1/3", "1/4", "1/5")]
+    searches = [split_charge(Fraction(v), levels) for v in ("1/3", "1/4", "1/5")]
     cases = [
         # every vector v <= ks is a term of exactly one stage
         (["cb", "--ks", "2,3"], 3 * 4),
@@ -237,9 +291,9 @@ def test_each_request_charges_its_documented_count(tmp_path):
           "--boxes", "8"], 10 + 60 * 4 + 8),
         # the domain (ground + 1)^k
         (["avg", "check", "--k", "2", "--ground", "3"], 4 ** 2),
-        # every node of the search
+        # the tail table, the head nodes and the listed solutions, all 27 here
         (["uec", "preimage", "--target", "1/3", "--levels", str(levels)],
-         fraction_preimage_search(Fraction(1, 3), levels)[1]),
+         split_charge(Fraction(1, 3), levels, listed=27)),
         (["uec", "bounds", "--levels", str(levels)], weight_table_charge(levels)),
         (["uec", "pipeline", "--points-file", str(points), "--levels", str(levels)],
          weight_table_charge(levels) + sum(searches)),
@@ -251,7 +305,8 @@ def test_each_request_charges_its_documented_count(tmp_path):
         (["classify", "--tau", "w,w", "--tau2", "5,w"], 0),
         (["uec", "phi", "--bits", "101"], 0),
         (["uec", "l0", "--bits-file", str(bits)], 3),  # weight_digits(0), for r_0 = 1/3
-        (["ds", "extract", "--family", str(family), "--petals", "2"], 0),
+        # the nodes of the petal search under the one root {1}
+        (["ds", "extract", "--family", str(family), "--petals", "2"], 5),
         (["clopen", "reduce", "--box", "[0: F={0} G={}] @ 3"], 0),
     ]
     for argv, spent in cases:

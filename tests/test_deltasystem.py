@@ -13,7 +13,7 @@ from sigmaprod.deltasystem import (
     is_delta_system,
     neighborhood_emptiness_bound,
 )
-from sigmaprod.ground import EMPTY, Point
+from sigmaprod.ground import EMPTY, Budget, BudgetExceeded, Point
 
 
 def fam(*sets, labels=None):
@@ -210,3 +210,21 @@ def test_emptiness_bound_examples():
         neighborhood_emptiness_bound({1: Point.of(0), 2: Point.of(0)}, 1)
     with pytest.raises(ValueError):
         neighborhood_emptiness_bound({1: EMPTY}, 1)
+
+
+def test_exact_extraction_charges_its_search_nodes():
+    family = fam((1, 2), (1, 3), (1, 4), (2, 5), (6, 7))
+    budget = Budget(10 ** 6)
+    expected = extract_delta_system(family, 2)
+    assert extract_delta_system(family, 2, budget) == expected
+    spent = budget.spent
+    assert spent > 0
+    assert extract_delta_system(family, 2, spent) == expected
+    with pytest.raises(BudgetExceeded) as info:
+        extract_delta_system(family, 2, spent - 1)
+    assert info.value.needed == spent
+    # the greedy fallback beyond the exact limit charges nothing
+    wide = fam(*((i, 100 + i) for i in range(30)))
+    budget = Budget(1)
+    assert extract_delta_system(wide, 2, budget).method == "greedy"
+    assert budget.spent == 0

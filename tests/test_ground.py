@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,31 @@ def test_budget_charges_a_running_total():
     assert b.spent == 10
     assert Budget.of(b) is b
     assert Budget.of(7).limit == 7 and Budget.of(7).spent == 0
+
+
+def test_charge_power_stops_past_the_room():
+    b = Budget(100)
+    b.charge_power(3, 4)
+    assert b.spent == 81
+    with pytest.raises(BudgetExceeded) as info:
+        b.charge_power(10, 10 ** 9)  # a billion-digit power is never built
+    # 10^2 is the first partial power past the 19 units left
+    assert info.value.needed == 81 + 100 and b.spent == 81
+    b.charge_power(1, 10 ** 9)
+    b.charge_power(0, 5)
+    assert b.spent == 82
+
+
+def test_a_count_too_long_to_write_is_left_out_of_the_error():
+    limit = sys.get_int_max_str_digits()
+    b = Budget(10)
+    with pytest.raises(BudgetExceeded) as info:
+        b.charge(10 ** limit)  # limit + 1 digits
+    assert info.value.needed is None and info.value.budget == 10
+    assert str(info.value) == f"enumeration of size over {limit} digits exceeds budget 10"
+    with pytest.raises(BudgetExceeded) as info:
+        b.charge(10 ** limit - 1)  # the longest count that can be written
+    assert info.value.needed == 10 ** limit - 1
 
 
 def test_one_budget_spans_library_calls():

@@ -6,10 +6,13 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, strategies as st
 
-from sigmaprod.ground import BudgetExceeded
+from sigmaprod.ground import Budget, BudgetExceeded
 from sigmaprod.uec import (
     BinaryArray,
     SignedVector,
+    _MAX_TAIL_LEVELS,
+    _best_preimage,
+    _tail_table,
     best_phi_preimage,
     embed_u,
     in_L0,
@@ -207,9 +210,12 @@ def test_pipeline_stage_log_documents_the_chain():
 # the scaled-integer search against the rational search it replaced
 
 
-def fraction_preimage_search(target, levels):
-    """The rational depth-first search: (solutions, visited nodes)."""
+def fraction_preimage_search(target, levels, stop=None):
+    """The rational depth-first search: (solutions, visited nodes).  With
+    ``stop`` the nodes at that depth are tested but not expanded, and the
+    solutions are the prefixes that pass."""
     tol = truncation_tail(levels)
+    stop = levels if stop is None else stop
     solutions = []
     visited = 0
     stack = [(0, Fraction(0), ())]
@@ -219,12 +225,20 @@ def fraction_preimage_search(target, levels):
         remaining = truncation_tail(n) - tol if n < levels else Fraction(0)
         if acc - target > tol or target - acc - remaining > tol:
             continue
-        if n == levels:
+        if n == stop:
             solutions.append(bits)
             continue
         stack.append((n + 1, acc + level_weight(n), bits + (1,)))
         stack.append((n + 1, acc, bits + (0,)))
     return tuple(solutions), visited
+
+
+def split_charge(target, levels, listed=0):
+    """What one split search charges: its 2^t tail table entries, the nodes
+    the rational search visits down to the head depth levels - t, and the
+    solutions it lists."""
+    t = min(levels // 2, _MAX_TAIL_LEVELS)
+    return 2 ** t + fraction_preimage_search(target, levels, stop=levels - t)[1] + listed
 
 
 def weight_table_charge(levels):
@@ -251,12 +265,44 @@ def seeded_targets(levels, count, seed=7):
             for den in (rng.randint(1, 60) for _ in range(count))]
 
 
+def oracle_values(solutions, levels):
+    """(phi(bits), bits) for each of the rational search's ``solutions``."""
+    weights = [level_weight(n) for n in range(levels)]
+    return [(sum(w for w, bit in zip(weights, bits) if bit), bits) for bits in solutions]
+
+
+def halfway_target(target, levels):
+    """The midpoint of two consecutive phi values within (2/3)^levels of
+    ``target``: no phi value lies between them, so it is a halfway tie."""
+    solutions, _visited = fraction_preimage_search(target, levels)
+    values = sorted(value for value, _bits in oracle_values(solutions, levels))
+    return (values[0] + values[1]) / 2 if len(values) > 1 else None
+
+
+def oracle_best(target, levels, solutions):
+    """The least (|error|, bits) among the rational search's ``solutions``."""
+    return min((abs(value - target), bits) for value, bits in oracle_values(solutions, levels))[1]
+
+
 def test_preimage_search_matches_the_rational_search():
-    for levels in range(1, 17):
-        for target in seeded_targets(levels, 6 if levels <= 12 else 3):
+    for levels in range(1, 21):
+        seeded = seeded_targets(levels, 6 if levels <= 12 else 3)
+        targets = seeded + [Fraction(0), Fraction(1)]
+        ties = (halfway_target(target, levels) for target in seeded[:3])
+        targets += [tie for tie in ties if tie is not None]
+        for index, target in enumerate(targets):
             expected, _visited = fraction_preimage_search(target, levels)
             assert phi_preimage(target, levels) == expected
-            assert best_phi_preimage(target, levels) == exhaustive_best(target, levels)
+            for limit in (0, 1, 3, len(expected) + 2):
+                assert phi_preimage_head(target, levels, limit) == (len(expected),
+                                                                    expected[:limit])
+            # the exhaustive minimum for every seeded target up to L = 16 and
+            # every target up to L = 10; the oracle's solutions elsewhere
+            exhaustive = levels <= 10 or (levels <= 16 and index < len(seeded))
+            best = (exhaustive_best(target, levels) if exhaustive
+                    else oracle_best(target, levels, expected))
+            assert best_phi_preimage(target, levels) == best
+            assert _best_preimage(target, levels, 10 ** 9)[1] == phi(best, levels) - target
 
 
 def test_best_preimage_breaks_halfway_ties_lexicographically():
@@ -265,31 +311,66 @@ def test_best_preimage_breaks_halfway_ties_lexicographically():
     # 5/18 lies halfway between phi((0, 1)) = 2/9 and phi((1, 0)) = 1/3
     assert best_phi_preimage(Fraction(5, 18), 2) == (0, 1)
     assert exhaustive_best(Fraction(5, 18), 2) == (0, 1)
+    for levels in (3, 8, 11, 16):
+        for target in seeded_targets(levels, 4, seed=13):
+            tie = halfway_target(target, levels)
+            if tie is not None:
+                solutions, _visited = fraction_preimage_search(tie, levels)
+                assert best_phi_preimage(tie, levels) == oracle_best(tie, levels, solutions)
 
 
 def test_preimage_search_charges_the_same_nodes():
+    # the table's 2^t entries, the head nodes, then each listed solution
     for levels in (1, 4, 9, 13):
         for target in seeded_targets(levels, 4, seed=11):
-            expected, visited = fraction_preimage_search(target, levels)
-            assert phi_preimage(target, levels, budget=visited) == expected
-            assert best_phi_preimage(target, levels, budget=visited) in expected
-            for search in (phi_preimage, best_phi_preimage):
+            expected, _visited = fraction_preimage_search(target, levels)
+            listing = split_charge(target, levels, len(expected))
+            search = split_charge(target, levels)
+            assert phi_preimage(target, levels, budget=listing) == expected
+            assert best_phi_preimage(target, levels, budget=search) in expected
+            for fn, charge in ((phi_preimage, listing), (best_phi_preimage, search)):
                 with pytest.raises(BudgetExceeded) as info:
-                    search(target, levels, budget=visited - 1)
-                assert info.value.needed == visited
+                    fn(target, levels, budget=charge - 1)
+                assert info.value.needed == charge
 
 
 def test_preimage_head_counts_all_and_keeps_the_first():
     for levels in (1, 6, 12):
         for target in seeded_targets(levels, 4, seed=5):
-            expected, visited = fraction_preimage_search(target, levels)
+            expected, _visited = fraction_preimage_search(target, levels)
             for limit in (0, 1, 3, len(expected) + 2):
-                count, first = phi_preimage_head(target, levels, limit, budget=visited)
+                charge = split_charge(target, levels, min(limit, len(expected)))
+                count, first = phi_preimage_head(target, levels, limit, budget=charge)
                 assert count == len(expected) and first == expected[:limit]
-            with pytest.raises(BudgetExceeded):
-                phi_preimage_head(target, levels, 1, budget=visited - 1)
+                with pytest.raises(BudgetExceeded) as info:
+                    phi_preimage_head(target, levels, limit, budget=charge - 1)
+                assert info.value.needed == charge
     with pytest.raises(ValueError, match="limit must be non-negative"):
         phi_preimage_head(Fraction(1, 2), 4, -1)
+
+
+def test_a_request_charges_the_same_with_a_cold_or_warm_table():
+    point = SignedVector.from_dict({0: Fraction(1, 3), 1: Fraction(2, 7)})
+    runs = (lambda b: phi_preimage_head(Fraction(5, 11), 14, 20, b),
+            lambda b: pipeline_check([point], 12, b))
+    for run in runs:
+        _tail_table.cache_clear()
+        cold, warm = Budget(10 ** 6), Budget(10 ** 6)
+        run(cold)
+        assert _tail_table.cache_info().misses == 1  # the table was built here
+        run(warm)
+        assert _tail_table.cache_info().misses == 1
+        assert cold.spent == warm.spent > 0
+
+
+def test_tail_table_is_sorted_by_sum_with_distinct_sums():
+    for t in range(9):
+        sums, tails = _tail_table(t)
+        assert sorted(tails) == list(range(2 ** t))
+        assert list(sums) == sorted(set(sums))
+        for s, c in zip(sums, tails):
+            bits = format(c, f"0{t}b") if t else ""
+            assert s == sum(2 ** m * 3 ** (t - 1 - m) for m, b in enumerate(bits) if b == "1")
 
 
 def test_preimage_rejects_levels_below_one():
@@ -314,7 +395,7 @@ def test_pipeline_errors_are_exact():
 def test_pipeline_charges_one_budget_for_the_run():
     levels = 8
     values = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
-    costs = [fraction_preimage_search(v, levels)[1] for v in values]
+    costs = [split_charge(v, levels) for v in values]
     # the weight table and the search of every coordinate share one total
     total = weight_table_charge(levels) + sum(costs)
     point = SignedVector.from_dict(dict(enumerate(values)))
@@ -328,5 +409,5 @@ def test_pipeline_charges_one_budget_for_the_run():
     assert costs[0] == max(costs)
     with pytest.raises(BudgetExceeded) as info:
         pipeline_check(singles, levels, budget=weight_table_charge(levels) + costs[0])
-    # the second point runs out at its first node
-    assert info.value.needed == weight_table_charge(levels) + costs[0] + 1
+    # the second point runs out at its first charge, the 2^4 table entries
+    assert info.value.needed == weight_table_charge(levels) + costs[0] + 2 ** 4
