@@ -123,9 +123,6 @@ class AveragingOperator:
     surjection: dict
     rows: dict
 
-    def row(self, y) -> tuple:
-        return self.rows[y]
-
     def apply(self, f: dict) -> dict:
         """Integrate ``f`` (a full vector on the domain) against every row."""
         out = {}

@@ -218,7 +218,7 @@ def _handle_uec(args) -> dict:
             raise CliError(f"malformed bit string {args.bits!r}")
         bits = tuple(int(b) for b in args.bits)
         levels = args.levels if args.levels is not None else max(len(bits), 1)
-        value = uec.phi(bits, levels)
+        value = uec.phi(bits, levels, args.budget)
         return {"bits": list(bits), "levels": levels, "value": encode.fraction(value)}
     if args.action == "preimage":
         if args.limit < 0:

@@ -309,10 +309,11 @@ def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
         raise ValueError(f"spec was built for k={spec.k}, got k={k}")
     if k < 1:
         raise ValueError("need at least two coordinates (k >= 1)")
+    budget = Budget.of(budget)
     h_sets = {label: sets[1] for label, sets in spec.side_h}
     fam = SetFamily.from_pairs((label, h_sets[label]) for label, _s in spec.side_h)
     if len(fam) >= 2:
-        extraction = extract_delta_system(fam, 2)
+        extraction = extract_delta_system(fam, 2, budget)
         if extraction.system is None:
             return CommonPointWitness(False, None, (), (), None, (), "delta-system",
                                       "no two-petal delta-system among the exclusions")
@@ -355,7 +356,7 @@ def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
         return CommonPointWitness(False, lambda0, s_labels, m_labels, root, (), "s-size",
                                   f"only {len(s_labels)} usable labels, need {n + 1}")
     ambient = ProductDescriptor.power(n + 1, k + 1)
-    Budget.of(budget).charge(math.comb(len(s_labels), n + 1))
+    budget.charge(math.comb(len(s_labels), n + 1))
     checks = []
     all_ok = True
     for f_labels in combinations(s_labels, n + 1):

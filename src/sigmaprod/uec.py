@@ -4,34 +4,44 @@ A level-weighted sum phi with weights r_n = (1/3)(2/3)^n maps 0/1 sequences
 onto [0,1]; applied coordinatewise it maps binary arrays over ground x levels
 onto [0,1]^ground.  The arrays whose image lands in the positive l1 ball are
 exactly those with sum of r_n * (level-n support count) at most 1, which
-bounds every level-n support by M_n = floor(1/r_n).  All arithmetic is exact.
+bounds every level-n support by M_n = floor(1/r_n).  All arithmetic is exact:
+r_n = 2^n / 3^(n + 1), so a weighted sum over the first L levels is an
+integer over 3^L, and sums are compared as such integers.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ground import DEFAULT_BUDGET, Budget, GroundElement
+from .ground import DEFAULT_BUDGET, Budget
+
+# log10 2 and log10 3 rounded up to five places, in units of 10^-5
+_LOG10_2, _LOG10_3 = 30103, 47713
 
 
 def level_weight(n: int) -> Fraction:
-    """r_n = (1/3) * (2/3)^n; the weights sum to 1 over all levels."""
-    return Fraction(1, 3) * Fraction(2, 3) ** n
+    """r_n = (1/3) * (2/3)^n = 2^n / 3^(n + 1); the weights sum to 1 over all levels."""
+    return Fraction(1 << n, 3 ** (n + 1))
+
+
+def truncation_tail(levels: int) -> Fraction:
+    """The exact tail (2/3)^levels of the weight series beyond the first ``levels`` terms."""
+    return Fraction(1 << levels, 3 ** levels)
 
 
 def weight_partial_sum(levels: int) -> Fraction:
     """Sum of r_n for n < levels; equals 1 - (2/3)^levels exactly."""
-    return 1 - Fraction(2, 3) ** levels
+    return 1 - truncation_tail(levels)
 
 
-def truncation_tail(levels: int) -> Fraction:
-    """The exact tail of the weight series beyond the first ``levels`` terms."""
-    return Fraction(2, 3) ** levels
+def _level_sum(counts: dict, levels: int) -> int:
+    """Σ c_n·2^n·3^(levels-1-n) over ``counts`` (level n -> c_n, each n below
+    ``levels``): the weighted sum Σ c_n·r_n times 3^levels, an integer."""
+    return sum((c << n) * 3 ** (levels - 1 - n) for n, c in counts.items())
 
 
 @dataclass(frozen=True)
@@ -48,21 +58,21 @@ def weight_digits(n: int) -> int:
     n·log10 2 + (n + 1)·log10 3 + 2, rounded up.  The logarithms are rounded
     up to five places and the sum is taken in integers, so a level of any
     size can be charged."""
-    return -(-(30103 * n + 47713 * (n + 1)) // 100_000) + 2
+    return -(-(_LOG10_2 * n + _LOG10_3 * (n + 1)) // 100_000) + 2
 
 
 def level_bounds(levels: int, budget: Budget | int = DEFAULT_BUDGET) -> WeightTable:
     """The weights and bounds of the first ``levels`` levels.  The digits of
     the weights grow linearly with the level, so an upper bound on the digits
     of the whole r column, Σ_{n<levels} (n·log10 2 + (n + 1)·log10 3 + 2), is
-    charged to ``budget`` before any weight is built."""
+    charged to ``budget`` before any weight is built, with the logarithms of
+    ``weight_digits`` and the whole sum rounded up once."""
     if levels < 1:
         raise ValueError("need at least one level")
-    Budget.of(budget).charge(
-        math.ceil((math.log10(2) * (levels - 1) + math.log10(3) * (levels + 1))
-                  * levels / 2) + 2 * levels)
-    r = tuple(level_weight(n) for n in range(levels))
-    m = tuple(math.floor(1 / w) for w in r)
+    digits = _LOG10_2 * (levels * (levels - 1) // 2) + _LOG10_3 * (levels * (levels + 1) // 2)
+    Budget.of(budget).charge(-(-digits // 100_000) + 2 * levels)
+    r = tuple(map(level_weight, range(levels)))
+    m = tuple(3 ** (n + 1) >> n for n in range(levels))
     return WeightTable(levels, r, m)
 
 
@@ -89,12 +99,6 @@ class SignedVector:
     @classmethod
     def from_dict(cls, mapping) -> "SignedVector":
         return cls(tuple(mapping.items()))
-
-    def value(self, label) -> Fraction:
-        for lab, val in self.coords:
-            if lab == label:
-                return val
-        return Fraction(0)
 
     def l1(self) -> Fraction:
         return sum((abs(v) for _l, v in self.coords), Fraction(0))
@@ -124,19 +128,20 @@ def embed_u(x: SignedVector) -> SignedVector:
     return SignedVector.from_dict(out)
 
 
-def phi(bits, levels: int) -> Fraction:
-    """Weighted sum of the first ``levels`` bits; lies in [0, 1 - (2/3)^levels]."""
+def phi(bits, levels: int, budget: Budget | int = DEFAULT_BUDGET) -> Fraction:
+    """Weighted sum of the first ``levels`` bits; lies in [0, 1 - (2/3)^levels].
+    ``weight_digits`` of each set level is charged to ``budget`` before the sum."""
     if levels < 1:
         raise ValueError("need at least one level")
-    total = Fraction(0)
-    for n, bit in enumerate(bits):
-        if n >= levels:
-            break
+    ones = []
+    for n, bit in zip(range(levels), bits):
         if bit not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {bit!r}")
         if bit:
-            total += level_weight(n)
-    return total
+            ones.append(n)
+    Budget.of(budget).charge(sum(map(weight_digits, ones)))
+    top = ones[-1] + 1 if ones else 0  # scale by 3^top, not by 3^levels
+    return Fraction(_level_sum(dict.fromkeys(ones, 1), top), 3 ** top)
 
 
 _MAX_TAIL_LEVELS = 16
@@ -177,9 +182,9 @@ class _SplitSearch:
 
     A vector is an int whose most significant of ``levels`` bits is level 0;
     for one level count the ints compare like the bit vectors.  The search
-    charges ``budget`` 2^t for the table, cached or not, then its head nodes,
-    counted locally and charged once, at the end or when they pass the room
-    left.
+    charges ``budget`` 2^t for the table, cached or not, then 1 + levels // 64
+    units per head node, as a node's ints have about 1.6·levels bits, counted
+    locally and charged once, at the end or when they pass the room left.
     """
 
     def __init__(self, target, levels: int, budget: Budget | int):
@@ -197,11 +202,12 @@ class _SplitSearch:
         self.scale = q * 3 ** levels
         self.root = target.numerator * 3 ** levels
         self.tolerance = q << levels
+        self.unit = 1 + levels // 64
 
     def _leaves(self):
         """``(head bits, d)`` of every kept head leaf, in bit order; the
         visited head nodes are charged when the search ends."""
-        budget = self.budget
+        budget, unit = self.budget, self.unit
         room = budget.limit - budget.spent
         low = -self.tolerance
         leaf_reach = self.u * 3 ** self.t
@@ -209,7 +215,7 @@ class _SplitSearch:
         stack = [(self.root, self.scale, 0)]
         while stack:
             d, reach, bits = stack.pop()
-            visited += 1
+            visited += unit
             if visited > room:
                 budget.charge(visited)  # raises
             if not low <= d <= reach:
@@ -325,9 +331,6 @@ class BinaryArray:
     def without(self, bit) -> "BinaryArray":
         return BinaryArray(tuple(b for b in self.bits if b != bit))
 
-    def row(self, element: GroundElement) -> tuple:
-        return tuple(level for el, level in self.bits if el == element)
-
     def __len__(self):
         return len(self.bits)
 
@@ -353,13 +356,9 @@ def in_L0(x: BinaryArray, budget: Budget | int = DEFAULT_BUDGET) -> L0Certificat
     any weight is built."""
     counts = support_counts(x)
     Budget.of(budget).charge(sum(map(weight_digits, counts)))
-    return _certificate(counts, {n: level_weight(n) for n in counts})
-
-
-def _certificate(counts: dict, weights) -> L0Certificate:
-    """The certificate of the level counts, with r_n read from ``weights[n]``."""
-    total = sum((weights[n] * c for n, c in counts.items()), Fraction(0))
-    return L0Certificate(total <= 1, total, counts)
+    top = max(counts, default=-1) + 1
+    total, scale = _level_sum(counts, top), 3 ** top
+    return L0Certificate(total <= scale, Fraction(total, scale), counts)
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,7 @@ def pipeline_check(points, levels: int, budget: Budget | int = DEFAULT_BUDGET) -
     """
     budget = Budget.of(budget)
     table = level_bounds(levels, budget)
-    tol = truncation_tail(levels)
+    scale = 3 ** levels
     witnesses = []
     for vec in points:
         if not isinstance(vec, SignedVector):
@@ -416,19 +415,17 @@ def pipeline_check(points, levels: int, budget: Budget | int = DEFAULT_BUDGET) -
             per_coordinate.append((label, value, bits, err))
             all_bits.extend((label, n) for n, bit in enumerate(bits) if bit)
         array = BinaryArray(tuple(all_bits))
-        # every level is below ``levels``, so the charged table has its weight
-        cert = _certificate(support_counts(array), table.r)
-        slack = tol * len(vec.coords)
-        bounds_ok = all(cert.counts.get(n, 0) <= table.m[n] for n in range(levels))
+        counts = support_counts(array)
+        total = _level_sum(counts, levels)
         witnesses.append(PointWitness(
             vector=vec,
             bits=array,
             per_coordinate=tuple(per_coordinate),
-            l0_total=cert.total,
-            strict_l0=cert.member,
-            within_tolerance=cert.total <= 1 + slack,
-            level_counts=cert.counts,
-            bounds_ok=bounds_ok,
+            l0_total=Fraction(total, scale),
+            strict_l0=total <= scale,
+            within_tolerance=total <= scale + (len(vec.coords) << levels),
+            level_counts=counts,
+            bounds_ok=all(c <= table.m[n] for n, c in counts.items()),
         ))
     stages = (
         {
@@ -453,4 +450,4 @@ def pipeline_check(points, levels: int, budget: Budget | int = DEFAULT_BUDGET) -
             "operator": "averaging operator for the decoding map taken as given upstream",
         },
     )
-    return PipelineReport(levels, tol, table, tuple(witnesses), stages)
+    return PipelineReport(levels, truncation_tail(levels), table, tuple(witnesses), stages)

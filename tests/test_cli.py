@@ -6,8 +6,11 @@ import sys
 import time
 from fractions import Fraction
 
-from sigmaprod import encode, uec
+import pytest
+
+from sigmaprod import deltasystem, encode, uec
 from sigmaprod.cli import _invoke, build_parser, dispatch, main, render
+from sigmaprod.ground import Budget, BudgetExceeded, Point
 from test_uec import split_charge, weight_table_charge
 
 
@@ -175,6 +178,54 @@ def test_uec_preimage_memory_is_bounded_under_the_default_budget():
     assert peak_kb < 100 * 1024
 
 
+def test_uec_preimage_with_a_huge_level_count_is_bounded():
+    # each head node works on ints of about 1.6·L bits: this ran past 60 s
+    started = time.monotonic()
+    code, payload = run(["uec", "preimage", "--target", "1/2", "--levels", "100000"])
+    assert time.monotonic() - started < 1
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+
+
+def test_uec_phi_counts_its_weights_digits_against_the_budget():
+    # 30000 one-bits used to run 40 s and then answer output-too-large
+    started = time.monotonic()
+    code, payload = run(["uec", "phi", "--bits", "1" * 30000])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert payload["error"]["needed"] == sum(map(uec.weight_digits, range(30000)))
+    # the sum is scaled by the highest set level, not by the level count
+    started = time.monotonic()
+    code, payload = run(["uec", "phi", "--bits", "1", "--levels", "1000000000"])
+    assert time.monotonic() - started < 1
+    assert code == 0 and payload["value"] == "1/3"
+    argv = ["uec", "phi", "--bits", "101", "--budget"]
+    needed = uec.weight_digits(0) + uec.weight_digits(2)
+    assert run(argv + [str(needed - 1)])[1]["error"]["needed"] == needed
+    code, payload = run(argv + [str(needed)])
+    assert code == 0 and payload["value"] == "13/27"
+
+
+def test_ds_witness_charges_its_petal_search_to_the_request(tmp_path):
+    # the petal search ran on a meter of its own: 2,613 nodes under --budget 7,
+    # and the request exited 2 only at its subset charge
+    side_h = {mu: Point((200 + mu % 3, 300 + mu)) for mu in range(20)}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"side_g": {"100": [[], []]},
+                                "side_h": {str(mu): [[], list(s)] for mu, s in side_h.items()}}))
+    argv = ["ds", "witness", "--spec", str(path), "--n", "1", "--k", "1"]
+    family = deltasystem.SetFamily.from_pairs(side_h.items())
+    with pytest.raises(BudgetExceeded) as info:
+        deltasystem.extract_delta_system(family, 2, 7)
+    code, payload = run(argv + ["--budget", "7"])
+    assert code == 2 and payload["error"]["needed"] == info.value.needed
+    # the whole request: the petal search, then each 2-subset of the usable labels
+    search = Budget(10 ** 6)
+    deltasystem.extract_delta_system(family, 2, search)
+    code, payload, args = _invoke(argv)
+    assert code == 0
+    assert args.budget.spent == search.spent + math.comb(len(payload["s_labels"]), 2)
+
+
 def test_uec_preimage_rejects_levels_below_one():
     # --levels -1 used to search without end, --levels 0 answered an empty vector
     for levels in ("0", "-1"):
@@ -297,13 +348,16 @@ def test_each_request_charges_its_documented_count(tmp_path):
         (["uec", "bounds", "--levels", str(levels)], weight_table_charge(levels)),
         (["uec", "pipeline", "--points-file", str(points), "--levels", str(levels)],
          weight_table_charge(levels) + sum(searches)),
-        # each (n + 1)-subset of the four usable labels
-        (["ds", "witness", "--spec", str(spec), "--n", "1", "--k", "1"], math.comb(4, 2)),
+        # the petal search under the one root {} (the five nodes taking all four
+        # empty petals, four pruned skips), then each (n + 1)-subset of the
+        # four usable labels
+        (["ds", "witness", "--spec", str(spec), "--n", "1", "--k", "1"], 9 + math.comb(4, 2)),
         # each placement of F's elements: 3 * 2
         (["clopen", "preimage", "--box", "[0: F={0,1} G={}] @ 3", "--k", "3"], 6),
         # no enumeration
         (["classify", "--tau", "w,w", "--tau2", "5,w"], 0),
-        (["uec", "phi", "--bits", "101"], 0),
+        # weight_digits(0) + weight_digits(2), the digits of r_0 and r_2
+        (["uec", "phi", "--bits", "101"], 3 + 5),
         (["uec", "l0", "--bits-file", str(bits)], 3),  # weight_digits(0), for r_0 = 1/3
         # the nodes of the petal search under the one root {1}
         (["ds", "extract", "--family", str(family), "--petals", "2"], 5),

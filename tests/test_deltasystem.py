@@ -190,6 +190,19 @@ def test_witness_exhaustion_certificate():
     assert result.failed_stage == "s-size"
 
 
+def test_witness_with_fewer_than_two_side_two_labels():
+    # no delta-system to extract: the one label is used as it is, under an empty root
+    budget = Budget(10 ** 6)
+    result = common_point_witness(empty_spec(1, g_labels=[100], h_labels=[7]), 0, 1, budget)
+    assert result.ok and result.root == EMPTY
+    assert result.m_labels == result.s_labels == (7,)
+    assert [f for f, _nonempty, _witnessed in result.checks] == [(7,)]
+    assert budget.spent == 1  # the one 1-subset, and no petal search
+    result = common_point_witness(empty_spec(1, g_labels=[100], h_labels=[]), 0, 1)
+    assert not result.ok and result.failed_stage == "thinning"
+    assert result.root == EMPTY and result.m_labels == ()
+
+
 def test_witness_validates_spec_shape():
     with pytest.raises(ValueError):
         NeighborhoodSpec(1, ((0, (Point.of(0), EMPTY)),), ())

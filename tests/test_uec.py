@@ -24,6 +24,7 @@ from sigmaprod.uec import (
     pipeline_check,
     support_counts,
     truncation_tail,
+    weight_digits,
     weight_partial_sum,
 )
 
@@ -32,6 +33,9 @@ def test_weight_series():
     for levels in range(1, 41):
         total = sum(level_weight(n) for n in range(levels))
         assert total == weight_partial_sum(levels) == 1 - Fraction(2, 3) ** levels
+    for n in range(200):
+        assert level_weight(n) == Fraction(1, 3) * Fraction(2, 3) ** n
+        assert truncation_tail(n) == Fraction(2, 3) ** n
     weights = [level_weight(n) for n in range(10)]
     assert all(a > b for a, b in zip(weights, weights[1:]))
 
@@ -234,9 +238,9 @@ def fraction_preimage_search(target, levels, stop=None):
 
 
 def split_charge(target, levels, listed=0):
-    """What one split search charges: its 2^t tail table entries, the nodes
-    the rational search visits down to the head depth levels - t, and the
-    solutions it lists."""
+    """What one split search below 64 levels charges: its 2^t tail table
+    entries, the nodes the rational search visits down to the head depth
+    levels - t (one unit each), and the solutions it lists."""
     t = min(levels // 2, _MAX_TAIL_LEVELS)
     return 2 ** t + fraction_preimage_search(target, levels, stop=levels - t)[1] + listed
 
@@ -411,3 +415,123 @@ def test_pipeline_charges_one_budget_for_the_run():
         pipeline_check(singles, levels, budget=weight_table_charge(levels) + costs[0])
     # the second point runs out at its first charge, the 2^4 table entries
     assert info.value.needed == weight_table_charge(levels) + costs[0] + 2 ** 4
+
+
+# ---------------------------------------------------------------------------
+# the integer level sums against the Fraction sums they replaced
+
+
+def fraction_phi(bits, levels):
+    """phi as one Fraction(2, 3) ** n weight per set bit among the first ``levels``."""
+    return sum((Fraction(1, 3) * Fraction(2, 3) ** n
+                for n, bit in enumerate(bits[:levels]) if bit), Fraction(0))
+
+
+def fraction_certificate(counts):
+    """``(member, total)`` of level counts, summed one Fraction at a time."""
+    total = sum((Fraction(1, 3) * Fraction(2, 3) ** n * c for n, c in counts.items()),
+                Fraction(0))
+    return total <= 1, total
+
+
+def test_phi_matches_the_rational_sum():
+    rng = random.Random(23)
+    for levels in range(1, 201):
+        for length in (levels, rng.randint(0, levels + 3)):
+            bits = tuple(rng.randint(0, 1) for _ in range(length))
+            assert phi(bits, levels) == fraction_phi(bits, levels)
+        assert phi((0,) * levels, levels) == 0
+        assert phi((1,) * levels, levels) == fraction_phi((1,) * levels, levels)
+
+
+def test_phi_charges_the_digits_of_its_set_levels():
+    bits = (1, 0, 1, 1, 0, 0, 1)
+    needed = sum(weight_digits(n) for n in (0, 2, 3, 6))
+    budget = Budget(needed)
+    assert phi(bits, 7, budget) == fraction_phi(bits, 7) and budget.spent == needed
+    with pytest.raises(BudgetExceeded) as info:
+        phi(bits, 7, needed - 1)
+    assert info.value.needed == needed
+    # bits past the level count are neither read nor charged
+    assert phi(bits, 2, weight_digits(0)) == Fraction(1, 3)
+
+
+def test_in_L0_matches_the_rational_certificate():
+    rng = random.Random(29)
+    members = set()
+    for _ in range(80):
+        low = [rng.randint(0, 3) for _ in range(rng.randint(0, 9))]
+        high = rng.sample(range(5001), rng.randint(0, 4))
+        array = BinaryArray(tuple((rng.randrange(6), n) for n in low + high))
+        counts = support_counts(array)
+        cert = in_L0(array, 10 ** 9)
+        assert (cert.member, cert.total) == fraction_certificate(counts)
+        assert cert.counts == counts
+        members.add(cert.member)
+    assert members == {True, False}
+    # exactly 1, then one bit past it at level 5000
+    three = ((0, 0), (1, 0), (2, 0))
+    assert in_L0(BinaryArray(three), 10 ** 9).member
+    assert not in_L0(BinaryArray(three + ((0, 5000),)), 10 ** 9).member
+
+
+def test_pipeline_certificate_matches_the_rational_one():
+    rng = random.Random(31)
+    seen = set()
+    for levels in (1, 2, 3, 5, 9, 14):
+        points = [{label: Fraction(1, 4) for label in range(4)},
+                  {0: Fraction(1, 2), 1: Fraction(1, 2)}, {0: 1}]
+        for _ in range(6):
+            size = rng.randint(1, 4)
+            points.append({label: Fraction(rng.randint(0, 12), 12 * size)
+                           for label in range(size)})
+        bound = [math.floor(1 / (Fraction(1, 3) * Fraction(2, 3) ** n)) for n in range(levels)]
+        for w in pipeline_check(points, levels).points:
+            counts = {}
+            for _label, _value, bits, _err in w.per_coordinate:
+                for n, bit in enumerate(bits):
+                    counts[n] = counts.get(n, 0) + bit
+            strict, total = fraction_certificate(counts)
+            slack = Fraction(2, 3) ** levels * len(w.vector.coords)
+            assert (w.l0_total, w.strict_l0) == (total, strict)
+            assert w.within_tolerance == (total <= 1 + slack)
+            assert w.bounds_ok == all(counts.get(n, 0) <= bound[n] for n in range(levels))
+            assert w.level_counts == {n: c for n, c in counts.items() if c}
+            seen.add((w.strict_l0, w.within_tolerance, w.bounds_ok))
+    # every outcome of the three checks that can occur does occur
+    assert {(True, True, True), (False, True, True), (False, True, False)} <= seen
+    # a total of exactly 1 is strictly inside; eight coordinates of 1/8 at two
+    # levels overshoot the slack of one coordinate but not that of eight
+    exact = pipeline_check([{label: Fraction(1, 3) for label in range(3)}], 4).points[0]
+    assert exact.l0_total == 1 and exact.strict_l0
+    eighths = pipeline_check([{label: Fraction(1, 8) for label in range(8)}], 2).points[0]
+    assert 1 + Fraction(4, 9) < eighths.l0_total == Fraction(16, 9)
+    assert eighths.within_tolerance and not eighths.bounds_ok
+
+
+def test_level_bounds_charges_the_float_digit_bound_or_more():
+    for levels in range(1, 5001):
+        with pytest.raises(BudgetExceeded) as info:
+            level_bounds(levels, 1)  # charged before any weight is built
+        if levels <= 75:
+            assert info.value.needed == weight_table_charge(levels)
+        else:
+            assert info.value.needed >= weight_table_charge(levels)
+    # the closed form is the sum of the rounded-up logarithms, rounded up once
+    for levels in (1, 2, 76, 300, 5000):
+        exact = sum(n * Fraction(30103, 10 ** 5) + (n + 1) * Fraction(47713, 10 ** 5) + 2
+                    for n in range(levels))
+        with pytest.raises(BudgetExceeded) as info:
+            level_bounds(levels, 1)
+        assert info.value.needed == math.ceil(exact)
+
+
+def test_head_nodes_cost_more_units_from_64_levels():
+    # a head node works on ints of about 1.6·levels bits: 1 + levels // 64 units
+    room = 1000
+    for levels in (63, 64, 127, 128, 1000, 100000):
+        unit = 1 + levels // 64
+        table = 2 ** min(levels // 2, _MAX_TAIL_LEVELS)
+        with pytest.raises(BudgetExceeded) as info:
+            best_phi_preimage(Fraction(1, 2), levels, budget=table + room)
+        assert info.value.needed == table + unit * (room // unit + 1)
