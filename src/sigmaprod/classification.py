@@ -444,6 +444,28 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
     witnesses = tuple(witnesses)
     if len(witnesses) != n or len(set(witnesses)) != n:
         raise ValueError(f"need {n} distinct witness elements")
+    prefix_label = "B" if m > 0 else "A"
+    return _absorb_small(f"absorb_small({m},{n})", m, n, depth, witnesses,
+                         lambda k, i: f"{prefix_label}({k},{i})", budget)
+
+
+def decompose_classif_k(element: int = 0, depth: int = 6,
+                        budget: Budget | int = DEFAULT_BUDGET) -> Decomposition:
+    """Clopen partition of the omega power of the 1-bounded space minus the
+    constant-singleton sequence: piece t pins the witness into the first t
+    coordinates and out of the next.  It is ``decompose_absorb_small(0, 1,
+    depth, (element,))`` with piece A(t, 0) named K(t + 1)."""
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    return _absorb_small("classif_K", 0, 1, depth, (element,),
+                         lambda t, _i: f"K({t + 1})", budget)
+
+
+def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple,
+                  label, budget: Budget | int) -> Decomposition:
+    """The partition of ``decompose_absorb_small`` for checked arguments;
+    ``label(k, i)`` names the piece that pins k omega coordinates to the full
+    witness set and misses witness i in the next."""
     offset = 1 if m > 0 else 0
     # B'(j) carries one constraint, A/B(k, i) carries k + 1 + offset
     Budget.of(budget).charge(m + n * (depth * (depth - 1) // 2 + depth * (1 + offset)))
@@ -457,7 +479,6 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
         box = BasicBox(ambient, ((0, *misses[j]),))
         pieces.append(DecompositionPiece(
             f"B'({j})", box, ProductDescriptor((m - j,), n)))
-    prefix_label = "B" if m > 0 else "A"
     # the small coordinate and the first k omega coordinates are pinned to a
     # full set, a single point each
     pinned = ((0, small_set, EMPTY),) if m > 0 else ()
@@ -466,37 +487,11 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
         for i in range(n):
             box = BasicBox(ambient, pinned + ((offset + k, *misses[i]),))
             pieces.append(DecompositionPiece(
-                f"{prefix_label}({k},{i})", box,
-                ProductDescriptor(pinned_types + (n - i,), n)))
+                label(k, i), box, ProductDescriptor(pinned_types + (n - i,), n)))
         pinned += ((offset + k, full_set, EMPTY),)
     prefix = (small_set,) if m > 0 else ()
     limit = ProductPoint(prefix, full_set)
-    return Decomposition(f"absorb_small({m},{n})", ambient, tuple(pieces),
-                         limit, witnesses, depth)
-
-
-def decompose_classif_k(element: int = 0, depth: int = 6,
-                        budget: Budget | int = DEFAULT_BUDGET) -> Decomposition:
-    """Clopen partition of the omega power of the 1-bounded space minus the
-    constant-singleton sequence: piece t pins the witness into the first t
-    coordinates and out of the next.  The pieces' coordinate constraints,
-    counted before any is built, are charged to ``budget``."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    # piece K(t + 1) carries t + 1 constraints
-    Budget.of(budget).charge(depth * (depth + 1) // 2)
-    ambient = ProductDescriptor.omega_power(1)
-    single = Point.of(element)
-    pieces = []
-    pinned = ()
-    for t in range(depth):
-        box = BasicBox(ambient, pinned + ((t, EMPTY, single),))
-        pieces.append(DecompositionPiece(
-            f"K({t + 1})", box, ProductDescriptor((0,) * t, 1)))
-        pinned += ((t, single, EMPTY),)
-    limit = ProductPoint((), single)
-    return Decomposition("classif_K", ambient, tuple(pieces), limit,
-                         (element,), depth)
+    return Decomposition(kind, ambient, tuple(pieces), limit, witnesses, depth)
 
 
 def check_pairwise_disjoint(dec: Decomposition) -> list:

@@ -355,8 +355,9 @@ def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUD
 
     One box per injective placement of the F elements into coordinates: the
     receiving coordinate must contain its element (hence equals that
-    singleton), and every coordinate avoids G.  The placements, k!/(k - |F|)!
-    of them, are charged to ``budget`` before any box is built.
+    singleton), and every coordinate avoids G.  The k coordinates of each of
+    the k!/(k - |F|)! placements are charged to ``budget`` before any box is
+    built.
     """
     if b.ambient.omega_tail is not None or b.ambient.explicit_len != 1:
         raise ValueError("expected a box over a single factor")
@@ -365,7 +366,7 @@ def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUD
     if box_is_empty(b):
         raise ValueError("expected a nonempty box")
     f, g = b.constraint_at(0)
-    Budget.of(budget).charge(math.perm(k, len(f)))
+    Budget.of(budget).charge(math.perm(k, len(f)) * k)
     domain = ProductDescriptor.power(1, k)
     elements = list(f)
     boxes = []

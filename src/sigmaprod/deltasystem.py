@@ -61,7 +61,9 @@ class SetFamily:
 def is_delta_system(sets) -> tuple:
     """Check the predicate; returns (ok, root).
 
-    Equal cardinality throughout and one common pairwise intersection.
+    Equal cardinality throughout and one common pairwise intersection: every
+    set holds ``root = sets[0] & sets[1]``, and no element outside the root
+    lies in two sets, which one count of the elements outside the root shows.
     Families with fewer than two members qualify trivially (empty root).
     """
     sets = list(sets)
@@ -70,10 +72,11 @@ def is_delta_system(sets) -> tuple:
     if len({len(s) for s in sets}) != 1:
         return False, None
     root = sets[0] & sets[1]
-    for a, b in combinations(sets, 2):
-        if (a & b) != root:
-            return False, None
-    return True, root
+    in_root = set(root)
+    outside = [e for s in sets for e in s if e not in in_root]
+    if len(outside) == len(sets) * (len(sets[0]) - len(root)) == len(set(outside)):
+        return True, root
+    return False, None
 
 
 @dataclass(frozen=True)
@@ -99,87 +102,82 @@ def _max_disjoint(cands) -> tuple:
     disjoint petals, and the nodes of the search that found it.
 
     Branch and bound in list order; the first maximum found wins, so the
-    outcome is deterministic.
+    outcome is deterministic.  A petal is tested against the one set of the
+    elements the chosen petals use.
     """
     best: list = []
+    chosen: list = []
+    used: set = set()
     nodes = 0
 
-    def extend(idx, chosen_petals, chosen_labels):
+    def extend(idx):
         nonlocal best, nodes
         nodes += 1
-        if len(chosen_labels) + (len(cands) - idx) <= len(best):
+        if len(chosen) + (len(cands) - idx) <= len(best):
             return
         if idx == len(cands):
-            if len(chosen_labels) > len(best):
-                best = list(chosen_labels)
+            best = list(chosen)  # longer than best, or the bound above returned
             return
         label, petal = cands[idx]
-        if all(petal.isdisjoint(p) for p in chosen_petals):
-            chosen_petals.append(petal)
-            chosen_labels.append(label)
-            extend(idx + 1, chosen_petals, chosen_labels)
-            chosen_petals.pop()
-            chosen_labels.pop()
-        extend(idx + 1, chosen_petals, chosen_labels)
+        if used.isdisjoint(petal):
+            used.update(petal)
+            chosen.append(label)
+            extend(idx + 1)
+            used.difference_update(petal)
+            chosen.pop()
+        extend(idx + 1)
 
-    extend(0, [], [])
+    extend(0)
     return best, nodes
 
 
-def _extract_exact(members, budget: Budget):
-    """Best delta-system over all subfamilies: per cardinality class, try every
-    candidate root (a pairwise intersection) and pack disjoint petals; the
-    nodes of each root's search are charged to ``budget`` once it ends."""
-    if members:
-        first_label, first_set = members[0]
-        best = (1, EMPTY, (first_label,), len(first_set))
-    else:
-        best = (0, EMPTY, (), 0)
-    by_size: dict = {}
-    for label, s in members:
-        by_size.setdefault(len(s), []).append((label, s))
-    for size in sorted(by_size):
-        group = by_size[size]
-        roots = []
-        seen = set()
-        for (_l1, a), (_l2, b) in combinations(group, 2):
-            r = a & b
-            if r not in seen:
-                seen.add(r)
-                roots.append(r)
-        for root in roots:
-            cands = [(label, s - root) for label, s in group if root.issubset(s)]
-            labels, nodes = _max_disjoint(cands)
-            budget.charge(nodes)
-            if len(labels) > best[0]:
-                best = (len(labels), root, tuple(labels), size)
+def _extract_exact(group, budget: Budget) -> tuple:
+    """``(count, root, labels)``: the best delta-system of one cardinality
+    class; try every candidate root (a pairwise intersection) and pack
+    disjoint petals.  The nodes of each root's search are charged to
+    ``budget`` once it ends."""
+    best = (0, EMPTY, ())
+    roots = dict.fromkeys(a & b for (_l1, a), (_l2, b) in combinations(group, 2))
+    for root in roots:
+        in_root = set(root)
+        cands = []
+        for label, s in group:
+            petal = [e for e in s if e not in in_root]
+            if len(petal) == len(s) - len(root):
+                cands.append((label, petal))
+        labels, nodes = _max_disjoint(cands)
+        budget.charge(nodes)
+        if len(labels) > best[0]:
+            best = (len(labels), root, tuple(labels))
     return best
 
 
-def _er_extract(cands, petal_size):
-    """Greedy root-bucketing: take a maximal disjoint subfamily, else recurse on
-    the most frequent element.  Finds a system of p petals whenever the family
-    has more than s! * (p-1)^s distinct s-sets."""
-    chosen: list = []
-    petals: list = []
-    for label, s in cands:
-        if all(s.isdisjoint(p) for p in petals):
-            petals.append(s)
-            chosen.append(label)
-    best = (len(chosen), frozenset(), tuple(chosen))
-    if petal_size == 0:
-        return best
-    freq: dict = {}
-    for _label, s in cands:
-        for el in s:
-            freq[el] = freq.get(el, 0) + 1
-    if freq:
+def _er_extract(cands, petal_size) -> tuple:
+    """Greedy root-bucketing: at each level take a maximal disjoint subfamily,
+    then keep the sets holding the most frequent element, which joins the
+    root, and drop it from them; the first level with the most petals wins.
+    Finds a system of p petals whenever the family has more than
+    s! * (p-1)^s distinct s-sets."""
+    best = (0, EMPTY, ())
+    root: list = []
+    for level in range(petal_size + 1):
+        chosen: list = []
+        used: set = set()
+        for label, s in cands:
+            if used.isdisjoint(s):
+                used.update(s)
+                chosen.append(label)
+        if len(chosen) > best[0]:
+            best = (len(chosen), Point(root), tuple(chosen))
+        if level == petal_size:
+            return best
+        freq: dict = {}
+        for _label, s in cands:
+            for el in s:
+                freq[el] = freq.get(el, 0) + 1
         el = min(freq, key=lambda e: (-freq[e], repr(e)))
-        sub = [(label, s - Point.of(el)) for label, s in cands if el in s]
-        count, root, labels = _er_extract(sub, petal_size - 1)
-        if count > best[0]:
-            best = (count, root | {el}, labels)
-    return best
+        root.append(el)
+        cands = [(label, [e for e in s if e != el]) for label, s in cands if el in s]
 
 
 def extract_delta_system(fam: SetFamily, p: int,
@@ -192,27 +190,29 @@ def extract_delta_system(fam: SetFamily, p: int,
     """
     if p < 2:
         raise ValueError("need at least two petals")
-    members = list(fam.members)
-    if len(members) <= EXACT_SEARCH_LIMIT:
-        count, root, labels, size = _extract_exact(members, Budget.of(budget))
-        method = "exact"
-    else:
-        by_size: dict = {}
-        for label, s in members:
-            by_size.setdefault(len(s), []).append((label, s))
-        count, root_set, labels, size = 0, frozenset(), (), 0
-        for sz in sorted(by_size):
-            c, r, ls = _er_extract(by_size[sz], sz)
-            if c > count:
-                count, root_set, labels, size = c, r, ls, sz
-        root = Point(tuple(root_set))
-        method = "greedy"
+    budget = Budget.of(budget)
+    by_size: dict = {}
+    for label, s in fam.members:
+        by_size.setdefault(len(s), []).append((label, s))
+    exact = len(fam) <= EXACT_SEARCH_LIMIT
+    best = (0, EMPTY, (), 0)
+    if exact and fam.members:
+        # a lone member of its size has no pairwise root to search
+        first_label, first_set = fam.members[0]
+        best = (1, EMPTY, (first_label,), len(first_set))
+    for size in sorted(by_size):
+        group = by_size[size]
+        found = _extract_exact(group, budget) if exact else _er_extract(group, size)
+        if found[0] > best[0]:
+            best = (*found, size)
+    count, root, labels, size = best
+    method = "exact" if exact else "greedy"
     if count >= p:
-        petals = [fam.get(label) for label in labels]
-        ok, check_root = is_delta_system(petals)
+        sets = dict(fam.members)
+        ok, check_root = is_delta_system([sets[label] for label in labels])
         if not (ok and check_root == root):
             raise AssertionError("extracted family fails the predicate")
-        return ExtractionResult(DeltaSystem(root, tuple(labels), size), count, method)
+        return ExtractionResult(DeltaSystem(root, labels, size), count, method)
     return ExtractionResult(None, count, method)
 
 
@@ -226,6 +226,21 @@ class TransversalResult:
         return self.labels is not None
 
 
+def _thin(labels, sets, root):
+    """Yield, in order, each label outside ``root`` that lies in no earlier
+    yielded label's set and whose own set holds no earlier yielded label."""
+    in_root = set(root)
+    picked: set = set()
+    covered: set = set()
+    for label in labels:
+        s = sets[label]
+        if label in in_root or label in covered or not picked.isdisjoint(s):
+            continue
+        picked.add(label)
+        covered.update(s)
+        yield label
+
+
 def free_transversal(constraints, size: int, forbidden_root: Point = EMPTY) -> TransversalResult:
     """Greedily pick labels avoiding earlier constraint sets and vice versa.
 
@@ -235,17 +250,8 @@ def free_transversal(constraints, size: int, forbidden_root: Point = EMPTY) -> T
     runs dry.
     """
     chosen: list = []
-    union_so_far: set = set()
-    for label in constraints:
-        if label in forbidden_root:
-            continue
-        g = constraints[label]
-        if label in union_so_far:
-            continue
-        if any(lab in g for lab in chosen):
-            continue
+    for label in _thin(constraints, constraints, forbidden_root):
         chosen.append(label)
-        union_so_far.update(g)
         if len(chosen) == size:
             return TransversalResult(tuple(chosen), None)
     return TransversalResult(None, len(chosen))
@@ -266,19 +272,14 @@ class NeighborhoodSpec:
     side_h: tuple = ()
 
     def __post_init__(self):
-        for label, sets in self.side_g:
-            if len(sets) != self.k + 1:
-                raise ValueError(f"label {label}: expected {self.k + 1} exclusion sets")
-            if label in sets[0]:
-                raise ValueError(f"label {label} excludes itself from coordinate 0")
-        for label, sets in self.side_h:
-            if len(sets) != self.k + 1:
-                raise ValueError(f"label {label}: expected {self.k + 1} exclusion sets")
-            if label in sets[1]:
-                raise ValueError(f"label {label} excludes itself from coordinate 1")
-        g_labels = [label for label, _s in self.side_g]
-        h_labels = [label for label, _s in self.side_h]
-        if len(set(g_labels)) != len(g_labels) or len(set(h_labels)) != len(h_labels):
+        for side, pinned in ((self.side_g, 0), (self.side_h, 1)):
+            for label, sets in side:
+                if len(sets) != self.k + 1:
+                    raise ValueError(f"label {label}: expected {self.k + 1} exclusion sets")
+                if label in sets[pinned]:
+                    raise ValueError(f"label {label} excludes itself from coordinate {pinned}")
+        if any(len({label for label, _s in side}) != len(side)
+               for side in (self.side_g, self.side_h)):
             raise ValueError("labels must be distinct on each side")
 
 
@@ -310,8 +311,10 @@ def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
     if k < 1:
         raise ValueError("need at least two coordinates (k >= 1)")
     budget = Budget.of(budget)
+    g_all = dict(spec.side_g)
+    h_all = dict(spec.side_h)
     h_sets = {label: sets[1] for label, sets in spec.side_h}
-    fam = SetFamily.from_pairs((label, h_sets[label]) for label, _s in spec.side_h)
+    fam = SetFamily.from_pairs(h_sets.items())
     if len(fam) >= 2:
         extraction = extract_delta_system(fam, 2, budget)
         if extraction.system is None:
@@ -322,31 +325,12 @@ def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
     else:
         root = EMPTY
         m1 = fam.labels()
-    picked: list = []
-    union_h: set = set()
-    for label in m1:
-        if label in root:
-            continue
-        if label in union_h:
-            continue
-        if any(lab in h_sets[label] for lab in picked):
-            continue
-        picked.append(label)
-        union_h.update(h_sets[label])
-    m_labels = tuple(picked)
+    m_labels = tuple(_thin(m1, h_sets, root))
     if not m_labels:
         return CommonPointWitness(False, None, (), (), root, (), "thinning",
                                   "no mutually non-excluding side-two labels remain")
-    h0_union = set()
-    h_all = {label: sets for label, sets in spec.side_h}
-    for label in m_labels:
-        h0_union.update(h_all[label][0])
-    lambda0 = None
-    g_all = {label: sets for label, sets in spec.side_g}
-    for label, _sets in spec.side_g:
-        if label not in h0_union:
-            lambda0 = label
-            break
+    h0_union = {e for label in m_labels for e in h_all[label][0]}
+    lambda0 = next((label for label, _sets in spec.side_g if label not in h0_union), None)
     if lambda0 is None:
         return CommonPointWitness(False, None, (), m_labels, root, (), "lambda0-selection",
                                   "every side-one label is excluded in coordinate 0")

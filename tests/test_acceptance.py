@@ -28,7 +28,7 @@ from sigmaprod.classification import (
 )
 from sigmaprod.cli import dispatch, render
 from sigmaprod.clopen import BasicBox, box_is_empty, preimage_under_union
-from sigmaprod.deltasystem import SetFamily, extract_delta_system, is_delta_system
+from sigmaprod.deltasystem import SetFamily, extract_delta_system
 from sigmaprod.ground import (
     EMPTY,
     OMEGA,
@@ -48,6 +48,7 @@ from sigmaprod.uec import (
     phi,
     weight_partial_sum,
 )
+from test_deltasystem import brute_force_max_petals
 
 
 def report(number, name, ok):
@@ -156,17 +157,6 @@ def test_criterion_05_phi_surjectivity_at_truncation():
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 5
     report(5, "100 seeded targets within (2/3)^12 of the 4096 truncated values", ok)
-
-
-def brute_force_max_petals(family):
-    best = min(len(family), 1)
-    members = list(family.members)
-    for size in range(2, len(members) + 1):
-        for combo in combinations(members, size):
-            ok, _root = is_delta_system([s for _l, s in combo])
-            if ok:
-                best = max(best, size)
-    return best
 
 
 def test_criterion_06_delta_system():

@@ -35,6 +35,7 @@ from sigmaprod.clopen import BasicBox, box_contains, box_is_empty, box_reduce
 from sigmaprod.ground import (
     EMPTY,
     OMEGA,
+    Budget,
     BudgetExceeded,
     Point,
     ProductDescriptor,
@@ -428,6 +429,22 @@ def test_classif_k_membership_examples():
     dec = decompose_classif_k(element=7, depth=5)
     assert piece_for_point(dec, ProductPoint((), EMPTY)) == "K(1)"
     assert piece_for_point(dec, ProductPoint((Point.of(7),), EMPTY)) == "K(2)"
+
+
+def test_classif_k_is_absorb_small_with_one_witness():
+    # the same partition and charge; only the kind and piece A(t,0) -> K(t+1) differ
+    for depth in (1, 2, 6):
+        k_budget, a_budget = Budget(10 ** 6), Budget(10 ** 6)
+        k_dec = decompose_classif_k(7, depth, k_budget)
+        a_dec = decompose_absorb_small(0, 1, depth, witnesses=(7,), budget=a_budget)
+        assert (k_dec.kind, a_dec.kind) == ("classif_K", "absorb_small(0,1)")
+        assert [p.label for p in k_dec.pieces] == [f"K({t + 1})" for t in range(depth)]
+        assert [p.label for p in a_dec.pieces] == [f"A({t},0)" for t in range(depth)]
+        assert ([(p.box, p.claimed_type) for p in k_dec.pieces]
+                == [(p.box, p.claimed_type) for p in a_dec.pieces])
+        assert (k_dec.ambient, k_dec.limit_point, k_dec.witnesses, k_dec.depth) == (
+            a_dec.ambient, a_dec.limit_point, a_dec.witnesses, a_dec.depth)
+        assert k_budget.spent == a_budget.spent == depth * (depth + 1) // 2
 
 
 def test_absorb_small_rejects_bad_shapes():

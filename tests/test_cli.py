@@ -10,7 +10,7 @@ import pytest
 
 from sigmaprod import deltasystem, encode, uec
 from sigmaprod.cli import _invoke, build_parser, dispatch, main, render
-from sigmaprod.ground import Budget, BudgetExceeded, Point
+from sigmaprod.ground import DEFAULT_BUDGET, Budget, BudgetExceeded, Point
 from test_uec import split_charge, weight_table_charge
 
 
@@ -310,7 +310,18 @@ def test_clopen_preimage_counts_against_the_budget():
                          "--k", "30", "--budget", "10"])
     assert time.monotonic() - started < 2
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-    assert payload["error"]["needed"] == math.perm(30, 9)
+    assert payload["error"]["needed"] == math.perm(30, 9) * 30
+
+
+def test_clopen_preimage_charges_the_coordinates_it_builds():
+    # one placement, but its box has a constraint at each of the k coordinates;
+    # charged 1 unit, k = 10**6 used to run for 9 s at 766 MB and write 62 MB
+    k = DEFAULT_BUDGET + 1
+    started = time.monotonic()
+    code, payload = run(["clopen", "preimage", "--box", f"[0: F={{}} G={{1}}] @ {k}",
+                         "--k", str(k)])
+    assert time.monotonic() - started < 1
+    assert code == 2 and payload["error"]["needed"] == k
 
 
 def test_avg_rejects_a_negative_ground():
@@ -352,8 +363,8 @@ def test_each_request_charges_its_documented_count(tmp_path):
         # empty petals, four pruned skips), then each (n + 1)-subset of the
         # four usable labels
         (["ds", "witness", "--spec", str(spec), "--n", "1", "--k", "1"], 9 + math.comb(4, 2)),
-        # each placement of F's elements: 3 * 2
-        (["clopen", "preimage", "--box", "[0: F={0,1} G={}] @ 3", "--k", "3"], 6),
+        # each placement of F's elements, 3 * 2, builds a box over 3 coordinates
+        (["clopen", "preimage", "--box", "[0: F={0,1} G={}] @ 3", "--k", "3"], 18),
         # no enumeration
         (["classify", "--tau", "w,w", "--tau2", "5,w"], 0),
         # weight_digits(0) + weight_digits(2), the digits of r_0 and r_2

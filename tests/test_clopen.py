@@ -155,12 +155,12 @@ def test_preimage_of_two_forced_elements():
 
 
 def test_preimage_charges_its_placements_before_building():
-    # k!/(k - |F|)! placements: 4 * 3 here
+    # k!/(k - |F|)! placements, 4 * 3 here, each a box over k = 4 coordinates
     box = single_box(4, (0, 1), (5,))
-    assert len(preimage_under_union(box, 4, budget=12).boxes) == 12
+    assert len(preimage_under_union(box, 4, budget=48).boxes) == 12
     with pytest.raises(BudgetExceeded) as info:
-        preimage_under_union(box, 4, budget=11)
-    assert info.value.needed == 12
+        preimage_under_union(box, 4, budget=47)
+    assert info.value.needed == 48
 
 
 def union_of(x):

@@ -1,10 +1,15 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
+from sigmaprod.cli import dispatch
 from sigmaprod.deltasystem import (
+    EXACT_SEARCH_LIMIT,
+    DeltaSystem,
+    ExtractionResult,
     NeighborhoodSpec,
     SetFamily,
     common_point_witness,
@@ -21,13 +26,129 @@ def fam(*sets, labels=None):
     return SetFamily.from_pairs((lab, Point(s)) for lab, s in zip(labels, sets))
 
 
+def pairwise_is_delta_system(sets) -> tuple:
+    """Oracle: the definition, one common intersection over every pair."""
+    sets = list(sets)
+    if len(sets) < 2:
+        return True, EMPTY
+    if len({len(s) for s in sets}) != 1:
+        return False, None
+    root = sets[0] & sets[1]
+    for a, b in combinations(sets, 2):
+        if (a & b) != root:
+            return False, None
+    return True, root
+
+
+def list_max_disjoint(cands) -> tuple:
+    """Oracle: branch and bound testing each petal against the list of the
+    chosen petals; ``(labels, nodes)``."""
+    best: list = []
+    nodes = 0
+
+    def extend(idx, chosen_petals, chosen_labels):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen_labels) + (len(cands) - idx) <= len(best):
+            return
+        if idx == len(cands):
+            if len(chosen_labels) > len(best):
+                best = list(chosen_labels)
+            return
+        label, petal = cands[idx]
+        if all(petal.isdisjoint(p) for p in chosen_petals):
+            chosen_petals.append(petal)
+            chosen_labels.append(label)
+            extend(idx + 1, chosen_petals, chosen_labels)
+            chosen_petals.pop()
+            chosen_labels.pop()
+        extend(idx + 1, chosen_petals, chosen_labels)
+
+    extend(0, [], [])
+    return best, nodes
+
+
+def list_exact(members) -> tuple:
+    """Oracle: ``((count, root, labels, size), nodes)`` of the exact search
+    over every cardinality class and every pairwise root."""
+    if members:
+        first_label, first_set = members[0]
+        best = (1, EMPTY, (first_label,), len(first_set))
+    else:
+        best = (0, EMPTY, (), 0)
+    total = 0
+    by_size: dict = {}
+    for label, s in members:
+        by_size.setdefault(len(s), []).append((label, s))
+    for size in sorted(by_size):
+        group = by_size[size]
+        roots = []
+        for (_l1, a), (_l2, b) in combinations(group, 2):
+            if a & b not in roots:
+                roots.append(a & b)
+        for root in roots:
+            cands = [(label, s - root) for label, s in group if root.issubset(s)]
+            labels, nodes = list_max_disjoint(cands)
+            total += nodes
+            if len(labels) > best[0]:
+                best = (len(labels), root, tuple(labels), size)
+    return best, total
+
+
+def petals_list_greedy(cands, petal_size) -> tuple:
+    """Oracle: the recursive root-bucketing greedy over a list of petals."""
+    chosen: list = []
+    petals: list = []
+    for label, s in cands:
+        if all(s.isdisjoint(p) for p in petals):
+            petals.append(s)
+            chosen.append(label)
+    best = (len(chosen), EMPTY, tuple(chosen))
+    if petal_size == 0:
+        return best
+    freq: dict = {}
+    for _label, s in cands:
+        for el in s:
+            freq[el] = freq.get(el, 0) + 1
+    el = min(freq, key=lambda e: (-freq[e], repr(e)))
+    sub = [(label, s - Point.of(el)) for label, s in cands if el in s]
+    count, root, labels = petals_list_greedy(sub, petal_size - 1)
+    if count > best[0]:
+        best = (count, root | Point.of(el), labels)
+    return best
+
+
+def oracle_extract(family, p) -> tuple:
+    """``(result, nodes)`` as ``extract_delta_system`` answers, from the oracles."""
+    members = list(family.members)
+    nodes = 0
+    if len(members) <= EXACT_SEARCH_LIMIT:
+        (count, root, labels, size), nodes = list_exact(members)
+        method = "exact"
+    else:
+        by_size: dict = {}
+        for label, s in members:
+            by_size.setdefault(len(s), []).append((label, s))
+        count, root, labels, size = 0, EMPTY, (), 0
+        for sz in sorted(by_size):
+            c, r, ls = petals_list_greedy(by_size[sz], sz)
+            if c > count:
+                count, root, labels, size = c, r, ls, sz
+        method = "greedy"
+    if count >= p:
+        petals = [family.get(label) for label in labels]
+        assert pairwise_is_delta_system(petals) == (True, root)
+        return ExtractionResult(DeltaSystem(root, labels, size), count, method), nodes
+    return ExtractionResult(None, count, method), nodes
+
+
 def brute_force_max_petals(family):
-    """Oracle: check every subfamily of size at least 2 against the predicate."""
+    """Oracle: check every subfamily of size at least 2 against the definition."""
     best = min(len(family), 1)
     members = list(family.members)
     for size in range(2, len(members) + 1):
         for combo in combinations(members, size):
-            ok, _root = is_delta_system([s for _l, s in combo])
+            ok, _root = pairwise_is_delta_system([s for _l, s in combo])
             if ok:
                 best = max(best, size)
     return best
@@ -91,7 +212,7 @@ def test_exact_matches_brute_force():
         assert result.max_petals == brute_force_max_petals(family)
         if result.ok:
             petals = [family.get(lab) for lab in result.system.petal_labels]
-            ok, root = is_delta_system(petals)
+            ok, root = pairwise_is_delta_system(petals)
             assert ok and root == result.system.root
 
 
@@ -133,6 +254,9 @@ def test_free_transversal_successor_constraints():
     constraints = {lab: Point.of(lab + 1) for lab in range(1, 11)}
     result = free_transversal(constraints, 3)
     assert result.labels == (1, 3, 5)
+    # and the other way round: 2's own set holds the picked 1, 4's the picked 3
+    constraints = {lab: Point.of(lab - 1) for lab in range(1, 11)}
+    assert free_transversal(constraints, 3).labels == (1, 3, 5)
 
 
 def test_free_transversal_exhaustion():
@@ -241,3 +365,80 @@ def test_exact_extraction_charges_its_search_nodes():
     budget = Budget(1)
     assert extract_delta_system(wide, 2, budget).method == "greedy"
     assert budget.spent == 0
+
+
+def seeded_family(rng, n_members):
+    """Random sets over a small universe, some replaced by a planted system of
+    short petals around a root of negative elements."""
+    universe = rng.randint(3, 40)
+    sizes = rng.sample(range(5), rng.randint(1, 3))
+    sets = [rng.sample(range(universe), min(rng.choice(sizes), universe))
+            for _ in range(n_members)]
+    root = list(range(-rng.randint(0, 3), 0))
+    fresh = universe
+    for i in rng.sample(range(n_members), min(n_members, rng.randint(0, 8))):
+        sets[i] = root + list(range(fresh, fresh + rng.randint(0, 2)))
+        fresh += len(sets[i]) - len(root)
+    labels = rng.sample(range(10 * n_members), n_members)
+    return fam(*sets, labels=labels)
+
+
+def test_predicate_matches_the_pairwise_definition():
+    rng = random.Random(21)
+    for _ in range(400):
+        root = rng.sample(range(5), rng.randint(0, 2))
+        universe = rng.randint(1, 30)
+        sizes = rng.sample(range(4), rng.choice((1, 1, 1, 2)))
+        sets = [Point(root + rng.sample(range(5, 5 + universe), min(rng.choice(sizes), universe)))
+                for _ in range(rng.randint(0, 8))]
+        if len(sets) > 2 and root and rng.random() < 0.25:
+            # the same size, but without the root's first element
+            sets[-1] = Point([e for e in sets[-1] if e != root[0]] + [99])
+        assert is_delta_system(sets) == pairwise_is_delta_system(sets), sets
+
+
+def dense_family(rng, n_members):
+    """Many 2- and 3-sets over a few elements: the greedy goes below its first
+    level, and ties in element frequency pick its root."""
+    universe = rng.randint(6, 14)
+    return fam(*(rng.sample(range(universe), rng.randint(2, 3)) for _ in range(n_members)))
+
+
+def test_extraction_matches_the_list_searches():
+    # same answer, order of labels, root and exact-search node count as the
+    # petals-list searches, on both sides of the exact limit
+    rng = random.Random(22)
+    for trial in range(240):
+        if trial % 3 == 0:
+            family = seeded_family(rng, rng.randint(2, EXACT_SEARCH_LIMIT))
+        elif trial % 3 == 1:
+            family = seeded_family(rng, rng.randint(EXACT_SEARCH_LIMIT + 1, 400))
+        else:
+            family = dense_family(rng, rng.randint(EXACT_SEARCH_LIMIT + 1, 400))
+        p = rng.randint(2, 6)
+        expected, nodes = oracle_extract(family, p)
+        budget = Budget(10 ** 9)
+        assert extract_delta_system(family, p, budget) == expected
+        assert budget.spent == nodes
+
+
+def test_greedy_finishes_on_many_disjoint_singletons(tmp_path):
+    # 4,000 members used to take 10.7 s: every petal was tested against every
+    # petal chosen before it, and so was the final predicate
+    family = tmp_path / "family.txt"
+    family.write_text("".join(f"{i}: {{{i}}}\n" for i in range(4000)))
+    started = time.monotonic()
+    code, payload = dispatch(["ds", "extract", "--family", str(family), "--petals", "2"])
+    assert time.monotonic() - started < 1
+    assert code == 0 and payload["method"] == "greedy" and payload["max_petals"] == 4000
+    assert payload["root"] == []
+
+
+def test_greedy_root_can_be_deeper_than_the_recursion_limit():
+    # the greedy used to recurse once per root element, so a root of 1,050
+    # elements ended in an "internal" RecursionError
+    core = tuple(range(1050))
+    family = fam(*(core + (2000 + i,) for i in range(EXACT_SEARCH_LIMIT + 1)))
+    result = extract_delta_system(family, 2)
+    assert result.method == "greedy" and result.max_petals == EXACT_SEARCH_LIMIT + 1
+    assert result.system.root == Point(core)
