@@ -494,10 +494,13 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple,
     return Decomposition(kind, ambient, tuple(pieces), limit, witnesses, depth)
 
 
-def check_pairwise_disjoint(dec: Decomposition) -> list:
-    """Symbolically empty pairwise intersections; returns the offending pairs."""
+def check_pairwise_disjoint(dec: Decomposition,
+                            budget: Budget | int = DEFAULT_BUDGET) -> list:
+    """Symbolically empty pairwise intersections; returns the offending pairs.
+    The constraint comparisons are charged to ``budget`` as
+    ``BoxIndex.meeting_pairs`` counts them."""
     return [(dec.pieces[a].label, dec.pieces[b].label)
-            for a, b in dec.index.meeting_pairs()]
+            for a, b in dec.index.meeting_pairs(budget)]
 
 
 def piece_for_point(dec: Decomposition, x: ProductPoint):

@@ -7,12 +7,12 @@ exhausted.  Identical flags and seed give byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import averaging, classification, clopen, deltasystem, encode, ground, uec
 
@@ -27,20 +27,12 @@ class _HelpRequested(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliError(message)
-
-    def print_help(self, file=None):
-        # -h/--help: hand the text back instead of printing it and exiting
-        raise _HelpRequested(self.format_help())
-
-
 _REQUIRED_INT = dict(type=int, required=True)
 _K_GROUND = [("--k", _REQUIRED_INT), ("--ground", _REQUIRED_INT)]
 
 # command -> action -> flags as (name, add_argument keywords); the action None
-# marks a command that takes its flags directly instead of an action
+# marks a command that takes its flags directly instead of an action.  ``_parse``
+# reads type, choices, required and default; argparse also reads help
 _COMMANDS = {
     "classify": {None: [
         ("--tau", dict(required=True)),
@@ -92,39 +84,133 @@ _COMMANDS = {
 }
 
 
-def _common_flags() -> _Parser:
-    # shared by every (sub)parser so global flags may follow the subcommand;
-    # SUPPRESS keeps inner defaults from clobbering values parsed earlier
-    common = _Parser(add_help=False)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help=f"enumeration budget (default {ground.DEFAULT_BUDGET})")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for sampled checks (default 0)")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="write the JSON document here")
-    return common
+# flags every command takes, before or after its name
+_GLOBAL_FLAGS = {
+    "--budget": dict(type=int, default=ground.DEFAULT_BUDGET,
+                     help=f"enumeration budget (default {ground.DEFAULT_BUDGET})"),
+    "--seed": dict(type=int, default=0, help="seed for sampled checks (default 0)"),
+    "--out": dict(help="write the JSON document here"),
+}
 
 
-def _leaf(subparsers, name: str, common: _Parser, flags) -> None:
-    parser = subparsers.add_parser(name, parents=[common])
-    for flag, options in flags:
-        parser.add_argument(flag, **options)
+def _parse_tables() -> dict:
+    """Path of positional tokens -> (the flags allowed there, the names the
+    next positional token may take, or None at a leaf)."""
+    tables = {(): (_GLOBAL_FLAGS, tuple(_COMMANDS))}
+    for command, actions in _COMMANDS.items():
+        if None in actions:
+            tables[(command,)] = ({**dict(actions[None]), **_GLOBAL_FLAGS}, None)
+            continue
+        tables[(command,)] = ({}, tuple(actions))
+        for action, flags in actions.items():
+            tables[(command, action)] = ({**dict(flags), **_GLOBAL_FLAGS}, None)
+    return tables
+
+
+_TABLES = _parse_tables()
+
+
+def _flag_value(flag: str, options: dict, text: str):
+    kind = options.get("type")
+    value = text
+    if kind is not None:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise CliError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+    choices = options.get("choices")
+    if choices is not None and value not in choices:
+        raise CliError(f"argument {flag}: invalid choice: {value!r} "
+                       f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _parse(argv) -> SimpleNamespace:
+    """Read argv against ``_COMMANDS``: the command, its action if it has
+    actions, then its flags; the global flags may also come first.
+
+    Every flag takes one value, as the next token or after ``=``; the next
+    token is the value even when it starts with "-".  A repeated flag keeps
+    its last value, and a flag is matched only by its full name.  -h/--help
+    where a flag may stand raises ``_HelpRequested`` with argparse's help for
+    the path read so far.
+    """
+    path = ()
+    flags, choices = _TABLES[path]
+    values, unknown = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            build_parser().parse_args([*path, token])  # raises _HelpRequested
+        if token.startswith("-"):
+            flag, eq, text = token.partition("=")
+            options = flags.get(flag)
+            if options is None:
+                unknown.append(token)
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise CliError(f"argument {flag}: expected one argument")
+            values[flag] = _flag_value(flag, options, text)
+        elif choices is None:
+            unknown.append(token)
+        elif token in choices:
+            path += (token,)
+            flags, choices = _TABLES[path]
+        else:
+            raise CliError(f"argument {('command', 'action')[len(path)]}: invalid choice: "
+                           f"{token!r} (choose from {', '.join(map(repr, choices))})")
+    # argparse reports stray tokens only once the scan is over, so a later
+    # -h/--help still answers
+    if unknown:
+        raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
+    if not path:
+        raise CliError("missing subcommand")
+    if choices is not None:
+        raise CliError(f"{path[0]} needs one of: {', '.join(choices)}")
+    missing = [flag for flag, options in flags.items()
+               if options.get("required") and flag not in values]
+    if missing:
+        raise CliError(f"the following arguments are required: {', '.join(missing)}")
+    args = SimpleNamespace(**dict(zip(("command", "action"), path)))
+    for flag, options in flags.items():
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, options.get("default")))
+    return args
 
 
 @functools.cache
-def build_parser() -> _Parser:
-    """The parser for every command in ``_COMMANDS``, built on first use."""
-    common = _common_flags()
-    parser = _Parser(prog="sigmaprod", description=__doc__, parents=[common])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+def build_parser():
+    """argparse's parser for every command in ``_COMMANDS``, built on first
+    use.  It writes the -h/--help text; ``_parse`` reads argv without it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # -h/--help: hand the text back instead of printing it and exiting
+            raise _HelpRequested(self.format_help())
+
+    # shared by every (sub)parser so global flags may follow the subcommand;
+    # SUPPRESS keeps inner defaults from clobbering values parsed earlier
+    common = Parser(add_help=False)
+    for flag, options in _GLOBAL_FLAGS.items():
+        common.add_argument(flag, **{**options, "default": argparse.SUPPRESS})
+
+    def leaf(subparsers, name: str, flags) -> None:
+        parser = subparsers.add_parser(name, parents=[common])
+        for flag, options in flags:
+            parser.add_argument(flag, **options)
+
+    parser = Parser(prog="sigmaprod", description=__doc__, parents=[common])
+    sub = parser.add_subparsers(dest="command", parser_class=Parser)
     for command, actions in _COMMANDS.items():
         if None in actions:
-            _leaf(sub, command, common, actions[None])
+            leaf(sub, command, actions[None])
             continue
         action_sub = sub.add_parser(command).add_subparsers(dest="action",
-                                                            parser_class=_Parser)
+                                                            parser_class=Parser)
         for action, flags in actions.items():
-            _leaf(action_sub, action, common, flags)
+            leaf(action_sub, action, flags)
     return parser
 
 
@@ -180,7 +266,7 @@ def _handle_decompose(args) -> dict:
     # plus its tail, and each neighborhood box one unit
     width = dec.ambient.explicit_len + dec.depth
     args.budget.charge(args.samples * width + args.boxes)
-    disjoint = classification.check_pairwise_disjoint(dec)
+    disjoint = classification.check_pairwise_disjoint(dec, args.budget)
     membership = classification.check_sample_membership(dec, args.samples, args.seed)
     boxes = classification.limit_neighborhood_boxes(dec, args.boxes, args.seed + 1)
     cofinite = classification.check_limit_cofinite(dec, boxes)
@@ -318,16 +404,10 @@ def _invoke(argv) -> tuple:
     parsed arguments or None when parsing failed)."""
     args = None
     try:
-        args = build_parser().parse_args(argv)
-        if args.command is None:
-            raise CliError("missing subcommand")
-        args.budget = ground.Budget(getattr(args, "budget", ground.DEFAULT_BUDGET))
+        args = _parse(argv)
+        args.budget = ground.Budget(args.budget)
         if args.budget.limit <= 0:
             raise CliError("budget must be positive")
-        args.seed = getattr(args, "seed", 0)
-        actions = _COMMANDS[args.command]
-        if None not in actions and args.action is None:
-            raise CliError(f"{args.command} needs one of: {', '.join(actions)}")
         payload = _HANDLERS[args.command](args)
         return 0, {"schema": SCHEMA, **payload}, args
     except _HelpRequested as exc:

@@ -220,12 +220,18 @@ class BoxIndex:
             self.coords[s] = (bound, self.everything & ~constrained, pending, groups)
         self.coords = dict(reversed(self.coords.items()))
 
-    def meeting_pairs(self) -> list:
+    def meeting_pairs(self, budget: Budget | int = DEFAULT_BUDGET) -> list:
         """Pairs (a, b) with a < b of boxes that share a point, in lexicographic order.
 
         Two nonempty boxes are disjoint exactly when, at some coordinate both
-        constrain, their two constraints admit no common value.
+        constrain, their two constraints admit no common value.  Each
+        constraint is compared with every other one at its coordinate, so a
+        coordinate with g distinct constraints costs (g - 1)·Σ(|F| + |G|)
+        units, charged to ``budget`` before any comparison.
         """
+        Budget.of(budget).charge(sum(
+            (len(groups) - 1) * sum(len(f) + len(g) for f, g, _mask, _members in groups)
+            for _bound, _free, _pending, groups in self.coords.values()))
         conflict = [0] * self.size
         for bound, _free, _pending, groups in self.coords.values():
             clashes = [0] * len(groups)

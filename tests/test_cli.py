@@ -289,10 +289,25 @@ def test_decompose_checks_count_against_the_budget():
     assert payload["error"]["needed"] == 820 + 100000 * 40 + 100000
     argv = ["decompose", "--kind", "absorb_small", "--m", "1", "--n", "2", "--depth", "3",
             "--samples", "7", "--boxes", "5"]
-    needed = 1 + 2 * (3 + 3 * 2) + 7 * 4 + 5
+    # then the disjointness comparisons, (g - 1)·Σ(|F| + |G|) over the g
+    # distinct constraints of each coordinate: 1·2, 2·5, 2·5, 1·3
+    needed = 1 + 2 * (3 + 3 * 2) + 7 * 4 + 5 + (2 + 10 + 10 + 3)
     assert run(argv + ["--budget", str(needed)])[0] == 0
     code, payload = run(argv + ["--budget", str(needed - 1)])
     assert code == 2 and payload["error"]["needed"] == needed
+
+
+def test_decompose_charges_its_disjointness_comparisons():
+    # charged only its 1,000 constraints, this compared every pair of them
+    # and ran for more than 60 s
+    argv = ["decompose", "--kind", "absorb_small", "--m", "0", "--n", "1000", "--depth", "1",
+            "--samples", "0", "--boxes", "0"]
+    started = time.monotonic()
+    code, payload = run(argv)
+    assert time.monotonic() - started < 1
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    # piece i constrains the one coordinate by F of i elements and G of one
+    assert payload["error"]["needed"] == 1000 + 999 * sum(i + 1 for i in range(1000))
 
 
 def test_decompose_rejects_negative_check_counts():
@@ -348,9 +363,11 @@ def test_each_request_charges_its_documented_count(tmp_path):
     cases = [
         # every vector v <= ks is a term of exactly one stage
         (["cb", "--ks", "2,3"], 3 * 4),
-        # constraints 1 + ... + 4, then each sample its 4 coordinates, each box one
+        # constraints 1 + ... + 4, then each sample its 4 coordinates, each box
+        # one, then the disjointness comparisons: two constraints of one
+        # element each at the first three coordinates
         (["decompose", "--kind", "classif_K", "--depth", "4", "--samples", "60",
-          "--boxes", "8"], 10 + 60 * 4 + 8),
+          "--boxes", "8"], 10 + 60 * 4 + 8 + 3 * (1 * 2)),
         # the domain (ground + 1)^k
         (["avg", "check", "--k", "2", "--ground", "3"], 4 ** 2),
         # the tail table, the head nodes and the listed solutions, all 27 here
