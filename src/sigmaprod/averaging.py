@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iter_product
+from itertools import product as iter_product
 
 from .ground import (
     DEFAULT_BUDGET,
@@ -23,6 +23,7 @@ from .ground import (
     Budget,
     Point,
     enumerate_sigma_points,
+    union_fiber,
 )
 # bound by this name in bench/tracing.py
 from .encode import operator_to_json  # noqa: F401
@@ -80,19 +81,7 @@ def enumerate_L(y: Point, k: int) -> DisjointTupleSet:
     """
     if len(y) > k:
         raise ValueError(f"|y|={len(y)} exceeds k={k}: the fiber is empty")
-    return DisjointTupleSet(y, k, _placements([Point.of(el) for el in y], k))
-
-
-def _placements(singletons: list, k: int) -> tuple:
-    """The k-tuples holding each of ``singletons`` in a slot of its own and
-    EMPTY in the other slots, in the order of ``permutations``."""
-    tuples = []
-    for placement in permutations(range(k), len(singletons)):
-        coords = [EMPTY] * k
-        for single, slot in zip(singletons, placement):
-            coords[slot] = single
-        tuples.append(tuple(coords))
-    return tuple(tuples)
+    return DisjointTupleSet(y, k, union_fiber([Point.of(el) for el in y], k))
 
 
 @dataclass(frozen=True)
@@ -187,7 +176,7 @@ def build_operator(k: int, ground_size: int,
     surjection = {x: by_mask[mask] for x, mask in tuples}
     rows = {}
     for y in codomain:
-        fiber = _placements([singletons[el] for el in y], k)
+        fiber = union_fiber([singletons[el] for el in y], k)
         w = Fraction(1, len(fiber))
         rows[y] = tuple((x, w) for x in fiber)
     return AveragingOperator(domain, codomain, surjection, rows)

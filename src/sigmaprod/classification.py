@@ -289,15 +289,14 @@ class SpaceExpression:
         return len(self.terms)
 
 
+def _derive(terms) -> set:
+    """Derived set of a union of terms: each loses one from one positive coordinate."""
+    return {v[:s] + (d - 1,) + v[s + 1:] for v in terms for s, d in enumerate(v) if d > 0}
+
+
 def cb_derivative(expr: SpaceExpression) -> SpaceExpression:
-    """Derived set: full-degree points are isolated, so each term loses one
-    from one positive coordinate; the derivative of a union is the union."""
-    derived = set()
-    for v in expr.terms:
-        for s, d in enumerate(v):
-            if d > 0:
-                derived.add(v[:s] + (d - 1,) + v[s + 1:])
-    return SpaceExpression(expr.bounds, tuple(derived))
+    """Derived set: full-degree points are isolated; the derivative of a union is the union."""
+    return SpaceExpression(expr.bounds, tuple(_derive(expr.terms)))
 
 
 def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
@@ -314,17 +313,17 @@ def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     if any(not isinstance(k, int) or k < 0 for k in ks):
         raise ValueError("factor bounds must be non-negative integers")
     budget = Budget.of(budget)
-    expr = SpaceExpression.full(ks)
+    terms = {ks}
     steps = 0
-    last = expr
-    while not expr.is_empty:
-        budget.charge(len(expr.terms))
-        last = expr
-        expr = cb_derivative(expr)
+    while terms:
+        budget.charge(len(terms))
+        last = terms
+        terms = _derive(terms)
         steps += 1
-    if last.terms != ((0,) * len(ks),):
-        raise AssertionError(f"last nonempty stage is {last.terms}, not the all-zero vector")
-    return steps, last.point_count
+    final = SpaceExpression(ks, tuple(last))
+    if final.terms != ((0,) * len(ks),):
+        raise AssertionError(f"last nonempty stage is {final.terms}, not the all-zero vector")
+    return steps, final.point_count
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +431,8 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
     With m = 0 this is the partition of the omega power itself.  The pieces
     index the first witness element missing from the first non-full omega
     coordinate; their only limit point is the constant witness-set sequence.
-    The pieces' coordinate constraints, counted before any is built, are
-    charged to ``budget``.
+    The pieces' coordinate constraints and the elements of the distinct
+    ones, counted before any is built, are charged to ``budget``.
     """
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
@@ -467,8 +466,10 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple,
     ``label(k, i)`` names the piece that pins k omega coordinates to the full
     witness set and misses witness i in the next."""
     offset = 1 if m > 0 else 0
-    # B'(j) carries one constraint, A/B(k, i) carries k + 1 + offset
-    Budget.of(budget).charge(m + n * (depth * (depth - 1) // 2 + depth * (1 + offset)))
+    # B'(j) carries one constraint and A/B(k, i) k + 1 + offset; the distinct ones
+    # hold n(n + 1)/2 elements in the misses, n in the full set and m in the small set
+    Budget.of(budget).charge(m + n * (depth * (depth - 1) // 2 + depth * (1 + offset))
+                             + n * (n + 1) // 2 + n + m)
     full_set = Point(witnesses)
     small_set = Point(witnesses[:m])
     # (F, G) at the first coordinate that misses witness i, shared by every piece

@@ -221,11 +221,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise CliError(f"malformed rational {text!r}") from None
 
 
-def _read_json(path: str):
+def _read_file(path: str) -> str:
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text()
     except FileNotFoundError:
         raise CliError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_file(path))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
 
@@ -341,11 +348,7 @@ def _handle_uec(args) -> dict:
 
 def _parse_family_file(path: str) -> deltasystem.SetFamily:
     pairs = []
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_file(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -370,7 +373,7 @@ def _handle_ds(args) -> dict:
                   for label, sets in sorted(raw[side].items(), key=lambda kv: int(kv[0])))
             for side in ("side_g", "side_h")
         )
-    except (TypeError, ValueError, KeyError):
+    except (TypeError, ValueError, KeyError, AttributeError):
         raise CliError("malformed spec file; expected side_g / side_h objects") from None
     spec = deltasystem.NeighborhoodSpec(args.k, side_g, side_h)
     result = deltasystem.common_point_witness(spec, args.n, args.k, args.budget)
@@ -382,7 +385,8 @@ def _handle_clopen(args) -> dict:
     if args.action == "empty":
         return {"box": encode.box(box), "empty": clopen.box_is_empty(box)}
     if args.action == "reduce":
-        return {"box": encode.box(box), **encode.box_reduction(clopen.box_reduce(box))}
+        return {"box": encode.box(box),
+                **encode.box_reduction(clopen.box_reduce(box, args.budget))}
     preimage = clopen.preimage_under_union(box, args.k, args.budget)
     return {"box": encode.box(box), "k": args.k,
             "preimage": encode.clopen_set(preimage), "count": len(preimage)}
@@ -448,9 +452,13 @@ def main(argv=None) -> int:
     text = render(payload)
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+        try:
+            Path(out).write_text(text + "\n")
+            return code
+        except OSError as exc:
+            code, text = 1, render({"schema": SCHEMA, "error": {
+                "type": "usage", "message": f"cannot write {out}: {exc.strerror}"}})
+    print(text)
     return code
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 from .ground import (
     DEFAULT_BUDGET,
@@ -23,6 +22,7 @@ from .ground import (
     parse_descriptor,
     parse_point,
     point_in_ambient,
+    union_fiber,
 )
 
 
@@ -312,37 +312,30 @@ class BoxReduction:
     removed: tuple
 
     def transform(self, x: ProductPoint) -> ProductPoint:
-        width = max([len(x.prefix)] + [s + 1 for s, _ in self.removed])
-        coords = []
-        for s in range(width):
-            value = x.coordinate(s)
-            for coord, f in self.removed:
-                if coord == s:
-                    if not f.issubset(value):
-                        raise ValueError(f"point {x} not in the reduced box")
-                    value = value - f
-                    break
-            coords.append(value)
-        return ProductPoint(tuple(coords), x.tail_value)
+        if not all(f.issubset(x.coordinate(s)) for s, f in self.removed):
+            raise ValueError(f"point {x} not in the reduced box")
+        return self._walk(x, Point.__sub__)
 
     def restore(self, x: ProductPoint) -> ProductPoint:
-        width = max([len(x.prefix)] + [s + 1 for s, _ in self.removed])
-        coords = []
-        for s in range(width):
-            value = x.coordinate(s)
-            for coord, f in self.removed:
-                if coord == s:
-                    value = value | f
-                    break
-            coords.append(value)
+        return self._walk(x, Point.__or__)
+
+    def _walk(self, x: ProductPoint, step) -> ProductPoint:
+        """``x`` with each coordinate s that lost F replaced by step(x_s, F)."""
+        removed = dict(self.removed)
+        coords = list(x.prefix)
+        coords += [x.tail_value] * (max(removed, default=-1) + 1 - len(coords))
+        for s, f in removed.items():
+            coords[s] = step(coords[s], f)
         return ProductPoint(tuple(coords), x.tail_value)
 
 
-def box_reduce(b: BasicBox) -> BoxReduction:
-    """Descriptor of the box's homeomorphism type: each constrained coordinate
-    drops |F| from its bound; unconstrained coordinates and the tail pass through."""
+def box_reduce(b: BasicBox, budget: Budget | int = DEFAULT_BUDGET) -> BoxReduction:
+    """Descriptor of the box's homeomorphism type: each constrained coordinate drops
+    |F| from its bound, the rest pass through.  One unit per coordinate up to the
+    last constrained one is charged to ``budget`` first."""
     if box_is_empty(b):
         raise ValueError("cannot reduce an empty box")
+    Budget.of(budget).charge(b.max_constrained_coord() + 1)
     ambient = b.ambient
     # a coordinate past the explicit factors is constrained, so the tail exists
     factors = list(ambient.factors)
@@ -359,11 +352,11 @@ def box_reduce(b: BasicBox) -> BoxReduction:
 def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUDGET) -> ClopenSet:
     """Preimage of a box under the k-fold union map from k-tuples of at-most-singletons.
 
-    One box per injective placement of the F elements into coordinates: the
-    receiving coordinate must contain its element (hence equals that
-    singleton), and every coordinate avoids G.  The k coordinates of each of
-    the k!/(k - |F|)! placements are charged to ``budget`` before any box is
-    built.
+    One box per tuple x of the union map's fiber over F, constraining each
+    coordinate c by (x[c], G): the receiving coordinate must contain its
+    element (hence equals that singleton), and every coordinate avoids G.
+    The k coordinates of each of the k!/(k - |F|)! placements are charged to
+    ``budget`` before any box is built.
     """
     if b.ambient.omega_tail is not None or b.ambient.explicit_len != 1:
         raise ValueError("expected a box over a single factor")
@@ -374,14 +367,8 @@ def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUD
     f, g = b.constraint_at(0)
     Budget.of(budget).charge(math.perm(k, len(f)) * k)
     domain = ProductDescriptor.power(1, k)
-    elements = list(f)
-    boxes = []
-    for placement in permutations(range(k), len(elements)):
-        constraints = {}
-        for coord in range(k):
-            forced = [elements[i] for i, c in enumerate(placement) if c == coord]
-            constraints[coord] = (Point(tuple(forced)), g)
-        boxes.append(BasicBox.make(domain, constraints))
+    boxes = [BasicBox(domain, tuple((c, p, g) for c, p in enumerate(x)))
+             for x in union_fiber([Point.of(el) for el in f], k)]
     return ClopenSet(domain, tuple(boxes))
 
 

@@ -152,15 +152,16 @@ def _extract_exact(group, budget: Budget) -> tuple:
     return best
 
 
-def _er_extract(cands, petal_size) -> tuple:
+def _er_extract(cands, petal_size, budget: Budget) -> tuple:
     """Greedy root-bucketing: at each level take a maximal disjoint subfamily,
     then keep the sets holding the most frequent element, which joins the
     root, and drop it from them; the first level with the most petals wins.
     Finds a system of p petals whenever the family has more than
-    s! * (p-1)^s distinct s-sets."""
+    s! * (p-1)^s distinct s-sets.  Each pass is charged the size of its sets."""
     best = (0, EMPTY, ())
     root: list = []
     for level in range(petal_size + 1):
+        budget.charge(sum(len(s) for _label, s in cands))
         chosen: list = []
         used: set = set()
         for label, s in cands:
@@ -184,9 +185,9 @@ def extract_delta_system(fam: SetFamily, p: int,
                          budget: Budget | int = DEFAULT_BUDGET) -> ExtractionResult:
     """Search for a delta-system with at least p petals among subfamilies.
 
-    Exact (maximal) for families up to ``EXACT_SEARCH_LIMIT`` members, with
-    the nodes of its searches charged to ``budget``; greedy root-bucketing
-    beyond.  On failure the result still reports the best petal count found.
+    Exact (maximal) for families up to ``EXACT_SEARCH_LIMIT`` members, greedy
+    root-bucketing beyond; both charge their work to ``budget``.  On failure
+    the result still reports the best petal count found.
     """
     if p < 2:
         raise ValueError("need at least two petals")
@@ -202,7 +203,7 @@ def extract_delta_system(fam: SetFamily, p: int,
         best = (1, EMPTY, (first_label,), len(first_set))
     for size in sorted(by_size):
         group = by_size[size]
-        found = _extract_exact(group, budget) if exact else _er_extract(group, size)
+        found = _extract_exact(group, budget) if exact else _er_extract(group, size, budget)
         if found[0] > best[0]:
             best = (*found, size)
     count, root, labels, size = best

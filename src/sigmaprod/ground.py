@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 GroundElement = int
 
@@ -348,6 +348,18 @@ def enumerate_sigma_points(n: int, ground_size: int) -> list:
         for combo in combinations(range(ground_size), m):
             points.append(Point(combo))
     return points
+
+
+def union_fiber(singletons: list, k: int) -> tuple:
+    """The fiber of the k-fold union map over the union of ``singletons``: the k-tuples
+    holding each in a slot of its own and EMPTY elsewhere, in ``permutations`` order."""
+    tuples = []
+    for placement in permutations(range(k), len(singletons)):
+        coords = [EMPTY] * k
+        for single, slot in zip(singletons, placement):
+            coords[slot] = single
+        tuples.append(tuple(coords))
+    return tuple(tuples)
 
 
 def materialize(desc: ProductDescriptor, ground_size: int, depth: int | None = None,

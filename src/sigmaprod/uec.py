@@ -46,11 +46,14 @@ def _level_sum(counts: dict, levels: int) -> int:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Per-level weights r_n and support bounds M_n = floor(1/r_n)."""
+    """Per-level support bounds M_n = floor(1/r_n); the weights r_n are built when read."""
 
     levels: int
-    r: tuple
     m: tuple
+
+    @property
+    def r(self) -> tuple:
+        return tuple(map(level_weight, range(self.levels)))
 
 
 def weight_digits(n: int) -> int:
@@ -62,18 +65,16 @@ def weight_digits(n: int) -> int:
 
 
 def level_bounds(levels: int, budget: Budget | int = DEFAULT_BUDGET) -> WeightTable:
-    """The weights and bounds of the first ``levels`` levels.  The digits of
-    the weights grow linearly with the level, so an upper bound on the digits
-    of the whole r column, Σ_{n<levels} (n·log10 2 + (n + 1)·log10 3 + 2), is
-    charged to ``budget`` before any weight is built, with the logarithms of
+    """The table of the first ``levels`` levels, whose r column is built when
+    read.  The digits of the weights grow linearly with the level, so an upper
+    bound on the digits of that column, Σ_{n<levels} (n·log10 2 + (n + 1)·log10 3
+    + 2), is charged to ``budget`` first, with the logarithms of
     ``weight_digits`` and the whole sum rounded up once."""
     if levels < 1:
         raise ValueError("need at least one level")
     digits = _LOG10_2 * (levels * (levels - 1) // 2) + _LOG10_3 * (levels * (levels + 1) // 2)
     Budget.of(budget).charge(-(-digits // 100_000) + 2 * levels)
-    r = tuple(map(level_weight, range(levels)))
-    m = tuple(3 ** (n + 1) >> n for n in range(levels))
-    return WeightTable(levels, r, m)
+    return WeightTable(levels, tuple(3 ** (n + 1) >> n for n in range(levels)))
 
 
 @dataclass(frozen=True)

@@ -444,7 +444,8 @@ def test_classif_k_is_absorb_small_with_one_witness():
                 == [(p.box, p.claimed_type) for p in a_dec.pieces])
         assert (k_dec.ambient, k_dec.limit_point, k_dec.witnesses, k_dec.depth) == (
             a_dec.ambient, a_dec.limit_point, a_dec.witnesses, a_dec.depth)
-        assert k_budget.spent == a_budget.spent == depth * (depth + 1) // 2
+        # the constraints, then the elements of the miss ({}, {7}) and of {7}
+        assert k_budget.spent == a_budget.spent == depth * (depth + 1) // 2 + 2
 
 
 def test_absorb_small_rejects_bad_shapes():

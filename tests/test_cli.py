@@ -271,8 +271,9 @@ def test_decompose_and_cb_count_against_the_budget():
     code, payload = run(["decompose", "--kind", "absorb_small", "--m", "1", "--n", "2",
                          "--depth", "1000", "--budget", "100"])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-    # the closed-form constraint count, charged before any piece is built
-    assert payload["error"]["needed"] == 1 + 2 * (999 * 1000 // 2 + 2 * 1000)
+    # the closed-form constraint count and the elements of the distinct
+    # constraints, n(n + 1)/2 + n + m, charged before any piece is built
+    assert payload["error"]["needed"] == 1 + 2 * (999 * 1000 // 2 + 2 * 1000) + (3 + 2 + 1)
     code, payload = run(["cb", "--ks", "12,12,12,12,12", "--budget", "10"])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
     assert time.monotonic() - started < 2
@@ -285,13 +286,14 @@ def test_decompose_checks_count_against_the_budget():
                          "--samples", "100000", "--boxes", "100000", "--budget", "1000"])
     assert time.monotonic() - started < 2
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-    # 820 constraints, then each sample its 40 coordinates, each box one unit
-    assert payload["error"]["needed"] == 820 + 100000 * 40 + 100000
+    # 820 constraints and their 2 distinct elements, then each sample its 40
+    # coordinates, each box one unit
+    assert payload["error"]["needed"] == 820 + 2 + 100000 * 40 + 100000
     argv = ["decompose", "--kind", "absorb_small", "--m", "1", "--n", "2", "--depth", "3",
             "--samples", "7", "--boxes", "5"]
     # then the disjointness comparisons, (g - 1)·Σ(|F| + |G|) over the g
     # distinct constraints of each coordinate: 1·2, 2·5, 2·5, 1·3
-    needed = 1 + 2 * (3 + 3 * 2) + 7 * 4 + 5 + (2 + 10 + 10 + 3)
+    needed = 1 + 2 * (3 + 3 * 2) + (3 + 2 + 1) + 7 * 4 + 5 + (2 + 10 + 10 + 3)
     assert run(argv + ["--budget", str(needed)])[0] == 0
     code, payload = run(argv + ["--budget", str(needed - 1)])
     assert code == 2 and payload["error"]["needed"] == needed
@@ -306,8 +308,20 @@ def test_decompose_charges_its_disjointness_comparisons():
     code, payload = run(argv)
     assert time.monotonic() - started < 1
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-    # piece i constrains the one coordinate by F of i elements and G of one
-    assert payload["error"]["needed"] == 1000 + 999 * sum(i + 1 for i in range(1000))
+    # piece i constrains the one coordinate by F of i elements and G of one;
+    # the 1,000 constraints, their elements and the full set, then the pairs
+    elements = sum(i + 1 for i in range(1000))
+    assert payload["error"]["needed"] == 1000 + (elements + 1000) + 999 * elements
+
+
+def test_decompose_charges_its_witness_elements():
+    # charged its 6,000 constraints only, this built their 18 million witness
+    # elements and exited 2 after 2.0 s at 228 MB
+    argv = ["decompose", "--kind", "absorb_small", "--m", "0", "--n", "6000", "--depth", "1"]
+    started = time.monotonic()
+    code, payload = run(argv)
+    assert time.monotonic() - started < 1
+    assert code == 2 and payload["error"]["needed"] == 6000 + (6000 * 6001 // 2 + 6000)
 
 
 def test_decompose_rejects_negative_check_counts():
@@ -339,6 +353,15 @@ def test_clopen_preimage_charges_the_coordinates_it_builds():
     assert code == 2 and payload["error"]["needed"] == k
 
 
+def test_clopen_reduce_charges_its_explicit_factors():
+    # one explicit factor per coordinate up to the last constrained one: this
+    # ran 0.57 s at 275 MB, and at coordinate 10**8 it was killed
+    started = time.monotonic()
+    code, payload = run(["clopen", "reduce", "--box", "[3000000: F={1} G={}] @ 2^w"])
+    assert time.monotonic() - started < 1
+    assert code == 2 and payload["error"]["needed"] == 3_000_001
+
+
 def test_avg_rejects_a_negative_ground():
     # used to answer {"type": "invalid-input", "message": "0"} from a KeyError
     code, payload = run(["avg", "build", "--k", "3", "--ground", "-3"])
@@ -363,11 +386,12 @@ def test_each_request_charges_its_documented_count(tmp_path):
     cases = [
         # every vector v <= ks is a term of exactly one stage
         (["cb", "--ks", "2,3"], 3 * 4),
-        # constraints 1 + ... + 4, then each sample its 4 coordinates, each box
-        # one, then the disjointness comparisons: two constraints of one
-        # element each at the first three coordinates
+        # constraints 1 + ... + 4 and the elements of ({}, {0}) and {0}, then
+        # each sample its 4 coordinates, each box one, then the disjointness
+        # comparisons: two constraints of one element each at the first three
+        # coordinates
         (["decompose", "--kind", "classif_K", "--depth", "4", "--samples", "60",
-          "--boxes", "8"], 10 + 60 * 4 + 8 + 3 * (1 * 2)),
+          "--boxes", "8"], 10 + 2 + 60 * 4 + 8 + 3 * (1 * 2)),
         # the domain (ground + 1)^k
         (["avg", "check", "--k", "2", "--ground", "3"], 4 ** 2),
         # the tail table, the head nodes and the listed solutions, all 27 here
@@ -389,7 +413,8 @@ def test_each_request_charges_its_documented_count(tmp_path):
         (["uec", "l0", "--bits-file", str(bits)], 3),  # weight_digits(0), for r_0 = 1/3
         # the nodes of the petal search under the one root {1}
         (["ds", "extract", "--family", str(family), "--petals", "2"], 5),
-        (["clopen", "reduce", "--box", "[0: F={0} G={}] @ 3"], 0),
+        # the explicit factors up to the last constrained coordinate
+        (["clopen", "reduce", "--box", "[0: F={0} G={}] @ 3"], 1),
     ]
     for argv, spent in cases:
         code, _payload, args = _invoke(argv)
@@ -597,3 +622,65 @@ def test_out_flag_with_equals_sign_writes_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["index"] == 3
+
+
+def test_greedy_extraction_charges_its_passes(tmp_path):
+    # one pass over the 21 sets per root element: this ran 1.3 s charged nothing
+    family = tmp_path / "family.txt"
+    members = "{" + ",".join(map(str, range(1200))) + "}"
+    family.write_text("".join(f"{label}: {members}\n" for label in range(21)))
+    started = time.monotonic()
+    code, payload = run(["ds", "extract", "--family", str(family), "--petals", "2"])
+    assert time.monotonic() - started < 1
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    assert payload["error"]["needed"] > DEFAULT_BUDGET
+
+
+def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
+    # a directory or an empty path used to answer "internal: IsADirectoryError"
+    missing = tmp_path / "missing.txt"
+    cases = [
+        (["ds", "extract", "--petals", "2", "--family", ""], "cannot read : Is a directory"),
+        (["uec", "pipeline", "--levels", "1", "--points-file="], "cannot read : Is a directory"),
+        (["ds", "witness", "--n", "1", "--k", "1", "--spec", str(tmp_path)],
+         f"cannot read {tmp_path}: Is a directory"),
+        (["ds", "extract", "--petals", "2", "--family", str(missing)], f"no such file: {missing}"),
+        (["uec", "l0", "--bits-file", str(missing)], f"no such file: {missing}"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == (1, {"schema": 1, "error": {"type": "usage", "message": message}})
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["avg", "apply", "--k", "2", "--ground", "3", "--f", "FILE"], "[5]",
+     "malformed function file; expected [[coords…], rational] pairs"),
+    (["avg", "apply", "--k", "2", "--ground", "3", "--f", "FILE"], "[]",
+     "function file misses 16 domain points"),
+    (["uec", "l0", "--bits-file", "FILE"], "[[0]]",
+     "malformed bits file; expected [[element, level], …]"),
+    (["uec", "pipeline", "--levels", "2", "--points-file", "FILE"], "[5]",
+     "malformed points file; expected [{label: rational}, …]"),
+    (["ds", "extract", "--petals", "2", "--family", "FILE"], "1: {1}\n2 {2}\n",
+     "FILE:2: expected 'label: {e1,e2}'"),
+    (["ds", "witness", "--n", "1", "--k", "1", "--spec", "FILE"], "{}",
+     "malformed spec file; expected side_g / side_h objects"),
+    # used to answer "internal: AttributeError"
+    (["ds", "witness", "--n", "1", "--k", "1", "--spec", "FILE"], '{"side_g": 5, "side_h": {}}',
+     "malformed spec file; expected side_g / side_h objects"),
+    (["cb", "--ks", "1", "--budget", "0"], "", "budget must be positive"),
+], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget"])
+def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
+    path = tmp_path / "input"
+    path.write_text(content)
+    code, payload = run([str(path) if token == "FILE" else token for token in argv])
+    assert code == 1 and payload["error"] == {
+        "type": "usage", "message": message.replace("FILE", str(path))}
+
+
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # used to raise IsADirectoryError / FileNotFoundError out of main
+    for out, reason in [(tmp_path, "Is a directory"),
+                        (tmp_path / "missing" / "result.json", "No such file or directory")]:
+        assert main(["cb", "--ks", "1,1", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"schema": 1, "error": {
+            "type": "usage", "message": f"cannot write {out}: {reason}"}}

@@ -130,6 +130,11 @@ def test_reduce_witness_is_bijective():
     assert len(image) == len(members)
     for x in members:
         assert red.restore(red.transform(x)) == x
+    # a point whose coordinate 0 misses F = {2} has no image
+    for x in materialize(box.ambient, 4):
+        if 2 not in x.coordinate(0):
+            with pytest.raises(ValueError, match=r"^point .* not in the reduced box$"):
+                red.transform(x)
 
 
 def test_preimage_structure_matches_derived_example():

@@ -316,14 +316,16 @@ def test_basic_box_names_the_first_coordinate_outside_the_ambient():
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)
 def test_the_constraint_count_is_charged_before_building(kind):
+    m, n = (0, 1) if kind == "K" else kind
     for depth in (1, 2, 7):
-        needed = constraint_count(build(kind, depth))
+        # the constraints, then the elements of the points built once: F and G
+        # of the miss of witness i, i + 1 of them, the full and the small set
+        needed = constraint_count(build(kind, depth)) + n * (n + 1) // 2 + n + m
         if kind == "K":
             assert decompose_classif_k(3, depth, budget=needed).depth == depth
             with pytest.raises(BudgetExceeded) as info:
                 decompose_classif_k(3, depth, budget=needed - 1)
         else:
-            m, n = kind
             assert decompose_absorb_small(m, n, depth, budget=needed).depth == depth
             with pytest.raises(BudgetExceeded) as info:
                 decompose_absorb_small(m, n, depth, budget=needed - 1)

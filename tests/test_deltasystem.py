@@ -96,7 +96,9 @@ def list_exact(members) -> tuple:
 
 
 def petals_list_greedy(cands, petal_size) -> tuple:
-    """Oracle: the recursive root-bucketing greedy over a list of petals."""
+    """Oracle: the recursive root-bucketing greedy over a list of petals, and
+    the units it reads, the total size of the sets at each level."""
+    units = sum(len(s) for _label, s in cands)
     chosen: list = []
     petals: list = []
     for label, s in cands:
@@ -105,21 +107,22 @@ def petals_list_greedy(cands, petal_size) -> tuple:
             chosen.append(label)
     best = (len(chosen), EMPTY, tuple(chosen))
     if petal_size == 0:
-        return best
+        return best, units
     freq: dict = {}
     for _label, s in cands:
         for el in s:
             freq[el] = freq.get(el, 0) + 1
     el = min(freq, key=lambda e: (-freq[e], repr(e)))
     sub = [(label, s - Point.of(el)) for label, s in cands if el in s]
-    count, root, labels = petals_list_greedy(sub, petal_size - 1)
+    (count, root, labels), below = petals_list_greedy(sub, petal_size - 1)
     if count > best[0]:
         best = (count, root | Point.of(el), labels)
-    return best
+    return best, units + below
 
 
 def oracle_extract(family, p) -> tuple:
-    """``(result, nodes)`` as ``extract_delta_system`` answers, from the oracles."""
+    """``(result, units)`` as ``extract_delta_system`` answers and charges,
+    from the oracles: exact-search nodes, or the sets each greedy level reads."""
     members = list(family.members)
     nodes = 0
     if len(members) <= EXACT_SEARCH_LIMIT:
@@ -131,7 +134,8 @@ def oracle_extract(family, p) -> tuple:
             by_size.setdefault(len(s), []).append((label, s))
         count, root, labels, size = 0, EMPTY, (), 0
         for sz in sorted(by_size):
-            c, r, ls = petals_list_greedy(by_size[sz], sz)
+            (c, r, ls), units = petals_list_greedy(by_size[sz], sz)
+            nodes += units
             if c > count:
                 count, root, labels, size = c, r, ls, sz
         method = "greedy"
@@ -360,11 +364,15 @@ def test_exact_extraction_charges_its_search_nodes():
     with pytest.raises(BudgetExceeded) as info:
         extract_delta_system(family, 2, spent - 1)
     assert info.value.needed == spent
-    # the greedy fallback beyond the exact limit charges nothing
+    # the greedy fallback beyond the exact limit charges the sets each level
+    # reads: the 30 pairs, then {100} left of the one pair holding 0, then {}
     wide = fam(*((i, 100 + i) for i in range(30)))
-    budget = Budget(1)
+    budget = Budget(61)
     assert extract_delta_system(wide, 2, budget).method == "greedy"
-    assert budget.spent == 0
+    assert budget.spent == 60 + 1
+    with pytest.raises(BudgetExceeded) as info:
+        extract_delta_system(wide, 2, 60)
+    assert info.value.needed == 61
 
 
 def seeded_family(rng, n_members):
@@ -405,8 +413,9 @@ def dense_family(rng, n_members):
 
 
 def test_extraction_matches_the_list_searches():
-    # same answer, order of labels, root and exact-search node count as the
-    # petals-list searches, on both sides of the exact limit
+    # same answer, order of labels, root and charge (exact-search nodes, or
+    # the sets each greedy level reads) as the petals-list searches, on both
+    # sides of the exact limit
     rng = random.Random(22)
     for trial in range(240):
         if trial % 3 == 0:
@@ -439,6 +448,7 @@ def test_greedy_root_can_be_deeper_than_the_recursion_limit():
     # elements ended in an "internal" RecursionError
     core = tuple(range(1050))
     family = fam(*(core + (2000 + i,) for i in range(EXACT_SEARCH_LIMIT + 1)))
-    result = extract_delta_system(family, 2)
+    # its passes read about 21 * 1051**2 / 2 elements, past the default budget
+    result = extract_delta_system(family, 2, 10 ** 8)
     assert result.method == "greedy" and result.max_petals == EXACT_SEARCH_LIMIT + 1
     assert result.system.root == Point(core)

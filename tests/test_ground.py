@@ -239,12 +239,13 @@ def test_a_count_too_long_to_write_is_left_out_of_the_error():
 def test_one_budget_spans_library_calls():
     b = Budget(100)
     decompose_classif_k(0, 6, budget=b)
-    # the pieces' constraints, 1 + 2 + ... + 6, then the domain (3 + 1)^2
+    # the pieces' constraints, 1 + 2 + ... + 6, and the 2 elements of their
+    # distinct points, then the domain (3 + 1)^2
     build_operator(2, 3, budget=b)
-    assert b.spent == 21 + 16
+    assert b.spent == 21 + 2 + 16
     with pytest.raises(BudgetExceeded) as info:
         build_operator(2, 8, budget=b)
-    assert info.value.needed == 21 + 16 + 81 and b.spent == 37
+    assert info.value.needed == 21 + 2 + 16 + 81 and b.spent == 39
 
 
 def test_only_the_budget_raises_budget_exceeded():
