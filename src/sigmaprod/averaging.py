@@ -61,27 +61,15 @@ class UnionMap:
         return build_operator(self.k, self.ground_size, budget)
 
 
-@dataclass(frozen=True)
-class DisjointTupleSet:
-    """All k-tuples of pairwise disjoint at-most-singletons with a given union."""
-
-    y: Point
-    k: int
-    tuples: tuple
-
-    def __len__(self):
-        return len(self.tuples)
-
-
-def enumerate_L(y: Point, k: int) -> DisjointTupleSet:
-    """The fiber L(y): tuples hitting each element of y exactly once.
+def enumerate_L(y: Point, k: int) -> tuple:
+    """The fiber L(y): the k-tuples hitting each element of y exactly once.
 
     Count is k! / (k - |y|)!: an injective placement of the elements of y
     into the k coordinate slots.
     """
     if len(y) > k:
         raise ValueError(f"|y|={len(y)} exceeds k={k}: the fiber is empty")
-    return DisjointTupleSet(y, k, union_fiber([Point.of(el) for el in y], k))
+    return union_fiber([Point.of(el) for el in y], k)
 
 
 @dataclass(frozen=True)
@@ -100,27 +88,28 @@ class RaoCheck:
 class AveragingOperator:
     """A finite-scale averaging operator for a surjection between index sets.
 
-    ``rows[y]`` is a rational probability measure on the fiber of y; applying
-    the operator to a function integrates each row.  Rows with positive
-    weights summing to one, supported exactly on the fibers, give all three
-    axioms: unitality, positivity, and inverting composition with the
-    surjection.
+    ``surjection[x]`` is the image of the domain index x, and ``rows[y]`` a
+    rational probability measure on the fiber of y; the keys of the two maps,
+    in order, are the domain and the codomain.  Applying the operator to a
+    function integrates each row.  Rows with positive weights summing to one,
+    supported exactly on the fibers, give all three axioms: unitality,
+    positivity, and inverting composition with the surjection.
     """
 
-    domain: tuple
-    codomain: tuple
     surjection: dict
     rows: dict
 
+    @property
+    def domain(self) -> tuple:
+        return tuple(self.surjection)
+
+    @property
+    def codomain(self) -> tuple:
+        return tuple(self.rows)
+
     def apply(self, f: dict) -> dict:
         """Integrate ``f`` (a full vector on the domain) against every row."""
-        out = {}
-        for y in self.codomain:
-            total = Fraction(0)
-            for x, w in self.rows[y]:
-                total += w * f[x]
-            out[y] = total
-        return out
+        return {y: sum((w * f[x] for x, w in row), Fraction(0)) for y, row in self.rows.items()}
 
     def check(self) -> RaoCheck:
         """Test the axioms on every term of every row; weights are rationals.
@@ -133,8 +122,7 @@ class AveragingOperator:
         """
         unital = positive = fiber_supported = True
         surjection = self.surjection
-        for y in self.codomain:
-            row = self.rows[y]
+        for y, row in self.rows.items():
             ratios = [w.as_integer_ratio() for _x, w in row]
             den = math.lcm(*(d for _n, d in ratios))
             if sum(n * (den // d) for n, d in ratios) != den:
@@ -154,32 +142,34 @@ def build_operator(k: int, ground_size: int,
 
     Row y carries uniform weight 1/|L(y)| on the disjoint-support fiber L(y).
     Charges its (ground_size + 1)^k domain tuples to ``budget``, computing
-    the power only up to the room left (``Budget.charge_power``).
+    the power only up to the room left (``Budget.charge_power``), and then
+    the ground_size // 64 words of the element mask each of them is keyed by.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if ground_size < 0:
         raise ValueError(f"ground_size must be non-negative, got {ground_size}")
-    Budget.of(budget).charge_power(ground_size + 1, k)
+    budget = Budget.of(budget)
+    budget.charge_power(ground_size + 1, k)
+    budget.charge((ground_size + 1) ** k * (ground_size // 64))
     singletons = [Point.of(el) for el in range(ground_size)]
-    codomain = tuple(enumerate_sigma_points(k, ground_size))
-    # the domain tuples are built coordinate by coordinate together with the
-    # bitmask of their elements, which picks each image among the codomain
-    # points; the rows reuse the same EMPTY and singletons, so looking a term
-    # up in the surjection compares its coordinates by identity
+    codomain = enumerate_sigma_points(k, ground_size)
+    # the (k - 1)-coordinate prefixes are built together with the bitmask of
+    # their elements, and the last coordinate's bit picks each image among the
+    # codomain points; the rows reuse the same EMPTY and singletons, so looking
+    # a term up in the surjection compares its coordinates by identity
     by_mask = {sum(1 << el for el in y): y for y in codomain}
     coords = [(EMPTY, 0)] + [(p, 1 << el) for el, p in enumerate(singletons)]
-    tuples = [((), 0)]
-    for _ in range(k):
-        tuples = [(x + (p,), mask | bit) for x, mask in tuples for p, bit in coords]
-    domain = tuple(x for x, _mask in tuples)
-    surjection = {x: by_mask[mask] for x, mask in tuples}
+    prefixes = [((), 0)]
+    for _ in range(k - 1):
+        prefixes = [(x + (p,), mask | bit) for x, mask in prefixes for p, bit in coords]
+    surjection = {x + (p,): by_mask[mask | bit] for x, mask in prefixes for p, bit in coords}
     rows = {}
     for y in codomain:
         fiber = union_fiber([singletons[el] for el in y], k)
         w = Fraction(1, len(fiber))
         rows[y] = tuple((x, w) for x in fiber)
-    return AveragingOperator(domain, codomain, surjection, rows)
+    return AveragingOperator(surjection, rows)
 
 
 @dataclass(frozen=True)
@@ -204,11 +194,11 @@ def fiber_map(y: Point, y_prime: Point, k: int) -> FiberMap:
     small = enumerate_L(y, k)
     assignment = {}
     counts: dict = {}
-    for x in big.tuples:
+    for x in big:
         image = tuple(coord & y for coord in x)
         assignment[x] = image
         counts[image] = counts.get(image, 0) + 1
-    if set(counts) != set(small.tuples):
+    if set(counts) != set(small):
         raise AssertionError("trace map is not onto L(y)")
     sizes = set(counts.values())
     if len(sizes) != 1:
@@ -226,22 +216,21 @@ def product_operator(ops, budget: Budget | int = DEFAULT_BUDGET) -> AveragingOpe
         raise ValueError("need at least one factor operator")
     if len(ops) == 1:
         return ops[0]
-    Budget.of(budget).charge(max(math.prod(len(op.domain) for op in ops),
-                                 math.prod(len(op.codomain) for op in ops)))
-    domain = tuple(iter_product(*(op.domain for op in ops)))
-    codomain = tuple(iter_product(*(op.codomain for op in ops)))
+    Budget.of(budget).charge(max(math.prod(len(op.surjection) for op in ops),
+                                 math.prod(len(op.rows) for op in ops)))
     surjection = {
-        xs: tuple(op.surjection[x] for op, x in zip(ops, xs)) for xs in domain
+        xs: tuple(op.surjection[x] for op, x in zip(ops, xs))
+        for xs in iter_product(*(op.surjection for op in ops))
     }
     rows = {}
-    for ys in codomain:
+    for ys in iter_product(*(op.rows for op in ops)):
         support = [((), Fraction(1))]
         for op, y in zip(ops, ys):
             support = [
                 (xs + (x,), w * wx) for xs, w in support for x, wx in op.rows[y]
             ]
         rows[ys] = tuple(support)
-    return AveragingOperator(domain, codomain, surjection, rows)
+    return AveragingOperator(surjection, rows)
 
 
 def restrict_operator(op: AveragingOperator, m) -> AveragingOperator:
@@ -254,19 +243,17 @@ def restrict_operator(op: AveragingOperator, m) -> AveragingOperator:
     m_set = set(m)
     if not m_set:
         raise ValueError("restriction target must be nonempty")
-    if not m_set <= set(op.codomain):
+    if not m_set.issubset(op.rows):
         raise ValueError("restriction target must be a subset of the codomain")
-    codomain = tuple(y for y in op.codomain if y in m_set)
-    domain = tuple(x for x in op.domain if op.surjection[x] in m_set)
-    surjection = {x: op.surjection[x] for x in domain}
+    surjection = {x: y for x, y in op.surjection.items() if y in m_set}
     rows = {}
-    for y in codomain:
+    for y in [y for y in op.rows if y in m_set]:
         kept = [(x, w) for x, w in op.rows[y] if op.surjection[x] in m_set]
         if not kept:
             raise AssertionError("a row lost all support; the surjection was not onto the target")
         total = sum(w for _x, w in kept)
         rows[y] = tuple((x, w / total) for x, w in kept)
-    return AveragingOperator(domain, codomain, surjection, rows)
+    return AveragingOperator(surjection, rows)
 
 
 @dataclass(frozen=True)
@@ -284,13 +271,13 @@ class LocalityProfile:
 
 
 def locality_profile(op: AveragingOperator, f_set: Point) -> LocalityProfile:
-    if op.domain and not all(isinstance(c, Point) for c in op.domain[0]):
+    if not all(isinstance(c, Point) for c in next(iter(op.surjection), ())):
         raise ValueError("locality profiles are defined for union-map operators")
     table: dict = {}
     conflicts = []
-    for y in op.codomain:
+    for y, row in op.rows.items():
         dist: dict = {}
-        for x, w in op.rows[y]:
+        for x, w in row:
             pattern = tuple(coord & f_set for coord in x)
             dist[pattern] = dist.get(pattern, Fraction(0)) + w
         key = (y & f_set, len(y))

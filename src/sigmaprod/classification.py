@@ -303,9 +303,9 @@ def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     """Iterate the derived-set engine from the full product.
 
     Returns (first empty derivative index, point count of the last nonempty
-    stage); the last stage is always the single all-zero vector.  Each
-    stage's term count is charged to ``budget`` before its derivative is
-    taken.
+    stage); the last stage is always the single all-zero vector.  Before a
+    stage's derivative is taken, the entries it builds are charged to
+    ``budget``: len(ks) for each positive coordinate of each term.
     """
     ks = tuple(ks)
     if not ks:
@@ -316,7 +316,7 @@ def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     terms = {ks}
     steps = 0
     while terms:
-        budget.charge(len(terms))
+        budget.charge(len(ks) * sum(len(v) - v.count(0) for v in terms))
         last = terms
         terms = _derive(terms)
         steps += 1

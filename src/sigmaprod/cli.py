@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -216,6 +217,8 @@ def build_parser():
 
 def _parse_fraction(text: str) -> Fraction:
     try:
+        if "e" in text.lower():  # Fraction would build 10^|exponent|
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"malformed rational {text!r}") from None
@@ -231,8 +234,9 @@ def _read_file(path: str) -> str:
 
 
 def _read_json(path: str):
+    """The JSON in ``path``; a number with a fraction part is read exactly."""
     try:
-        return json.loads(_read_file(path))
+        return json.loads(_read_file(path), parse_float=_parse_fraction)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
 
@@ -294,15 +298,15 @@ def _handle_avg(args) -> dict:
     f = {}
     try:
         for coords, value in raw:
-            x = tuple(ground.Point(tuple(c)) for c in coords)
+            x = tuple(ground.Point(map(operator.index, c)) for c in coords)
             f[x] = _parse_fraction(value) if isinstance(value, str) else Fraction(value)
     except (TypeError, ValueError):
         raise CliError("malformed function file; expected [[coords…], rational] pairs") from None
-    missing = [x for x in op.domain if x not in f]
+    missing = sum(x not in f for x in op.surjection)
     if missing:
-        raise CliError(f"function file misses {len(missing)} domain points")
+        raise CliError(f"function file misses {missing} domain points")
     return {"k": args.k, "ground": args.ground,
-            "values": encode.function_values(op.codomain, op.apply(f))}
+            "values": encode.function_values(op.apply(f))}
 
 
 def _handle_uec(args) -> dict:
@@ -328,7 +332,8 @@ def _handle_uec(args) -> dict:
     if args.action == "l0":
         raw = _read_json(args.bits_file)
         try:
-            array = uec.BinaryArray(tuple((int(el), int(lvl)) for el, lvl in raw))
+            array = uec.BinaryArray(tuple((operator.index(el), operator.index(lvl))
+                                          for el, lvl in raw))
         except (TypeError, ValueError):
             raise CliError("malformed bits file; expected [[element, level], …]") from None
         return encode.l0_certificate(uec.in_L0(array, args.budget))
@@ -369,7 +374,7 @@ def _handle_ds(args) -> dict:
     raw = _read_json(args.spec)
     try:
         side_g, side_h = (
-            tuple((int(label), tuple(ground.Point(tuple(s)) for s in sets))
+            tuple((int(label), tuple(ground.Point(map(operator.index, s)) for s in sets))
                   for label, sets in sorted(raw[side].items(), key=lambda kv: int(kv[0])))
             for side in ("side_g", "side_h")
         )

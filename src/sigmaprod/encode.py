@@ -127,11 +127,11 @@ def operator_to_json(op) -> dict:
     return {
         "rows": [
             {"y": _index(y), "terms": [[_index(x), w.numerator, w.denominator]
-                                       for x, w in op.rows[y]]}
-            for y in op.codomain
+                                       for x, w in row]}
+            for y, row in op.rows.items()
         ],
-        "domain_size": len(op.domain),
-        "codomain_size": len(op.codomain),
+        "domain_size": len(op.surjection),
+        "codomain_size": len(op.rows),
     }
 
 
@@ -141,8 +141,8 @@ def rao_check(report) -> dict:
             "fiber_supported": report.fiber_supported}
 
 
-def function_values(points, f: dict) -> list:
-    return [{"y": _index(y), "value": fraction(f[y])} for y in points]
+def function_values(f: dict) -> list:
+    return [{"y": _index(y), "value": fraction(v)} for y, v in f.items()]
 
 
 def l0_certificate(cert) -> dict:

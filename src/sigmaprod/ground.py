@@ -429,11 +429,12 @@ def parse_tau(text: str) -> TauSequence:
 
 
 def format_tau(tau: TauSequence) -> str:
-    parts = []
-    for n in range(1, tau.max_index + 1):
-        v = tau.value_at(n)
-        parts.append("w" if is_omega(v) else str(v))
+    """Every index up to the last entry, the gaps filled with the tail."""
     tail = "w" if is_omega(tau.tail) else str(tau.tail)
+    parts = []
+    for idx, val in tau.entries:
+        parts += [tail] * (idx - 1 - len(parts))
+        parts.append("w" if is_omega(val) else str(val))
     head = ",".join(parts)
     return (head + " " if head else "") + f"tail={tail}"
 

@@ -348,10 +348,12 @@ def test_cb_invariants_match_closed_form():
 
 
 def test_cb_invariants_charge_every_stage():
-    # the stages partition the degree vectors below ks, so the whole run
-    # costs the product of (k + 1); the last stage is the one that overflows
+    # the stages partition the degree vectors below ks, and each positive
+    # coordinate of each vector builds len(ks) entries of its derivative; the
+    # last stage that builds any is the one that overflows
     for ks in [(0,), (2, 3), (1, 2, 3)]:
-        total = math.prod(k + 1 for k in ks)
+        positive = sum(k * math.prod(j + 1 for j in ks) // (k + 1) for k in ks)
+        total = len(ks) * positive
         assert cb_invariants(ks, budget=total) == (1 + sum(ks), 1)
         with pytest.raises(BudgetExceeded) as info:
             cb_invariants(ks, budget=total - 1)

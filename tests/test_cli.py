@@ -68,6 +68,19 @@ def test_avg_apply_with_file(tmp_path):
     assert by_y[()] == "0"
 
 
+def test_json_numbers_with_a_fraction_part_are_read_exactly(tmp_path):
+    # avg apply read 0.1 as the float 3602879701896397/36028797018963968,
+    # while uec pipeline read the same 0.1 as 1/10
+    path = tmp_path / "f.json"
+    path.write_text('[[[[]], 0.1], [[[0]], 2.50]]')
+    code, payload = run(["avg", "apply", "--k", "1", "--ground", "1", "--f", str(path)])
+    assert code == 0 and payload["values"] == [{"y": [], "value": "1/10"},
+                                               {"y": [0], "value": "5/2"}]
+    path.write_text('[{"0": 0.1}]')
+    code, payload = run(["uec", "pipeline", "--levels", "4", "--points-file", str(path)])
+    assert code == 0 and payload["points"][0]["vector"] == {"0": "1/10"}
+
+
 def test_uec_preimage_and_bounds():
     code, payload = run(["uec", "preimage", "--target", "1/3", "--levels", "4"])
     assert code == 0 and payload["count"] >= 1
@@ -122,6 +135,20 @@ def test_avg_charges_its_power_without_computing_it():
     code, payload = run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "63"])
     assert code == 2 and payload["error"]["needed"] == 4 ** 3
     assert run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "64"])[0] == 0
+
+
+def test_avg_charges_the_mask_words_of_its_domain_tuples():
+    # each domain tuple is keyed by a mask of one bit per ground element:
+    # ground 30000 peaked at 213 MB, and k = 2 at ground 600 ran 7.2 s
+    for k, ground in (("1", "30000"), ("2", "600")):
+        started = time.process_time()
+        code, payload = run(["avg", "check", "--k", k, "--ground", ground])
+        assert time.process_time() - started < 1, (k, ground)
+        assert code == 2 and payload["error"]["type"] == "budget-exceeded", (k, ground)
+    # one unit per tuple and one per 64-bit word of its mask
+    _code, _payload, args = _invoke(["avg", "build", "--k", "1", "--ground", "64"])
+    assert args.budget.spent == 65 * (1 + 64 // 64)
+    assert run(["avg", "check", "--k", "1", "--ground", "10000"])[1]["rao_axioms"] == "pass"
 
 
 def test_a_budget_error_too_long_to_write_drops_its_count():
@@ -279,6 +306,26 @@ def test_decompose_and_cb_count_against_the_budget():
     assert time.monotonic() - started < 2
 
 
+def test_cb_charges_the_entries_of_each_derivative_before_building_it():
+    # each stage used to be charged its term count only, then built len(ks)
+    # entries per positive coordinate of each term: 24 ones exited 2 after
+    # 39 s at 633 MB, and 300 ones ended in a MemoryError
+    for n in (24, 60, 300):
+        started = time.process_time()
+        code, payload = run(["cb", "--ks", ",".join(["1"] * n)])
+        assert time.process_time() - started < 1, n
+        assert code == 2 and payload["error"]["type"] == "budget-exceeded", n
+
+
+def test_classify_writes_a_long_tau_in_linear_time():
+    # format_tau read value_at, a linear scan, once per index: 5.8 s here;
+    # timed in CPU seconds, which a busy host does not stretch
+    started = time.process_time()
+    code, payload = run(["classify", "--tau", ",".join(["1"] * 20000), "--tau2", "1"])
+    assert time.process_time() - started < 1
+    assert code == 0 and payload["tau"]["text"] == ",".join(["1"] * 20000) + " tail=0"
+
+
 def test_decompose_checks_count_against_the_budget():
     # --samples and --boxes used to be unbounded: this ran for about 10 s
     started = time.monotonic()
@@ -384,8 +431,10 @@ def test_each_request_charges_its_documented_count(tmp_path):
     levels = 8
     searches = [split_charge(Fraction(v), levels) for v in ("1/3", "1/4", "1/5")]
     cases = [
-        # every vector v <= ks is a term of exactly one stage
-        (["cb", "--ks", "2,3"], 3 * 4),
+        # every vector v <= ks is a term of exactly one stage, and each of its
+        # positive coordinates builds len(ks) entries; the first coordinate is
+        # positive in 2 * 4 vectors, the second in 3 * 3
+        (["cb", "--ks", "2,3"], 2 * (2 * 4 + 3 * 3)),
         # constraints 1 + ... + 4 and the elements of ({}, {0}) and {0}, then
         # each sample its 4 coordinates, each box one, then the disjointness
         # comparisons: two constraints of one element each at the first three
@@ -668,7 +717,27 @@ def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
     (["ds", "witness", "--n", "1", "--k", "1", "--spec", "FILE"], '{"side_g": 5, "side_h": {}}',
      "malformed spec file; expected side_g / side_h objects"),
     (["cb", "--ks", "1", "--budget", "0"], "", "budget must be positive"),
-], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget"])
+    # a non-integer element or level used to be truncated: member, total 5/9
+    (["uec", "l0", "--bits-file", "FILE"], "[[0, 1.5], [2.7, 0]]",
+     "malformed bits file; expected [[element, level], …]"),
+    (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
+     '[[[[]], "1"], [[[0.5]], "1"]]',
+     "malformed function file; expected [[coords…], rational] pairs"),
+    (["ds", "witness", "--n", "1", "--k", "1", "--spec", "FILE"],
+     '{"side_g": {"1": [[], [2.5]]}, "side_h": {}}',
+     "malformed spec file; expected side_g / side_h objects"),
+    # Fraction reads exponent notation by building 10^|exponent|
+    (["uec", "preimage", "--levels", "4", "--target", "1e-10000000"], "",
+     "malformed rational '1e-10000000'"),
+    (["uec", "pipeline", "--levels", "2", "--points-file", "FILE"], '[{"0": "1E-9"}]',
+     "malformed rational '1E-9'"),
+    (["uec", "pipeline", "--levels", "2", "--points-file", "FILE"], '[{"0": 1e-9}]',
+     "malformed rational '1e-9'"),
+    (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
+     '[[[[]], "1e3"], [[[0]], "1"]]', "malformed rational '1e3'"),
+], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget",
+        "bits-fraction", "function-coordinate", "spec-element", "target-exponent",
+        "points-exponent", "points-float-exponent", "function-exponent"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
     path = tmp_path / "input"
     path.write_text(content)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -128,6 +129,22 @@ def test_tau_text_round_trip():
     assert parse_tau("5,w").value_at(2) == OMEGA
     with pytest.raises(ValueError):
         parse_tau("w,x")
+
+
+def test_format_tau_agrees_with_the_per_index_form():
+    # format_tau walks the entries once; the form it replaced read value_at
+    # at every index, a linear scan each, so writing a tau was quadratic
+    rng = random.Random(15)
+    values = (0, 1, 2, 7, OMEGA)
+    for _ in range(300):
+        indices = sorted(rng.sample(range(1, 40), rng.randint(0, 8)))
+        tau = TauSequence(tuple((idx, rng.choice(values)) for idx in indices),
+                          rng.choice(values))
+        text = ",".join("w" if is_omega(tau.value_at(n)) else str(tau.value_at(n))
+                        for n in range(1, tau.max_index + 1))
+        tail = "w" if is_omega(tau.tail) else str(tau.tail)
+        assert format_tau(tau) == (text + " " if text else "") + f"tail={tail}"
+        assert parse_tau(format_tau(tau)) == tau
 
 
 def test_tau_canonical_drops_tail_entries():
