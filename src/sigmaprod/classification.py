@@ -438,11 +438,10 @@ def decompose_absorb_small(m: int, n: int, depth: int = 6,
         raise ValueError(f"need m < n, got m={m}, n={n}")
     if m < 0 or depth < 1:
         raise ValueError("m must be non-negative and depth positive")
-    if witnesses is None:
-        witnesses = tuple(range(n))
-    witnesses = tuple(witnesses)
-    if len(witnesses) != n or len(set(witnesses)) != n:
-        raise ValueError(f"need {n} distinct witness elements")
+    if witnesses is not None:
+        witnesses = tuple(witnesses)
+        if len(witnesses) != n or len(set(witnesses)) != n:
+            raise ValueError(f"need {n} distinct witness elements")
     prefix_label = "B" if m > 0 else "A"
     return _absorb_small(f"absorb_small({m},{n})", m, n, depth, witnesses,
                          lambda k, i: f"{prefix_label}({k},{i})", budget)
@@ -460,16 +459,19 @@ def decompose_classif_k(element: int = 0, depth: int = 6,
                          lambda t, _i: f"K({t + 1})", budget)
 
 
-def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple,
+def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None,
                   label, budget: Budget | int) -> Decomposition:
     """The partition of ``decompose_absorb_small`` for checked arguments;
     ``label(k, i)`` names the piece that pins k omega coordinates to the full
-    witness set and misses witness i in the next."""
+    witness set and misses witness i in the next.  Witnesses None stands for
+    0 .. n - 1, built only once the charge has passed."""
     offset = 1 if m > 0 else 0
     # B'(j) carries one constraint and A/B(k, i) k + 1 + offset; the distinct ones
     # hold n(n + 1)/2 elements in the misses, n in the full set and m in the small set
     Budget.of(budget).charge(m + n * (depth * (depth - 1) // 2 + depth * (1 + offset))
                              + n * (n + 1) // 2 + n + m)
+    if witnesses is None:
+        witnesses = tuple(range(n))
     full_set = Point(witnesses)
     small_set = Point(witnesses[:m])
     # (F, G) at the first coordinate that misses witness i, shared by every piece
@@ -518,37 +520,62 @@ def piece_for_point(dec: Decomposition, x: ProductPoint):
 def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
                                 extra_elements: int = 2) -> list:
     """Seeded eventually-constant points with prefix within the materialized
-    depth and the limit tail, so membership is decidable from the pieces."""
+    depth and the limit tail, so membership is decidable from the pieces.
+
+    The draws are those of ``random.Random(seed)``'s ``randint`` for the width
+    and each size and of ``sample``'s pool branch for the elements, which is
+    the branch ``sample`` takes whenever the ground has at most 21 elements.
+    """
     rng = random.Random(seed)
+    getrandbits, draw = rng.getrandbits, rng.random
+
+    def below(n: int) -> int:
+        # Random._randbelow_with_getrandbits: uniform in range(n), for n > 0
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
     ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
     explicit = dec.ambient.explicit_len
-    widest = explicit + dec.depth - 1
+    widths = dec.depth  # prefix widths explicit .. explicit + depth - 1
+    if count and widths < 1:  # ``below(0)`` would never return
+        raise ValueError("sampling needs a positive depth")
+    widest = explicit + widths - 1
     limit = dec.limit_point
     # per coordinate: the limit point's value and the largest sample size
     limit_values = [limit.coordinate(s) for s in range(widest)]
     caps = [min(dec.ambient.bound_at(s), len(ground)) for s in range(widest)]
     # positions in ``ground`` draw the same random numbers as its elements;
     # each tuple of positions, as drawn, is turned into a point once
-    positions = range(len(ground))
+    n = len(ground)
+    positions = list(range(n))
     drawn: dict = {}
     points = []
     for _ in range(count):
-        width = rng.randint(explicit, widest)
         coords = []
-        for s in range(width):
-            if rng.random() < 0.5:
+        for s in range(explicit + below(widths)):
+            if draw() < 0.5:
                 coords.append(limit_values[s])
-            else:
-                size = rng.randint(0, caps[s])
-                if not size:  # sampling nothing draws nothing
-                    coords.append(EMPTY)
-                    continue
-                picked = tuple(rng.sample(positions, size))
-                value = drawn.get(picked)
-                if value is None:
-                    value = drawn[picked] = Point(tuple(ground[j] for j in picked))
-                coords.append(value)
+                continue
+            size = below(caps[s] + 1)
+            if not size:  # sampling nothing draws nothing
+                coords.append(EMPTY)
+                continue
+            # a partial Fisher-Yates shuffle of the positions
+            pool = positions[:]
+            picked = []
+            for i in range(n - 1, n - 1 - size, -1):
+                j = below(i + 1)
+                picked.append(pool[j])
+                pool[j] = pool[i]
+            picked = tuple(picked)
+            value = drawn.get(picked)
+            if value is None:
+                value = drawn[picked] = Point(tuple(ground[j] for j in picked))
+            coords.append(value)
         points.append(ProductPoint(tuple(coords), limit.tail_value))
     return points
 

@@ -235,10 +235,23 @@ def _read_file(path: str) -> str:
 
 def _read_json(path: str):
     """The JSON in ``path``; a number with a fraction part is read exactly."""
+    text = _read_file(path)
     try:
-        return json.loads(_read_file(path), parse_float=_parse_fraction)
+        return json.loads(text, parse_float=_parse_fraction)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise CliError(f"unreadable number in {path}: {exc}") from None
+    except RecursionError:
+        raise CliError(f"JSON nested too deeply in {path}") from None
+
+
+def _json_int(value) -> int:
+    """``operator.index`` of a value read from a JSON file, refusing ``true``
+    and ``false``, which Python would take for 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError("a JSON boolean is not an integer")
+    return operator.index(value)
 
 
 def _handle_classify(args) -> dict:
@@ -298,8 +311,12 @@ def _handle_avg(args) -> dict:
     f = {}
     try:
         for coords, value in raw:
-            x = tuple(ground.Point(map(operator.index, c)) for c in coords)
-            f[x] = _parse_fraction(value) if isinstance(value, str) else Fraction(value)
+            x = tuple(ground.Point(map(_json_int, c)) for c in coords)
+            if isinstance(value, str):
+                value = _parse_fraction(value)
+            elif not isinstance(value, Fraction):  # JSON decimals are Fractions already
+                value = Fraction(_json_int(value))
+            f[x] = value
     except (TypeError, ValueError):
         raise CliError("malformed function file; expected [[coords…], rational] pairs") from None
     missing = sum(x not in f for x in op.surjection)
@@ -332,7 +349,7 @@ def _handle_uec(args) -> dict:
     if args.action == "l0":
         raw = _read_json(args.bits_file)
         try:
-            array = uec.BinaryArray(tuple((operator.index(el), operator.index(lvl))
+            array = uec.BinaryArray(tuple((_json_int(el), _json_int(lvl))
                                           for el, lvl in raw))
         except (TypeError, ValueError):
             raise CliError("malformed bits file; expected [[element, level], …]") from None
@@ -374,7 +391,7 @@ def _handle_ds(args) -> dict:
     raw = _read_json(args.spec)
     try:
         side_g, side_h = (
-            tuple((int(label), tuple(ground.Point(map(operator.index, s)) for s in sets))
+            tuple((int(label), tuple(ground.Point(map(_json_int, s)) for s in sets))
                   for label, sets in sorted(raw[side].items(), key=lambda kv: int(kv[0])))
             for side in ("side_g", "side_h")
         )

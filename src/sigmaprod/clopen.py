@@ -38,8 +38,20 @@ class BasicBox:
     constraints: tuple = ()
 
     def __post_init__(self):
+        constraints = tuple(self.constraints)
+        # canonical already: coordinates strictly increasing from 0 on, none
+        # trivial, and the last inside the ambient (hence all of them)
+        last = -1
+        for coord, f, g in constraints:
+            if coord <= last or not (f or g):
+                break
+            last = coord
+        else:
+            if last < 0 or self.ambient.has_coordinate(last):
+                object.__setattr__(self, "constraints", constraints)
+                return
         merged: dict[int, tuple[Point, Point]] = {}
-        for coord, f, g in self.constraints:
+        for coord, f, g in constraints:
             if coord in merged:
                 f0, g0 = merged[coord]
                 f, g = f0 | f, g0 | g
@@ -49,7 +61,7 @@ class BasicBox:
         # the least and the greatest coordinate decide all of them
         has = self.ambient.has_coordinate
         if coords and not (has(coords[0]) and has(coords[-1])):
-            bad = next(c for c, _f, _g in self.constraints if not has(c))
+            bad = next(c for c, _f, _g in constraints if not has(c))
             raise ValueError(f"coordinate {bad} outside ambient")
         canon = []
         for coord in coords:
@@ -100,10 +112,24 @@ class ClopenSet:
 
 def box_is_empty(b: BasicBox) -> bool:
     """Symbolic emptiness: some F meets its G, or some F exceeds its factor bound."""
-    for coord, f, g in b.constraints:
-        if not _constraints_meet(f, g, EMPTY, EMPTY, b.ambient.bound_at(coord)):
-            return True
-    return False
+    return _removed_parts(b) is None
+
+
+def _removed_parts(b: BasicBox):
+    """The (s, F) of each constraint with a nonempty F, in one pass over the
+    constraints; None when the box is empty."""
+    factors, tail = b.ambient.factors, b.ambient.omega_tail
+    explicit = len(factors)
+    removed = []
+    for s, f, g in b.constraints:
+        # a canonical box's coordinates lie inside the ambient
+        if f:
+            if len(f) > (factors[s] if s < explicit else tail):
+                return None
+            if g and not set(g).isdisjoint(f):
+                return None
+            removed.append((s, f))
+    return removed
 
 
 def box_contains(b: BasicBox, x: ProductPoint) -> bool:
@@ -194,12 +220,19 @@ class BoxIndex:
         self.ambient = ambient
         self.size = len(boxes)
         self.everything = (1 << self.size) - 1
-        by_coord: dict = {}
+        carriers: dict = {}  # (s, F, G) -> indices of the boxes that carry it
         for i, box in enumerate(boxes):
-            if box.ambient != ambient:
+            if box.ambient is not ambient and box.ambient != ambient:
                 raise ValueError("all boxes of an index must share the ambient")
-            for s, f, g in box.constraints:
-                by_coord.setdefault(s, {}).setdefault((f, g), []).append(i)
+            for constraint in box.constraints:
+                members = carriers.get(constraint)
+                if members is None:
+                    carriers[constraint] = [i]
+                else:
+                    members.append(i)
+        by_coord: dict = {}
+        for (s, f, g), members in carriers.items():
+            by_coord.setdefault(s, []).append((f, g, members))
         # coordinate -> (factor bound, mask of the boxes free there, mask of
         # the boxes constrained there or further on, [(F, G, mask, members), ...])
         self.coords = {}
@@ -210,8 +243,8 @@ class BoxIndex:
             bound = ambient.bound_at(s)
             groups = []
             constrained = 0
-            for (f, g), members in by_coord[s].items():
-                mask = sum(1 << i for i in members)
+            for f, g, members in by_coord[s]:
+                mask = sum(map((1).__lshift__, members))
                 constrained |= mask
                 groups.append((f, g, mask, members))
                 if not _constraints_meet(f, g, EMPTY, EMPTY, bound):
@@ -333,18 +366,17 @@ def box_reduce(b: BasicBox, budget: Budget | int = DEFAULT_BUDGET) -> BoxReducti
     """Descriptor of the box's homeomorphism type: each constrained coordinate drops
     |F| from its bound, the rest pass through.  One unit per coordinate up to the
     last constrained one is charged to ``budget`` first."""
-    if box_is_empty(b):
+    removed = _removed_parts(b)
+    if removed is None:
         raise ValueError("cannot reduce an empty box")
-    Budget.of(budget).charge(b.max_constrained_coord() + 1)
+    width = b.max_constrained_coord() + 1
+    Budget.of(budget).charge(width)
     ambient = b.ambient
     # a coordinate past the explicit factors is constrained, so the tail exists
     factors = list(ambient.factors)
-    factors += [ambient.omega_tail] * (b.max_constrained_coord() + 1 - len(factors))
-    removed = []
-    for s, f, _g in b.constraints:
-        if f:
-            removed.append((s, f))
-            factors[s] -= len(f)
+    factors += [ambient.omega_tail] * (width - len(factors))
+    for s, f in removed:
+        factors[s] -= len(f)
     return BoxReduction(ProductDescriptor(tuple(factors), ambient.omega_tail),
                         tuple(removed))
 

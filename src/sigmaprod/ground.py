@@ -266,14 +266,18 @@ class ProductPoint:
 
 def point_in_ambient(desc: ProductDescriptor, x: ProductPoint) -> bool:
     """Do the coordinates of ``x`` respect the bounds of ``desc``?"""
-    if desc.omega_tail is None:
-        if x.tail_value != EMPTY or len(x.prefix) > len(desc.factors):
+    factors, tail, prefix = desc.factors, desc.omega_tail, x.prefix
+    if tail is None:
+        if x.tail_value != EMPTY or len(prefix) > len(factors):
             return False
-    else:
-        if len(x.tail_value) > desc.omega_tail:
+    elif len(x.tail_value) > tail:
+        return False
+    # the explicit factors bound the first coordinates, the tail the rest
+    for pt, bound in zip(prefix, factors):
+        if len(pt) > bound:
             return False
-    for s, pt in enumerate(x.prefix):
-        if len(pt) > desc.bound_at(s):
+    for pt in prefix[len(factors):]:
+        if len(pt) > tail:
             return False
     return True
 

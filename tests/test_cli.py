@@ -371,6 +371,19 @@ def test_decompose_charges_its_witness_elements():
     assert code == 2 and payload["error"]["needed"] == 6000 + (6000 * 6001 // 2 + 6000)
 
 
+def test_decompose_charges_before_building_its_witnesses():
+    # tuple(range(n)) came before the charge: 30 digits answered
+    # "internal: OverflowError", and 20,000,000 exited 2 after about 4 s
+    for n in ("1" * 30, "20000000"):
+        argv = ["decompose", "--kind", "absorb_small", "--m", "0", "--n", n, "--depth", "1"]
+        started = time.monotonic()
+        code, payload = run(argv)
+        assert time.monotonic() - started < 1
+        assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+        count = int(n)
+        assert payload["error"]["needed"] == count + count * (count + 1) // 2 + count
+
+
 def test_decompose_rejects_negative_check_counts():
     # used to exit 0 with "total": -5, "ok": false, and a lowered charge
     for flags in (["--samples", "-5"], ["--boxes", "-3"], ["--samples", "-5", "--boxes", "-3"]):
@@ -735,15 +748,41 @@ def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
      "malformed rational '1e-9'"),
     (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
      '[[[[]], "1e3"], [[[0]], "1"]]', "malformed rational '1e3'"),
+    # JSON booleans used to pass as the ints 1 and 0
+    (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
+     "[[[[]], true], [[[0]], 1]]",
+     "malformed function file; expected [[coords…], rational] pairs"),
+    (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
+     "[[[[]], 1], [[[true]], 1]]",
+     "malformed function file; expected [[coords…], rational] pairs"),
+    (["uec", "l0", "--bits-file", "FILE"], "[[0, true]]",
+     "malformed bits file; expected [[element, level], …]"),
+    (["ds", "witness", "--n", "1", "--k", "1", "--spec", "FILE"],
+     '{"side_g": {"1": [[], [true]]}, "side_h": {}}',
+     "malformed spec file; expected side_g / side_h objects"),
+    # used to answer "internal: RecursionError"
+    (["uec", "l0", "--bits-file", "FILE"], "[" * 100_000 + "]" * 100_000,
+     "JSON nested too deeply in FILE"),
 ], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget",
         "bits-fraction", "function-coordinate", "spec-element", "target-exponent",
-        "points-exponent", "points-float-exponent", "function-exponent"])
+        "points-exponent", "points-float-exponent", "function-exponent", "function-boolean",
+        "function-coordinate-boolean", "bits-boolean", "spec-boolean", "bits-nesting"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
     path = tmp_path / "input"
     path.write_text(content)
     code, payload = run([str(path) if token == "FILE" else token for token in argv])
     assert code == 1 and payload["error"] == {
         "type": "usage", "message": message.replace("FILE", str(path))}
+
+
+def test_a_json_integer_past_the_digit_limit_is_a_usage_error(tmp_path):
+    # json.loads raises a plain ValueError here, which answered "invalid-input"
+    path = tmp_path / "bits.json"
+    path.write_text(f"[[{'9' * 5000}, 0]]")
+    code, payload = run(["uec", "l0", "--bits-file", str(path)])
+    assert code == 1 and payload["error"]["type"] == "usage"
+    assert payload["error"]["message"].startswith(
+        f"unreadable number in {path}: Exceeds the limit")
 
 
 def test_an_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):

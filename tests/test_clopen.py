@@ -268,6 +268,55 @@ def test_parse_box_merges_repeated_coordinates():
                       {0: (EMPTY, Point.of(4)), 2: (Point.of(0, 1), Point.of(3))})
 
 
+def merged_constraints(ambient, constraints):
+    """The merge path of ``BasicBox``: each coordinate checked against the
+    ambient, repeated ones united, sorted, trivial ones dropped."""
+    merged = {}
+    for coord, f, g in constraints:
+        if not ambient.has_coordinate(coord):
+            raise ValueError(f"coordinate {coord} outside ambient")
+        f0, g0 = merged.get(coord, (EMPTY, EMPTY))
+        merged[coord] = (f0 | f, g0 | g)
+    return tuple((coord, *merged[coord]) for coord in sorted(merged) if any(merged[coord]))
+
+
+def test_basic_box_takes_canonical_constraints_as_built():
+    rng = random.Random(16)
+    ambients = [ProductDescriptor((2, 2)), ProductDescriptor((1,), 2),
+                ProductDescriptor((), 3), ProductDescriptor()]
+    subsets = [Point(rng.sample(range(4), rng.randint(0, 2))) for _ in range(12)]
+    seen = {"canonical": 0, "merged": 0, "error": 0}
+    for _trial in range(3000):
+        ambient = rng.choice(ambients)
+        if rng.random() < 0.4:
+            # strictly increasing, nontrivial, inside the ambient: taken as built
+            width = ambient.explicit_len if ambient.omega_tail is None else 6
+            coords = sorted(rng.sample(range(width), rng.randint(0, min(3, width))))
+            constraints = tuple((c, Point.of(rng.randint(0, 5)), rng.choice(subsets))
+                                for c in coords)
+        else:
+            # repeated, unsorted, trivial, negative and out-of-ambient coordinates
+            constraints = tuple((rng.randint(-1, 3), rng.choice(subsets), rng.choice(subsets))
+                                for _ in range(rng.randint(0, 4)))
+        try:
+            want = merged_constraints(ambient, constraints)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                BasicBox(ambient, constraints)
+            assert str(info.value) == str(exc)
+            seen["error"] += 1
+            continue
+        box = BasicBox(ambient, constraints)
+        assert type(box.constraints) is tuple and box.constraints == want
+        assert all(type(c) is tuple for c in box.constraints)
+        seen["canonical" if want == constraints else "merged"] += 1
+    assert min(seen.values()) > 200, seen
+    # a list of constraints is read once and kept as a tuple either way
+    assert BasicBox(SIGMA3, [(0, Point.of(1), EMPTY)]).constraints == ((0, Point.of(1), EMPTY),)
+    assert BasicBox(SIGMA3, iter([(0, Point.of(1), EMPTY)])).constraints == \
+        ((0, Point.of(1), EMPTY),)
+
+
 _small_sets = st.frozensets(st.integers(0, 4), max_size=4).map(lambda s: Point(tuple(s)))
 
 

@@ -17,6 +17,7 @@ from sigmaprod.classification import (
     DecompositionPiece,
     check_limit_cofinite,
     check_pairwise_disjoint,
+    check_sample_membership,
     decompose_absorb_small,
     decompose_classif_k,
     decomposition_to_json,
@@ -281,6 +282,23 @@ def test_sampled_points_match_the_element_sampler(kind):
             assert sample_decomposition_points(dec, 40, seed) == sample_oracle(dec, 40, seed)
         assert sample_decomposition_points(dec, 40, 3, extra_elements=0) == \
             sample_oracle(dec, 40, 3, extra_elements=0)
+
+
+def test_sampled_points_over_a_ground_of_more_than_21_elements():
+    # past 21 elements ``random.sample`` may take its set branch, where the
+    # sampler keeps the pool branch: the draws differ, but stay seeded
+    dec = decompose_absorb_small(1, 24, depth=4)
+    ground = set(dec.witnesses) | {24, 25}
+    runs = [sample_decomposition_points(dec, 100, seed) for seed in (5, 5, 6)]
+    assert runs[0] == runs[1] and runs[0] != runs[2]
+    assert runs[0] != sample_oracle(dec, 100, 5)
+    for x in runs[0]:
+        assert x.tail_value == dec.limit_point.tail_value
+        assert len(x.prefix) <= dec.ambient.explicit_len + dec.depth - 1
+        for s, value in enumerate(x.prefix):
+            assert set(value) <= ground and len(value) <= dec.ambient.bound_at(s)
+    report = check_sample_membership(dec, 100, 5)
+    assert report.ok and report.in_piece > 0
 
 
 def test_box_reduce_matches_the_factor_by_factor_reduction():

@@ -25,6 +25,7 @@ from sigmaprod.ground import (
     parse_descriptor,
     parse_point,
     parse_tau,
+    point_in_ambient,
     sigma_point_count,
 )
 from sigmaprod.averaging import build_operator
@@ -162,6 +163,29 @@ def test_descriptor_canonical_form():
         ProductDescriptor.single(2).bound_at(1)
     assert parse_descriptor(format_descriptor(a)) == a
     assert parse_descriptor("()") == ProductDescriptor()
+
+
+def test_point_in_ambient_matches_the_per_coordinate_bounds():
+    def oracle(desc, x):
+        if desc.omega_tail is None:
+            if x.tail_value != EMPTY or len(x.prefix) > len(desc.factors):
+                return False
+        elif len(x.tail_value) > desc.omega_tail:
+            return False
+        return all(len(pt) <= desc.bound_at(s) for s, pt in enumerate(x.prefix))
+
+    rng = random.Random(4)
+    values = [Point(rng.sample(range(5), rng.randint(0, 4))) for _ in range(20)]
+    answers = set()
+    for _trial in range(4000):
+        desc = ProductDescriptor(tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3))),
+                                 rng.choice((None, 0, 1, 2, 4)))
+        x = ProductPoint(tuple(rng.choice(values) for _ in range(rng.randint(0, 5))),
+                         rng.choice(values[:6]))
+        answer = point_in_ambient(desc, x)
+        assert answer == oracle(desc, x)
+        answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_product_point_tail_convention():
