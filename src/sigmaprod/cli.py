@@ -226,24 +226,32 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliError(f"no such file: {path}") from None
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
 
 
-def _read_json(path: str):
-    """The JSON in ``path``; a number with a fraction part is read exactly."""
+def _read_json(path: str, name: str, form: str, decode):
+    """``decode`` of the JSON in ``path``, a number with a fraction part read
+    exactly.  A file that cannot be read or parsed, or that ``decode`` refuses
+    with a TypeError, ValueError, KeyError or AttributeError, is a usage error."""
     text = _read_file(path)
     try:
-        return json.loads(text, parse_float=_parse_fraction)
+        raw = json.loads(text, parse_float=_parse_fraction)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise CliError(f"unreadable number in {path}: {exc}") from None
     except RecursionError:
         raise CliError(f"JSON nested too deeply in {path}") from None
+    try:
+        return decode(raw)
+    except (TypeError, ValueError, KeyError, AttributeError):
+        raise CliError(f"malformed {name} file; expected {form}") from None
 
 
 def _json_int(value) -> int:
@@ -252,6 +260,15 @@ def _json_int(value) -> int:
     if isinstance(value, bool):
         raise TypeError("a JSON boolean is not an integer")
     return operator.index(value)
+
+
+def _json_rational(value) -> Fraction:
+    """A rational in a JSON file: ``_parse_fraction`` text, a decimal or an int."""
+    if isinstance(value, str):
+        return _parse_fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(_json_int(value))
 
 
 def _handle_classify(args) -> dict:
@@ -307,18 +324,9 @@ def _handle_avg(args) -> dict:
         return {"k": args.k, "ground": args.ground, **encode.operator_to_json(op)}
     if args.action == "check":
         return {"k": args.k, "ground": args.ground, **encode.rao_check(op.check())}
-    raw = _read_json(args.f)
-    f = {}
-    try:
-        for coords, value in raw:
-            x = tuple(ground.Point(map(_json_int, c)) for c in coords)
-            if isinstance(value, str):
-                value = _parse_fraction(value)
-            elif not isinstance(value, Fraction):  # JSON decimals are Fractions already
-                value = Fraction(_json_int(value))
-            f[x] = value
-    except (TypeError, ValueError):
-        raise CliError("malformed function file; expected [[coords…], rational] pairs") from None
+    f = _read_json(args.f, "function", "[[coords…], rational] pairs", lambda raw: {
+        tuple(ground.Point(map(_json_int, c)) for c in coords): _json_rational(value)
+        for coords, value in raw})
     missing = sum(x not in f for x in op.surjection)
     if missing:
         raise CliError(f"function file misses {missing} domain points")
@@ -347,24 +355,15 @@ def _handle_uec(args) -> dict:
             "solutions": [list(bits) for bits in first],
         }
     if args.action == "l0":
-        raw = _read_json(args.bits_file)
-        try:
-            array = uec.BinaryArray(tuple((_json_int(el), _json_int(lvl))
-                                          for el, lvl in raw))
-        except (TypeError, ValueError):
-            raise CliError("malformed bits file; expected [[element, level], …]") from None
+        array = _read_json(args.bits_file, "bits", "[[element, level], …]", lambda raw:
+                           uec.BinaryArray(tuple((_json_int(el), _json_int(lvl))
+                                                 for el, lvl in raw)))
         return encode.l0_certificate(uec.in_L0(array, args.budget))
     if args.action == "bounds":
         return encode.weight_table(uec.level_bounds(args.levels, args.budget))
-    raw = _read_json(args.points_file)
-    try:
-        points = [
-            uec.SignedVector.from_dict({int(lab): _parse_fraction(str(val))
-                                        for lab, val in entry.items()})
-            for entry in raw
-        ]
-    except (TypeError, ValueError, AttributeError):
-        raise CliError("malformed points file; expected [{label: rational}, …]") from None
+    points = _read_json(args.points_file, "points", "[{label: rational}, …]", lambda raw: [
+        uec.SignedVector(tuple((int(lab), _json_rational(val)) for lab, val in entry.items()))
+        for entry in raw])
     return encode.pipeline_report(uec.pipeline_check(points, args.levels, args.budget))
 
 
@@ -374,12 +373,16 @@ def _parse_family_file(path: str) -> deltasystem.SetFamily:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        label_tok, sep, set_tok = line.partition(":")
+        label, sep, point = (tok.strip() for tok in line.partition(":"))
         if not sep:
             raise CliError(f"{path}:{lineno}: expected 'label: {{e1,e2}}'")
-        label_tok = label_tok.strip()
-        label = int(label_tok) if label_tok.lstrip("-").isdigit() else label_tok
-        pairs.append((label, ground.parse_point(set_tok)))
+        digits = label.removeprefix("-")
+        try:
+            # a label of ASCII digits after an optional "-" is an int, any other is text
+            pairs.append((int(label) if digits.isascii() and digits.isdigit() else label,
+                          ground.parse_point(point)))
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
     return deltasystem.SetFamily.from_pairs(pairs)
 
 
@@ -388,15 +391,10 @@ def _handle_ds(args) -> dict:
         fam = _parse_family_file(args.family)
         result = deltasystem.extract_delta_system(fam, args.petals, args.budget)
         return encode.delta_extraction(result, len(fam), args.petals)
-    raw = _read_json(args.spec)
-    try:
-        side_g, side_h = (
-            tuple((int(label), tuple(ground.Point(map(_json_int, s)) for s in sets))
-                  for label, sets in sorted(raw[side].items(), key=lambda kv: int(kv[0])))
-            for side in ("side_g", "side_h")
-        )
-    except (TypeError, ValueError, KeyError, AttributeError):
-        raise CliError("malformed spec file; expected side_g / side_h objects") from None
+    side_g, side_h = _read_json(args.spec, "spec", "side_g / side_h objects", lambda raw: [
+        tuple((int(label), tuple(ground.Point(map(_json_int, s)) for s in sets))
+              for label, sets in sorted(raw[side].items(), key=lambda kv: int(kv[0])))
+        for side in ("side_g", "side_h")])
     spec = deltasystem.NeighborhoodSpec(args.k, side_g, side_h)
     result = deltasystem.common_point_witness(spec, args.n, args.k, args.budget)
     return encode.common_point(result)

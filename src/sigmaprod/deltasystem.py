@@ -157,11 +157,14 @@ def _er_extract(cands, petal_size, budget: Budget) -> tuple:
     then keep the sets holding the most frequent element, which joins the
     root, and drop it from them; the first level with the most petals wins.
     Finds a system of p petals whenever the family has more than
-    s! * (p-1)^s distinct s-sets.  Each pass is charged the size of its sets."""
+    s! * (p-1)^s distinct s-sets.  Each level is charged the size of its sets
+    once per pass it makes over them: the disjoint scan, and below the last
+    level the frequency count and the filter."""
     best = (0, EMPTY, ())
     root: list = []
     for level in range(petal_size + 1):
-        budget.charge(sum(len(s) for _label, s in cands))
+        passes = 1 if level == petal_size else 3
+        budget.charge(passes * sum(len(s) for _label, s in cands))
         chosen: list = []
         used: set = set()
         for label, s in cands:

@@ -184,8 +184,11 @@ class _SplitSearch:
     A vector is an int whose most significant of ``levels`` bits is level 0;
     for one level count the ints compare like the bit vectors.  The search
     charges ``budget`` 2^t for the table, cached or not, then 1 + levels // 64
-    units per head node, as a node's ints have about 1.6·levels bits, counted
-    locally and charged once, at the end or when they pass the room left.
+    units per head node, as a node's ints have about 1.6·levels bits.  A
+    solution always exists, so the a + 1 nodes of one path from the root to a
+    head leaf are charged before any scaled int is built; the nodes beyond
+    them are counted locally and charged once, at the end or when they pass
+    the room left.
     """
 
     def __init__(self, target, levels: int, budget: Budget | int):
@@ -197,22 +200,25 @@ class _SplitSearch:
         self.budget = budget = Budget.of(budget)
         self.t = t = min(levels // 2, _MAX_TAIL_LEVELS)
         budget.charge(1 << t)
+        self.unit = 1 + levels // 64
+        self.path = self.unit * (levels - t + 1)
+        budget.charge(self.path)
         self.sums, self.tails = _tail_table(t)
         q = target.denominator
         self.u = q << (levels - t)
         self.scale = q * 3 ** levels
         self.root = target.numerator * 3 ** levels
         self.tolerance = q << levels
-        self.unit = 1 + levels // 64
 
     def _leaves(self):
         """``(head bits, d)`` of every kept head leaf, in bit order; the
-        visited head nodes are charged when the search ends."""
+        visited head nodes past the prepaid path are charged when the search
+        ends."""
         budget, unit = self.budget, self.unit
         room = budget.limit - budget.spent
         low = -self.tolerance
         leaf_reach = self.u * 3 ** self.t
-        visited = 0
+        visited = -self.path
         stack = [(self.root, self.scale, 0)]
         while stack:
             d, reach, bits = stack.pop()

@@ -213,6 +213,18 @@ def test_uec_preimage_with_a_huge_level_count_is_bounded():
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
 
 
+def test_uec_preimage_charges_a_head_path_before_scaling_the_target():
+    # 3 ** levels was built before any charge that grows with the levels:
+    # 10**7 exited 2 after 10 s, 30 digits answered "internal: OverflowError"
+    for levels in (10 ** 7, 10 ** 8, 10 ** 29 + 7):
+        started = time.monotonic()
+        code, payload = run(["uec", "preimage", "--target", "1/2", "--levels", str(levels)])
+        assert time.monotonic() - started < 1
+        assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+        t = min(levels // 2, uec._MAX_TAIL_LEVELS)
+        assert payload["error"]["needed"] == 2 ** t + (1 + levels // 64) * (levels - t + 1)
+
+
 def test_uec_phi_counts_its_weights_digits_against_the_budget():
     # 30000 one-bits used to run 40 s and then answer output-too-large
     started = time.monotonic()
@@ -763,16 +775,37 @@ def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
     # used to answer "internal: RecursionError"
     (["uec", "l0", "--bits-file", "FILE"], "[" * 100_000 + "]" * 100_000,
      "JSON nested too deeply in FILE"),
+    # a file that is not UTF-8 used to answer "invalid-input"
+    (["uec", "l0", "--bits-file", "FILE"], b"\xff\xfe[[0,1]]",
+     "cannot read FILE: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (["ds", "extract", "--petals", "2", "--family", "FILE"], b"1: {1}\n\xff2: {2}\n",
+     "cannot read FILE: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+    # "0" and "00" are both label 0: the last value silently won
+    (["uec", "pipeline", "--levels", "2", "--points-file", "FILE"], '[{"0": "1/2", "00": "1/4"}]',
+     "malformed points file; expected [{label: rational}, …]"),
+    # a bad point used to answer "invalid-input" without its line
+    (["ds", "extract", "--petals", "2", "--family", "FILE"], "1: {1}\n2: {a}\n",
+     "FILE:2: malformed point '{a}': elements must be integers"),
 ], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget",
         "bits-fraction", "function-coordinate", "spec-element", "target-exponent",
         "points-exponent", "points-float-exponent", "function-exponent", "function-boolean",
-        "function-coordinate-boolean", "bits-boolean", "spec-boolean", "bits-nesting"])
+        "function-coordinate-boolean", "bits-boolean", "spec-boolean", "bits-nesting",
+        "bits-not-utf8", "family-not-utf8", "points-duplicate-label", "family-point"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
     path = tmp_path / "input"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     code, payload = run([str(path) if token == "FILE" else token for token in argv])
     assert code == 1 and payload["error"] == {
         "type": "usage", "message": message.replace("FILE", str(path))}
+
+
+def test_a_family_label_that_is_not_ascii_digits_stays_text(tmp_path):
+    # "²" passed str.isdigit, and "--4" lost both signs to lstrip("-"): each
+    # answered int()'s "invalid literal" error
+    path = tmp_path / "family.txt"
+    path.write_text("²: {1}\n-3: {2}\n--4: {3}\n", encoding="utf-8")
+    code, payload = run(["ds", "extract", "--family", str(path), "--petals", "3"])
+    assert code == 0 and payload["petal_labels"] == ["²", "-3", "--4"]
 
 
 def test_a_json_integer_past_the_digit_limit_is_a_usage_error(tmp_path):

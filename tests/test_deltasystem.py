@@ -97,7 +97,9 @@ def list_exact(members) -> tuple:
 
 def petals_list_greedy(cands, petal_size) -> tuple:
     """Oracle: the recursive root-bucketing greedy over a list of petals, and
-    the units it reads, the total size of the sets at each level."""
+    the units it reads: the total size of the sets at each level, once per
+    pass (the disjoint scan, and above the last level the frequency count and
+    the filter)."""
     units = sum(len(s) for _label, s in cands)
     chosen: list = []
     petals: list = []
@@ -117,7 +119,7 @@ def petals_list_greedy(cands, petal_size) -> tuple:
     (count, root, labels), below = petals_list_greedy(sub, petal_size - 1)
     if count > best[0]:
         best = (count, root | Point.of(el), labels)
-    return best, units + below
+    return best, 3 * units + below
 
 
 def oracle_extract(family, p) -> tuple:
@@ -365,14 +367,15 @@ def test_exact_extraction_charges_its_search_nodes():
         extract_delta_system(family, 2, spent - 1)
     assert info.value.needed == spent
     # the greedy fallback beyond the exact limit charges the sets each level
-    # reads: the 30 pairs, then {100} left of the one pair holding 0, then {}
+    # reads, once per pass: the 30 pairs three times, then three times {100}
+    # left of the one pair holding 0, then {} once
     wide = fam(*((i, 100 + i) for i in range(30)))
-    budget = Budget(61)
+    budget = Budget(183)
     assert extract_delta_system(wide, 2, budget).method == "greedy"
-    assert budget.spent == 60 + 1
+    assert budget.spent == 3 * 60 + 3 * 1
     with pytest.raises(BudgetExceeded) as info:
-        extract_delta_system(wide, 2, 60)
-    assert info.value.needed == 61
+        extract_delta_system(wide, 2, 182)
+    assert info.value.needed == 183
 
 
 def seeded_family(rng, n_members):

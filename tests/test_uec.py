@@ -527,11 +527,13 @@ def test_level_bounds_charges_the_float_digit_bound_or_more():
 
 
 def test_head_nodes_cost_more_units_from_64_levels():
-    # a head node works on ints of about 1.6·levels bits: 1 + levels // 64 units
+    # a head node works on ints of about 1.6·levels bits: 1 + levels // 64
+    # units; the levels - t + 1 nodes of one root-to-leaf path are charged
+    # before the search, so past 1000 levels they alone exceed the room
     room = 1000
     for levels in (63, 64, 127, 128, 1000, 100000):
         unit = 1 + levels // 64
-        table = 2 ** min(levels // 2, _MAX_TAIL_LEVELS)
+        t = min(levels // 2, _MAX_TAIL_LEVELS)
         with pytest.raises(BudgetExceeded) as info:
-            best_phi_preimage(Fraction(1, 2), levels, budget=table + room)
-        assert info.value.needed == table + unit * (room // unit + 1)
+            best_phi_preimage(Fraction(1, 2), levels, budget=2 ** t + room)
+        assert info.value.needed == 2 ** t + unit * max(levels - t + 1, room // unit + 1)
