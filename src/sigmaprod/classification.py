@@ -34,9 +34,7 @@ from .ground import (
     ProductPoint,
     TauSequence,
     TauValue,
-    i_of,
     is_omega,
-    j_of,
     type_signature,
 )
 from .clopen import (
@@ -113,12 +111,14 @@ class NormalForm:
 
 @lru_cache(maxsize=None)
 def normal_form(tau: TauSequence) -> NormalForm:
-    """Drop everything the omega power absorbs; keep the upper part verbatim."""
-    i = i_of(tau)
-    if is_omega(i):
+    """Drop everything the omega power absorbs; keep the upper part verbatim.
+
+    Built from the invariants kept on ``tau``.  ``classify`` does not call
+    this, so the cache holds only what direct callers asked for."""
+    inv = tau._invariants or _invariants(tau)
+    if inv.saturated:
         return NormalForm(OMEGA)
-    entries = tuple((n, v) for n, v in tau.entries if n > i)
-    return NormalForm(i, entries, tau.tail)
+    return NormalForm(inv.threshold, inv.upper, inv.tail)
 
 
 class ClassificationVerdict(NamedTuple):
@@ -157,41 +157,62 @@ COUNTABLE_VERSUS_PERFECT = ClassificationVerdict(
 
 
 class _Invariants:
-    """Everything ``classify`` reads of one sequence, computed once.
+    """Everything ``classify`` reads of one sequence, computed in one walk over
+    its entries.
 
     ``i`` and ``j`` are the text forms ("w" for omega) of the omega-threshold
     and the support bound, interned so that sequences share them; they
     compare like the values and read as the verdicts print them.  With
     ``upper`` and ``tail``, the exponents above i, they make up the normal
-    form.  ``index`` is the derivation index 1 + sum of n * v of a finite
-    product (finitely many nontrivial factors) and None otherwise.
+    form, whose threshold value is ``threshold``.  ``index`` is the
+    derivation index 1 + sum of n * v of a finite product (finitely many
+    nontrivial factors) and None otherwise.
     """
 
-    __slots__ = ("i", "j", "upper", "tail", "saturated", "j_finite", "index")
+    __slots__ = ("i", "j", "threshold", "upper", "tail", "saturated", "j_finite", "index")
 
     def __init__(self, tau: TauSequence):
-        nf = normal_form(tau)
-        j = j_of(tau)
-        self.i = sys.intern(str(nf.i))
-        self.j = sys.intern(str(j))
-        self.upper = nf.upper_entries
-        self.tail = nf.upper_tail
-        self.saturated = is_omega(nf.i)
-        self.j_finite = not is_omega(j)
-        finite = tau.tail == 0 and not any(is_omega(v) for _n, v in tau.entries)
-        self.index = 1 + sum(n * v for n, v in tau.entries) if finite else None
+        entries, tail = tau.entries, tau.tail
+        if is_omega(tail):
+            # every bound occurs omega-many times: nothing survives absorption
+            self.i = self.j = "w"
+            self.threshold = OMEGA
+            self.upper, self.tail = (), 0
+            self.saturated, self.j_finite, self.index = True, False, None
+            return
+        k = cut = weight = 0  # cut: just past the last omega entry, whose index is i
+        for n, v in entries:
+            k += 1
+            if isinstance(v, int):  # bools too, as TauSequence accepts them
+                weight += n * v
+            else:
+                cut = k
+        if cut:
+            self.threshold = entries[cut - 1][0]
+            self.i = sys.intern(str(self.threshold))
+        else:
+            self.threshold, self.i = 0, "0"
+        # the entries are those that differ from the tail, so over a zero
+        # tail the last one is the last positive exponent
+        finite_tail = tail == 0
+        if not finite_tail:
+            self.j = "w"
+        elif entries:
+            self.j = sys.intern(str(entries[-1][0]))
+        else:
+            self.j = "0"
+        self.upper, self.tail = entries[cut:], tail
+        self.saturated, self.j_finite = False, finite_tail
+        self.index = 1 + weight if finite_tail and not cut else None
 
 
 def _invariants(tau: TauSequence) -> _Invariants:
-    """The invariants of ``tau``, kept on the object itself: they live as long
-    as the sequence does, and a new sequence object computes its own."""
-    try:
-        return tau._invariants
-    except AttributeError:
-        inv = _Invariants(tau)
-        # not a dataclass field: equality, hashing and repr ignore it
-        object.__setattr__(tau, "_invariants", inv)
-        return inv
+    """Compute the invariants of ``tau`` and keep them on the object itself:
+    they live as long as the sequence does, and a new sequence object computes
+    its own.  Callers read ``tau._invariants`` first, None until this ran."""
+    inv = _Invariants(tau)
+    object.__setattr__(tau, "_invariants", inv)
+    return inv
 
 
 def classify(tau: TauSequence, tau2: TauSequence,
@@ -205,42 +226,46 @@ def classify(tau: TauSequence, tau2: TauSequence,
     finite products compare by derivation index and infinite products are all
     homeomorphic.
     """
-    if gamma not in ("uncountable", "countable"):
-        raise ValueError(f"gamma must be 'uncountable' or 'countable', got {gamma!r}")
-    a, b = _invariants(tau), _invariants(tau2)
-    if gamma == "countable":
-        if a.index is not None and b.index is not None:
-            if a.index == b.index:
-                return ClassificationVerdict(
-                    HOMEOMORPHIC, "countable-derivation-index",
-                    f"both countable compacta have derivation index {a.index} "
-                    "and a single point at the last stage")
-            return ClassificationVerdict(
-                NOT_HOMEOMORPHIC, "countable-derivation-index",
-                f"derivation indices differ: {a.index} versus {b.index}")
-        if a.index is None and b.index is None:
-            return COUNTABLE_INFINITE_PRODUCT
-        return COUNTABLE_VERSUS_PERFECT
-    if a.i == b.i and a.upper == b.upper and a.tail == b.tail:
-        if a.saturated:
-            return OMEGA_SATURATED
+    # the kept invariants, read inline: this is the hot path of a batch
+    a = tau._invariants or _invariants(tau)
+    b = tau2._invariants or _invariants(tau2)
+    # verdicts built by tuple.__new__, skipping the NamedTuple's Python-level __new__
+    if gamma == "uncountable":
+        # equal normal forms have equal support bounds, so j decides first
+        if a.j != b.j:
+            return tuple.__new__(ClassificationVerdict, (
+                NOT_HOMEOMORPHIC, "largest-embeddable-bound",
+                f"the largest n whose space embeds differs: {a.j} versus {b.j}"))
+        if a.i == b.i and a.upper == b.upper and a.tail == b.tail:
+            if a.saturated:
+                return OMEGA_SATURATED
+            if a.j_finite:
+                return FINITE_SUPPORT_INVARIANTS
+            return ABSORPTION_NORMAL_FORM
         if a.j_finite:
-            return FINITE_SUPPORT_INVARIANTS
-        return ABSORPTION_NORMAL_FORM
-    if a.j != b.j:
-        return ClassificationVerdict(
-            NOT_HOMEOMORPHIC, "largest-embeddable-bound",
-            f"the largest n whose space embeds differs: {a.j} versus {b.j}")
-    if a.j_finite:
-        if a.i != b.i:
-            return ClassificationVerdict(
-                NOT_HOMEOMORPHIC, "omega-threshold",
-                f"omega-thresholds differ: {a.i} versus {b.i} (largest bound "
-                "embeddable into every clopen set)")
-        return UPPER_EXPONENTS
-    if a.saturated or b.saturated:
-        return OPEN_VERDICT_ONE_SATURATED
-    return OPEN_VERDICT
+            if a.i != b.i:
+                return tuple.__new__(ClassificationVerdict, (
+                    NOT_HOMEOMORPHIC, "omega-threshold",
+                    f"omega-thresholds differ: {a.i} versus {b.i} (largest bound "
+                    "embeddable into every clopen set)"))
+            return UPPER_EXPONENTS
+        if a.saturated or b.saturated:
+            return OPEN_VERDICT_ONE_SATURATED
+        return OPEN_VERDICT
+    if gamma != "countable":
+        raise ValueError(f"gamma must be 'uncountable' or 'countable', got {gamma!r}")
+    if a.index is not None and b.index is not None:
+        if a.index == b.index:
+            return tuple.__new__(ClassificationVerdict, (
+                HOMEOMORPHIC, "countable-derivation-index",
+                f"both countable compacta have derivation index {a.index} "
+                "and a single point at the last stage"))
+        return tuple.__new__(ClassificationVerdict, (
+            NOT_HOMEOMORPHIC, "countable-derivation-index",
+            f"derivation indices differ: {a.index} versus {b.index}"))
+    if a.index is None and b.index is None:
+        return COUNTABLE_INFINITE_PRODUCT
+    return COUNTABLE_VERSUS_PERFECT
 
 
 # ---------------------------------------------------------------------------

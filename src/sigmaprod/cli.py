@@ -262,6 +262,19 @@ def _json_int(value) -> int:
     return operator.index(value)
 
 
+def _is_int_label(label: str) -> bool:
+    """A label is an int when it is ASCII digits after one optional "-"."""
+    digits = label.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
+def _json_label(label: str) -> int:
+    """An int label of a JSON file; any other key is refused."""
+    if not _is_int_label(label):
+        raise ValueError(f"malformed label {label!r}")
+    return int(label)
+
+
 def _json_rational(value) -> Fraction:
     """A rational in a JSON file: ``_parse_fraction`` text, a decimal or an int."""
     if isinstance(value, str):
@@ -362,7 +375,8 @@ def _handle_uec(args) -> dict:
     if args.action == "bounds":
         return encode.weight_table(uec.level_bounds(args.levels, args.budget))
     points = _read_json(args.points_file, "points", "[{label: rational}, …]", lambda raw: [
-        uec.SignedVector(tuple((int(lab), _json_rational(val)) for lab, val in entry.items()))
+        uec.SignedVector(tuple((_json_label(lab), _json_rational(val))
+                               for lab, val in entry.items()))
         for entry in raw])
     return encode.pipeline_report(uec.pipeline_check(points, args.levels, args.budget))
 
@@ -376,10 +390,9 @@ def _parse_family_file(path: str) -> deltasystem.SetFamily:
         label, sep, point = (tok.strip() for tok in line.partition(":"))
         if not sep:
             raise CliError(f"{path}:{lineno}: expected 'label: {{e1,e2}}'")
-        digits = label.removeprefix("-")
         try:
-            # a label of ASCII digits after an optional "-" is an int, any other is text
-            pairs.append((int(label) if digits.isascii() and digits.isdigit() else label,
+            # a label _is_int_label accepts is an int, any other is text
+            pairs.append((int(label) if _is_int_label(label) else label,
                           ground.parse_point(point)))
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
@@ -392,8 +405,8 @@ def _handle_ds(args) -> dict:
         result = deltasystem.extract_delta_system(fam, args.petals, args.budget)
         return encode.delta_extraction(result, len(fam), args.petals)
     side_g, side_h = _read_json(args.spec, "spec", "side_g / side_h objects", lambda raw: [
-        tuple((int(label), tuple(ground.Point(map(_json_int, s)) for s in sets))
-              for label, sets in sorted(raw[side].items(), key=lambda kv: int(kv[0])))
+        tuple(sorted(((_json_label(label), tuple(ground.Point(map(_json_int, s)) for s in sets))
+                      for label, sets in raw[side].items()), key=lambda pair: pair[0]))
         for side in ("side_g", "side_h")])
     spec = deltasystem.NeighborhoodSpec(args.k, side_g, side_h)
     result = deltasystem.common_point_witness(spec, args.n, args.k, args.budget)

@@ -292,6 +292,9 @@ class TauSequence:
 
     entries: tuple = ()
     tail: TauValue = 0
+    # where classification keeps the sequence's invariants once computed; a
+    # class attribute, not a field, so equality, hashing and repr ignore it
+    _invariants = None
 
     def __post_init__(self):
         _check_tau_value(self.tail)

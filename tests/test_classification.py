@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sigmaprod.classification import (
     HOMEOMORPHIC,
@@ -13,6 +14,7 @@ from sigmaprod.classification import (
     DecompositionPiece,
     NormalForm,
     SpaceExpression,
+    _Invariants,
     cb_derivative,
     cb_invariants,
     check_limit_cofinite,
@@ -41,6 +43,7 @@ from sigmaprod.ground import (
     ProductDescriptor,
     ProductPoint,
     TauSequence,
+    i_of,
     is_omega,
     j_of,
     materialize,
@@ -278,12 +281,18 @@ def test_classify_matches_the_oracle_on_every_pair():
             for b in seqs:
                 v = classify(a, b, gamma)
                 assert v == oracle_classify(a, b, gamma), (a, b, gamma)
+                assert type(v) is ClassificationVerdict
                 rules.add(v.rule)
                 if v.outcome == OPEN:
                     open_details.add(v.detail)
     # every verdict occurs, both open-question texts included
     assert open_details == {OPEN_QUESTION, OPEN_QUESTION_ONE_SATURATED}
     assert len(rules) == 10
+    with pytest.raises(ValueError) as exc:
+        classify(seqs[0], seqs[1], "finite")
+    with pytest.raises(ValueError) as expected:
+        oracle_classify(seqs[0], seqs[1], "finite")
+    assert str(exc.value) == str(expected.value)
 
 
 def test_classify_keeps_the_invariants_on_each_sequence_object():
@@ -293,9 +302,59 @@ def test_classify_keeps_the_invariants_on_each_sequence_object():
     classify(a, b)
     classify(b, a, gamma="countable")
     assert normal_form.cache_info().misses == 0
-    # an equal but new object computes its own, through normal_form
+    # an equal but new object computes its own, without normal_form
     assert classify(parse_tau("1,w,2"), b) == classify(a, b)
-    assert normal_form.cache_info().misses == 1
+    assert normal_form.cache_info().misses == 0
+
+
+def test_classify_keeps_nothing_in_the_normal_form_cache():
+    # every sequence classify saw used to stay alive in normal_form's cache
+    rng = random.Random(11)
+    values = (0, 1, 2, 3, OMEGA)
+    normal_form.cache_clear()
+    first = TauSequence()
+    for k in range(10_000):
+        vals = [rng.choice(values) for _ in range(rng.randint(0, 6))] + [k + 1]
+        fresh = TauSequence.from_values(vals, rng.choice((0, 1, OMEGA)))
+        for gamma in ("uncountable", "countable"):
+            classify(first, fresh, gamma)
+    info = normal_form.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+# exponents as TauSequence accepts them: omega, zero, positive, and True
+tau_values = st.one_of(st.just(OMEGA), st.just(0), st.integers(1, 4), st.just(True))
+
+
+@st.composite
+def sparse_taus(draw):
+    """Sequences with gaps between their indices over omega, zero and positive tails."""
+    gaps = draw(st.lists(st.integers(1, 3), max_size=7))
+    values = draw(st.lists(tau_values, min_size=len(gaps), max_size=len(gaps)))
+    indices = [sum(gaps[:k + 1]) for k in range(len(gaps))]
+    return TauSequence(tuple(zip(indices, values)), draw(tau_values))
+
+
+def oracle_invariants(tau):
+    """(i, j, upper, tail, index) from i_of, j_of and the entries above i."""
+    i, j = i_of(tau), j_of(tau)
+    finite = tau.tail == 0 and not any(is_omega(v) for _n, v in tau.entries)
+    index = 1 + sum(n * v for n, v in tau.entries) if finite else None
+    if is_omega(i):
+        return i, j, (), 0, index
+    return i, j, tuple((n, v) for n, v in tau.entries if n > i), tau.tail, index
+
+
+@given(sparse_taus())
+def test_invariants_match_i_of_and_j_of(tau):
+    inv = _Invariants(tau)
+    i, j, upper, tail, index = oracle_invariants(tau)
+    assert (inv.i, inv.j) == (str(i), str(j))
+    assert (inv.threshold, inv.upper, inv.tail, inv.index) == (i, upper, tail, index)
+    assert inv.saturated == is_omega(i) and inv.j_finite == (not is_omega(j))
+    # past the cache: it answers an equal sequence with the first one's form,
+    # so True and 1 as values would leak between tests
+    assert normal_form.__wrapped__(tau) == NormalForm(i, upper, tail)
 
 
 def test_verdicts_are_named_tuples():

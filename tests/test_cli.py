@@ -786,11 +786,21 @@ def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
     # a bad point used to answer "invalid-input" without its line
     (["ds", "extract", "--petals", "2", "--family", "FILE"], "1: {1}\n2: {a}\n",
      "FILE:2: malformed point '{a}': elements must be integers"),
+    # int() read these labels: an Arabic-Indic digit as label 1, " 1_0 " as 10,
+    # and "+1" as a second label 1
+    (["uec", "pipeline", "--levels", "2", "--points-file", "FILE"], '[{"\u0661": "1/2"}]',
+     "malformed points file; expected [{label: rational}, …]"),
+    (["uec", "pipeline", "--levels", "2", "--points-file", "FILE"], '[{" 1_0 ": "1/4"}]',
+     "malformed points file; expected [{label: rational}, …]"),
+    (["ds", "witness", "--n", "1", "--k", "1", "--spec", "FILE"],
+     '{"side_g": {"1": [[], []], "+1": [[], []]}, "side_h": {}}',
+     "malformed spec file; expected side_g / side_h objects"),
 ], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget",
         "bits-fraction", "function-coordinate", "spec-element", "target-exponent",
         "points-exponent", "points-float-exponent", "function-exponent", "function-boolean",
         "function-coordinate-boolean", "bits-boolean", "spec-boolean", "bits-nesting",
-        "bits-not-utf8", "family-not-utf8", "points-duplicate-label", "family-point"])
+        "bits-not-utf8", "family-not-utf8", "points-duplicate-label", "family-point",
+        "points-non-ascii-label", "points-underscore-label", "spec-plus-label"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
     path = tmp_path / "input"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
