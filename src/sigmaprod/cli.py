@@ -262,15 +262,9 @@ def _json_int(value) -> int:
     return operator.index(value)
 
 
-def _is_int_label(label: str) -> bool:
-    """A label is an int when it is ASCII digits after one optional "-"."""
-    digits = label.removeprefix("-")
-    return digits.isascii() and digits.isdigit()
-
-
 def _json_label(label: str) -> int:
     """An int label of a JSON file; any other key is refused."""
-    if not _is_int_label(label):
+    if not ground.is_int_text(label):
         raise ValueError(f"malformed label {label!r}")
     return int(label)
 
@@ -299,9 +293,12 @@ def _handle_classify(args) -> dict:
 
 
 def _handle_cb(args) -> dict:
+    tokens = [tok for tok in map(str.strip, args.ks.split(",")) if tok]
     try:
-        ks = tuple(int(tok) for tok in args.ks.split(",") if tok.strip() != "")
-    except ValueError:
+        if not all(map(ground.is_int_text, tokens)):
+            raise ValueError
+        ks = tuple(map(int, tokens))
+    except ValueError:  # not integers, or past the interpreter's digit limit
         raise CliError(f"malformed bounds list {args.ks!r}") from None
     index, last = classification.cb_invariants(ks, args.budget)
     return {"ks": list(ks), "index": index, "last_cardinality": last}
@@ -391,8 +388,8 @@ def _parse_family_file(path: str) -> deltasystem.SetFamily:
         if not sep:
             raise CliError(f"{path}:{lineno}: expected 'label: {{e1,e2}}'")
         try:
-            # a label _is_int_label accepts is an int, any other is text
-            pairs.append((int(label) if _is_int_label(label) else label,
+            # a label ground.is_int_text accepts is an int, any other is text
+            pairs.append((int(label) if ground.is_int_text(label) else label,
                           ground.parse_point(point)))
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None

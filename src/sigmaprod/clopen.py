@@ -19,6 +19,7 @@ from .ground import (
     ProductDescriptor,
     ProductPoint,
     format_descriptor,
+    is_int_text,
     parse_descriptor,
     parse_point,
     point_in_ambient,
@@ -451,12 +452,10 @@ def parse_box(text: str) -> BasicBox:
     constraints = []
     if inner:
         for part in inner.split(";"):
-            coord_tok, _, rest = part.partition(":")
-            coord = int(coord_tok.strip())
-            rest = rest.strip()
-            if not rest.startswith("F=") or " G=" not in rest:
+            coord, _, rest = (tok.strip() for tok in part.partition(":"))
+            if not is_int_text(coord) or not rest.startswith("F=") or " G=" not in rest:
                 raise ValueError(f"malformed box constraint {part!r}")
             f_tok, _, g_tok = rest[2:].partition(" G=")
-            constraints.append((coord, parse_point(f_tok), parse_point(g_tok)))
+            constraints.append((int(coord), parse_point(f_tok), parse_point(g_tok)))
     # BasicBox merges repeated coordinates
     return BasicBox(ambient, tuple(constraints))

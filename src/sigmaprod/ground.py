@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import total_ordering
 from itertools import combinations, permutations, product as iter_product
 
 GroundElement = int
@@ -73,6 +74,7 @@ class Budget:
         self.charge(units)
 
 
+@total_ordering
 class Omega:
     """The first infinite ordinal as a marker value (singleton ``OMEGA``)."""
 
@@ -97,25 +99,6 @@ class Omega:
             return False
         return NotImplemented
 
-    def __le__(self, other):
-        if isinstance(other, Omega):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Omega):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Omega)):
-            return True
-        return NotImplemented
-
     def __add__(self, other):
         return self
 
@@ -132,9 +115,8 @@ def is_omega(value) -> bool:
 
 
 def _check_tau_value(value):
-    if is_omega(value):
-        return
-    if not isinstance(value, int) or value < 0:
+    # type() is int, not isinstance: a bool would read as 1 but print as True
+    if not is_omega(value) and (type(value) is not int or value < 0):
         raise ValueError(f"value must be a non-negative integer or OMEGA, got {value!r}")
 
 
@@ -193,7 +175,7 @@ class ProductDescriptor:
         factors = tuple(self.factors)
         tail = () if self.omega_tail is None else (self.omega_tail,)
         for n in factors + tail:
-            if not isinstance(n, int) or n < 0:
+            if type(n) is not int or n < 0:
                 raise ValueError(f"factor bound must be a non-negative integer, got {n!r}")
         if tail:
             while factors and factors[-1] == self.omega_tail:
@@ -301,7 +283,7 @@ class TauSequence:
         canon = []
         prev = 0
         for idx, val in self.entries:
-            if not isinstance(idx, int) or idx < 1:
+            if type(idx) is not int or idx < 1:
                 raise ValueError(f"tau indices start at 1, got {idx!r}")
             if idx <= prev:
                 raise ValueError("tau indices must be strictly increasing")
@@ -399,6 +381,13 @@ def materialize(desc: ProductDescriptor, ground_size: int, depth: int | None = N
 # text forms
 
 
+def is_int_text(token: str, signed: bool = True) -> bool:
+    """Is ``token`` ASCII digits, after one "-" when ``signed``?  The one rule for
+    integers in inline text; ``int()`` also reads "+1", "1_0" and other scripts' digits."""
+    digits = token.removeprefix("-") if signed else token
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_point(text: str) -> Point:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -406,17 +395,20 @@ def parse_point(text: str) -> Point:
     inner = text[1:-1].strip()
     if not inner:
         return EMPTY
+    tokens = [tok.strip() for tok in inner.split(",")]
     try:
-        return Point(tuple(int(tok) for tok in inner.split(",")))
-    except ValueError:
-        raise ValueError(f"malformed point {text!r}: elements must be integers") from None
+        if all(map(is_int_text, tokens)):
+            return Point(tuple(map(int, tokens)))
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise ValueError(f"malformed point {text!r}: elements must be integers")
 
 
 def _parse_tau_value(token: str) -> TauValue:
     token = token.strip()
     if token == "w":
         return OMEGA
-    if token.isdigit():
+    if is_int_text(token, signed=False):
         return int(token)
     raise ValueError(f"bad tau entry {token!r} (expected digits or 'w')")
 
@@ -462,11 +454,11 @@ def parse_descriptor(text: str) -> ProductDescriptor:
     tokens = text.split("x")
     for pos, tok in enumerate(tokens):
         tok = tok.strip()
-        if tok.endswith("^w"):
-            if pos != len(tokens) - 1:
-                raise ValueError(f"malformed descriptor {text!r}: tail must come last")
+        if tok.endswith("^w") and pos != len(tokens) - 1:
+            raise ValueError(f"malformed descriptor {text!r}: tail must come last")
+        if tok.endswith("^w") and is_int_text(tok[:-2].strip()):
             tail = int(tok[:-2])
-        elif tok.isdigit():
+        elif is_int_text(tok, signed=False):
             factors.append(int(tok))
         else:
             raise ValueError(f"malformed descriptor {text!r}")

@@ -83,6 +83,9 @@ def test_normal_form_validation():
         NormalForm(2, ((2, 1),))
     with pytest.raises(ValueError):
         NormalForm(1, ((2, OMEGA),))
+    for upper, tail in [(((1, True),), 0), ((), True), (((1, 2),), False)]:
+        with pytest.raises(ValueError):
+            NormalForm(0, upper, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +325,22 @@ def test_classify_keeps_nothing_in_the_normal_form_cache():
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
-# exponents as TauSequence accepts them: omega, zero, positive, and True
-tau_values = st.one_of(st.just(OMEGA), st.just(0), st.integers(1, 4), st.just(True))
+def test_normal_form_keeps_nothing():
+    # every sequence passed to normal_form used to stay alive in its cache,
+    # and an equal sequence was answered with the first one's form
+    rng = random.Random(12)
+    values = (0, 1, 2, 3, OMEGA)
+    normal_form.cache_clear()
+    for k in range(10_000):
+        vals = [rng.choice(values) for _ in range(rng.randint(0, 6))] + [k + 1]
+        sequence = TauSequence.from_values(vals, rng.choice((0, 1, OMEGA)))
+        assert normal_form(sequence) == normal_form.__wrapped__(sequence)
+    info = normal_form.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+
+
+# exponents as TauSequence accepts them: omega, zero and positive
+tau_values = st.one_of(st.just(OMEGA), st.just(0), st.integers(1, 4))
 
 
 @st.composite
@@ -352,9 +369,7 @@ def test_invariants_match_i_of_and_j_of(tau):
     assert (inv.i, inv.j) == (str(i), str(j))
     assert (inv.threshold, inv.upper, inv.tail, inv.index) == (i, upper, tail, index)
     assert inv.saturated == is_omega(i) and inv.j_finite == (not is_omega(j))
-    # past the cache: it answers an equal sequence with the first one's form,
-    # so True and 1 as values would leak between tests
-    assert normal_form.__wrapped__(tau) == NormalForm(i, upper, tail)
+    assert normal_form(tau) == NormalForm(i, upper, tail)
 
 
 def test_verdicts_are_named_tuples():

@@ -809,6 +809,32 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
         "type": "usage", "message": message.replace("FILE", str(path))}
 
 
+@pytest.mark.parametrize("argv, kind, message", [
+    (["clopen", "empty", "--box", "[a: F={} G={}] @ 2"], "invalid-input",
+     "malformed box constraint 'a: F={} G={}'"),
+    (["clopen", "empty", "--box", "[0: F={} G={}; ] @ 2"], "invalid-input",
+     "malformed box constraint ''"),
+    (["clopen", "empty", "--box", "[0: F={} G={}] @ 2x ^w"], "invalid-input",
+     "malformed descriptor '2x ^w'"),
+    (["clopen", "empty", "--box", "[0: F={} G={}] @ \u00b2"], "invalid-input",
+     "malformed descriptor '\u00b2'"),
+    (["clopen", "empty", "--box", "[0: F={\u0661} G={}] @ 2"], "invalid-input",
+     "malformed point '{\u0661}': elements must be integers"),
+    (["classify", "--tau", "\u00b2", "--tau2", "1"], "invalid-input",
+     "bad tau entry '\u00b2' (expected digits or 'w')"),
+    (["classify", "--tau", "\u0661", "--tau2", "1"], "invalid-input",
+     "bad tau entry '\u0661' (expected digits or 'w')"),
+    (["cb", "--ks", "\u0661,\u0662"], "usage", "malformed bounds list '\u0661,\u0662'"),
+    (["cb", "--ks", "+1"], "usage", "malformed bounds list '+1'"),
+], ids=["box-coordinate", "box-empty-constraint", "descriptor-empty-tail",
+        "descriptor-superscript", "point-arabic-indic", "tau-superscript", "tau-arabic-indic",
+        "ks-arabic-indic", "ks-plus"])
+def test_an_inline_integer_is_ascii_digits(argv, kind, message):
+    # int() answered "invalid literal for int() with base 10", naming neither
+    # the flag nor the text, or read other scripts' digits and exited 0
+    assert run(argv) == (1, {"schema": 1, "error": {"type": kind, "message": message}})
+
+
 def test_a_family_label_that_is_not_ascii_digits_stays_text(tmp_path):
     # "²" passed str.isdigit, and "--4" lost both signs to lstrip("-"): each
     # answered int()'s "invalid literal" error

@@ -227,15 +227,17 @@ DIFFERENCES = {
         "usage", {**GLOBAL_DEFAULTS, "command": "classify", "tau": "-x", "tau2": "1",
                   "gamma": "uncountable"}),
     ("cb", "--ks", "--"): ("usage", {**GLOBAL_DEFAULTS, "command": "cb", "ks": "--"}),
-    # and argparse drops "--" even after "="
-    ("cb", "--ks=--"): ({**GLOBAL_DEFAULTS, "command": "cb", "ks": []},
+    # and argparse before Python 3.13 drops "--" even after "=" (ks []), while
+    # 3.13's keeps it (ks "--", as _parse reads it): a list holds both answers
+    ("cb", "--ks=--"): ([{**GLOBAL_DEFAULTS, "command": "cb", "ks": []},
+                         {**GLOBAL_DEFAULTS, "command": "cb", "ks": "--"}],
                         {**GLOBAL_DEFAULTS, "command": "cb", "ks": "--"}),
 }
 
 
 def test_named_differences_from_argparse():
     for argv, (theirs, ours) in DIFFERENCES.items():
-        assert argparse_parse(list(argv)) == theirs, argv
+        assert argparse_parse(list(argv)) in (theirs if type(theirs) is list else [theirs]), argv
         assert our_parse(list(argv)) == ours, argv
 
 

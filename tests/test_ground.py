@@ -51,6 +51,49 @@ def test_omega_ordering():
     assert 7 + OMEGA == OMEGA
     assert min(OMEGA, 4) == 4 and max(OMEGA, 4) == OMEGA
     assert sorted([OMEGA, 3, 1]) == [1, 3, OMEGA]
+    # every comparison, from either side, as if OMEGA were an int above all others
+    big = 10**100
+    for a, b in [(OMEGA, 5), (5, OMEGA), (OMEGA, OMEGA), (OMEGA, -big), (True, OMEGA)]:
+        x, y = (big + 1 if is_omega(v) else v for v in (a, b))
+        assert [a < b, a <= b, a > b, a >= b, a == b, a != b] == \
+            [x < y, x <= y, x > y, x >= y, x == y, x != y], (a, b)
+    for other in (1.5, "w", None):
+        assert OMEGA != other
+        for compare in (lambda: OMEGA < other, lambda: OMEGA <= other,
+                        lambda: OMEGA > other, lambda: OMEGA >= other):
+            with pytest.raises(TypeError):
+                compare()
+
+
+def test_tau_sequence_refuses_bool():
+    # True passed as 1 and was printed as True in verdict texts
+    for entries, tail in [(((True, 2),), 0), (((1, True),), 0), ((), True), (((1, False),), 1)]:
+        with pytest.raises(ValueError):
+            TauSequence(entries, tail)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_tau, "\u00b2"), (parse_tau, "\u0661"), (parse_tau, "+1"), (parse_tau, "1_0"),
+    (parse_tau, "-1"), (parse_descriptor, "\u00b2"), (parse_descriptor, "\u0661"),
+    (parse_descriptor, "2x ^w"), (parse_descriptor, "+1^w"), (parse_descriptor, "-1"),
+    (parse_point, "{\u0661}"), (parse_point, "{+1}"), (parse_point, "{1_0}"),
+    (parse_point, "{--1}"), (parse_point, "{" + "9" * 5000 + "}"),
+])
+def test_inline_integers_are_ascii_digits(parse, text):
+    # int() read other scripts' digits, "+" and "_", or failed with its own
+    # message naming neither the flag nor the text
+    message = {parse_tau: f"bad tau entry {text!r}",
+               parse_descriptor: f"malformed descriptor {text!r}",
+               parse_point: f"malformed point {text!r}: elements must be integers"}[parse]
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value).startswith(message)
+
+
+def test_inline_integers_keep_their_signs_where_they_had_them():
+    assert parse_point("{ -1, 2 }") == Point.of(-1, 2)
+    assert parse_descriptor(" 2 x 3 ^w ") == ProductDescriptor((2,), 3)
+    assert parse_tau(" 1 , w tail= 2 ") == TauSequence.from_values([1, OMEGA], 2)
 
 
 def test_point_canonicalization():
@@ -90,7 +133,8 @@ def test_point_matches_the_frozenset_oracle(a, b):
 
 def test_descriptor_rejects_bad_bounds():
     for factors, tail, bad in [((2, -1), None, "-1"), ((), -1, "-1"), ((1.5,), 2, "1.5"),
-                               (("2",), None, "'2'"), ((1,), 2.0, "2.0")]:
+                               (("2",), None, "'2'"), ((1,), 2.0, "2.0"),
+                               ((True,), None, "True"), ((), False, "False")]:
         with pytest.raises(ValueError) as info:
             ProductDescriptor(factors, tail)
         assert str(info.value) == f"factor bound must be a non-negative integer, got {bad}"
