@@ -46,6 +46,7 @@ from .clopen import (
     box_intersect,
     box_is_empty,
     box_reduce,
+    next_reduced_bound,
 )
 # bound by this name in bench/tracing.py
 from .encode import decomposition_to_json  # noqa: F401
@@ -88,11 +89,17 @@ class NormalForm:
             if self.upper_entries or self.upper_tail:
                 raise ValueError("nothing survives above an infinite omega-threshold")
             return
+        # type() is int, not isinstance: a bool would read as 1 but print as true
+        if type(self.i) is not int or self.i < 0:
+            raise ValueError(f"the threshold must be a non-negative integer or OMEGA, "
+                             f"got {self.i!r}")
         if type(self.upper_tail) is not int or self.upper_tail < 0:
             raise ValueError("the upper tail must be a finite non-negative integer")
         canon = []
         prev = self.i
         for n, v in self.upper_entries:
+            if type(n) is not int:
+                raise ValueError(f"entry index must be an integer, got {n!r}")
             if n <= self.i:
                 raise ValueError(f"entry index {n} not above threshold {self.i}")
             if n <= prev:
@@ -507,18 +514,48 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
         pieces.append(DecompositionPiece(
             f"B'({j})", box, ProductDescriptor((m - j,), n)))
     # the small coordinate and the first k omega coordinates are pinned to a
-    # full set, a single point each
-    pinned = ((0, small_set, EMPTY),) if m > 0 else ()
+    # full set, a single point each.  Each pinned constraint is checked and
+    # reduced once, as it joins the prefix; a piece checks only its own miss
+    # and compares its claimed type with the prefix's reduction plus its own
+    # bound, so no piece walks the prefix in BasicBox or box_reduce again
+    pinned, reduced = (), ()
+    if m > 0:
+        pinned = ((0, small_set, EMPTY),)
+        reduced = (next_reduced_bound(ambient, -1, 0, small_set, EMPTY),)
     for k in range(depth):
-        pinned_types = (0,) * (offset + k)
-        for i in range(n):
-            box = BasicBox(ambient, pinned + ((offset + k, *misses[i]),))
-            pieces.append(DecompositionPiece(
-                label(k, i), box, ProductDescriptor(pinned_types + (n - i,), n)))
-        pinned += ((offset + k, full_set, EMPTY),)
+        s = offset + k
+        pinned_types = (0,) * s
+        for i, (f, g) in enumerate(misses):
+            name = label(k, i)
+            claimed = pinned_types + (n - i,)
+            # both tuples reach the miss, past the ambient's explicit factors,
+            # so they agree exactly when their descriptors do
+            if reduced + (next_reduced_bound(ambient, s - 1, s, f, g),) != claimed:
+                raise ValueError(f"piece {name}: claimed type does not match the "
+                                 "box reduction")
+            while claimed and claimed[-1] == n:  # ProductDescriptor's canonical form
+                claimed = claimed[:-1]
+            pieces.append(_prechecked(
+                DecompositionPiece, label=name,
+                box=_prechecked(BasicBox, ambient=ambient, constraints=pinned + ((s, f, g),)),
+                claimed_type=_prechecked(ProductDescriptor, factors=claimed, omega_tail=n)))
+        pinned += ((s, full_set, EMPTY),)
+        reduced += (next_reduced_bound(ambient, s - 1, s, full_set, EMPTY),)
     prefix = (small_set,) if m > 0 else ()
     limit = ProductPoint(prefix, full_set)
     return Decomposition(kind, ambient, tuple(pieces), limit, witnesses, depth)
+
+
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    without running its ``__post_init__``: for values already checked and in
+    canonical form."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        # as the dataclass's own __init__ does, which keeps the instance's
+        # attributes in the class's compact shared layout
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def check_pairwise_disjoint(dec: Decomposition,
@@ -555,20 +592,11 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
     """
     rng = random.Random(seed)
     getrandbits, draw = rng.getrandbits, rng.random
-
-    def below(n: int) -> int:
-        # Random._randbelow_with_getrandbits: uniform in range(n), for n > 0
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
     ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
     explicit = dec.ambient.explicit_len
     widths = dec.depth  # prefix widths explicit .. explicit + depth - 1
-    if count and widths < 1:  # ``below(0)`` would never return
+    if count and widths < 1:  # no width could be drawn
         raise ValueError("sampling needs a positive depth")
     widest = explicit + widths - 1
     limit = dec.limit_point
@@ -579,15 +607,26 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
     # each tuple of positions, as drawn, is turned into a point once
     n = len(ground)
     positions = list(range(n))
+    # each draw below is Random._randbelow_with_getrandbits(b), uniform in
+    # range(b) for b > 0: getrandbits(b.bit_length()) until it falls below b.
+    # Past the width's, every b is at most n + 1, its bit length read here
+    bits = [b.bit_length() for b in range(n + 2)]
+    width_bits = widths.bit_length()
     drawn: dict = {}
     points = []
     for _ in range(count):
+        width = getrandbits(width_bits)
+        while width >= widths:
+            width = getrandbits(width_bits)
         coords = []
-        for s in range(explicit + below(widths)):
+        for s in range(explicit + width):
             if draw() < 0.5:
                 coords.append(limit_values[s])
                 continue
-            size = below(caps[s] + 1)
+            b = caps[s] + 1
+            size = getrandbits(bits[b])
+            while size >= b:
+                size = getrandbits(bits[b])
             if not size:  # sampling nothing draws nothing
                 coords.append(EMPTY)
                 continue
@@ -595,7 +634,9 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
             pool = positions[:]
             picked = []
             for i in range(n - 1, n - 1 - size, -1):
-                j = below(i + 1)
+                j = getrandbits(bits[i + 1])
+                while j > i:
+                    j = getrandbits(bits[i + 1])
                 picked.append(pool[j])
                 pool[j] = pool[i]
             picked = tuple(picked)

@@ -264,9 +264,10 @@ def _json_int(value) -> int:
 
 def _json_label(label: str) -> int:
     """An int label of a JSON file; any other key is refused."""
-    if not ground.is_int_text(label):
+    value = ground.read_int(label)
+    if value is None:
         raise ValueError(f"malformed label {label!r}")
-    return int(label)
+    return value
 
 
 def _json_rational(value) -> Fraction:
@@ -293,13 +294,9 @@ def _handle_classify(args) -> dict:
 
 
 def _handle_cb(args) -> dict:
-    tokens = [tok for tok in map(str.strip, args.ks.split(",")) if tok]
-    try:
-        if not all(map(ground.is_int_text, tokens)):
-            raise ValueError
-        ks = tuple(map(int, tokens))
-    except ValueError:  # not integers, or past the interpreter's digit limit
-        raise CliError(f"malformed bounds list {args.ks!r}") from None
+    ks = tuple(ground.read_int(tok) for tok in map(str.strip, args.ks.split(",")) if tok)
+    if None in ks:
+        raise CliError(f"malformed bounds list {args.ks!r}")
     index, last = classification.cb_invariants(ks, args.budget)
     return {"ks": list(ks), "index": index, "last_cardinality": last}
 
@@ -388,9 +385,9 @@ def _parse_family_file(path: str) -> deltasystem.SetFamily:
         if not sep:
             raise CliError(f"{path}:{lineno}: expected 'label: {{e1,e2}}'")
         try:
-            # a label ground.is_int_text accepts is an int, any other is text
-            pairs.append((int(label) if ground.is_int_text(label) else label,
-                          ground.parse_point(point)))
+            # a label ground.read_int reads is an int, any other is text
+            value = ground.read_int(label)
+            pairs.append((label if value is None else value, ground.parse_point(point)))
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
     return deltasystem.SetFamily.from_pairs(pairs)
@@ -469,8 +466,12 @@ def dispatch(argv) -> tuple:
     return code, payload
 
 
+# payloads are trees built by ``encode``, so no cycle markers are kept
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def render(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def main(argv=None) -> int:

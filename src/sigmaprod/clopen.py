@@ -19,10 +19,10 @@ from .ground import (
     ProductDescriptor,
     ProductPoint,
     format_descriptor,
-    is_int_text,
     parse_descriptor,
     parse_point,
     point_in_ambient,
+    read_int,
     union_fiber,
 )
 
@@ -382,6 +382,26 @@ def box_reduce(b: BasicBox, budget: Budget | int = DEFAULT_BUDGET) -> BoxReducti
                         tuple(removed))
 
 
+def next_reduced_bound(ambient: ProductDescriptor, last: int, s: int, f: Point, g: Point) -> int:
+    """The bound that the constraint (s, F, G) leaves at s, when it follows a
+    nonempty canonical box whose constraints cover coordinates 0 .. ``last``.
+
+    Checks the one constraint as ``BasicBox`` and ``box_reduce`` would: s is
+    the coordinate right after ``last`` and inside ``ambient``, the constraint
+    is nontrivial, and some value admits it (|F| within the bound, F clear of
+    G).  So a prefix that grows one constraint at a time is checked and
+    reduced once, however many boxes extend it.
+    """
+    if s != last + 1 or not ambient.has_coordinate(s):
+        raise ValueError(f"coordinate {s} does not follow {last} inside {ambient}")
+    if not (f or g):
+        raise ValueError(f"trivial constraint at coordinate {s}")
+    bound = ambient.bound_at(s)
+    if len(f) > bound or not f.isdisjoint(g):
+        raise ValueError("cannot reduce an empty box")
+    return bound - len(f)
+
+
 def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUDGET) -> ClopenSet:
     """Preimage of a box under the k-fold union map from k-tuples of at-most-singletons.
 
@@ -453,9 +473,10 @@ def parse_box(text: str) -> BasicBox:
     if inner:
         for part in inner.split(";"):
             coord, _, rest = (tok.strip() for tok in part.partition(":"))
-            if not is_int_text(coord) or not rest.startswith("F=") or " G=" not in rest:
+            coord = read_int(coord)
+            if coord is None or not rest.startswith("F=") or " G=" not in rest:
                 raise ValueError(f"malformed box constraint {part!r}")
             f_tok, _, g_tok = rest[2:].partition(" G=")
-            constraints.append((int(coord), parse_point(f_tok), parse_point(g_tok)))
+            constraints.append((coord, parse_point(f_tok), parse_point(g_tok)))
     # BasicBox merges repeated coordinates
     return BasicBox(ambient, tuple(constraints))

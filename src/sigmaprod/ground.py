@@ -381,11 +381,20 @@ def materialize(desc: ProductDescriptor, ground_size: int, depth: int | None = N
 # text forms
 
 
-def is_int_text(token: str, signed: bool = True) -> bool:
-    """Is ``token`` ASCII digits, after one "-" when ``signed``?  The one rule for
-    integers in inline text; ``int()`` also reads "+1", "1_0" and other scripts' digits."""
+def read_int(token: str, signed: bool = True) -> int | None:
+    """The int that ``token`` writes when it is ASCII digits, after one "-" when
+    ``signed``, and has no more digits than the interpreter converts
+    (``sys.get_int_max_str_digits()``); None otherwise.  The one reader of
+    integers in inline text, so each parser refuses both kinds of token with
+    its own malformed-text message; ``int()`` alone also reads "+1", "1_0" and
+    other scripts' digits."""
     digits = token.removeprefix("-") if signed else token
-    return digits.isascii() and digits.isdigit()
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's digit limit
+        return None
 
 
 def parse_point(text: str) -> Point:
@@ -395,22 +404,20 @@ def parse_point(text: str) -> Point:
     inner = text[1:-1].strip()
     if not inner:
         return EMPTY
-    tokens = [tok.strip() for tok in inner.split(",")]
-    try:
-        if all(map(is_int_text, tokens)):
-            return Point(tuple(map(int, tokens)))
-    except ValueError:  # past the interpreter's digit limit
-        pass
-    raise ValueError(f"malformed point {text!r}: elements must be integers")
+    elements = [read_int(tok.strip()) for tok in inner.split(",")]
+    if None in elements:
+        raise ValueError(f"malformed point {text!r}: elements must be integers")
+    return Point(elements)
 
 
 def _parse_tau_value(token: str) -> TauValue:
     token = token.strip()
     if token == "w":
         return OMEGA
-    if is_int_text(token, signed=False):
-        return int(token)
-    raise ValueError(f"bad tau entry {token!r} (expected digits or 'w')")
+    value = read_int(token, signed=False)
+    if value is None:
+        raise ValueError(f"bad tau entry {token!r} (expected digits or 'w')")
+    return value
 
 
 def parse_tau(text: str) -> TauSequence:
@@ -454,12 +461,13 @@ def parse_descriptor(text: str) -> ProductDescriptor:
     tokens = text.split("x")
     for pos, tok in enumerate(tokens):
         tok = tok.strip()
-        if tok.endswith("^w") and pos != len(tokens) - 1:
-            raise ValueError(f"malformed descriptor {text!r}: tail must come last")
-        if tok.endswith("^w") and is_int_text(tok[:-2].strip()):
-            tail = int(tok[:-2])
-        elif is_int_text(tok, signed=False):
-            factors.append(int(tok))
+        if tok.endswith("^w"):
+            if pos != len(tokens) - 1:
+                raise ValueError(f"malformed descriptor {text!r}: tail must come last")
+            bound = tail = read_int(tok[:-2].strip())
         else:
+            bound = read_int(tok, signed=False)
+            factors.append(bound)
+        if bound is None:
             raise ValueError(f"malformed descriptor {text!r}")
     return ProductDescriptor(tuple(factors), tail)

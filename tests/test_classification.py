@@ -86,6 +86,11 @@ def test_normal_form_validation():
     for upper, tail in [(((1, True),), 0), ((), True), (((1, 2),), False)]:
         with pytest.raises(ValueError):
             NormalForm(0, upper, tail)
+    # each constructed, and encode.normal_form wrote the index True as true
+    for i, upper in [(True, ()), (False, ()), ("x", ()), (-1, ()), (1.0, ()),
+                     (None, ()), (0, ((True, 1),)), (0, ((2.0, 1),)), (0, (("2", 1),))]:
+        with pytest.raises(ValueError):
+            NormalForm(i, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ from sigmaprod.ground import DEFAULT_BUDGET, Budget, BudgetExceeded, Point
 from test_uec import split_charge, weight_table_charge
 
 
+LONG = "9" * 5000  # an integer past the interpreter's 4,300-digit limit for int()
+
+
 def run(argv):
     code, payload = dispatch(argv)
     return code, payload
@@ -826,12 +829,24 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
      "bad tau entry '\u0661' (expected digits or 'w')"),
     (["cb", "--ks", "\u0661,\u0662"], "usage", "malformed bounds list '\u0661,\u0662'"),
     (["cb", "--ks", "+1"], "usage", "malformed bounds list '+1'"),
+    # past the interpreter's 4,300-digit limit for int()
+    (["classify", "--tau", LONG, "--tau2", "1"], "invalid-input",
+     f"bad tau entry '{LONG}' (expected digits or 'w')"),
+    (["clopen", "empty", "--box", f"[{LONG}: F={{}} G={{}}] @ 2"], "invalid-input",
+     f"malformed box constraint '{LONG}: F={{}} G={{}}'"),
+    (["clopen", "reduce", "--box", f"[0: F={{}} G={{1}}] @ {LONG}x2"], "invalid-input",
+     f"malformed descriptor '{LONG}x2'"),
+    (["clopen", "reduce", "--box", f"[0: F={{}} G={{1}}] @ 2x{LONG}^w"], "invalid-input",
+     f"malformed descriptor '2x{LONG}^w'"),
+    (["cb", "--ks", f"1,{LONG}"], "usage", f"malformed bounds list '1,{LONG}'"),
 ], ids=["box-coordinate", "box-empty-constraint", "descriptor-empty-tail",
         "descriptor-superscript", "point-arabic-indic", "tau-superscript", "tau-arabic-indic",
-        "ks-arabic-indic", "ks-plus"])
+        "ks-arabic-indic", "ks-plus", "tau-long", "box-coordinate-long",
+        "descriptor-factor-long", "descriptor-tail-long", "ks-long"])
 def test_an_inline_integer_is_ascii_digits(argv, kind, message):
     # int() answered "invalid literal for int() with base 10", naming neither
-    # the flag nor the text, or read other scripts' digits and exited 0
+    # the flag nor the text, or read other scripts' digits and exited 0; past
+    # its digit limit it answered "Exceeds the limit (4300 digits) …"
     assert run(argv) == (1, {"schema": 1, "error": {"type": kind, "message": message}})
 
 
@@ -842,6 +857,14 @@ def test_a_family_label_that_is_not_ascii_digits_stays_text(tmp_path):
     path.write_text("²: {1}\n-3: {2}\n--4: {3}\n", encoding="utf-8")
     code, payload = run(["ds", "extract", "--family", str(path), "--petals", "3"])
     assert code == 0 and payload["petal_labels"] == ["²", "-3", "--4"]
+
+
+def test_a_family_label_past_the_digit_limit_stays_text(tmp_path):
+    # int() failed on it, and the line answered "Exceeds the limit (4300 digits) …"
+    path = tmp_path / "family.txt"
+    path.write_text(f"{LONG}: {{1}}\n2: {{2}}\n", encoding="utf-8")
+    code, payload = run(["ds", "extract", "--family", str(path), "--petals", "2"])
+    assert code == 0 and payload["petal_labels"] == [LONG, "2"]
 
 
 def test_a_json_integer_past_the_digit_limit_is_a_usage_error(tmp_path):

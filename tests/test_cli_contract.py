@@ -116,6 +116,7 @@ def test_output_is_byte_identical(name, tmp_path):
     # the payload holds JSON-native values only, so rendering loses nothing
     payload = dispatch([arg.replace("{tmp}", str(tmp_path)) for arg in CASES[name][0]])[1]
     assert json.loads(render(payload)) == payload
+    assert render(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from sigmaprod import classification
 from sigmaprod.classification import (
     Decomposition,
     DecompositionPiece,
@@ -34,6 +35,7 @@ from sigmaprod.clopen import (
     box_is_empty,
     box_reduce,
     box_subset,
+    next_reduced_bound,
 )
 from sigmaprod.encode import box as box_to_json, descriptor as descriptor_to_json
 from sigmaprod.ground import (
@@ -116,6 +118,69 @@ def random_box(rng, ambient, max_coord, ground=4):
         g = Point(tuple(rng.sample(range(ground), rng.randint(0, 2))))
         constraints[s] = (f, g)
     return BasicBox.make(ambient, constraints)
+
+
+def pieces_oracle(kind, depth):
+    """The pieces of ``build(kind, depth)``, each built through the public
+    constructors, which check the whole box and reduce it."""
+    m, n, witnesses = (0, 1, (3,)) if kind == "K" else (*kind, tuple(range(kind[1])))
+    ambient = ProductDescriptor((m,) if m else (), n)
+    full = Point(witnesses)
+    pieces = [DecompositionPiece(f"B'({j})", BasicBox(ambient, ((0, Point(witnesses[:j]),
+                                                                Point.of(witnesses[j])),)),
+                                 ProductDescriptor((m - j,), n))
+              for j in range(m)]
+    pinned = [(0, Point(witnesses[:m]), EMPTY)] if m else []
+    for k in range(depth):
+        s = len(pinned)
+        for i in range(n):
+            name = f"K({k + 1})" if kind == "K" else f"{'B' if m else 'A'}({k},{i})"
+            box = BasicBox(ambient, tuple(pinned) + ((s, Point(witnesses[:i]),
+                                                      Point.of(witnesses[i])),))
+            pieces.append(DecompositionPiece(name, box, ProductDescriptor((0,) * s + (n - i,), n)))
+        pinned.append((s, full, EMPTY))
+    return pieces
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_level_built_pieces_match_the_public_constructors(kind):
+    # the pieces are built without BasicBox's walk and the per-piece box_reduce
+    for depth in [*range(1, 14), 40]:
+        pieces = build(kind, depth).pieces
+        assert list(pieces) == pieces_oracle(kind, depth)
+        for p in pieces:
+            assert p == DecompositionPiece(p.label, BasicBox(p.box.ambient, p.box.constraints),
+                                           ProductDescriptor(p.claimed_type.factors,
+                                                             p.claimed_type.omega_tail))
+
+
+def test_next_reduced_bound_checks_the_one_constraint():
+    ambient = ProductDescriptor((2, 3))
+    one, two = Point.of(1), Point.of(1, 2)
+    assert next_reduced_bound(ambient, -1, 0, two, EMPTY) == 0
+    assert next_reduced_bound(ambient, 0, 1, one, Point.of(5)) == 2
+    assert next_reduced_bound(ambient, 0, 1, EMPTY, one) == 3
+    assert next_reduced_bound(ProductDescriptor((), 1), 6, 7, one, EMPTY) == 0
+    for last, s, f, g in [
+        (0, 0, one, EMPTY),             # not after the last coordinate
+        (-1, 1, one, EMPTY),            # a gap after the last coordinate
+        (1, 2, one, EMPTY),             # outside the ambient
+        (0, 1, EMPTY, EMPTY),           # trivial
+        (-1, 0, Point.of(1, 2, 3), EMPTY),  # more than the bound
+        (0, 1, two, Point.of(2)),       # F meets G
+    ]:
+        with pytest.raises(ValueError):
+            next_reduced_bound(ambient, last, s, f, g)
+
+
+def test_a_level_whose_reduction_disagrees_with_its_claim_is_refused(monkeypatch):
+    reduced = next_reduced_bound
+    for shift in (1, -1):
+        monkeypatch.setattr(classification, "next_reduced_bound",
+                            lambda *args: reduced(*args) + shift)
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="claimed type does not match"):
+                build(kind, 2)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)
@@ -276,7 +341,7 @@ def test_the_json_document_matches_the_per_box_encoder(kind):
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)
 def test_sampled_points_match_the_element_sampler(kind):
-    for depth in (1, 2, 5, 12):
+    for depth in (1, 2, 5, 12, 40):
         dec = build(kind, depth)
         for seed in range(20):
             assert sample_decomposition_points(dec, 40, seed) == sample_oracle(dec, 40, seed)

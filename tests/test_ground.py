@@ -26,6 +26,7 @@ from sigmaprod.ground import (
     parse_point,
     parse_tau,
     point_in_ambient,
+    read_int,
     sigma_point_count,
 )
 from sigmaprod.averaging import build_operator
@@ -78,6 +79,8 @@ def test_tau_sequence_refuses_bool():
     (parse_descriptor, "2x ^w"), (parse_descriptor, "+1^w"), (parse_descriptor, "-1"),
     (parse_point, "{\u0661}"), (parse_point, "{+1}"), (parse_point, "{1_0}"),
     (parse_point, "{--1}"), (parse_point, "{" + "9" * 5000 + "}"),
+    (parse_tau, "9" * 5000),
+    (parse_descriptor, "9" * 5000), (parse_descriptor, "9" * 5000 + "^w"),
 ])
 def test_inline_integers_are_ascii_digits(parse, text):
     # int() read other scripts' digits, "+" and "_", or failed with its own
@@ -88,6 +91,16 @@ def test_inline_integers_are_ascii_digits(parse, text):
     with pytest.raises(ValueError) as info:
         parse(text)
     assert str(info.value).startswith(message)
+
+
+def test_read_int_is_the_one_reader_of_inline_integers():
+    limit = sys.get_int_max_str_digits()
+    assert read_int("12") == 12 and read_int("-3") == -3 and read_int("007") == 7
+    assert read_int("9" * limit) == 10 ** limit - 1
+    for token in ("-3", "\u00b2", "+1", "1_0", " 1", "", "-", "9" * (limit + 1)):
+        assert read_int(token, signed=False) is None
+    for token in ("--3", "\u0661", "9" * (limit + 1), "-" + "9" * (limit + 1)):
+        assert read_int(token) is None
 
 
 def test_inline_integers_keep_their_signs_where_they_had_them():
