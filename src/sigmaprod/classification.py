@@ -46,7 +46,6 @@ from .clopen import (
     box_intersect,
     box_is_empty,
     box_reduce,
-    next_reduced_bound,
 )
 # bound by this name in bench/tracing.py
 from .encode import decomposition_to_json  # noqa: F401
@@ -341,7 +340,7 @@ def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
     ks = tuple(ks)
     if not ks:
         raise ValueError("need at least one factor")
-    if any(not isinstance(k, int) or k < 0 for k in ks):
+    if any(type(k) is not int or k < 0 for k in ks):
         raise ValueError("factor bounds must be non-negative integers")
     budget = Budget.of(budget)
     terms = {ks}
@@ -513,34 +512,39 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
         box = BasicBox(ambient, ((0, *misses[j]),))
         pieces.append(DecompositionPiece(
             f"B'({j})", box, ProductDescriptor((m - j,), n)))
-    # the small coordinate and the first k omega coordinates are pinned to a
-    # full set, a single point each.  Each pinned constraint is checked and
-    # reduced once, as it joins the prefix; a piece checks only its own miss
-    # and compares its claimed type with the prefix's reduction plus its own
-    # bound, so no piece walks the prefix in BasicBox or box_reduce again
-    pinned, reduced = (), ()
+    # box_reduce works coordinate by coordinate, so an A/B piece's box is
+    # nonempty and of its claimed type exactly when each of its constraints is.
+    # Each distinct one is checked alone, once, naming the first piece that
+    # carries it: the small set at 0, and the misses and the full set at the
+    # first omega coordinate, whose bound n every omega coordinate shares
+    checks = [(offset, f, g, n - i, label(0, i)) for i, (f, g) in enumerate(misses)]
     if m > 0:
-        pinned = ((0, small_set, EMPTY),)
-        reduced = (next_reduced_bound(ambient, -1, 0, small_set, EMPTY),)
+        checks.insert(0, (0, small_set, EMPTY, 0, label(0, 0)))
+    if depth > 1:
+        checks.append((offset, full_set, EMPTY, 0, label(1, 0)))
+    for s, f, g, bound, name in checks:
+        box = BasicBox(ambient, ((s, f, g),))
+        try:
+            ok = (box.constraints == ((s, f, g),)
+                  and box_reduce(box).descriptor.bound_at(s) == bound)
+        except ValueError:  # the box is empty
+            ok = False
+        if not ok:
+            raise ValueError(f"piece {name}: claimed type does not match the "
+                             "box reduction")
+    # piece (k, i) is the pinned prefix plus miss i at s, of type 0^s x (n - i);
+    # the canonical form drops a last factor equal to the tail
+    pinned = ((0, small_set, EMPTY),) if m > 0 else ()
     for k in range(depth):
         s = offset + k
-        pinned_types = (0,) * s
+        zeros = (0,) * s
         for i, (f, g) in enumerate(misses):
-            name = label(k, i)
-            claimed = pinned_types + (n - i,)
-            # both tuples reach the miss, past the ambient's explicit factors,
-            # so they agree exactly when their descriptors do
-            if reduced + (next_reduced_bound(ambient, s - 1, s, f, g),) != claimed:
-                raise ValueError(f"piece {name}: claimed type does not match the "
-                                 "box reduction")
-            while claimed and claimed[-1] == n:  # ProductDescriptor's canonical form
-                claimed = claimed[:-1]
             pieces.append(_prechecked(
-                DecompositionPiece, label=name,
+                DecompositionPiece, label=label(k, i),
                 box=_prechecked(BasicBox, ambient=ambient, constraints=pinned + ((s, f, g),)),
-                claimed_type=_prechecked(ProductDescriptor, factors=claimed, omega_tail=n)))
+                claimed_type=_prechecked(ProductDescriptor, omega_tail=n,
+                                         factors=zeros + ((n - i,) if i else ()))))
         pinned += ((s, full_set, EMPTY),)
-        reduced += (next_reduced_bound(ambient, s - 1, s, full_set, EMPTY),)
     prefix = (small_set,) if m > 0 else ()
     limit = ProductPoint(prefix, full_set)
     return Decomposition(kind, ambient, tuple(pieces), limit, witnesses, depth)

@@ -112,13 +112,11 @@ _TABLES = _parse_tables()
 
 
 def _flag_value(flag: str, options: dict, text: str):
-    kind = options.get("type")
     value = text
-    if kind is not None:
-        try:
-            value = kind(text)
-        except ValueError:
-            raise CliError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+    if options.get("type") is int:
+        value = ground.read_int(text)
+        if value is None:
+            raise CliError(f"argument {flag}: invalid int value: {text!r}")
     choices = options.get("choices")
     if choices is not None and value not in choices:
         raise CliError(f"argument {flag}: invalid choice: {value!r} "

@@ -382,26 +382,6 @@ def box_reduce(b: BasicBox, budget: Budget | int = DEFAULT_BUDGET) -> BoxReducti
                         tuple(removed))
 
 
-def next_reduced_bound(ambient: ProductDescriptor, last: int, s: int, f: Point, g: Point) -> int:
-    """The bound that the constraint (s, F, G) leaves at s, when it follows a
-    nonempty canonical box whose constraints cover coordinates 0 .. ``last``.
-
-    Checks the one constraint as ``BasicBox`` and ``box_reduce`` would: s is
-    the coordinate right after ``last`` and inside ``ambient``, the constraint
-    is nontrivial, and some value admits it (|F| within the bound, F clear of
-    G).  So a prefix that grows one constraint at a time is checked and
-    reduced once, however many boxes extend it.
-    """
-    if s != last + 1 or not ambient.has_coordinate(s):
-        raise ValueError(f"coordinate {s} does not follow {last} inside {ambient}")
-    if not (f or g):
-        raise ValueError(f"trivial constraint at coordinate {s}")
-    bound = ambient.bound_at(s)
-    if len(f) > bound or not f.isdisjoint(g):
-        raise ValueError("cannot reduce an empty box")
-    return bound - len(f)
-
-
 def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUDGET) -> ClopenSet:
     """Preimage of a box under the k-fold union map from k-tuples of at-most-singletons.
 

@@ -330,7 +330,7 @@ class BinaryArray:
     def __post_init__(self):
         canon = set()
         for element, level in self.bits:
-            if not isinstance(level, int) or level < 0:
+            if type(level) is not int or level < 0:
                 raise ValueError(f"levels are non-negative integers, got {level!r}")
             canon.add((element, level))
         object.__setattr__(self, "bits", tuple(sorted(canon)))

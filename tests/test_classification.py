@@ -419,6 +419,10 @@ def test_cb_invariants_examples():
     assert cb_invariants((1, 1, 1)) == (4, 1)
     with pytest.raises(ValueError):
         cb_invariants(())
+    # a bool bound read as 0 or 1: (True, 2) answered (4, 1)
+    for ks in [(True, 2), (2, False)]:
+        with pytest.raises(ValueError, match="factor bounds must be non-negative integers"):
+            cb_invariants(ks)
 
 
 def test_cb_invariants_match_closed_form():

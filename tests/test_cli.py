@@ -839,10 +839,19 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
     (["clopen", "reduce", "--box", f"[0: F={{}} G={{1}}] @ 2x{LONG}^w"], "invalid-input",
      f"malformed descriptor '2x{LONG}^w'"),
     (["cb", "--ks", f"1,{LONG}"], "usage", f"malformed bounds list '1,{LONG}'"),
+    # an int flag's value, which int() read
+    (["cb", "--ks", "2", "--budget", "1_000_000"], "usage",
+     "argument --budget: invalid int value: '1_000_000'"),
+    (["decompose", "--kind", "classif_K", "--depth", "\u0663"], "usage",
+     "argument --depth: invalid int value: '\u0663'"),
+    (["decompose", "--kind", "classif_K", "--boxes", "+0"], "usage",
+     "argument --boxes: invalid int value: '+0'"),
+    (["--seed", " 5", "cb", "--ks", "1"], "usage", "argument --seed: invalid int value: ' 5'"),
 ], ids=["box-coordinate", "box-empty-constraint", "descriptor-empty-tail",
         "descriptor-superscript", "point-arabic-indic", "tau-superscript", "tau-arabic-indic",
         "ks-arabic-indic", "ks-plus", "tau-long", "box-coordinate-long",
-        "descriptor-factor-long", "descriptor-tail-long", "ks-long"])
+        "descriptor-factor-long", "descriptor-tail-long", "ks-long", "budget-underscore",
+        "depth-arabic-indic", "boxes-plus", "seed-space"])
 def test_an_inline_integer_is_ascii_digits(argv, kind, message):
     # int() answered "invalid literal for int() with base 10", naming neither
     # the flag nor the text, or read other scripts' digits and exited 0; past

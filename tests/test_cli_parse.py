@@ -3,9 +3,11 @@
 ``cli._parse`` reads argv straight from ``cli._COMMANDS``; ``build_parser()``
 is the argparse parser that writes the -h/--help text.  On a seeded corpus of
 valid argvs and of their mutations, both must give the same namespace, or
-both a usage error.  They differ on purpose in two ways only, each named
-below: ``_parse`` takes no abbreviated flag, and it takes the token after a
-flag as its value even when that token starts with "-".
+both a usage error.  They differ on purpose in three ways only, each named
+below: ``_parse`` takes no abbreviated flag, it takes the token after a
+flag as its value even when that token starts with "-", and it reads an int
+flag's value as ASCII digits after an optional "-", as ``ground.read_int``
+reads every integer in inline text.
 """
 
 import contextlib
@@ -214,7 +216,9 @@ def test_parser_agrees_with_argparse_on_a_seeded_corpus():
     assert agreed > 200  # not every case is a usage error
 
 
-# The two ways the parsers differ on purpose: argv -> (argparse, _parse)
+DECOMPOSE_DEFAULTS = {"command": "decompose", "kind": "classif_K", "m": 0, "n": 2, "element": 0,
+                      "depth": 6, "samples": 200, "boxes": 20}
+# The three ways the parsers differ on purpose: argv -> (argparse, _parse)
 DIFFERENCES = {
     # argparse expands a unique prefix of a flag name; _parse rejects it
     ("uec", "bounds", "--lev", "12"): (
@@ -232,6 +236,16 @@ DIFFERENCES = {
     ("cb", "--ks=--"): ([{**GLOBAL_DEFAULTS, "command": "cb", "ks": []},
                          {**GLOBAL_DEFAULTS, "command": "cb", "ks": "--"}],
                         {**GLOBAL_DEFAULTS, "command": "cb", "ks": "--"}),
+    # argparse's int() also reads "_" between digits, a "+", surrounding
+    # whitespace and other scripts' digits; _parse refuses them
+    ("cb", "--ks", "2", "--budget", "1_0"): (
+        {**GLOBAL_DEFAULTS, "command": "cb", "ks": "2", "budget": 10}, "usage"),
+    ("decompose", "--kind", "classif_K", "--boxes", "+1"): (
+        {**GLOBAL_DEFAULTS, **DECOMPOSE_DEFAULTS, "boxes": 1}, "usage"),
+    ("--seed", " 5", "cb", "--ks", "1"): (
+        {**GLOBAL_DEFAULTS, "command": "cb", "ks": "1", "seed": 5}, "usage"),
+    ("decompose", "--kind", "classif_K", "--depth", "\u0663"): (
+        {**GLOBAL_DEFAULTS, **DECOMPOSE_DEFAULTS, "depth": 3}, "usage"),
 }
 
 

@@ -9,6 +9,7 @@ that draws ground elements, and a reduction that builds every factor anew.
 """
 
 import random
+import re
 
 import pytest
 
@@ -35,10 +36,10 @@ from sigmaprod.clopen import (
     box_is_empty,
     box_reduce,
     box_subset,
-    next_reduced_bound,
 )
 from sigmaprod.encode import box as box_to_json, descriptor as descriptor_to_json
 from sigmaprod.ground import (
+    DEFAULT_BUDGET,
     EMPTY,
     BudgetExceeded,
     Point,
@@ -154,33 +155,36 @@ def test_level_built_pieces_match_the_public_constructors(kind):
                                                              p.claimed_type.omega_tail))
 
 
-def test_next_reduced_bound_checks_the_one_constraint():
-    ambient = ProductDescriptor((2, 3))
-    one, two = Point.of(1), Point.of(1, 2)
-    assert next_reduced_bound(ambient, -1, 0, two, EMPTY) == 0
-    assert next_reduced_bound(ambient, 0, 1, one, Point.of(5)) == 2
-    assert next_reduced_bound(ambient, 0, 1, EMPTY, one) == 3
-    assert next_reduced_bound(ProductDescriptor((), 1), 6, 7, one, EMPTY) == 0
-    for last, s, f, g in [
-        (0, 0, one, EMPTY),             # not after the last coordinate
-        (-1, 1, one, EMPTY),            # a gap after the last coordinate
-        (1, 2, one, EMPTY),             # outside the ambient
-        (0, 1, EMPTY, EMPTY),           # trivial
-        (-1, 0, Point.of(1, 2, 3), EMPTY),  # more than the bound
-        (0, 1, two, Point.of(2)),       # F meets G
-    ]:
-        with pytest.raises(ValueError):
-            next_reduced_bound(ambient, last, s, f, g)
-
-
 def test_a_level_whose_reduction_disagrees_with_its_claim_is_refused(monkeypatch):
-    reduced = next_reduced_bound
+    def shifted(shift):
+        # box_reduce with the bound at the last constrained coordinate moved by
+        # shift, left out of canonical form so that a bound below 0 survives
+        def reduce(box, budget=DEFAULT_BUDGET):
+            real = box_reduce(box, budget)
+            desc = real.descriptor
+            factors = [desc.bound_at(t) for t in range(box.max_constrained_coord() + 1)]
+            factors[-1] += shift
+            return BoxReduction(classification._prechecked(
+                ProductDescriptor, factors=tuple(factors), omega_tail=desc.omega_tail),
+                real.removed)
+        return reduce
+
     for shift in (1, -1):
-        monkeypatch.setattr(classification, "next_reduced_bound",
-                            lambda *args: reduced(*args) + shift)
+        monkeypatch.setattr(classification, "box_reduce", shifted(shift))
         for kind in KINDS:
             with pytest.raises(ValueError, match="claimed type does not match"):
                 build(kind, 2)
+
+
+@pytest.mark.parametrize("witnesses, first", [
+    ((0, 0, 1), "A(0,1)"),  # miss 2 holds 1 element; miss 1 holds and avoids 0
+    ((1, 2, 1), "A(0,2)"),  # miss 2 holds and avoids 1
+])
+def test_a_repeated_witness_is_refused(witnesses, first):
+    # a repeat leaves miss i's F with fewer than i elements, after an empty miss
+    with pytest.raises(ValueError, match=rf"piece {re.escape(first)}: claimed type"):
+        classification._absorb_small("absorb_small(0,3)", 0, 3, 2, witnesses,
+                                     lambda k, i: f"A({k},{i})", DEFAULT_BUDGET)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)

@@ -125,6 +125,10 @@ def test_support_counts_examples():
     assert support_counts(x) == {0: 2, 2: 1}
     assert support_counts(BinaryArray()) == {}
     assert support_counts(BinaryArray(((0, 0), (1, 0), (2, 0))))[0] == 3
+    # a bool level read as 0 or 1 and encoded as "False" or "True"
+    for bits in [((0, True), (1, 1)), ((0, False),)]:
+        with pytest.raises(ValueError, match="levels are non-negative integers"):
+            BinaryArray(bits)
 
 
 def test_in_L0_boundary():
