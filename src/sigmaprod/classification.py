@@ -35,6 +35,7 @@ from .ground import (
     TauSequence,
     TauValue,
     is_omega,
+    point_in_ambient,
     type_signature,
 )
 from .clopen import (
@@ -46,6 +47,7 @@ from .clopen import (
     box_intersect,
     box_is_empty,
     box_reduce,
+    _bits,
 )
 # bound by this name in bench/tracing.py
 from .encode import decomposition_to_json  # noqa: F401
@@ -594,6 +596,20 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
     and each size and of ``sample``'s pool branch for the elements, which is
     the branch ``sample`` takes whenever the ground has at most 21 elements.
     """
+    tail = dec.limit_point.tail_value
+    return [ProductPoint(coords, tail)
+            for coords in _drawn_prefixes(dec, count, seed, extra_elements)]
+
+
+def _drawn_prefixes(dec: Decomposition, count: int, seed: int,
+                    extra_elements: int = _EXTRA_ELEMENTS):
+    """The coordinates of each point of ``sample_decomposition_points``, as
+    drawn: a fresh list of the values at coordinates 0 .. explicit + width - 1,
+    past which the point takes the limit's tail value.  Each value is the
+    limit point's at its coordinate or has at most min(bound, ground size)
+    elements."""
+    if count < 0:
+        raise ValueError("samples must be non-negative")
     rng = random.Random(seed)
     getrandbits, draw = rng.getrandbits, rng.random
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
@@ -617,7 +633,6 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
     bits = [b.bit_length() for b in range(n + 2)]
     width_bits = widths.bit_length()
     drawn: dict = {}
-    points = []
     for _ in range(count):
         width = getrandbits(width_bits)
         while width >= widths:
@@ -648,8 +663,7 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
             if value is None:
                 value = drawn[picked] = Point(tuple(ground[j] for j in picked))
             coords.append(value)
-        points.append(ProductPoint(tuple(coords), limit.tail_value))
-    return points
+        yield coords
 
 
 @dataclass(frozen=True)
@@ -665,15 +679,38 @@ class MembershipReport:
 
 
 def check_sample_membership(dec: Decomposition, count: int, seed: int) -> MembershipReport:
+    """Locate each point of ``sample_decomposition_points(dec, count, seed)``
+    as ``piece_for_point`` does, from its coordinates as drawn: the point is
+    built only when it lies in no piece or in several."""
+    if count < 0:
+        raise ValueError("samples must be non-negative")
+    ambient, limit = dec.ambient, dec.limit_point
+    tail = limit.tail_value
+    limit_len = len(limit.prefix)
+    limit_values = [limit.coordinate(s) for s in range(ambient.explicit_len + dec.depth - 1)]
+    # a drawn value is the limit's or within its bound, so the points lie in
+    # the ambient when the limit's values and tail do; if not (a hand-built
+    # decomposition), each point that is not the limit is checked as before
+    check_each = not (point_in_ambient(ambient, limit) and all(
+        len(value) <= ambient.bound_at(s) for s, value in enumerate(limit_values)))
+    locate = dec.index.locator()
     in_piece = 0
     at_limit = 0
     unresolved = []
-    for x in sample_decomposition_points(dec, count, seed):
-        where = piece_for_point(dec, x)
-        if where == "limit":
+    for coords in _drawn_prefixes(dec, count, seed):
+        width = len(coords)
+        if width >= limit_len and coords == limit_values[:width]:
             at_limit += 1
-        elif where is None:
-            unresolved.append(x)
+            continue
+        if check_each and not point_in_ambient(ambient, ProductPoint(coords, tail)):
+            raise ValueError(f"point {ProductPoint(coords, tail)} outside ambient {ambient}")
+        hits = locate(coords, tail)
+        if not hits:
+            unresolved.append(ProductPoint(coords, tail))
+        elif hits & (hits - 1):
+            labels = [dec.pieces[i].label for i in _bits(hits)]
+            raise AssertionError(f"point {ProductPoint(coords, tail)} lies in several "
+                                 f"pieces: {labels}")
         else:
             in_piece += 1
     return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
@@ -682,6 +719,8 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
 def limit_neighborhood_boxes(dec: Decomposition, count: int, seed: int) -> list:
     """Seeded basic boxes around the limit point (F inside each coordinate
     value, G clear of it)."""
+    if count < 0:
+        raise ValueError("boxes must be non-negative")
     rng = random.Random(seed)
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
     extras = [base + t for t in range(_EXTRA_ELEMENTS)]
@@ -718,13 +757,15 @@ def check_limit_cofinite(dec: Decomposition, boxes) -> CofinitenessReport:
     """Each neighborhood of the limit must contain every piece that starts
     beyond the neighborhood's last constrained coordinate."""
     boxes = list(boxes)
+    index = dec.index
     violations = []
     for box in boxes:
-        cutoff = box.max_constrained_coord()
-        for i in dec.index.not_within(box):
-            piece = dec.pieces[i]
-            if piece.box.max_constrained_coord() > cutoff:
-                violations.append((str(box), piece.label))
+        # the pieces not inside that are constrained past the box's last coordinate
+        outside = (index.not_within_mask(box)
+                   & index.constrained_after(box.max_constrained_coord()))
+        if outside:
+            text = str(box)
+            violations.extend((text, dec.pieces[i].label) for i in _bits(outside))
     return CofinitenessReport(len(boxes), tuple(violations))
 
 

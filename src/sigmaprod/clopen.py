@@ -9,6 +9,7 @@ ground set; finite enumeration is only ever a test oracle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .ground import (
@@ -253,6 +254,7 @@ class BoxIndex:
             pending |= constrained
             self.coords[s] = (bound, self.everything & ~constrained, pending, groups)
         self.coords = dict(reversed(self.coords.items()))
+        self._constrained = list(self.coords)  # the constrained coordinates, ascending
 
     def meeting_pairs(self, budget: Budget | int = DEFAULT_BUDGET) -> list:
         """Pairs (a, b) with a < b of boxes that share a point, in lexicographic order.
@@ -285,20 +287,55 @@ class BoxIndex:
             pairs.extend((a, b) for b in _bits(later & ~conflict[a]))
         return pairs
 
+    def admitted(self, s: int, value: Point) -> int:
+        """Mask of the boxes that admit ``value`` at coordinate ``s``: those
+        free there and those whose constraint there ``value`` satisfies."""
+        entry = self.coords.get(s)
+        if entry is None:
+            return self.everything
+        _bound, admitted, _pending, groups = entry
+        for f, g, mask, _members in groups:
+            if _admits(f, g, value):
+                admitted |= mask
+        return admitted
+
     def containing(self, x: ProductPoint) -> list:
         """Indices of the boxes that contain ``x``."""
         if not point_in_ambient(self.ambient, x):
             raise ValueError(f"point {x} outside ambient {self.ambient}")
-        hits = self.everything
-        for s, (_bound, free, pending, groups) in self.coords.items():
-            if not hits & pending:
-                break  # no later coordinate constrains a remaining hit
-            value = x.coordinate(s)
-            for f, g, mask, _members in groups:
-                if _admits(f, g, value):
-                    free |= mask
-            hits &= free
-        return list(_bits(hits))
+        return list(_bits(self.locator()(x.prefix, x.tail_value)))
+
+    def locator(self):
+        """A function from a point's values at coordinates 0 .. w - 1 and its
+        value past them to the mask of the boxes that contain it, without an
+        ambient check.  It walks the constrained coordinates in order up to
+        the first past which no remaining hit is constrained, and keeps each
+        (coordinate, value) mask it reads, so that a caller locating many
+        points reads each distinct value once."""
+        everything, admitted = self.everything, self.admitted
+        walk = [(s, pending, {}) for s, (_bound, _free, pending, _groups) in self.coords.items()]
+
+        def locate(values, tail) -> int:
+            hits = everything
+            width = len(values)
+            for s, pending, masks in walk:
+                if not hits & pending:
+                    break  # no later coordinate constrains a remaining hit
+                value = values[s] if s < width else tail
+                mask = masks.get(value)
+                if mask is None:
+                    mask = masks[value] = admitted(s, value)
+                hits &= mask
+            return hits
+
+        return locate
+
+    def constrained_after(self, s: int) -> int:
+        """Mask of the boxes constrained at some coordinate past ``s``."""
+        at = bisect_right(self._constrained, s)
+        if at == len(self._constrained):
+            return 0
+        return self.coords[self._constrained[at]][2]
 
     def distinct_constraints(self):
         """Each distinct constraint as (s, F, G, indices of the boxes that
@@ -309,6 +346,10 @@ class BoxIndex:
 
     def not_within(self, box: BasicBox) -> list:
         """Indices of the boxes not contained in ``box``."""
+        return list(_bits(self.not_within_mask(box)))
+
+    def not_within_mask(self, box: BasicBox) -> int:
+        """Mask of the boxes not contained in ``box``."""
         if box.ambient != self.ambient:
             raise ValueError("cannot compare boxes over different ambients")
         inside = self.everything
@@ -320,7 +361,7 @@ class BoxIndex:
                 if _constraint_within(f1, g1, f2, g2, bound):
                     here |= mask
             inside &= here
-        return list(_bits(self.everything & ~inside))
+        return self.everything & ~inside
 
 
 def box_complement(b: BasicBox) -> ClopenSet:

@@ -371,3 +371,38 @@ def test_box_index_matches_the_pairwise_and_per_box_answers():
         BoxIndex(SIGMA2, [inside, single_box(2, (0,), (0,))])
     with pytest.raises(ValueError):
         BoxIndex(desc, []).containing(ProductPoint((Point.of(0, 1),)))
+
+
+def test_box_index_masks_match_the_per_box_answers():
+    # the masks behind containing, not_within and the decomposition checks
+    rng = random.Random(9)
+    desc = ProductDescriptor((1, 0, 2), 1)
+    values = sorted({x.coordinate(s) for x in materialize(desc, 3, depth=4) for s in range(5)})
+
+    def random_box():
+        constraints = {}
+        for s in rng.sample(range(5), rng.randint(0, 3)):
+            f = Point(tuple(rng.sample(range(2), rng.randint(0, 2))))
+            g = Point(tuple(rng.sample(range(2), rng.randint(0, 1))))
+            constraints[s] = (f, g)
+        return BasicBox.make(desc, constraints)
+
+    def mask(indices):
+        return sum(1 << i for i in indices)
+
+    for _ in range(60):
+        boxes = [b for b in (random_box() for _ in range(rng.randint(0, 12)))
+                 if not box_is_empty(b)]
+        index = BoxIndex(desc, boxes)
+        for s in range(6):
+            parts = [b.constraint_at(s) for b in boxes]
+            for value in values:
+                assert index.admitted(s, value) == mask(
+                    i for i, (f, g) in enumerate(parts)
+                    if set(f) <= set(value) and set(g).isdisjoint(value))
+        for s in range(-1, 6):
+            assert index.constrained_after(s) == mask(
+                i for i, b in enumerate(boxes) if b.max_constrained_coord() > s)
+        for other in (random_box() for _ in range(5)):
+            assert index.not_within_mask(other) == mask(index.not_within(other)) == mask(
+                i for i, b in enumerate(boxes) if not box_subset(b, other))

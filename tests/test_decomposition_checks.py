@@ -3,9 +3,11 @@
 The oracles below are the pairwise ``box_intersect`` + ``box_is_empty`` loop,
 the linear scan of ``box_contains`` over every piece, and the per-piece
 ``box_subset`` test; the library answers from the per-coordinate index.
-The JSON encoder, the point sampler and ``box_reduce`` are checked against
-the per-occurrence code they replace: a per-piece box encoder, the sampler
-that draws ground elements, and a reduction that builds every factor anew.
+The JSON encoder, the point sampler, the sampled membership check and
+``box_reduce`` are checked against the per-occurrence code they replace: a
+per-piece box encoder, the sampler that draws ground elements, that sampler's
+points each located by the linear scan, and a reduction that builds every
+factor anew.
 """
 
 import random
@@ -17,6 +19,7 @@ from sigmaprod import classification
 from sigmaprod.classification import (
     Decomposition,
     DecompositionPiece,
+    MembershipReport,
     check_limit_cofinite,
     check_pairwise_disjoint,
     check_sample_membership,
@@ -30,6 +33,7 @@ from sigmaprod.classification import (
 from sigmaprod.cli import render
 from sigmaprod.clopen import (
     BasicBox,
+    BoxIndex,
     BoxReduction,
     box_contains,
     box_intersect,
@@ -210,9 +214,14 @@ def piece(label, box):
     return DecompositionPiece(label, box, box_reduce(box).descriptor)
 
 
-def hand_built(pieces, ambient):
-    return Decomposition("hand", ambient, tuple(pieces),
-                         ProductPoint((), Point.of(0, 1)), (0, 1), 2)
+def hand_built(pieces, ambient, limit=ProductPoint((), Point.of(0, 1))):
+    return Decomposition("hand", ambient, tuple(pieces), limit, (0, 1), 2)
+
+
+# within the bounds of ``hand_built``'s ambient (2, 1) x 2^omega at every
+# coordinate, and off its tail value one coordinate past the explicit factors,
+# so a point drawn only as wide as those factors is not the limit
+INSIDE_LIMIT = ProductPoint((Point.of(0, 1), Point.of(0), Point.of(1)), Point.of(0, 1))
 
 
 def test_overlapping_pieces_are_reported_in_order():
@@ -241,7 +250,8 @@ def test_random_hand_built_decompositions_match_the_brute_force_checks():
     ambient = ProductDescriptor((2, 1), 2)
     points = materialize(ambient, 3, depth=3)
     seen_overlaps = seen_multiple_hits = 0
-    for _trial in range(40):
+    seen = set()
+    for trial in range(40):
         pieces = []
         size = rng.randint(1, 7)
         while len(pieces) < size:
@@ -259,7 +269,111 @@ def test_random_hand_built_decompositions_match_the_brute_force_checks():
         boxes = [random_box(rng, ambient, 4) for _ in range(8)]
         assert list(check_limit_cofinite(dec, boxes).violations) == \
             cofinite_oracle(dec, boxes)
+        # the limit above breaks the bound 1 at coordinate 1; this one does not
+        for limit in (dec.limit_point, INSIDE_LIMIT):
+            sampled = hand_built(pieces, ambient, limit)
+            for count in (1, 60):
+                answer = outcome(check_sample_membership, sampled, count, trial)
+                assert answer == outcome(membership_oracle, sampled, count, trial)
+                seen.add(answer[0].__name__ if isinstance(answer, tuple) else
+                         "gap" if answer.unresolved else "report")
     assert seen_overlaps and seen_multiple_hits
+    assert seen == {"ValueError", "AssertionError", "gap", "report"}
+
+
+def membership_oracle(dec, count, seed):
+    """The membership report from the element sampler's points, each built
+    and located by the linear scan."""
+    in_piece = at_limit = 0
+    unresolved = []
+    for x in sample_oracle(dec, count, seed):
+        where = scan_oracle(dec, x)
+        if where == "limit":
+            at_limit += 1
+        elif where is None:
+            unresolved.append(x)
+        else:
+            in_piece += 1
+    return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_sampled_membership_matches_the_scan_of_every_sampled_point(kind):
+    at_limit = 0
+    for depth in [*range(1, 14), 40]:
+        dec = build(kind, depth)
+        for count, seeds in ((0, (0,)), (1, range(4)), (200, (depth, depth + 50))):
+            for seed in seeds:
+                report = check_sample_membership(dec, count, seed)
+                assert report == membership_oracle(dec, count, seed)
+                assert report.ok and report.total == count
+                at_limit += report.at_limit
+    assert at_limit
+
+
+def walked(dec, x):
+    """The (coordinate, value) pairs that locating ``x`` reads: coordinates in
+    order, stopping before the first past which no piece admitting ``x`` so
+    far is constrained."""
+    alive = list(dec.pieces)
+    pairs = []
+    for s in sorted({s for p in dec.pieces for s, _f, _g in p.box.constraints}):
+        if all(p.box.max_constrained_coord() < s for p in alive):
+            break
+        value = x.coordinate(s)
+        pairs.append((s, value))
+        alive = [p for p in alive
+                 if set(p.box.constraint_at(s)[0]) <= set(value)
+                 and set(p.box.constraint_at(s)[1]).isdisjoint(value)]
+    return pairs
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_the_sampled_check_reads_each_coordinate_value_once_up_to_the_stop(kind, monkeypatch):
+    admitted = BoxIndex.admitted
+    calls = []
+
+    def counted(index, s, value):
+        calls.append((s, value))
+        return admitted(index, s, value)
+
+    monkeypatch.setattr(BoxIndex, "admitted", counted)
+    for depth in (1, 5, 12, 40):
+        dec = build(kind, depth)
+        for seed in (1, 2):
+            calls.clear()
+            check_sample_membership(dec, 100, seed)
+            expected = {pair for x in sample_oracle(dec, 100, seed) if x != dec.limit_point
+                        for pair in walked(dec, x)}
+            assert len(calls) == len(set(calls))  # one lookup per (coordinate, value)
+            assert set(calls) == expected
+
+
+@pytest.mark.parametrize("limit", [
+    ProductPoint((), Point.of(0, 1)),  # the tail value at coordinate 1, bound 1
+    ProductPoint((Point.of(0, 1, 2),), Point.of(0)),  # three elements at 0, bound 2
+], ids=str)
+def test_a_limit_value_past_its_bound_is_refused_as_before(limit):
+    ambient = ProductDescriptor((2, 1), 2)
+    dec = hand_built([piece("P0", BasicBox.make(ambient, {0: (Point.of(0), EMPTY)}))],
+                     ambient, limit)
+    with pytest.raises(ValueError, match=r"^point \(.*\) outside ambient ProductDescriptor"):
+        check_sample_membership(dec, 200, 0)
+    for count in (0, 1, 5, 200):
+        for seed in range(6):
+            assert outcome(check_sample_membership, dec, count, seed) == \
+                outcome(membership_oracle, dec, count, seed)
+
+
+@pytest.mark.parametrize("fn, what", [
+    (check_sample_membership, "samples"),
+    (sample_decomposition_points, "samples"),
+    (limit_neighborhood_boxes, "boxes"),
+])
+def test_a_negative_count_is_refused(fn, what):
+    dec = build((1, 2), 3)
+    with pytest.raises(ValueError, match=rf"^{what} must be non-negative$"):
+        fn(dec, -1, 0)
 
 
 def box_json_oracle(b):
