@@ -689,10 +689,9 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     limit_len = len(limit.prefix)
     limit_values = [limit.coordinate(s) for s in range(ambient.explicit_len + dec.depth - 1)]
     # a drawn value is the limit's or within its bound, so the points lie in
-    # the ambient when the limit's values and tail do; if not (a hand-built
-    # decomposition), each point that is not the limit is checked as before
-    check_each = not (point_in_ambient(ambient, limit) and all(
-        len(value) <= ambient.bound_at(s) for s, value in enumerate(limit_values)))
+    # the ambient when the limit does; if not (a hand-built decomposition),
+    # each point that is not the limit is checked as ``piece_for_point`` does
+    check_each = not point_in_ambient(ambient, limit)
     locate = dec.index.locator()
     in_piece = 0
     at_limit = 0

@@ -12,10 +12,11 @@ import json
 import operator
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
-from . import averaging, classification, clopen, deltasystem, encode, ground, uec
+# each handler imports its own subsystem, so a process loads only what its
+# command uses; ``_invoke`` needs these two for the budget and its errors
+from . import encode, ground
 
 SCHEMA = 1
 
@@ -224,7 +225,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # an empty path names the current directory, refused as a directory
+        with open(path or ".", encoding="utf-8") as file:
+            return file.read()
     except FileNotFoundError:
         raise CliError(f"no such file: {path}") from None
     except OSError as exc:
@@ -278,6 +281,8 @@ def _json_rational(value) -> Fraction:
 
 
 def _handle_classify(args) -> dict:
+    from . import classification
+
     tau = ground.parse_tau(args.tau)
     tau2 = ground.parse_tau(args.tau2)
     verdict = classification.classify(tau, tau2, args.gamma)
@@ -292,6 +297,8 @@ def _handle_classify(args) -> dict:
 
 
 def _handle_cb(args) -> dict:
+    from . import classification
+
     ks = tuple(ground.read_int(tok) for tok in map(str.strip, args.ks.split(",")) if tok)
     if None in ks:
         raise CliError(f"malformed bounds list {args.ks!r}")
@@ -300,6 +307,8 @@ def _handle_cb(args) -> dict:
 
 
 def _handle_decompose(args) -> dict:
+    from . import classification
+
     for flag in ("samples", "boxes"):
         if getattr(args, flag) < 0:
             raise CliError(f"{flag} must be non-negative")
@@ -324,6 +333,8 @@ def _handle_decompose(args) -> dict:
 
 
 def _handle_avg(args) -> dict:
+    from . import averaging
+
     op = averaging.build_operator(args.k, args.ground, args.budget)
     if args.action == "build":
         return {"k": args.k, "ground": args.ground, **encode.operator_to_json(op)}
@@ -340,6 +351,8 @@ def _handle_avg(args) -> dict:
 
 
 def _handle_uec(args) -> dict:
+    from . import uec
+
     if args.action == "phi":
         if not set(args.bits) <= {"0", "1"}:
             raise CliError(f"malformed bit string {args.bits!r}")
@@ -374,6 +387,8 @@ def _handle_uec(args) -> dict:
 
 
 def _parse_family_file(path: str) -> deltasystem.SetFamily:
+    from . import deltasystem
+
     pairs = []
     for lineno, line in enumerate(_read_file(path).splitlines(), start=1):
         line = line.strip()
@@ -392,6 +407,8 @@ def _parse_family_file(path: str) -> deltasystem.SetFamily:
 
 
 def _handle_ds(args) -> dict:
+    from . import deltasystem
+
     if args.action == "extract":
         fam = _parse_family_file(args.family)
         result = deltasystem.extract_delta_system(fam, args.petals, args.budget)
@@ -406,6 +423,8 @@ def _handle_ds(args) -> dict:
 
 
 def _handle_clopen(args) -> dict:
+    from . import clopen
+
     box = clopen.parse_box(args.box)
     if args.action == "empty":
         return {"box": encode.box(box), "empty": clopen.box_is_empty(box)}
@@ -482,7 +501,8 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     if out:
         try:
-            Path(out).write_text(text + "\n")
+            with open(out, "w") as file:
+                file.write(text + "\n")
             return code
         except OSError as exc:
             code, text = 1, render({"schema": SCHEMA, "error": {

@@ -19,6 +19,7 @@ from .ground import (
     Point,
     ProductDescriptor,
     ProductPoint,
+    format_constraint,
     format_descriptor,
     parse_descriptor,
     parse_point,
@@ -469,10 +470,6 @@ def union_membership_cover(target: ClopenSet) -> CoverWitness:
 
 # ---------------------------------------------------------------------------
 # text forms
-
-
-def format_constraint(s: int, f: Point, g: Point) -> str:
-    return f"{s}: F={f} G={g}"
 
 
 def format_box(b: BasicBox) -> str:

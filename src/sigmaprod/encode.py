@@ -10,8 +10,14 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .clopen import format_constraint
-from .ground import Point, format_descriptor, format_tau, is_omega, type_signature
+from .ground import (
+    Point,
+    format_constraint,
+    format_descriptor,
+    format_tau,
+    is_omega,
+    type_signature,
+)
 
 
 class OutputTooLarge(Exception):

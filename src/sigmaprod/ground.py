@@ -254,12 +254,17 @@ def point_in_ambient(desc: ProductDescriptor, x: ProductPoint) -> bool:
             return False
     elif len(x.tail_value) > tail:
         return False
-    # the explicit factors bound the first coordinates, the tail the rest
+    # the explicit factors bound the first coordinates, the tail the rest;
+    # an explicit coordinate past the prefix holds the tail value
     for pt, bound in zip(prefix, factors):
         if len(pt) > bound:
             return False
     for pt in prefix[len(factors):]:
         if len(pt) > tail:
+            return False
+    tail_size = len(x.tail_value)
+    for bound in factors[len(prefix):]:
+        if tail_size > bound:
             return False
     return True
 
@@ -450,6 +455,10 @@ def format_descriptor(desc: ProductDescriptor) -> str:
     if desc.omega_tail is not None:
         parts.append(f"{desc.omega_tail}^w")
     return "x".join(parts) if parts else "()"
+
+
+def format_constraint(s: int, f: Point, g: Point) -> str:
+    return f"{s}: F={f} G={g}"
 
 
 def parse_descriptor(text: str) -> ProductDescriptor:

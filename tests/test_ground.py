@@ -31,6 +31,7 @@ from sigmaprod.ground import (
 )
 from sigmaprod.averaging import build_operator
 from sigmaprod.classification import decompose_classif_k
+from sigmaprod.clopen import BasicBox, box_contains
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sigmaprod"
 
@@ -229,7 +230,10 @@ def test_point_in_ambient_matches_the_per_coordinate_bounds():
                 return False
         elif len(x.tail_value) > desc.omega_tail:
             return False
-        return all(len(pt) <= desc.bound_at(s) for s, pt in enumerate(x.prefix))
+        # every coordinate up to the last explicit factor, the tail value
+        # included where the prefix stops short of it
+        width = max(len(x.prefix), len(desc.factors))
+        return all(len(x.coordinate(s)) <= desc.bound_at(s) for s in range(width))
 
     rng = random.Random(4)
     values = [Point(rng.sample(range(5), rng.randint(0, 4))) for _ in range(20)]
@@ -243,6 +247,19 @@ def test_point_in_ambient_matches_the_per_coordinate_bounds():
         assert answer == oracle(desc, x)
         answers.add(answer)
     assert answers == {True, False}
+
+
+def test_an_explicit_coordinate_past_the_prefix_is_bounded_by_its_own_factor():
+    # coordinate 0 holds the tail value {0, 1} against the bound 1
+    desc = ProductDescriptor((1,), 2)
+    outside = ProductPoint((), Point.of(0, 1))
+    assert not point_in_ambient(desc, outside)
+    with pytest.raises(ValueError, match=r"^point .* outside ambient"):
+        box_contains(BasicBox.full(desc), outside)
+    assert point_in_ambient(desc, ProductPoint((Point.of(0),), Point.of(0, 1)))
+    assert point_in_ambient(desc, ProductPoint((), Point.of(1)))
+    assert not point_in_ambient(ProductDescriptor((2, 0, 3), 2),
+                                ProductPoint((Point.of(0, 1),), Point.of(1)))
 
 
 def test_product_point_tail_convention():
