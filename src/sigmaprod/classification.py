@@ -18,8 +18,10 @@ point, so every claim is machine-checkable.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -43,10 +45,10 @@ from .clopen import (
     BoxIndex,
     ClopenSet,
     box_complement,
-    box_contains,
     box_intersect,
     box_is_empty,
     box_reduce,
+    _admits,
     _bits,
 )
 # bound by this name in bench/tracing.py
@@ -498,10 +500,7 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
     witness set and misses witness i in the next.  Witnesses None stands for
     0 .. n - 1, built only once the charge has passed."""
     offset = 1 if m > 0 else 0
-    # B'(j) carries one constraint and A/B(k, i) k + 1 + offset; the distinct ones
-    # hold n(n + 1)/2 elements in the misses, n in the full set and m in the small set
-    Budget.of(budget).charge(m + n * (depth * (depth - 1) // 2 + depth * (1 + offset))
-                             + n * (n + 1) // 2 + n + m)
+    Budget.of(budget).charge(decompose_charges(m, n, depth, 0)[0])
     if witnesses is None:
         witnesses = tuple(range(n))
     full_set = Point(witnesses)
@@ -552,6 +551,29 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
     return Decomposition(kind, ambient, tuple(pieces), limit, witnesses, depth)
 
 
+def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
+    """The units a ``decompose`` request charges, in the order it charges
+    them, for the partition of ``decompose_absorb_small(m, n, depth)`` (of
+    ``decompose_classif_k`` with m = 0, n = 1): building it, drawing
+    ``samples`` points from it, and ``check_pairwise_disjoint`` on it.  All
+    three follow from (m, n, depth), so the whole charge can be tried before
+    any piece is built."""
+    offset = 1 if m > 0 else 0
+    # B'(j) carries one constraint and A/B(k, i) k + 1 + offset; the distinct ones
+    # hold n(n + 1)/2 elements in the misses, n in the full set and m in the small set
+    misses = n * (n + 1) // 2
+    build = m + n * (depth * (depth - 1) // 2 + depth * (1 + offset)) + misses + n + m
+    # each point costs its widest prefix plus its tail, one unit per 64-bit
+    # word of each coordinate's code of G + 1 bits, G = n + _EXTRA_ELEMENTS
+    sampling = samples * (offset + depth) * (1 + (n + _EXTRA_ELEMENTS) // 64)
+    # BoxIndex.meeting_pairs charges (g - 1)·Σ(|F| + |G|) per coordinate over
+    # its g distinct constraints: at 0 the m misses B'(j) and the small set,
+    # at each omega coordinate the n misses and, but at the last, the full set
+    comparisons = (m * (m * (m + 1) // 2 + m) + (depth - 1) * n * (misses + n)
+                   + (n - 1) * misses)
+    return build, sampling, comparisons
+
+
 def _prechecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
     without running its ``__post_init__``: for values already checked and in
@@ -592,78 +614,104 @@ def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
     """Seeded eventually-constant points with prefix within the materialized
     depth and the limit tail, so membership is decidable from the pieces.
 
-    The draws are those of ``random.Random(seed)``'s ``randint`` for the width
-    and each size and of ``sample``'s pool branch for the elements, which is
-    the branch ``sample`` takes whenever the ground has at most 21 elements.
+    Over a ground of G elements (the witnesses, then ``extra_elements`` more)
+    each coordinate is a code of G + 1 random bits, as ``getrandbits(G + 1)``
+    would draw it: bit 0 set picks the limit point's value, with probability
+    1/2; otherwise bits 1 .. G pick a subset of the ground, cut to the first
+    min(bound, size) of its elements in ground order.  Every value within the
+    coordinate's bound is reachable.  ``_drawn_prefixes`` draws the codes.
     """
     tail = dec.limit_point.tail_value
-    return [ProductPoint(coords, tail)
-            for coords in _drawn_prefixes(dec, count, seed, extra_elements)]
+    value_at = _code_decoder(dec, extra_elements)[0]
+    return [ProductPoint([value_at(bits, s) for s in range(width)], tail)
+            for width, bits in _drawn_prefixes(dec, count, seed, extra_elements)]
+
+
+def _code_slot(ground_size: int) -> int:
+    """The bits one coordinate's code takes in a point's draw: G + 1 rounded
+    up to whole 32-bit words, the words ``getrandbits(G + 1)`` consumes."""
+    return 32 * ((ground_size + 32) // 32)
 
 
 def _drawn_prefixes(dec: Decomposition, count: int, seed: int,
                     extra_elements: int = _EXTRA_ELEMENTS):
-    """The coordinates of each point of ``sample_decomposition_points``, as
-    drawn: a fresh list of the values at coordinates 0 .. explicit + width - 1,
-    past which the point takes the limit's tail value.  Each value is the
-    limit point's at its coordinate or has at most min(bound, ground size)
-    elements."""
+    """The raw draws of each point of ``sample_decomposition_points``, as
+    (w, bits): the point's drawn coordinates are 0 .. w - 1, past which it
+    takes the limit's tail value, and ``bits`` holds their codes.
+
+    The width is drawn as ``random.Random(seed).randint`` draws it, then
+    every code in one ``getrandbits`` call.  That call fills 32-bit words
+    lowest first, and ``getrandbits(G + 1)`` would fill whole words too,
+    keeping the highest bits of its last, so coordinate s owns the
+    ``_code_slot`` bits from s·slot on and its code is what the s-th of
+    such calls would return."""
     if count < 0:
         raise ValueError("samples must be non-negative")
-    rng = random.Random(seed)
-    getrandbits, draw = rng.getrandbits, rng.random
-    base = max(dec.witnesses) + 1 if dec.witnesses else 0
-    ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
+    getrandbits = random.Random(seed).getrandbits
+    slot = _code_slot(len(dec.witnesses) + extra_elements)
     explicit = dec.ambient.explicit_len
     widths = dec.depth  # prefix widths explicit .. explicit + depth - 1
     if count and widths < 1:  # no width could be drawn
         raise ValueError("sampling needs a positive depth")
-    widest = explicit + widths - 1
-    limit = dec.limit_point
-    # per coordinate: the limit point's value and the largest sample size
-    limit_values = [limit.coordinate(s) for s in range(widest)]
-    caps = [min(dec.ambient.bound_at(s), len(ground)) for s in range(widest)]
-    # positions in ``ground`` draw the same random numbers as its elements;
-    # each tuple of positions, as drawn, is turned into a point once
-    n = len(ground)
-    positions = list(range(n))
-    # each draw below is Random._randbelow_with_getrandbits(b), uniform in
-    # range(b) for b > 0: getrandbits(b.bit_length()) until it falls below b.
-    # Past the width's, every b is at most n + 1, its bit length read here
-    bits = [b.bit_length() for b in range(n + 2)]
+    # Random._randbelow_with_getrandbits(widths): getrandbits(bit length)
+    # until it falls below widths
     width_bits = widths.bit_length()
-    drawn: dict = {}
     for _ in range(count):
         width = getrandbits(width_bits)
         while width >= widths:
             width = getrandbits(width_bits)
-        coords = []
-        for s in range(explicit + width):
-            if draw() < 0.5:
-                coords.append(limit_values[s])
-                continue
-            b = caps[s] + 1
-            size = getrandbits(bits[b])
-            while size >= b:
-                size = getrandbits(bits[b])
-            if not size:  # sampling nothing draws nothing
-                coords.append(EMPTY)
-                continue
-            # a partial Fisher-Yates shuffle of the positions
-            pool = positions[:]
-            picked = []
-            for i in range(n - 1, n - 1 - size, -1):
-                j = getrandbits(bits[i + 1])
-                while j > i:
-                    j = getrandbits(bits[i + 1])
-                picked.append(pool[j])
-                pool[j] = pool[i]
-            picked = tuple(picked)
-            value = drawn.get(picked)
+        width += explicit
+        yield width, getrandbits(slot * width)
+
+
+def _code_decoder(dec: Decomposition, extra_elements: int = _EXTRA_ELEMENTS):
+    """(value_at, coordinates, layout) for the codes ``_drawn_prefixes``
+    draws.  ``value_at(bits, s)`` is the value at coordinate s of the point
+    whose codes are ``bits``; each distinct value is built once per decoder
+    and shared, and so are the limit point's.
+
+    With ``coordinates[s]`` = (shift, low_shift, limit value, table, bound)
+    and ``layout`` = (top, low, low_mask), coordinate s's code is
+    ``bits >> shift & top``, shifted up by ``low`` and joined by
+    ``bits >> low_shift & low_mask`` when ``low`` is nonzero (a code longer
+    than a word).  ``table`` maps the code of each value decoded so far that
+    is not the limit's, for the coordinates of one bound, to that value."""
+    base = max(dec.witnesses) + 1 if dec.witnesses else 0
+    ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
+    slot = _code_slot(len(ground))
+    size = len(ground) + 1
+    # a code's highest ``size - low`` bits are the highest of its slot's last
+    # word; a code of more than one word holds the ``low`` bits of the
+    # slot's other words below them
+    low = slot - 32
+    high = slot - (size - low)
+    top, low_mask = (1 << (size - low)) - 1, (1 << low) - 1
+    widest = dec.ambient.explicit_len + dec.depth - 1
+    tables: dict = {}  # one per distinct bound
+    values: dict = {}  # the elements a code picks, cut to the bound -> their value
+    coordinates = []
+    for s in range(widest):
+        bound = dec.ambient.bound_at(s)
+        coordinates.append((s * slot + high, s * slot, dec.limit_point.coordinate(s),
+                            tables.setdefault(bound, {}), bound))
+
+    def value_at(bits: int, s: int) -> Point:
+        shift, low_shift, limit_value, table, bound = coordinates[s]
+        code = bits >> shift & top
+        if low:
+            code = code << low | bits >> low_shift & low_mask
+        if code & 1:
+            return limit_value
+        value = table.get(code)
+        if value is None:
+            picked = tuple([e for j, e in enumerate(ground, 1) if code >> j & 1][:bound])
+            value = values.get(picked)
             if value is None:
-                value = drawn[picked] = Point(tuple(ground[j] for j in picked))
-            coords.append(value)
-        yield coords
+                value = values[picked] = Point(picked)
+            table[code] = value
+        return value
+
+    return value_at, coordinates, (top, low, low_mask)
 
 
 @dataclass(frozen=True)
@@ -680,63 +728,171 @@ class MembershipReport:
 
 def check_sample_membership(dec: Decomposition, count: int, seed: int) -> MembershipReport:
     """Locate each point of ``sample_decomposition_points(dec, count, seed)``
-    as ``piece_for_point`` does, from its coordinates as drawn: the point is
-    built only when it lies in no piece or in several."""
+    as ``piece_for_point`` does, decoding its coordinates in order only until
+    it is decided: at a coordinate whose value is not the limit point's, once
+    the walk of ``BoxIndex.locator`` has one hit that no later coordinate
+    constrains, or else at its last drawn coordinate.  Each (coordinate,
+    value) mask is read once.  The point is built only when it lies in no
+    piece or in several."""
     if count < 0:
         raise ValueError("samples must be non-negative")
-    ambient, limit = dec.ambient, dec.limit_point
+    ambient, limit, index = dec.ambient, dec.limit_point, dec.index
     tail = limit.tail_value
     limit_len = len(limit.prefix)
-    limit_values = [limit.coordinate(s) for s in range(ambient.explicit_len + dec.depth - 1)]
     # a drawn value is the limit's or within its bound, so the points lie in
     # the ambient when the limit does; if not (a hand-built decomposition),
-    # each point that is not the limit is checked as ``piece_for_point`` does
+    # each point is decoded in full and, unless it is the limit, checked as
+    # ``piece_for_point`` does
     check_each = not point_in_ambient(ambient, limit)
-    locate = dec.index.locator()
+    everything, admitted = index.everything, index.admitted
+    masks = {s: {} for s in index.coords}  # coordinate -> value -> admitted mask
+    value_at, coordinates, (top, low, low_mask) = _code_decoder(dec)
+    # per coordinate below the widest point: its decoding, the boxes whose
+    # constraint there is read (none where no box is constrained), that
+    # coordinate's mask table, and the boxes constrained further on
+    steps = []
+    for s, decoding in enumerate(coordinates):
+        entry = index.coords.get(s)
+        steps.append((*decoding[:4], entry[2] if entry else 0, masks.get(s),
+                      index.constrained_after(s)))
+    # past a point's last drawn coordinate the walk reads the tail value
+    constrained = list(index.coords)
+    tail_walk = [(s, index.coords[s][2], masks[s]) for s in constrained]
     in_piece = 0
     at_limit = 0
     unresolved = []
-    for coords in _drawn_prefixes(dec, count, seed):
-        width = len(coords)
-        if width >= limit_len and coords == limit_values[:width]:
-            at_limit += 1
-            continue
-        if check_each and not point_in_ambient(ambient, ProductPoint(coords, tail)):
-            raise ValueError(f"point {ProductPoint(coords, tail)} outside ambient {ambient}")
-        hits = locate(coords, tail)
-        if not hits:
-            unresolved.append(ProductPoint(coords, tail))
-        elif hits & (hits - 1):
-            labels = [dec.pieces[i].label for i in _bits(hits)]
-            raise AssertionError(f"point {ProductPoint(coords, tail)} lies in several "
-                                 f"pieces: {labels}")
+    for width, bits in _drawn_prefixes(dec, count, seed):
+        hits = everything
+        differs = False
+        for s in range(width):
+            # value_at(bits, s), inlined while the value is in the table
+            shift, low_shift, value, table, read, s_masks, after = steps[s]
+            code = bits >> shift & top
+            if low:
+                code = code << low | bits >> low_shift & low_mask
+            if not code & 1:
+                limit_value = value
+                value = table.get(code)
+                if value is None:
+                    value = value_at(bits, s)
+                differs = differs or value != limit_value
+            if hits & read:
+                mask = s_masks.get(value)
+                if mask is None:
+                    mask = s_masks[value] = admitted(s, value)
+                hits &= mask
+            # not the limit, and inside exactly one piece, whatever follows
+            if differs and hits and not hits & (hits - 1 | after) and not check_each:
+                in_piece += 1
+                break
         else:
-            in_piece += 1
+            if not differs and width >= limit_len:
+                at_limit += 1
+                continue
+            coords = [value_at(bits, s) for s in range(width)]
+            if check_each and not point_in_ambient(ambient, ProductPoint(coords, tail)):
+                raise ValueError(f"point {ProductPoint(coords, tail)} outside ambient {ambient}")
+            for s, pending, table in tail_walk[bisect_left(constrained, width):]:
+                if not hits & pending:
+                    break  # no later coordinate constrains a remaining hit
+                mask = table.get(tail)
+                if mask is None:
+                    mask = table[tail] = admitted(s, tail)
+                hits &= mask
+            if not hits:
+                unresolved.append(ProductPoint(coords, tail))
+            elif hits & (hits - 1):
+                labels = [dec.pieces[i].label for i in _bits(hits)]
+                raise AssertionError(f"point {ProductPoint(coords, tail)} lies in several "
+                                     f"pieces: {labels}")
+            else:
+                in_piece += 1
     return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
+
+
+def _sample_positions(below, n: int, k: int) -> list:
+    """The positions that ``random.Random.sample`` picks, in order, from a
+    population of ``n`` when its ``_randbelow`` is ``below``: its pool
+    branch while a list of n is smaller than a set of k, else its set
+    branch."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    picked = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = below(n - i)
+            picked.append(pool[j])
+            pool[j] = pool[n - i - 1]
+    else:
+        selected = set()
+        for _ in range(k):
+            j = below(n)
+            while j in selected:
+                j = below(n)
+            selected.add(j)
+            picked.append(j)
+    return picked
 
 
 def limit_neighborhood_boxes(dec: Decomposition, count: int, seed: int) -> list:
     """Seeded basic boxes around the limit point (F inside each coordinate
-    value, G clear of it)."""
+    value, G clear of it).
+
+    The draws are those of ``random.Random(seed)``'s ``randint`` and
+    ``sample``: per box up to three coordinates below depth + 2 past the
+    explicit factors, then at each, ascending, F as a sample of the limit's
+    value and G as a sample of the extra elements outside it."""
     if count < 0:
         raise ValueError("boxes must be non-negative")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(n: int) -> int:  # Random._randbelow_with_getrandbits(n)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def subset(elements) -> Point:  # sample(elements, randint(0, len(elements)))
+        k = below(len(elements) + 1)
+        if not k:
+            return EMPTY
+        return Point([elements[j] for j in _sample_positions(below, len(elements), k)])
+
+    ambient, limit = dec.ambient, dec.limit_point
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
     extras = [base + t for t in range(_EXTRA_ELEMENTS)]
-    max_coord = dec.ambient.explicit_len + dec.depth + 1
+    max_coord = ambient.explicit_len + dec.depth + 1
+    pools: dict = {}  # a value of the limit's -> the extra elements outside it
+    # BasicBox's checks, made here once: the coordinates past the explicit
+    # factors lie outside a product without a tail
+    outside = max_coord if ambient.omega_tail is not None else ambient.explicit_len
+    limit_inside = point_in_ambient(ambient, limit)
     boxes = []
     for _ in range(count):
-        n_constraints = rng.randint(0, 3)
-        coords = rng.sample(range(max_coord), min(n_constraints, max_coord))
-        constraints = {}
-        for s in sorted(coords):
-            value = list(dec.limit_point.coordinate(s))
-            f = Point(tuple(rng.sample(value, rng.randint(0, len(value)))))
-            g_pool = [e for e in extras if e not in value]
-            g = Point(tuple(rng.sample(g_pool, rng.randint(0, len(g_pool)))))
-            constraints[s] = (f, g)
-        box = BasicBox.make(dec.ambient, constraints)
-        if not box_contains(box, dec.limit_point):
+        k = below(4)
+        coords = sorted(_sample_positions(below, max_coord, min(k, max_coord))) if k else ()
+        constraints = []
+        contained = True
+        for s in coords:
+            value = limit.coordinate(s)
+            pool = pools.get(value)
+            if pool is None:
+                pool = pools[value] = [e for e in extras if e not in value]
+            f = subset(value)
+            g = subset(pool)
+            if f or g:
+                constraints.append((s, f, g))
+                contained = contained and _admits(f, g, value)
+        if coords and coords[-1] >= outside:
+            raise ValueError(f"coordinate {next(s for s in coords if s >= outside)} "
+                             "outside ambient")
+        box = _prechecked(BasicBox, ambient=ambient, constraints=tuple(constraints))
+        if not limit_inside:
+            raise ValueError(f"point {limit} outside ambient {ambient}")
+        if not contained:
             raise AssertionError(f"neighborhood {box} misses the limit point")
         boxes.append(box)
     return boxes

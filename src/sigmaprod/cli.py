@@ -312,15 +312,24 @@ def _handle_decompose(args) -> dict:
     for flag in ("samples", "boxes"):
         if getattr(args, flag) < 0:
             raise CliError(f"{flag} must be non-negative")
+    m, n = (args.m, args.n) if args.kind == "absorb_small" else (0, 1)
+    build, sampling, comparisons = classification.decompose_charges(m, n, args.depth,
+                                                                    args.samples)
+    # the request's charges in the order made below, each box one unit more,
+    # tried first on a copy of the meter: a request over budget is refused
+    # before any piece is built, with the ``needed`` it would be refused with
+    # later.  Arguments outside 0 <= m < n, depth >= 1 the constructors refuse
+    if 0 <= m < n and args.depth >= 1:
+        trial = ground.Budget(args.budget.limit)
+        trial.spent = args.budget.spent
+        for units in (build, sampling + args.boxes, comparisons):
+            trial.charge(units)
     if args.kind == "absorb_small":
         dec = classification.decompose_absorb_small(args.m, args.n, args.depth,
                                                     budget=args.budget)
     else:
         dec = classification.decompose_classif_k(args.element, args.depth, args.budget)
-    # on top of the constraints, each sampled point costs its widest prefix
-    # plus its tail, and each neighborhood box one unit
-    width = dec.ambient.explicit_len + dec.depth
-    args.budget.charge(args.samples * width + args.boxes)
+    args.budget.charge(sampling + args.boxes)
     disjoint = classification.check_pairwise_disjoint(dec, args.budget)
     membership = classification.check_sample_membership(dec, args.samples, args.seed)
     boxes = classification.limit_neighborhood_boxes(dec, args.boxes, args.seed + 1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigmaprod import deltasystem, encode, uec
+from sigmaprod import classification, deltasystem, encode, uec
 from sigmaprod.cli import _invoke, build_parser, dispatch, main, render
 from sigmaprod.ground import DEFAULT_BUDGET, Budget, BudgetExceeded, Point
 from test_uec import split_charge, weight_table_charge
@@ -374,6 +374,67 @@ def test_decompose_charges_its_disjointness_comparisons():
     # the 1,000 constraints, their elements and the full set, then the pairs
     elements = sum(i + 1 for i in range(1000))
     assert payload["error"]["needed"] == 1000 + (elements + 1000) + 999 * elements
+
+
+def test_decompose_refuses_its_disjointness_charge_before_building_any_piece(monkeypatch):
+    # the comparisons were charged only once all 1,999 pieces and their
+    # index were built, and the request exited 2 after 0.9 s
+    built = []
+    prechecked = classification._prechecked
+
+    def spy(cls, **fields):
+        built.append(cls)
+        return prechecked(cls, **fields)
+
+    monkeypatch.setattr(classification, "_prechecked", spy)
+    monkeypatch.setattr(classification.DecompositionPiece, "__post_init__",
+                        lambda piece: built.append(type(piece)))
+    argv = ["decompose", "--kind", "classif_K", "--depth", "1999", "--samples", "0",
+            "--boxes", "0"]
+    code, payload = run(argv)
+    assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    # 1,999,002 units to build, then 2 per coordinate but the last to compare
+    assert payload["error"]["needed"] == 1999002 + 2 * 1998 == 2002998
+    assert classification.DecompositionPiece not in built
+    assert run(argv[:4] + ["3"] + argv[5:])[0] == 0  # the spies see a request that builds
+    assert classification.DecompositionPiece in built
+
+
+def library_charge(m, n, depth, samples, boxes, words):
+    """What building the partition and checking its disjointness charge a
+    meter, plus ``words`` units per coordinate of each widest sampled point
+    and one per box."""
+    meter = Budget(10 ** 12)
+    dec = classification.decompose_absorb_small(m, n, depth, budget=meter)
+    classification.check_pairwise_disjoint(dec, meter)
+    return meter.spent + samples * (dec.ambient.explicit_len + depth) * words + boxes
+
+
+@pytest.mark.parametrize("m, n, words", [(0, 1, 1), (1, 3, 1), (2, 61, 1), (0, 62, 2),
+                                         (1, 100, 2)])
+def test_decompose_charges_each_sampled_code_by_its_64_bit_words(m, n, words):
+    # a coordinate's code holds G + 1 bits over the n witnesses and 2 more
+    # ground elements: one word up to n = 61, two from n = 62 on
+    needed = library_charge(m, n, 2, 5, 3, words)
+    argv = ["decompose", "--kind", "absorb_small", "--m", str(m), "--n", str(n),
+            "--depth", "2", "--samples", "5", "--boxes", "3"]
+    assert run(argv + ["--budget", str(needed)])[0] == 0
+    code, payload = run(argv + ["--budget", str(needed - 1)])
+    assert code == 2 and payload["error"]["needed"] == needed
+
+
+def test_decompose_charges_as_many_units_as_the_library_calls():
+    # the charges tried before building are the ones made after it
+    rng = random.Random(8)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        m, depth = rng.randrange(n), rng.randint(1, 9)
+        samples, boxes = rng.randint(0, 50), rng.randint(0, 9)
+        needed = library_charge(m, n, depth, samples, boxes, 1)
+        argv = ["decompose", "--kind", "absorb_small", "--m", str(m), "--n", str(n),
+                "--depth", str(depth), "--samples", str(samples), "--boxes", str(boxes)]
+        assert run(argv + ["--budget", str(needed)])[0] == 0
+        assert run(argv + ["--budget", str(needed - 1)])[1]["error"]["needed"] == needed
 
 
 def test_decompose_charges_its_witness_elements():

@@ -3,15 +3,17 @@
 The oracles below are the pairwise ``box_intersect`` + ``box_is_empty`` loop,
 the linear scan of ``box_contains`` over every piece, and the per-piece
 ``box_subset`` test; the library answers from the per-coordinate index.
-The JSON encoder, the point sampler, the sampled membership check and
-``box_reduce`` are checked against the per-occurrence code they replace: a
-per-piece box encoder, the sampler that draws ground elements, that sampler's
-points each located by the linear scan, and a reduction that builds every
-factor anew.
+The JSON encoder, the point sampler, the sampled membership check, the
+neighborhood boxes and ``box_reduce`` are checked against code that draws or
+builds each part on its own: a per-piece box encoder, a sampler that calls
+``getrandbits`` once per coordinate, that sampler's points each located by the
+linear scan, the neighborhoods drawn through ``randint`` and ``sample``, and a
+reduction that builds every factor anew.
 """
 
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -282,11 +284,11 @@ def test_random_hand_built_decompositions_match_the_brute_force_checks():
 
 
 def membership_oracle(dec, count, seed):
-    """The membership report from the element sampler's points, each built
-    and located by the linear scan."""
+    """The membership report from the per-coordinate sampler's points, each
+    built and located by the linear scan."""
     in_piece = at_limit = 0
     unresolved = []
-    for x in sample_oracle(dec, count, seed):
+    for x in oracle_points(dec, count, seed):
         where = scan_oracle(dec, x)
         if where == "limit":
             at_limit += 1
@@ -311,20 +313,32 @@ def test_sampled_membership_matches_the_scan_of_every_sampled_point(kind):
     assert at_limit
 
 
-def walked(dec, x):
-    """The (coordinate, value) pairs that locating ``x`` reads: coordinates in
-    order, stopping before the first past which no piece admitting ``x`` so
-    far is constrained."""
+def walked(dec, coords):
+    """The (coordinate, value) pairs that locating the point drawn as
+    ``coords`` reads: each constrained coordinate in order while a piece
+    admitting the point so far is constrained there or further on.  It stops
+    after a drawn coordinate once the point differs from the limit there or
+    before and one piece admits it that is constrained nowhere further on,
+    and after the last drawn one when the point is the limit."""
+    limit = dec.limit_point
+    x = ProductPoint(tuple(coords), limit.tail_value)
+    constrained = {s for p in dec.pieces for s, _f, _g in p.box.constraints}
     alive = list(dec.pieces)
     pairs = []
-    for s in sorted({s for p in dec.pieces for s, _f, _g in p.box.constraints}):
-        if all(p.box.max_constrained_coord() < s for p in alive):
+    differs = False
+    for s in range(max(len(coords), max(constrained) + 1)):
+        if s == len(coords) and x == limit:
             break
         value = x.coordinate(s)
-        pairs.append((s, value))
-        alive = [p for p in alive
-                 if set(p.box.constraint_at(s)[0]) <= set(value)
-                 and set(p.box.constraint_at(s)[1]).isdisjoint(value)]
+        if s in constrained and any(p.box.max_constrained_coord() >= s for p in alive):
+            pairs.append((s, value))
+            alive = [p for p in alive
+                     if set(p.box.constraint_at(s)[0]) <= set(value)
+                     and set(p.box.constraint_at(s)[1]).isdisjoint(value)]
+        if s < len(coords):
+            differs = differs or value != limit.coordinate(s)
+            if differs and len(alive) == 1 and alive[0].box.max_constrained_coord() <= s:
+                break
     return pairs
 
 
@@ -343,8 +357,8 @@ def test_the_sampled_check_reads_each_coordinate_value_once_up_to_the_stop(kind,
         for seed in (1, 2):
             calls.clear()
             check_sample_membership(dec, 100, seed)
-            expected = {pair for x in sample_oracle(dec, 100, seed) if x != dec.limit_point
-                        for pair in walked(dec, x)}
+            expected = {pair for coords in sample_oracle(dec, 100, seed)
+                        for pair in walked(dec, coords)}
             assert len(calls) == len(set(calls))  # one lookup per (coordinate, value)
             assert set(calls) == expected
 
@@ -411,25 +425,63 @@ def decomposition_json_oracle(dec):
     }
 
 
-def sample_oracle(dec, count, seed, extra_elements=2):
-    """The sampler drawing ground elements, one new point per coordinate."""
-    rng = random.Random(seed)
+def ground_of(dec, extra_elements=2):
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
-    ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
+    return list(dec.witnesses) + [base + t for t in range(extra_elements)]
+
+
+def decode_oracle(code, ground, limit_value, bound):
+    """Bit 0 picks the limit's value; bit j + 1 puts ground[j] in, and the
+    first ``bound`` elements put in, in ground order, are kept."""
+    if code & 1:
+        return limit_value
+    picked = [e for j, e in enumerate(ground) if code >> (j + 1) & 1]
+    return Point(tuple(picked[:bound]))
+
+
+def sample_oracle(dec, count, seed, extra_elements=2):
+    """The drawn coordinates of each sampled point: the width through
+    ``randint``, then one ``getrandbits(G + 1)`` per coordinate."""
+    rng = random.Random(seed)
+    ground = ground_of(dec, extra_elements)
     explicit = dec.ambient.explicit_len
-    points = []
+    prefixes = []
     for _ in range(count):
         width = rng.randint(explicit, explicit + dec.depth - 1)
-        coords = []
-        for s in range(width):
-            if rng.random() < 0.5:
-                coords.append(dec.limit_point.coordinate(s))
-            else:
-                bound = dec.ambient.bound_at(s)
-                size = rng.randint(0, min(bound, len(ground)))
-                coords.append(Point(tuple(rng.sample(ground, size))))
-        points.append(ProductPoint(tuple(coords), dec.limit_point.tail_value))
-    return points
+        prefixes.append([decode_oracle(rng.getrandbits(len(ground) + 1), ground,
+                                       dec.limit_point.coordinate(s), dec.ambient.bound_at(s))
+                         for s in range(width)])
+    return prefixes
+
+
+def oracle_points(dec, count, seed, extra_elements=2):
+    tail = dec.limit_point.tail_value
+    return [ProductPoint(tuple(coords), tail)
+            for coords in sample_oracle(dec, count, seed, extra_elements)]
+
+
+def neighborhoods_oracle(dec, count, seed):
+    """The neighborhood boxes drawn through ``randint`` and ``sample``, each
+    built by ``BasicBox.make`` and checked by ``box_contains``."""
+    rng = random.Random(seed)
+    extras = ground_of(dec)[len(dec.witnesses):]
+    max_coord = dec.ambient.explicit_len + dec.depth + 1
+    boxes = []
+    for _ in range(count):
+        n_constraints = rng.randint(0, 3)
+        coords = rng.sample(range(max_coord), min(n_constraints, max_coord))
+        constraints = {}
+        for s in sorted(coords):
+            value = list(dec.limit_point.coordinate(s))
+            f = Point(tuple(rng.sample(value, rng.randint(0, len(value)))))
+            g_pool = [e for e in extras if e not in value]
+            g = Point(tuple(rng.sample(g_pool, rng.randint(0, len(g_pool)))))
+            constraints[s] = (f, g)
+        box = BasicBox.make(dec.ambient, constraints)
+        if not box_contains(box, dec.limit_point):
+            raise AssertionError(f"neighborhood {box} misses the limit point")
+        boxes.append(box)
+    return boxes
 
 
 def reduce_oracle(b):
@@ -458,30 +510,76 @@ def test_the_json_document_matches_the_per_box_encoder(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)
-def test_sampled_points_match_the_element_sampler(kind):
-    for depth in (1, 2, 5, 12, 40):
+def test_sampled_points_match_the_per_coordinate_draws(kind):
+    # one getrandbits call per point draws what one call per coordinate does
+    for depth in [*range(1, 14), 40]:
         dec = build(kind, depth)
-        for seed in range(20):
-            assert sample_decomposition_points(dec, 40, seed) == sample_oracle(dec, 40, seed)
+        for seed in range(6):
+            assert sample_decomposition_points(dec, 40, seed) == oracle_points(dec, 40, seed)
         assert sample_decomposition_points(dec, 40, 3, extra_elements=0) == \
-            sample_oracle(dec, 40, 3, extra_elements=0)
+            oracle_points(dec, 40, 3, extra_elements=0)
 
 
-def test_sampled_points_over_a_ground_of_more_than_21_elements():
-    # past 21 elements ``random.sample`` may take its set branch, where the
-    # sampler keeps the pool branch: the draws differ, but stay seeded
-    dec = decompose_absorb_small(1, 24, depth=4)
-    ground = set(dec.witnesses) | {24, 25}
-    runs = [sample_decomposition_points(dec, 100, seed) for seed in (5, 5, 6)]
-    assert runs[0] == runs[1] and runs[0] != runs[2]
-    assert runs[0] != sample_oracle(dec, 100, 5)
-    for x in runs[0]:
-        assert x.tail_value == dec.limit_point.tail_value
-        assert len(x.prefix) <= dec.ambient.explicit_len + dec.depth - 1
+@pytest.mark.parametrize("m, n", [(1, 24), (0, 30), (1, 31), (0, 62), (1, 63), (2, 100)])
+def test_sampled_points_over_grounds_of_one_word_and_more(m, n):
+    # the codes of G + 1 = 27, 32, 33, 64, 65 and 103 bits: up to a word, a
+    # word exactly, just past one, two words exactly, just past two, and more
+    dec = decompose_absorb_small(m, n, depth=4)
+    for seed in range(4):
+        points = sample_decomposition_points(dec, 60, seed)
+        assert points == oracle_points(dec, 60, seed)
+        assert check_sample_membership(dec, 60, seed) == membership_oracle(dec, 60, seed)
+    for x in points:
         for s, value in enumerate(x.prefix):
-            assert set(value) <= ground and len(value) <= dec.ambient.bound_at(s)
-    report = check_sample_membership(dec, 100, 5)
-    assert report.ok and report.in_piece > 0
+            assert set(value) <= set(ground_of(dec)) and len(value) <= dec.ambient.bound_at(s)
+
+
+@pytest.mark.parametrize("kind", [(1, 2), (0, 3), "K"], ids=str)
+def test_every_value_within_the_bound_is_drawn(kind):
+    dec = build(kind, 3)
+    ground = ground_of(dec)
+    for s in range(dec.ambient.explicit_len + 2):
+        bound = dec.ambient.bound_at(s)
+        within = {Point(c) for k in range(bound + 1) for c in combinations(ground, k)}
+        codes = {decode_oracle(code, ground, dec.limit_point.coordinate(s), bound)
+                 for code in range(2 ** (len(ground) + 1))}
+        assert codes == within  # the limit's value is one of them
+        # a point drawn narrower holds the limit's tail value at s, within too
+        assert {x.coordinate(s) for x in sample_decomposition_points(dec, 3000, 5)} == within
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_neighborhoods_match_the_randint_and_sample_draws(kind):
+    # past depth 20 the coordinates come from ``sample``'s set branch
+    for depth in [*range(1, 14), 40]:
+        dec = build(kind, depth)
+        for seed in range(4):
+            assert limit_neighborhood_boxes(dec, 25, seed) == neighborhoods_oracle(dec, 25, seed)
+
+
+def test_neighborhoods_of_hand_built_decompositions_match_the_reference_draws():
+    ambient = ProductDescriptor((2, 1), 2)
+    pieces = [piece("P0", BasicBox.make(ambient, {0: (Point.of(0), EMPTY)}))]
+    limits = [INSIDE_LIMIT,
+              ProductPoint((), Point.of(0, 1)),  # the tail value breaks the bound 1 at 1
+              ProductPoint((Point.of(0, 1, 2),), Point.of(0)),  # three elements, bound 2
+              ProductPoint((Point.of(5, 9), EMPTY, Point.of(0, 7, 8)), Point.of(7))]
+    seen = set()
+    for limit in limits:
+        dec = hand_built(pieces, ambient, limit)
+        for count in (0, 1, 30):
+            for seed in range(4):
+                answer = outcome(limit_neighborhood_boxes, dec, count, seed)
+                assert answer == outcome(neighborhoods_oracle, dec, count, seed)
+                seen.add(answer[0].__name__ if isinstance(answer, tuple) else "boxes")
+    assert seen == {"ValueError", "boxes"}
+    # a product without a tail has no coordinate past its factors
+    finite = ProductDescriptor((2, 2))
+    dec = Decomposition("hand", finite, (), ProductPoint((Point.of(0), Point.of(1))), (0, 1), 2)
+    for seed in range(6):
+        answer = outcome(limit_neighborhood_boxes, dec, 20, seed)
+        assert answer == outcome(neighborhoods_oracle, dec, 20, seed)
+        assert answer[0] is ValueError and "outside ambient" in answer[1]
 
 
 def test_box_reduce_matches_the_factor_by_factor_reduction():
