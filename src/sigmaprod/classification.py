@@ -18,7 +18,6 @@ point, so every claim is machine-checkable.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from bisect import bisect_left
@@ -48,7 +47,6 @@ from .clopen import (
     box_intersect,
     box_is_empty,
     box_reduce,
-    _admits,
     _bits,
 )
 # bound by this name in bench/tracing.py
@@ -609,22 +607,44 @@ def piece_for_point(dec: Decomposition, x: ProductPoint):
 _EXTRA_ELEMENTS = 2  # elements past the witnesses that samples and neighborhoods draw
 
 
-def sample_decomposition_points(dec: Decomposition, count: int, seed: int,
-                                extra_elements: int = _EXTRA_ELEMENTS) -> list:
+def _sample_ground(dec: Decomposition) -> list:
+    """The elements sampled values are drawn from: the witnesses, then
+    ``_EXTRA_ELEMENTS`` more past the largest of them."""
+    base = max(dec.witnesses) + 1 if dec.witnesses else 0
+    return [*dec.witnesses, *range(base, base + _EXTRA_ELEMENTS)]
+
+
+def _refuse_unsampleable(dec: Decomposition, count: int, what: str, beyond: int) -> None:
+    """Refuse, before any draw, ``count`` draws that reach ``beyond``
+    coordinates past the explicit factors: a negative count, a coordinate
+    the ambient lacks, or a limit point outside the ambient.  A drawn value
+    is the limit's or within its coordinate's bound, so past these checks
+    every drawn point and box lies in the ambient."""
+    if count < 0:
+        raise ValueError(f"{what} must be non-negative")
+    ambient, limit = dec.ambient, dec.limit_point
+    if beyond > 0 and ambient.omega_tail is None:
+        raise ValueError(f"coordinate {ambient.explicit_len} outside ambient")
+    if not point_in_ambient(ambient, limit):
+        raise ValueError(f"point {limit} outside ambient {ambient}")
+
+
+def sample_decomposition_points(dec: Decomposition, count: int, seed: int) -> list:
     """Seeded eventually-constant points with prefix within the materialized
     depth and the limit tail, so membership is decidable from the pieces.
 
-    Over a ground of G elements (the witnesses, then ``extra_elements`` more)
-    each coordinate is a code of G + 1 random bits, as ``getrandbits(G + 1)``
-    would draw it: bit 0 set picks the limit point's value, with probability
-    1/2; otherwise bits 1 .. G pick a subset of the ground, cut to the first
-    min(bound, size) of its elements in ground order.  Every value within the
-    coordinate's bound is reachable.  ``_drawn_prefixes`` draws the codes.
+    Over the G elements of ``_sample_ground`` each coordinate is a code of
+    G + 1 random bits, as ``getrandbits(G + 1)`` would draw it: bit 0 set
+    picks the limit point's value, with probability 1/2; otherwise bits
+    1 .. G pick a subset of the ground, cut to the first min(bound, size) of
+    its elements in ground order.  Every value within the coordinate's bound
+    is reachable.  ``_drawn_prefixes`` draws the codes.
     """
+    _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
     tail = dec.limit_point.tail_value
-    value_at = _code_decoder(dec, extra_elements)[0]
+    value_at = _code_decoder(dec)[0]
     return [ProductPoint([value_at(bits, s) for s in range(width)], tail)
-            for width, bits in _drawn_prefixes(dec, count, seed, extra_elements)]
+            for width, bits in _drawn_prefixes(dec, count, seed)]
 
 
 def _code_slot(ground_size: int) -> int:
@@ -633,8 +653,7 @@ def _code_slot(ground_size: int) -> int:
     return 32 * ((ground_size + 32) // 32)
 
 
-def _drawn_prefixes(dec: Decomposition, count: int, seed: int,
-                    extra_elements: int = _EXTRA_ELEMENTS):
+def _drawn_prefixes(dec: Decomposition, count: int, seed: int):
     """The raw draws of each point of ``sample_decomposition_points``, as
     (w, bits): the point's drawn coordinates are 0 .. w - 1, past which it
     takes the limit's tail value, and ``bits`` holds their codes.
@@ -644,11 +663,10 @@ def _drawn_prefixes(dec: Decomposition, count: int, seed: int,
     lowest first, and ``getrandbits(G + 1)`` would fill whole words too,
     keeping the highest bits of its last, so coordinate s owns the
     ``_code_slot`` bits from s·slot on and its code is what the s-th of
-    such calls would return."""
-    if count < 0:
-        raise ValueError("samples must be non-negative")
+    such calls would return.  The caller refuses an unsampleable
+    decomposition first."""
     getrandbits = random.Random(seed).getrandbits
-    slot = _code_slot(len(dec.witnesses) + extra_elements)
+    slot = _code_slot(len(dec.witnesses) + _EXTRA_ELEMENTS)
     explicit = dec.ambient.explicit_len
     widths = dec.depth  # prefix widths explicit .. explicit + depth - 1
     if count and widths < 1:  # no width could be drawn
@@ -664,7 +682,7 @@ def _drawn_prefixes(dec: Decomposition, count: int, seed: int,
         yield width, getrandbits(slot * width)
 
 
-def _code_decoder(dec: Decomposition, extra_elements: int = _EXTRA_ELEMENTS):
+def _code_decoder(dec: Decomposition):
     """(value_at, coordinates, layout) for the codes ``_drawn_prefixes``
     draws.  ``value_at(bits, s)`` is the value at coordinate s of the point
     whose codes are ``bits``; each distinct value is built once per decoder
@@ -676,8 +694,7 @@ def _code_decoder(dec: Decomposition, extra_elements: int = _EXTRA_ELEMENTS):
     ``bits >> low_shift & low_mask`` when ``low`` is nonzero (a code longer
     than a word).  ``table`` maps the code of each value decoded so far that
     is not the limit's, for the coordinates of one bound, to that value."""
-    base = max(dec.witnesses) + 1 if dec.witnesses else 0
-    ground = list(dec.witnesses) + [base + t for t in range(extra_elements)]
+    ground = _sample_ground(dec)
     slot = _code_slot(len(ground))
     size = len(ground) + 1
     # a code's highest ``size - low`` bits are the highest of its slot's last
@@ -730,20 +747,14 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     """Locate each point of ``sample_decomposition_points(dec, count, seed)``
     as ``piece_for_point`` does, decoding its coordinates in order only until
     it is decided: at a coordinate whose value is not the limit point's, once
-    the walk of ``BoxIndex.locator`` has one hit that no later coordinate
+    the pieces admitting its values so far are one that no later coordinate
     constrains, or else at its last drawn coordinate.  Each (coordinate,
-    value) mask is read once.  The point is built only when it lies in no
-    piece or in several."""
-    if count < 0:
-        raise ValueError("samples must be non-negative")
-    ambient, limit, index = dec.ambient, dec.limit_point, dec.index
+    value) mask of ``BoxIndex.admitted`` is read once.  The point is built
+    only when it lies in no piece or in several."""
+    _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
+    limit, index = dec.limit_point, dec.index
     tail = limit.tail_value
     limit_len = len(limit.prefix)
-    # a drawn value is the limit's or within its bound, so the points lie in
-    # the ambient when the limit does; if not (a hand-built decomposition),
-    # each point is decoded in full and, unless it is the limit, checked as
-    # ``piece_for_point`` does
-    check_each = not point_in_ambient(ambient, limit)
     everything, admitted = index.everything, index.admitted
     masks = {s: {} for s in index.coords}  # coordinate -> value -> admitted mask
     value_at, coordinates, (top, low, low_mask) = _code_decoder(dec)
@@ -782,7 +793,7 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
                     mask = s_masks[value] = admitted(s, value)
                 hits &= mask
             # not the limit, and inside exactly one piece, whatever follows
-            if differs and hits and not hits & (hits - 1 | after) and not check_each:
+            if differs and hits and not hits & (hits - 1 | after):
                 in_piece += 1
                 break
         else:
@@ -790,8 +801,6 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
                 at_limit += 1
                 continue
             coords = [value_at(bits, s) for s in range(width)]
-            if check_each and not point_in_ambient(ambient, ProductPoint(coords, tail)):
-                raise ValueError(f"point {ProductPoint(coords, tail)} outside ambient {ambient}")
             for s, pending, table in tail_walk[bisect_left(constrained, width):]:
                 if not hits & pending:
                     break  # no later coordinate constrains a remaining hit
@@ -810,91 +819,37 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
 
 
-def _sample_positions(below, n: int, k: int) -> list:
-    """The positions that ``random.Random.sample`` picks, in order, from a
-    population of ``n`` when its ``_randbelow`` is ``below``: its pool
-    branch while a list of n is smaller than a set of k, else its set
-    branch."""
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    picked = []
-    if n <= setsize:
-        pool = list(range(n))
-        for i in range(k):
-            j = below(n - i)
-            picked.append(pool[j])
-            pool[j] = pool[n - i - 1]
-    else:
-        selected = set()
-        for _ in range(k):
-            j = below(n)
-            while j in selected:
-                j = below(n)
-            selected.add(j)
-            picked.append(j)
-    return picked
-
-
 def limit_neighborhood_boxes(dec: Decomposition, count: int, seed: int) -> list:
-    """Seeded basic boxes around the limit point (F inside each coordinate
-    value, G clear of it).
+    """Seeded basic boxes around the limit point.
 
-    The draws are those of ``random.Random(seed)``'s ``randint`` and
-    ``sample``: per box up to three coordinates below depth + 2 past the
-    explicit factors, then at each, ascending, F as a sample of the limit's
-    value and G as a sample of the extra elements outside it."""
-    if count < 0:
-        raise ValueError("boxes must be non-negative")
-    getrandbits = random.Random(seed).getrandbits
-
-    def below(n: int) -> int:  # Random._randbelow_with_getrandbits(n)
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    def subset(elements) -> Point:  # sample(elements, randint(0, len(elements)))
-        k = below(len(elements) + 1)
-        if not k:
-            return EMPTY
-        return Point([elements[j] for j in _sample_positions(below, len(elements), k)])
-
+    Each box constrains up to three distinct coordinates below depth + 2
+    past the explicit factors, drawn by ``randrange``.  At each, F is the
+    part of the limit's value picked by a ``getrandbits`` mask, and G the
+    part of the extra elements outside that value picked by another, so the
+    box contains the limit by construction."""
+    beyond = dec.depth + 1
+    _refuse_unsampleable(dec, count, "boxes", beyond)
+    rng = random.Random(seed)
+    getrandbits, randrange = rng.getrandbits, rng.randrange
     ambient, limit = dec.ambient, dec.limit_point
-    base = max(dec.witnesses) + 1 if dec.witnesses else 0
-    extras = [base + t for t in range(_EXTRA_ELEMENTS)]
-    max_coord = ambient.explicit_len + dec.depth + 1
-    pools: dict = {}  # a value of the limit's -> the extra elements outside it
-    # BasicBox's checks, made here once: the coordinates past the explicit
-    # factors lie outside a product without a tail
-    outside = max_coord if ambient.omega_tail is not None else ambient.explicit_len
-    limit_inside = point_in_ambient(ambient, limit)
+    extras = _sample_ground(dec)[len(dec.witnesses):]
+    max_coord = ambient.explicit_len + beyond
+    pools: dict = {}  # a value of the limit's -> the extras outside it
     boxes = []
     for _ in range(count):
-        k = below(4)
-        coords = sorted(_sample_positions(below, max_coord, min(k, max_coord))) if k else ()
         constraints = []
-        contained = True
-        for s in coords:
+        for s in sorted({randrange(max_coord) for _ in range(getrandbits(2))}):
             value = limit.coordinate(s)
             pool = pools.get(value)
             if pool is None:
                 pool = pools[value] = [e for e in extras if e not in value]
-            f = subset(value)
-            g = subset(pool)
+            mask = getrandbits(len(value))
+            f = Point([e for j, e in enumerate(value) if mask >> j & 1]) if mask else EMPTY
+            mask = getrandbits(len(pool))
+            g = Point([e for j, e in enumerate(pool) if mask >> j & 1]) if mask else EMPTY
             if f or g:
                 constraints.append((s, f, g))
-                contained = contained and _admits(f, g, value)
-        if coords and coords[-1] >= outside:
-            raise ValueError(f"coordinate {next(s for s in coords if s >= outside)} "
-                             "outside ambient")
-        box = _prechecked(BasicBox, ambient=ambient, constraints=tuple(constraints))
-        if not limit_inside:
-            raise ValueError(f"point {limit} outside ambient {ambient}")
-        if not contained:
-            raise AssertionError(f"neighborhood {box} misses the limit point")
-        boxes.append(box)
+        boxes.append(_prechecked(BasicBox, ambient=ambient, constraints=tuple(constraints)))
     return boxes
 
 

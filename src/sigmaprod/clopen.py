@@ -301,35 +301,17 @@ class BoxIndex:
         return admitted
 
     def containing(self, x: ProductPoint) -> list:
-        """Indices of the boxes that contain ``x``."""
+        """Indices of the boxes that contain ``x``.  The constrained
+        coordinates are walked in order up to the first past which no
+        remaining box is constrained."""
         if not point_in_ambient(self.ambient, x):
             raise ValueError(f"point {x} outside ambient {self.ambient}")
-        return list(_bits(self.locator()(x.prefix, x.tail_value)))
-
-    def locator(self):
-        """A function from a point's values at coordinates 0 .. w - 1 and its
-        value past them to the mask of the boxes that contain it, without an
-        ambient check.  It walks the constrained coordinates in order up to
-        the first past which no remaining hit is constrained, and keeps each
-        (coordinate, value) mask it reads, so that a caller locating many
-        points reads each distinct value once."""
-        everything, admitted = self.everything, self.admitted
-        walk = [(s, pending, {}) for s, (_bound, _free, pending, _groups) in self.coords.items()]
-
-        def locate(values, tail) -> int:
-            hits = everything
-            width = len(values)
-            for s, pending, masks in walk:
-                if not hits & pending:
-                    break  # no later coordinate constrains a remaining hit
-                value = values[s] if s < width else tail
-                mask = masks.get(value)
-                if mask is None:
-                    mask = masks[value] = admitted(s, value)
-                hits &= mask
-            return hits
-
-        return locate
+        hits = self.everything
+        for s, (_bound, _free, pending, _groups) in self.coords.items():
+            if not hits & pending:
+                break
+            hits &= self.admitted(s, x.coordinate(s))
+        return list(_bits(hits))
 
     def constrained_after(self, s: int) -> int:
         """Mask of the boxes constrained at some coordinate past ``s``."""

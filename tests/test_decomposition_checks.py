@@ -3,12 +3,12 @@
 The oracles below are the pairwise ``box_intersect`` + ``box_is_empty`` loop,
 the linear scan of ``box_contains`` over every piece, and the per-piece
 ``box_subset`` test; the library answers from the per-coordinate index.
-The JSON encoder, the point sampler, the sampled membership check, the
-neighborhood boxes and ``box_reduce`` are checked against code that draws or
-builds each part on its own: a per-piece box encoder, a sampler that calls
-``getrandbits`` once per coordinate, that sampler's points each located by the
-linear scan, the neighborhoods drawn through ``randint`` and ``sample``, and a
-reduction that builds every factor anew.
+The JSON encoder, the point sampler, the sampled membership check and
+``box_reduce`` are checked against code that draws or builds each part on its
+own: a per-piece box encoder, a sampler that calls ``getrandbits`` once per
+coordinate, that sampler's points each located by the linear scan, and a
+reduction that builds every factor anew.  The neighborhood boxes are checked
+against their specification.
 """
 
 import random
@@ -53,6 +53,7 @@ from sigmaprod.ground import (
     ProductPoint,
     format_descriptor,
     materialize,
+    point_in_ambient,
 )
 
 KINDS = [(m, n) for n in (1, 2, 3) for m in range(n)] + ["K"]
@@ -269,9 +270,11 @@ def test_random_hand_built_decompositions_match_the_brute_force_checks():
             assert answer == outcome(scan_oracle, dec, x)
             seen_multiple_hits += isinstance(answer, tuple)
         boxes = [random_box(rng, ambient, 4) for _ in range(8)]
+        boxes += limit_neighborhood_boxes(hand_built(pieces, ambient, INSIDE_LIMIT), 8, trial)
         assert list(check_limit_cofinite(dec, boxes).violations) == \
             cofinite_oracle(dec, boxes)
-        # the limit above breaks the bound 1 at coordinate 1; this one does not
+        # the limit above breaks the bound 1 at coordinate 1, so sampling is
+        # refused before any draw; this one does not
         for limit in (dec.limit_point, INSIDE_LIMIT):
             sampled = hand_built(pieces, ambient, limit)
             for count in (1, 60):
@@ -285,7 +288,10 @@ def test_random_hand_built_decompositions_match_the_brute_force_checks():
 
 def membership_oracle(dec, count, seed):
     """The membership report from the per-coordinate sampler's points, each
-    built and located by the linear scan."""
+    built and located by the linear scan; refused for a limit outside the
+    ambient."""
+    if not point_in_ambient(dec.ambient, dec.limit_point):
+        raise ValueError(f"point {dec.limit_point} outside ambient {dec.ambient}")
     in_piece = at_limit = 0
     unresolved = []
     for x in oracle_points(dec, count, seed):
@@ -367,16 +373,30 @@ def test_the_sampled_check_reads_each_coordinate_value_once_up_to_the_stop(kind,
     ProductPoint((), Point.of(0, 1)),  # the tail value at coordinate 1, bound 1
     ProductPoint((Point.of(0, 1, 2),), Point.of(0)),  # three elements at 0, bound 2
 ], ids=str)
-def test_a_limit_value_past_its_bound_is_refused_as_before(limit):
+def test_a_limit_outside_the_ambient_is_refused_before_any_draw(limit):
     ambient = ProductDescriptor((2, 1), 2)
     dec = hand_built([piece("P0", BasicBox.make(ambient, {0: (Point.of(0), EMPTY)}))],
                      ambient, limit)
-    with pytest.raises(ValueError, match=r"^point \(.*\) outside ambient ProductDescriptor"):
-        check_sample_membership(dec, 200, 0)
-    for count in (0, 1, 5, 200):
-        for seed in range(6):
-            assert outcome(check_sample_membership, dec, count, seed) == \
-                outcome(membership_oracle, dec, count, seed)
+    refusal = (ValueError, f"point {limit} outside ambient {ambient}")
+    for fn in (check_sample_membership, sample_decomposition_points, limit_neighborhood_boxes):
+        for count in (0, 1, 200):
+            assert outcome(fn, dec, count, 0) == refusal
+
+
+def test_a_coordinate_outside_a_product_without_a_tail_is_refused_by_every_sampler():
+    # the points reach coordinate 2 at depth 2, the neighborhoods coordinate 4
+    dec = Decomposition("hand", ProductDescriptor((2, 2)), (),
+                        ProductPoint((Point.of(0, 1), Point.of(0, 1))), (0, 1), 2)
+    for fn in (check_sample_membership, sample_decomposition_points, limit_neighborhood_boxes):
+        for count in (0, 1, 50):
+            with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
+                fn(dec, count, 0)
+    # at depth 1 the points stay within the two factors
+    shallow = Decomposition("hand", dec.ambient, (), dec.limit_point, (0, 1), 1)
+    points = sample_decomposition_points(shallow, 20, 0)
+    assert len(points) == 20 and all(point_in_ambient(dec.ambient, x) for x in points)
+    with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
+        limit_neighborhood_boxes(shallow, 5, 0)
 
 
 @pytest.mark.parametrize("fn, what", [
@@ -425,9 +445,9 @@ def decomposition_json_oracle(dec):
     }
 
 
-def ground_of(dec, extra_elements=2):
+def ground_of(dec):
     base = max(dec.witnesses) + 1 if dec.witnesses else 0
-    return list(dec.witnesses) + [base + t for t in range(extra_elements)]
+    return list(dec.witnesses) + [base, base + 1]
 
 
 def decode_oracle(code, ground, limit_value, bound):
@@ -439,11 +459,11 @@ def decode_oracle(code, ground, limit_value, bound):
     return Point(tuple(picked[:bound]))
 
 
-def sample_oracle(dec, count, seed, extra_elements=2):
+def sample_oracle(dec, count, seed):
     """The drawn coordinates of each sampled point: the width through
     ``randint``, then one ``getrandbits(G + 1)`` per coordinate."""
     rng = random.Random(seed)
-    ground = ground_of(dec, extra_elements)
+    ground = ground_of(dec)
     explicit = dec.ambient.explicit_len
     prefixes = []
     for _ in range(count):
@@ -454,34 +474,9 @@ def sample_oracle(dec, count, seed, extra_elements=2):
     return prefixes
 
 
-def oracle_points(dec, count, seed, extra_elements=2):
+def oracle_points(dec, count, seed):
     tail = dec.limit_point.tail_value
-    return [ProductPoint(tuple(coords), tail)
-            for coords in sample_oracle(dec, count, seed, extra_elements)]
-
-
-def neighborhoods_oracle(dec, count, seed):
-    """The neighborhood boxes drawn through ``randint`` and ``sample``, each
-    built by ``BasicBox.make`` and checked by ``box_contains``."""
-    rng = random.Random(seed)
-    extras = ground_of(dec)[len(dec.witnesses):]
-    max_coord = dec.ambient.explicit_len + dec.depth + 1
-    boxes = []
-    for _ in range(count):
-        n_constraints = rng.randint(0, 3)
-        coords = rng.sample(range(max_coord), min(n_constraints, max_coord))
-        constraints = {}
-        for s in sorted(coords):
-            value = list(dec.limit_point.coordinate(s))
-            f = Point(tuple(rng.sample(value, rng.randint(0, len(value)))))
-            g_pool = [e for e in extras if e not in value]
-            g = Point(tuple(rng.sample(g_pool, rng.randint(0, len(g_pool)))))
-            constraints[s] = (f, g)
-        box = BasicBox.make(dec.ambient, constraints)
-        if not box_contains(box, dec.limit_point):
-            raise AssertionError(f"neighborhood {box} misses the limit point")
-        boxes.append(box)
-    return boxes
+    return [ProductPoint(tuple(coords), tail) for coords in sample_oracle(dec, count, seed)]
 
 
 def reduce_oracle(b):
@@ -516,8 +511,6 @@ def test_sampled_points_match_the_per_coordinate_draws(kind):
         dec = build(kind, depth)
         for seed in range(6):
             assert sample_decomposition_points(dec, 40, seed) == oracle_points(dec, 40, seed)
-        assert sample_decomposition_points(dec, 40, 3, extra_elements=0) == \
-            oracle_points(dec, 40, 3, extra_elements=0)
 
 
 @pytest.mark.parametrize("m, n", [(1, 24), (0, 30), (1, 31), (0, 62), (1, 63), (2, 100)])
@@ -548,38 +541,65 @@ def test_every_value_within_the_bound_is_drawn(kind):
         assert {x.coordinate(s) for x in sample_decomposition_points(dec, 3000, 5)} == within
 
 
+def check_neighborhood_spec(dec, seed):
+    """25 seeded neighborhoods of ``dec``: the same for the same seed, each
+    the canonical box of its constraints, containing the limit, constraining
+    at most three coordinates below depth + 2 past the explicit factors,
+    with F inside the limit's value there and G among the extra elements
+    outside it."""
+    limit, extras = dec.limit_point, set(ground_of(dec)[len(dec.witnesses):])
+    max_coord = dec.ambient.explicit_len + dec.depth + 1
+    boxes = limit_neighborhood_boxes(dec, 25, seed)
+    assert boxes == limit_neighborhood_boxes(dec, 25, seed)
+    for box in boxes:
+        assert box == BasicBox.make(dec.ambient, {s: (f, g) for s, f, g in box.constraints})
+        assert box_contains(box, limit)
+        coords = [s for s, _f, _g in box.constraints]
+        assert len(coords) <= 3 and all(0 <= s < max_coord for s in coords)
+        for s, f, g in box.constraints:
+            value = set(limit.coordinate(s))
+            assert set(f) <= value and set(g) <= extras - value
+    return boxes
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=str)
-def test_neighborhoods_match_the_randint_and_sample_draws(kind):
-    # past depth 20 the coordinates come from ``sample``'s set branch
+def test_neighborhoods_keep_their_specification(kind):
     for depth in [*range(1, 14), 40]:
         dec = build(kind, depth)
-        for seed in range(4):
-            assert limit_neighborhood_boxes(dec, 25, seed) == neighborhoods_oracle(dec, 25, seed)
+        assert check_neighborhood_spec(dec, 0) != check_neighborhood_spec(dec, 1)
+        for seed in range(2, 4):
+            check_neighborhood_spec(dec, seed)
 
 
-def test_neighborhoods_of_hand_built_decompositions_match_the_reference_draws():
+def test_neighborhoods_of_hand_built_limits_keep_their_specification():
     ambient = ProductDescriptor((2, 1), 2)
     pieces = [piece("P0", BasicBox.make(ambient, {0: (Point.of(0), EMPTY)}))]
-    limits = [INSIDE_LIMIT,
-              ProductPoint((), Point.of(0, 1)),  # the tail value breaks the bound 1 at 1
-              ProductPoint((Point.of(0, 1, 2),), Point.of(0)),  # three elements, bound 2
-              ProductPoint((Point.of(5, 9), EMPTY, Point.of(0, 7, 8)), Point.of(7))]
-    seen = set()
-    for limit in limits:
+    # the second limit holds the extra elements 2 and 3 at some coordinates
+    for limit in (INSIDE_LIMIT, ProductPoint((Point.of(2, 3), Point.of(0), Point.of(1, 2)),
+                                             Point.of(3))):
         dec = hand_built(pieces, ambient, limit)
-        for count in (0, 1, 30):
-            for seed in range(4):
-                answer = outcome(limit_neighborhood_boxes, dec, count, seed)
-                assert answer == outcome(neighborhoods_oracle, dec, count, seed)
-                seen.add(answer[0].__name__ if isinstance(answer, tuple) else "boxes")
-    assert seen == {"ValueError", "boxes"}
-    # a product without a tail has no coordinate past its factors
-    finite = ProductDescriptor((2, 2))
-    dec = Decomposition("hand", finite, (), ProductPoint((Point.of(0), Point.of(1))), (0, 1), 2)
-    for seed in range(6):
-        answer = outcome(limit_neighborhood_boxes, dec, 20, seed)
-        assert answer == outcome(neighborhoods_oracle, dec, 20, seed)
-        assert answer[0] is ValueError and "outside ambient" in answer[1]
+        drawn = set()
+        for seed in range(40):
+            drawn |= {c for box in check_neighborhood_spec(dec, seed) for c in box.constraints}
+        assert {s for s, _f, _g in drawn} == set(range(ambient.explicit_len + dec.depth + 1))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_every_one_coordinate_neighborhood_constraint_is_drawn(kind):
+    dec = build(kind, 2)
+    extras = ground_of(dec)[len(dec.witnesses):]
+    admissible = set()
+    for s in range(dec.ambient.explicit_len + 3):
+        value = dec.limit_point.coordinate(s)
+        pool = [e for e in extras if e not in value]
+        admissible |= {(s, Point(f), Point(g))
+                       for i in range(len(value) + 1) for f in combinations(value, i)
+                       for j in range(len(pool) + 1) for g in combinations(pool, j)
+                       if f or g}
+    drawn = {constraint for seed in range(20)
+             for box in limit_neighborhood_boxes(dec, 300, seed)
+             for constraint in box.constraints}
+    assert drawn == admissible
 
 
 def test_box_reduce_matches_the_factor_by_factor_reduction():
