@@ -12,7 +12,8 @@ classified by the derivation index of the iterated derived-set operation;
 the infinite products are all homeomorphic.
 
 The decomposition constructors emit the clopen partitions behind the
-absorption rules, with per-piece boxes, reduced types and the single limit
+absorption rules, by levels: the pinned constraints once, and each piece as
+its level, its own constraints and its reduced type, with the single limit
 point, so every claim is machine-checkable.
 """
 
@@ -427,32 +428,63 @@ def recover_tau(profile: dict) -> NormalForm:
 
 @dataclass(frozen=True)
 class DecompositionPiece:
-    """A clopen piece with its box and verified reduced type."""
+    """A clopen piece with its verified reduced type.  Its box carries the
+    first ``level`` constraints of ``levels``, its decomposition's level
+    constraints, plus its ``own`` constraints past them; the box is built
+    only when asked for.  A piece built by hand is level 0 and carries all
+    its constraints as its own."""
 
     label: str
-    box: BasicBox
+    ambient: ProductDescriptor
+    own: tuple
     claimed_type: ProductDescriptor
+    level: int = 0
+    levels: tuple = ()
 
     def __post_init__(self):
+        if not 0 <= self.level <= len(self.levels):
+            raise ValueError(f"piece {self.label}: level {self.level} outside "
+                             f"0 .. {len(self.levels)}")
+        box = self.box
+        if box.constraints != self.levels[:self.level] + self.own:
+            raise ValueError(f"piece {self.label}: own constraints must be nontrivial, "
+                             "at increasing coordinates past its level's")
         # box_reduce raises ValueError on an empty box
-        if box_reduce(self.box).descriptor != self.claimed_type:
+        if box_reduce(box).descriptor != self.claimed_type:
             raise ValueError(f"piece {self.label}: claimed type does not match the "
                              "box reduction")
+
+    @property
+    def box(self) -> BasicBox:
+        return BasicBox(self.ambient, self.levels[:self.level] + self.own)
 
 
 @dataclass(frozen=True)
 class Decomposition:
+    """A clopen partition of ``ambient`` minus ``limit_point``.  ``levels``
+    holds the level constraints at increasing coordinates, and every piece
+    shares this ambient and these levels."""
+
     kind: str
     ambient: ProductDescriptor
+    levels: tuple
     pieces: tuple
     limit_point: ProductPoint
     witnesses: tuple
     depth: int
 
+    def __post_init__(self):
+        ambient, levels = self.ambient, self.levels
+        for p in self.pieces:
+            if not ((p.ambient is ambient or p.ambient == ambient)
+                    and (p.levels is levels or p.levels == levels)):
+                raise ValueError(f"piece {p.label} does not share the decomposition's "
+                                 "ambient and levels")
+
     @cached_property
     def index(self) -> BoxIndex:
-        """Per-coordinate constraint index of the piece boxes, built on first use."""
-        return BoxIndex(self.ambient, tuple(p.box for p in self.pieces))
+        """Per-coordinate constraint index of the pieces, built on first use."""
+        return BoxIndex(self.ambient, self.levels, [(p.level, p.own) for p in self.pieces])
 
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
@@ -506,11 +538,13 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
     # (F, G) at the first coordinate that misses witness i, shared by every piece
     misses = [(Point(witnesses[:i]), Point.of(witnesses[i])) for i in range(n)]
     ambient = ProductDescriptor((m,) if m > 0 else (), n)
-    pieces = []
-    for j in range(m):
-        box = BasicBox(ambient, ((0, *misses[j]),))
-        pieces.append(DecompositionPiece(
-            f"B'({j})", box, ProductDescriptor((m - j,), n)))
+    # piece (k, i) pins the first offset + k coordinates: the small set at 0,
+    # then the full set at each omega coordinate before its own
+    levels = (((0, small_set, EMPTY),) if m > 0 else ()) + tuple(
+        (offset + k, full_set, EMPTY) for k in range(depth - 1))
+    pieces = [DecompositionPiece(f"B'({j})", ambient, ((0, *misses[j]),),
+                                 ProductDescriptor((m - j,), n), 0, levels)
+              for j in range(m)]
     # box_reduce works coordinate by coordinate, so an A/B piece's box is
     # nonempty and of its claimed type exactly when each of its constraints is.
     # Each distinct one is checked alone, once, naming the first piece that
@@ -531,22 +565,20 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
         if not ok:
             raise ValueError(f"piece {name}: claimed type does not match the "
                              "box reduction")
-    # piece (k, i) is the pinned prefix plus miss i at s, of type 0^s x (n - i);
-    # the canonical form drops a last factor equal to the tail
-    pinned = ((0, small_set, EMPTY),) if m > 0 else ()
+    # piece (k, i) is level offset + k plus miss i at s = offset + k, of type
+    # 0^s x (n - i); the canonical form drops a last factor equal to the tail
     for k in range(depth):
         s = offset + k
         zeros = (0,) * s
         for i, (f, g) in enumerate(misses):
             pieces.append(_prechecked(
-                DecompositionPiece, label=label(k, i),
-                box=_prechecked(BasicBox, ambient=ambient, constraints=pinned + ((s, f, g),)),
-                claimed_type=_prechecked(ProductDescriptor, omega_tail=n,
-                                         factors=zeros + ((n - i,) if i else ()))))
-        pinned += ((s, full_set, EMPTY),)
+                DecompositionPiece, label=label(k, i), ambient=ambient, own=((s, f, g),),
+                claimed_type=_prechecked(ProductDescriptor,
+                                         factors=zeros + ((n - i,) if i else ()), omega_tail=n),
+                level=s, levels=levels))
     prefix = (small_set,) if m > 0 else ()
     limit = ProductPoint(prefix, full_set)
-    return Decomposition(kind, ambient, tuple(pieces), limit, witnesses, depth)
+    return Decomposition(kind, ambient, levels, tuple(pieces), limit, witnesses, depth)
 
 
 def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:

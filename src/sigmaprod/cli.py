@@ -18,7 +18,7 @@ from types import SimpleNamespace
 # command uses; ``_invoke`` needs these two for the budget and its errors
 from . import encode, ground
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 class CliError(Exception):

@@ -209,140 +209,202 @@ def _bits(mask: int):
 
 
 class BoxIndex:
-    """Per-coordinate index of a family of nonempty boxes over one ambient.
+    """Per-coordinate index of a family of nonempty boxes over one ambient,
+    given by levels and members.
 
-    For each constrained coordinate it lists the distinct (F, G) constraints
-    found there, each with a bitmask of the boxes that carry it (bit i is
-    box i), plus the mask of the boxes left unconstrained there.  Queries
-    about the whole family then compare a few distinct constraints per
-    coordinate instead of building a box per pair or scanning every box.
-    Every query answers in increasing box order.
+    ``levels`` holds constraints at strictly increasing coordinates.  Member
+    i is a pair (level, own): its box carries the first ``level`` level
+    constraints plus its ``own`` constraints, which lie past those at
+    increasing coordinates.  A family of arbitrary boxes is the case
+    levels = () with each member (0, box.constraints).
+
+    For each constrained coordinate the index lists the distinct (F, G)
+    constraints found there, each with a bitmask of the members that carry
+    it (bit i is member i), plus the mask of the members left unconstrained
+    there.  A level constraint is carried by every member above its level,
+    so its mask is built from the members' levels and no member's
+    constraints are walked for it.  Coordinates that list the same
+    constraints in the same order share one tuple of them, so what depends
+    only on the constraints and the bound is computed once per such tuple.
+    Queries about the whole family then compare a few distinct constraints
+    per coordinate instead of building a box per pair or scanning every box.
+    Every query answers in increasing member order.
     """
 
-    def __init__(self, ambient: ProductDescriptor, boxes):
+    def __init__(self, ambient: ProductDescriptor, levels, members):
         self.ambient = ambient
-        self.size = len(boxes)
+        self.levels = levels = tuple(levels)
+        self.members = members = tuple(members)
+        self.size = len(members)
         self.everything = (1 << self.size) - 1
-        carriers: dict = {}  # (s, F, G) -> indices of the boxes that carry it
-        for i, box in enumerate(boxes):
-            if box.ambient is not ambient and box.ambient != ambient:
-                raise ValueError("all boxes of an index must share the ambient")
-            for constraint in box.constraints:
-                members = carriers.get(constraint)
-                if members is None:
-                    carriers[constraint] = [i]
-                else:
-                    members.append(i)
-        by_coord: dict = {}
-        for (s, f, g), members in carriers.items():
-            by_coord.setdefault(s, []).append((f, g, members))
-        # coordinate -> (factor bound, mask of the boxes free there, mask of
-        # the boxes constrained there or further on, [(F, G, mask, members), ...])
+        last = -1
+        for s, f, g in levels:
+            if s <= last or not (f or g):
+                raise ValueError("level constraints must be nontrivial, at increasing "
+                                 "coordinates")
+            last = s
+        carriers: dict = {}  # (s, F, G) -> mask of the members that carry it
+        at_level = [0] * (len(levels) + 1)  # level -> mask of the members at it
+        for i, (level, own) in enumerate(members):
+            if not 0 <= level <= len(levels):
+                raise ValueError(f"member {i} has level {level}, outside 0 .. {len(levels)}")
+            bit = 1 << i
+            at_level[level] |= bit
+            last = levels[level - 1][0] if level else -1
+            for constraint in own:
+                s, f, g = constraint
+                if s <= last or not (f or g):
+                    raise ValueError(f"member {i}: own constraints must be nontrivial, at "
+                                     "increasing coordinates past its level's")
+                last = s
+                carriers[constraint] = carriers.get(constraint, 0) | bit
+        above = 0  # the members above level t, for t from the last level down
+        for t in range(len(levels) - 1, -1, -1):
+            above |= at_level[t + 1]
+            if above:
+                carriers[levels[t]] = carriers.get(levels[t], 0) | above
+        by_coord: dict = {}  # s -> ([(F, G), ...], [mask, ...])
+        for (s, f, g), mask in carriers.items():
+            entry = by_coord.get(s)
+            if entry is None:
+                entry = by_coord[s] = ([], [])
+            entry[0].append((f, g))
+            entry[1].append(mask)
+        # ``shapes[k]`` is the k-th distinct tuple of (F, G) a coordinate lists
+        self.shapes = []
+        shape_ids: dict = {}
+        checked = set()  # (shape, bound) whose constraints are known satisfiable
+        # coordinate -> (factor bound, mask of the members free there, mask of
+        # the members constrained there or further on, shape, masks), where
+        # ``masks[j]`` is the mask of the members carrying the shape's j-th
         self.coords = {}
         pending = 0
         # walk down from the last coordinate so that ``pending`` accumulates;
         # the order is put back to increasing at the end
         for s in sorted(by_coord, reverse=True):
+            if not ambient.has_coordinate(s):
+                raise ValueError(f"coordinate {s} outside ambient")
             bound = ambient.bound_at(s)
-            groups = []
+            constraints, masks = by_coord[s]
+            constraints = tuple(constraints)
+            shape = shape_ids.get(constraints)
+            if shape is None:
+                shape = shape_ids[constraints] = len(self.shapes)
+                self.shapes.append(constraints)
+            if (shape, bound) not in checked:
+                for (f, g), mask in zip(constraints, masks):
+                    if not _constraints_meet(f, g, EMPTY, EMPTY, bound):
+                        raise ValueError(f"box {next(_bits(mask))} of the family is empty")
+                checked.add((shape, bound))
             constrained = 0
-            for f, g, members in by_coord[s]:
-                mask = sum(map((1).__lshift__, members))
+            for mask in masks:
                 constrained |= mask
-                groups.append((f, g, mask, members))
-                if not _constraints_meet(f, g, EMPTY, EMPTY, bound):
-                    raise ValueError(f"box {members[0]} of the family is empty")
             pending |= constrained
-            self.coords[s] = (bound, self.everything & ~constrained, pending, groups)
+            self.coords[s] = (bound, self.everything & ~constrained, pending, shape, masks)
         self.coords = dict(reversed(self.coords.items()))
         self._constrained = list(self.coords)  # the constrained coordinates, ascending
+        self._admitting: dict = {}  # (shape, value) -> positions of the constraints it satisfies
 
     def meeting_pairs(self, budget: Budget | int = DEFAULT_BUDGET) -> list:
-        """Pairs (a, b) with a < b of boxes that share a point, in lexicographic order.
+        """Pairs (a, b) with a < b of members that share a point, in
+        lexicographic order.
 
         Two nonempty boxes are disjoint exactly when, at some coordinate both
         constrain, their two constraints admit no common value.  Each
         constraint is compared with every other one at its coordinate, so a
         coordinate with g distinct constraints costs (g - 1)·Σ(|F| + |G|)
-        units, charged to ``budget`` before any comparison.
+        units, charged to ``budget`` before any comparison; the comparisons
+        themselves are made once per shape and bound.  A member then
+        conflicts with whatever clashes with one of its constraints: the
+        clashes of its level constraints accumulate level by level.
         """
-        Budget.of(budget).charge(sum(
-            (len(groups) - 1) * sum(len(f) + len(g) for f, g, _mask, _members in groups)
-            for _bound, _free, _pending, groups in self.coords.values()))
-        conflict = [0] * self.size
-        for bound, _free, _pending, groups in self.coords.values():
-            clashes = [0] * len(groups)
-            for i, (f1, g1, mask1, _members) in enumerate(groups):
-                for j in range(i + 1, len(groups)):
-                    f2, g2, mask2, _ = groups[j]
-                    if not _constraints_meet(f1, g1, f2, g2, bound):
-                        clashes[i] |= mask2
-                        clashes[j] |= mask1
-            for (_f, _g, _mask, members), clash in zip(groups, clashes):
-                if clash:
-                    for a in members:
-                        conflict[a] |= clash
+        costs = [(len(shape) - 1) * sum(len(f) + len(g) for f, g in shape)
+                 for shape in self.shapes]
+        Budget.of(budget).charge(sum(costs[entry[3]] for entry in self.coords.values()))
+        tables: dict = {}  # (shape, bound) -> per constraint, the positions it clashes with
+        clash: dict = {}  # (s, F, G) -> mask of the members clashing with it there
+        for s, (bound, _free, _pending, shape, masks) in self.coords.items():
+            constraints = self.shapes[shape]
+            table = tables.get((shape, bound))
+            if table is None:
+                table = tables[shape, bound] = [[] for _ in constraints]
+                for j, (f1, g1) in enumerate(constraints):
+                    for k in range(j + 1, len(constraints)):
+                        f2, g2 = constraints[k]
+                        if not _constraints_meet(f1, g1, f2, g2, bound):
+                            table[j].append(k)
+                            table[k].append(j)
+            for (f, g), positions in zip(constraints, table):
+                mask = 0
+                for k in positions:
+                    mask |= masks[k]
+                clash[s, f, g] = mask
+        below = [0]  # level -> the clashes of the level constraints below it
+        for constraint in self.levels:
+            below.append(below[-1] | clash.get(constraint, 0))
         pairs = []
-        for a in range(self.size):
+        for a, (level, own) in enumerate(self.members):
+            conflict = below[level]
+            for constraint in own:
+                conflict |= clash[constraint]
             later = self.everything >> (a + 1) << (a + 1)
-            pairs.extend((a, b) for b in _bits(later & ~conflict[a]))
+            pairs.extend((a, b) for b in _bits(later & ~conflict))
         return pairs
 
     def admitted(self, s: int, value: Point) -> int:
-        """Mask of the boxes that admit ``value`` at coordinate ``s``: those
-        free there and those whose constraint there ``value`` satisfies."""
+        """Mask of the members that admit ``value`` at coordinate ``s``: those
+        free there and those whose constraint there ``value`` satisfies.
+        Which constraints of a shape ``value`` satisfies is decided once per
+        index, for every coordinate that shares the shape."""
         entry = self.coords.get(s)
         if entry is None:
             return self.everything
-        _bound, admitted, _pending, groups = entry
-        for f, g, mask, _members in groups:
-            if _admits(f, g, value):
-                admitted |= mask
+        _bound, admitted, _pending, shape, masks = entry
+        positions = self._admitting.get((shape, value))
+        if positions is None:
+            positions = self._admitting[shape, value] = [
+                j for j, (f, g) in enumerate(self.shapes[shape]) if _admits(f, g, value)]
+        for j in positions:
+            admitted |= masks[j]
         return admitted
 
     def containing(self, x: ProductPoint) -> list:
-        """Indices of the boxes that contain ``x``.  The constrained
+        """Indices of the members that contain ``x``.  The constrained
         coordinates are walked in order up to the first past which no
-        remaining box is constrained."""
+        remaining member is constrained."""
         if not point_in_ambient(self.ambient, x):
             raise ValueError(f"point {x} outside ambient {self.ambient}")
         hits = self.everything
-        for s, (_bound, _free, pending, _groups) in self.coords.items():
+        for s, (_bound, _free, pending, _shape, _masks) in self.coords.items():
             if not hits & pending:
                 break
             hits &= self.admitted(s, x.coordinate(s))
         return list(_bits(hits))
 
     def constrained_after(self, s: int) -> int:
-        """Mask of the boxes constrained at some coordinate past ``s``."""
+        """Mask of the members constrained at some coordinate past ``s``."""
         at = bisect_right(self._constrained, s)
         if at == len(self._constrained):
             return 0
         return self.coords[self._constrained[at]][2]
 
-    def distinct_constraints(self):
-        """Each distinct constraint as (s, F, G, indices of the boxes that
-        carry it), coordinates ascending."""
-        for s, (_bound, _free, _pending, groups) in self.coords.items():
-            for f, g, _mask, members in groups:
-                yield s, f, g, members
-
     def not_within(self, box: BasicBox) -> list:
-        """Indices of the boxes not contained in ``box``."""
+        """Indices of the members not contained in ``box``."""
         return list(_bits(self.not_within_mask(box)))
 
     def not_within_mask(self, box: BasicBox) -> int:
-        """Mask of the boxes not contained in ``box``."""
+        """Mask of the members not contained in ``box``."""
         if box.ambient != self.ambient:
             raise ValueError("cannot compare boxes over different ambients")
         inside = self.everything
         for s, f2, g2 in box.constraints:
-            bound, free, _pending, groups = self.coords.get(
-                s, (self.ambient.bound_at(s), self.everything, 0, ()))
+            bound, free, _pending, shape, masks = self.coords.get(
+                s, (self.ambient.bound_at(s), self.everything, 0, None, ()))
             here = free if _constraint_within(EMPTY, EMPTY, f2, g2, bound) else 0
-            for f1, g1, mask, _members in groups:
-                if _constraint_within(f1, g1, f2, g2, bound):
-                    here |= mask
+            if masks:
+                for (f1, g1), mask in zip(self.shapes[shape], masks):
+                    if _constraint_within(f1, g1, f2, g2, bound):
+                        here |= mask
             inside &= here
         return self.everything & ~inside
 

@@ -48,22 +48,18 @@ def descriptor(desc) -> dict:
             "text": format_descriptor(desc)}
 
 
-def _constraint(s: int, f: Point, g: Point) -> tuple:
-    """The JSON object and the text fragment of the constraint (s, F, G)."""
-    return {"coord": s, "F": list(f), "G": list(g)}, format_constraint(s, f, g)
-
-
-def _box(ambient: dict, constraints) -> dict:
-    """A box's form from its ambient's and its constraints' forms."""
-    return {
-        "ambient": ambient,
-        "constraints": [obj for obj, _text in constraints],
-        "text": "[" + "; ".join([text for _obj, text in constraints]) + "] @ " + ambient["text"],
-    }
+def _constraint(s: int, f: Point, g: Point) -> dict:
+    return {"coord": s, "F": list(f), "G": list(g)}
 
 
 def box(b) -> dict:
-    return _box(descriptor(b.ambient), [_constraint(s, f, g) for s, f, g in b.constraints])
+    ambient = descriptor(b.ambient)
+    return {
+        "ambient": ambient,
+        "constraints": [_constraint(s, f, g) for s, f, g in b.constraints],
+        "text": "[" + "; ".join([format_constraint(s, f, g) for s, f, g in b.constraints])
+                + "] @ " + ambient["text"],
+    }
 
 
 def clopen_set(c) -> dict:
@@ -84,31 +80,40 @@ def normal_form(nf) -> dict:
             "upper_entries": [[n, v] for n, v in nf.upper_entries]}
 
 
+def run_length(desc) -> dict:
+    """A descriptor as its leading zero factors, the factors after them and
+    its tail: no longer than its positive factors."""
+    factors = desc.factors
+    zeros = factors.count(0)
+    if 0 in factors[zeros:]:  # a zero after a positive factor
+        zeros = next(s for s, n in enumerate(factors) if n)
+    return {"zeros": zeros, "factors": list(factors[zeros:]), "omega_tail": desc.omega_tail}
+
+
 def decomposition_to_json(dec) -> dict:
-    """The pieces share one ambient object, and each distinct constraint of
-    ``dec.index`` is encoded once."""
-    ambient = descriptor(dec.ambient)
-    forms = [[] for _ in dec.pieces]
-    # coordinates ascend, so each box collects its constraints in order
-    for s, f, g, members in dec.index.distinct_constraints():
-        form = _constraint(s, f, g)
-        for i in members:
-            forms[i].append(form)
+    """The level constraints once, then each piece as its label, its level,
+    its own constraints, its type in run-length form and its type
+    signature: O(depth·n) for the partitions ``decompose`` builds.  A
+    piece's box is the first ``level`` level constraints plus its own."""
+    signatures: dict = {}  # the positive factors and tail of a type -> its signature's form
+    pieces = []
+    for p in dec.pieces:
+        claimed = run_length(p.claimed_type)
+        key = (tuple(claimed["factors"]), claimed["omega_tail"])
+        signature = signatures.get(key)
+        if signature is None:
+            signature = signatures[key] = descriptor(type_signature(p.claimed_type))
+        pieces.append({"label": p.label, "level": p.level,
+                       "own": [_constraint(s, f, g) for s, f, g in p.own],
+                       "type": claimed, "type_signature": signature})
     return {
         "kind": dec.kind,
-        "ambient": ambient,
+        "ambient": descriptor(dec.ambient),
         "limit_point": str(dec.limit_point),
         "witnesses": list(dec.witnesses),
         "depth": dec.depth,
-        "pieces": [
-            {
-                "label": p.label,
-                "box": _box(ambient, box_forms),
-                "type": descriptor(p.claimed_type),
-                "type_signature": descriptor(type_signature(p.claimed_type)),
-            }
-            for p, box_forms in zip(dec.pieces, forms)
-        ],
+        "levels": [_constraint(s, f, g) for s, f, g in dec.levels],
+        "pieces": pieces,
     }
 
 

@@ -558,10 +558,10 @@ def test_decomposition_piece_rejects_bad_boxes():
     ambient = ProductDescriptor((1,), None)
     empty = BasicBox(ambient, ((0, Point((0, 1)), EMPTY),))
     with pytest.raises(ValueError):
-        DecompositionPiece("empty", empty, ambient)
+        DecompositionPiece("empty", ambient, empty.constraints, ambient)
     singleton = BasicBox(ambient, ((0, Point((0,)), EMPTY),))
     with pytest.raises(ValueError):
-        DecompositionPiece("mistyped", singleton, ambient)
+        DecompositionPiece("mistyped", ambient, singleton.constraints, ambient)
 
 
 def test_absorb_small_piece_types():

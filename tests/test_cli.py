@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sigmaprod import classification, deltasystem, encode, uec
-from sigmaprod.cli import _invoke, build_parser, dispatch, main, render
+from sigmaprod.cli import SCHEMA, _invoke, build_parser, dispatch, main, render
 from sigmaprod.ground import DEFAULT_BUDGET, Budget, BudgetExceeded, Point
 from test_uec import split_charge, weight_table_charge
 
@@ -26,7 +26,7 @@ def test_classify_homeomorphic():
     code, payload = run(["classify", "--tau", "w,w", "--tau2", "5,w"])
     assert code == 0
     assert payload["outcome"] == "HOMEOMORPHIC"
-    assert payload["schema"] == 1
+    assert payload["schema"] == SCHEMA
     assert payload["rule"]
 
 
@@ -786,7 +786,7 @@ def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
         (["uec", "l0", "--bits-file", str(missing)], f"no such file: {missing}"),
     ]
     for argv, message in cases:
-        assert run(argv) == (1, {"schema": 1, "error": {"type": "usage", "message": message}})
+        assert run(argv) == (1, {"schema": SCHEMA, "error": {"type": "usage", "message": message}})
 
 
 @pytest.mark.parametrize("argv, content, message", [
@@ -917,7 +917,7 @@ def test_an_inline_integer_is_ascii_digits(argv, kind, message):
     # int() answered "invalid literal for int() with base 10", naming neither
     # the flag nor the text, or read other scripts' digits and exited 0; past
     # its digit limit it answered "Exceeds the limit (4300 digits) …"
-    assert run(argv) == (1, {"schema": 1, "error": {"type": kind, "message": message}})
+    assert run(argv) == (1, {"schema": SCHEMA, "error": {"type": kind, "message": message}})
 
 
 def test_a_family_label_that_is_not_ascii_digits_stays_text(tmp_path):
@@ -952,5 +952,5 @@ def test_an_out_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
     for out, reason in [(tmp_path, "Is a directory"),
                         (tmp_path / "missing" / "result.json", "No such file or directory")]:
         assert main(["cb", "--ks", "1,1", "--out", str(out)]) == 1
-        assert json.loads(capsys.readouterr().out) == {"schema": 1, "error": {
+        assert json.loads(capsys.readouterr().out) == {"schema": SCHEMA, "error": {
             "type": "usage", "message": f"cannot write {out}: {reason}"}}

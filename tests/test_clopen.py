@@ -38,6 +38,11 @@ def single_box(n, f, g):
     return BasicBox.make(ProductDescriptor.single(n), {0: (Point(f), Point(g))})
 
 
+def box_index(ambient, boxes):
+    """The index of a family of boxes: no levels, each box a level-0 member."""
+    return BoxIndex(ambient, (), [(0, b.constraints) for b in boxes])
+
+
 def test_emptiness_examples():
     assert box_is_empty(single_box(2, (0,), (0,)))          # F meets G
     assert box_is_empty(single_box(1, (0, 1), ()))          # |F| over the bound
@@ -350,7 +355,7 @@ def test_box_index_matches_the_pairwise_and_per_box_answers():
     for _ in range(60):
         boxes = [random_box() for _ in range(rng.randint(0, 12))]
         boxes = [b for b in boxes if not box_is_empty(b)]
-        index = BoxIndex(desc, boxes)
+        index = box_index(desc, boxes)
         assert index.meeting_pairs() == [
             (a, b) for a in range(len(boxes)) for b in range(a + 1, len(boxes))
             if not box_is_empty(box_intersect(boxes[a], boxes[b]))
@@ -364,13 +369,29 @@ def test_box_index_matches_the_pairwise_and_per_box_answers():
     # a later box repeating an earlier constraint still clashes with the
     # boxes in between
     inside, outside = single_box(2, (0,), ()), single_box(2, (), (0,))
-    assert BoxIndex(SIGMA2, [inside, outside, inside]).meeting_pairs() == [(0, 2)]
+    assert box_index(SIGMA2, [inside, outside, inside]).meeting_pairs() == [(0, 2)]
+    with pytest.raises(ValueError, match="^coordinate 1 outside ambient$"):
+        box_index(SIGMA2, [BasicBox.make(desc, {1: (EMPTY, Point.of(0))})])
+    with pytest.raises(ValueError, match="^box 1 of the family is empty$"):
+        box_index(SIGMA2, [inside, single_box(2, (0,), (0,))])
     with pytest.raises(ValueError):
-        BoxIndex(desc, [single_box(1, (0,), ())])
-    with pytest.raises(ValueError):
-        BoxIndex(SIGMA2, [inside, single_box(2, (0,), (0,))])
-    with pytest.raises(ValueError):
-        BoxIndex(desc, []).containing(ProductPoint((Point.of(0, 1),)))
+        box_index(desc, []).containing(ProductPoint((Point.of(0, 1),)))
+
+
+def test_box_index_refuses_members_that_are_not_in_level_form():
+    pin, miss = (0, Point.of(0), EMPTY), (1, EMPTY, Point.of(1))
+    ambient = ProductDescriptor((), 2)
+    assert BoxIndex(ambient, (pin,), [(1, (miss,)), (0, (pin,))]).size == 2
+    for levels, members in [
+        ((pin,), [(2, ())]),  # a level past the last level constraint
+        ((pin,), [(-1, ())]),
+        ((pin,), [(1, ((0, EMPTY, Point.of(1)),))]),  # own constraint at a pinned coordinate
+        ((), [(0, (miss, pin))]),  # own constraints out of order
+        ((), [(0, ((0, EMPTY, EMPTY),))]),  # a trivial constraint
+        ((miss, pin), [(0, ())]),  # level constraints out of order
+    ]:
+        with pytest.raises(ValueError):
+            BoxIndex(ambient, levels, members)
 
 
 def test_box_index_masks_match_the_per_box_answers():
@@ -393,7 +414,7 @@ def test_box_index_masks_match_the_per_box_answers():
     for _ in range(60):
         boxes = [b for b in (random_box() for _ in range(rng.randint(0, 12)))
                  if not box_is_empty(b)]
-        index = BoxIndex(desc, boxes)
+        index = box_index(desc, boxes)
         for s in range(6):
             parts = [b.constraint_at(s) for b in boxes]
             for value in values:

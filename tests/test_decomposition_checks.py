@@ -3,21 +3,24 @@
 The oracles below are the pairwise ``box_intersect`` + ``box_is_empty`` loop,
 the linear scan of ``box_contains`` over every piece, and the per-piece
 ``box_subset`` test; the library answers from the per-coordinate index.
-The JSON encoder, the point sampler, the sampled membership check and
+A decomposition built by levels answers every check as the same pieces do
+in box form, each carrying its whole box, and so do mutated ones.  The JSON
+document, the point sampler, the sampled membership check and
 ``box_reduce`` are checked against code that draws or builds each part on its
-own: a per-piece box encoder, a sampler that calls ``getrandbits`` once per
-coordinate, that sampler's points each located by the linear scan, and a
-reduction that builds every factor anew.  The neighborhood boxes are checked
-against their specification.
+own: every piece's box rebuilt from the document, a sampler that calls
+``getrandbits`` once per coordinate, that sampler's points each located by
+the linear scan, and a reduction that builds every factor anew.  The
+neighborhood boxes are checked against their specification.
 """
 
+import json
 import random
 import re
 from itertools import combinations
 
 import pytest
 
-from sigmaprod import classification
+from sigmaprod import classification, clopen
 from sigmaprod.classification import (
     Decomposition,
     DecompositionPiece,
@@ -32,7 +35,7 @@ from sigmaprod.classification import (
     piece_for_point,
     sample_decomposition_points,
 )
-from sigmaprod.cli import render
+from sigmaprod.cli import dispatch, render
 from sigmaprod.clopen import (
     BasicBox,
     BoxIndex,
@@ -43,7 +46,7 @@ from sigmaprod.clopen import (
     box_reduce,
     box_subset,
 )
-from sigmaprod.encode import box as box_to_json, descriptor as descriptor_to_json
+from sigmaprod.encode import box as box_to_json, descriptor as descriptor_to_json, run_length
 from sigmaprod.ground import (
     DEFAULT_BUDGET,
     EMPTY,
@@ -129,14 +132,14 @@ def random_box(rng, ambient, max_coord, ground=4):
 
 
 def pieces_oracle(kind, depth):
-    """The pieces of ``build(kind, depth)``, each built through the public
-    constructors, which check the whole box and reduce it."""
+    """The (label, box, type) of each piece of ``build(kind, depth)``: every
+    box built whole through ``BasicBox``, and its type checked against
+    ``box_reduce``."""
     m, n, witnesses = (0, 1, (3,)) if kind == "K" else (*kind, tuple(range(kind[1])))
     ambient = ProductDescriptor((m,) if m else (), n)
     full = Point(witnesses)
-    pieces = [DecompositionPiece(f"B'({j})", BasicBox(ambient, ((0, Point(witnesses[:j]),
-                                                                Point.of(witnesses[j])),)),
-                                 ProductDescriptor((m - j,), n))
+    pieces = [(f"B'({j})", BasicBox(ambient, ((0, Point(witnesses[:j]), Point.of(witnesses[j])),)),
+               ProductDescriptor((m - j,), n))
               for j in range(m)]
     pinned = [(0, Point(witnesses[:m]), EMPTY)] if m else []
     for k in range(depth):
@@ -145,8 +148,10 @@ def pieces_oracle(kind, depth):
             name = f"K({k + 1})" if kind == "K" else f"{'B' if m else 'A'}({k},{i})"
             box = BasicBox(ambient, tuple(pinned) + ((s, Point(witnesses[:i]),
                                                       Point.of(witnesses[i])),))
-            pieces.append(DecompositionPiece(name, box, ProductDescriptor((0,) * s + (n - i,), n)))
+            pieces.append((name, box, ProductDescriptor((0,) * s + (n - i,), n)))
         pinned.append((s, full, EMPTY))
+    for _name, box, claimed in pieces:
+        assert box_reduce(box).descriptor == claimed
     return pieces
 
 
@@ -154,12 +159,32 @@ def pieces_oracle(kind, depth):
 def test_level_built_pieces_match_the_public_constructors(kind):
     # the pieces are built without BasicBox's walk and the per-piece box_reduce
     for depth in [*range(1, 14), 40]:
-        pieces = build(kind, depth).pieces
-        assert list(pieces) == pieces_oracle(kind, depth)
-        for p in pieces:
-            assert p == DecompositionPiece(p.label, BasicBox(p.box.ambient, p.box.constraints),
+        dec = build(kind, depth)
+        offset = dec.ambient.explicit_len
+        assert len(dec.levels) == offset + depth - 1
+        assert [(p.label, p.box, p.claimed_type) for p in dec.pieces] == \
+            pieces_oracle(kind, depth)
+        for p in dec.pieces:
+            assert p.levels is dec.levels and p.ambient is dec.ambient
+            assert len(p.own) == 1 and p.level == (p.own[0][0] if p.level else 0)
+            # the checked constructor accepts every piece as it stands
+            assert p == DecompositionPiece(p.label, p.ambient, p.own,
                                            ProductDescriptor(p.claimed_type.factors,
-                                                             p.claimed_type.omega_tail))
+                                                             p.claimed_type.omega_tail),
+                                           p.level, p.levels)
+
+
+def test_a_piece_out_of_level_form_is_refused():
+    dec = build((1, 2), 3)
+    p = dec.pieces[-1]
+    for level, own in [(len(dec.levels) + 1, p.own), (-1, p.own),
+                       (p.level, ((p.level - 1, EMPTY, Point.of(5)),)),  # at a pinned coordinate
+                       (p.level, ((p.level, EMPTY, EMPTY),))]:  # trivial
+        with pytest.raises(ValueError, match=r"^piece B\(2,1\): (level|own)"):
+            DecompositionPiece(p.label, p.ambient, own, p.claimed_type, level, dec.levels)
+    with pytest.raises(ValueError, match="does not share the decomposition's ambient and levels"):
+        Decomposition("hand", dec.ambient, dec.levels[:-1], dec.pieces, dec.limit_point,
+                      dec.witnesses, dec.depth)
 
 
 def test_a_level_whose_reduction_disagrees_with_its_claim_is_refused(monkeypatch):
@@ -213,12 +238,144 @@ def test_constructed_decompositions_match_the_brute_force_checks(kind):
         assert report.boxes == len(boxes)
 
 
+def eager(dec):
+    """``dec`` in box form: no levels, and every piece at level 0 carrying
+    its whole box as its own constraints."""
+    pieces = tuple(DecompositionPiece(p.label, p.ambient, p.box.constraints, p.claimed_type)
+                   for p in dec.pieces)
+    return Decomposition(dec.kind, dec.ambient, (), pieces, dec.limit_point, dec.witnesses,
+                         dec.depth)
+
+
+def index_form(index):
+    """Per constrained coordinate: the bound, the free and pending masks, and
+    each distinct constraint with its mask."""
+    return {s: (bound, free, pending, dict(zip(index.shapes[shape], masks)))
+            for s, (bound, free, pending, shape, masks) in index.coords.items()}
+
+
+def check_answers(dec, seed):
+    """What the checks answer on ``dec``: disjointness, sampled membership,
+    cofiniteness on drawn and random neighbourhoods, and the piece of each
+    of a few sampled and perturbed points."""
+    rng = random.Random(seed)
+    max_coord = dec.ambient.explicit_len + dec.depth + 1
+    boxes = (limit_neighborhood_boxes(dec, 10, seed)
+             + [random_box(rng, dec.ambient, max_coord) for _ in range(10)])
+    points = (sample_decomposition_points(dec, 30, seed)
+              + perturbed_limit_points(dec, rng, 30) + [dec.limit_point])
+    return (check_pairwise_disjoint(dec), outcome(check_sample_membership, dec, 100, seed),
+            check_limit_cofinite(dec, boxes), [outcome(piece_for_point, dec, x) for x in points])
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_the_level_form_answers_as_the_box_form(kind):
+    for depth in range(1, 9):
+        built = build(kind, depth)
+        # the pieces also in reverse, so that a piece precedes those below its level
+        reverse = Decomposition(built.kind, built.ambient, built.levels, built.pieces[::-1],
+                                built.limit_point, built.witnesses, depth)
+        for dec in (built, reverse):
+            boxes = eager(dec)
+            assert index_form(dec.index) == index_form(boxes.index)
+            for seed in (depth, depth + 10):
+                assert check_answers(dec, seed) == check_answers(boxes, seed)
+
+
+def inside(box):
+    """A point of the nonempty ``box``: F at each constrained coordinate,
+    the empty set elsewhere."""
+    return ProductPoint(tuple(box.constraint_at(s)[0]
+                              for s in range(box.max_constrained_coord() + 1)), EMPTY)
+
+
+def releveled(dec, levels, pieces):
+    """``dec`` with these levels and these (label, level, own) pieces, each
+    typed by ``box_reduce`` through the checked constructor."""
+    built = []
+    for label, level, own in pieces:
+        box = BasicBox(dec.ambient, levels[:level] + own)
+        built.append(DecompositionPiece(label, dec.ambient, own, box_reduce(box).descriptor,
+                                        level, levels))
+    return Decomposition(dec.kind, dec.ambient, levels, tuple(built), dec.limit_point,
+                         dec.witnesses, dec.depth)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_a_mutated_level_decomposition_is_caught_as_in_box_form(kind):
+    dec = build(kind, 4)
+    offset, n = dec.ambient.explicit_len, len(dec.witnesses)
+    parts = [(p.label, p.level, p.own) for p in dec.pieces]
+    target = len(parts) - 2 * n  # the last miss of the level before the last
+    label, level, ((s, f, g),) = parts[target]
+    assert level == s == offset + 2
+    # a dropped piece leaves its points in no piece
+    dropped = releveled(dec, dec.levels, parts[:target] + parts[target + 1:])
+    # a miss one coordinate on overlaps the pieces above it
+    shifted = releveled(dec, dec.levels,
+                        parts[:target] + [(label, level, ((s + 1, f, g),))] + parts[target + 1:])
+    # a level pinned to another n-element value overlaps its last miss and
+    # leaves the limit's value there uncovered
+    wrong = Point(dec.witnesses[:-1] + (max(dec.witnesses) + 1,))
+    levels = dec.levels[:offset + 1] + ((offset + 1, wrong, EMPTY),) + dec.levels[offset + 2:]
+    pinned = releveled(dec, levels, parts)
+    for mutant in (dropped, shifted, pinned):
+        boxes = eager(mutant)
+        assert index_form(mutant.index) == index_form(boxes.index)
+        answers = [check_answers(mutant, seed) for seed in range(4)]
+        assert answers == [check_answers(boxes, seed) for seed in range(4)]
+    x = inside(dec.pieces[target].box)
+    assert piece_for_point(dec, x) == label and piece_for_point(dropped, x) is None
+    # a gap shows as sampled points in no piece, an overlap as pieces that meet
+    assert check_pairwise_disjoint(dropped) == []
+    assert any(check_sample_membership(dropped, 200, seed).unresolved for seed in range(4))
+    assert (label, dec.pieces[target + n].label) in check_pairwise_disjoint(shifted)
+    assert check_pairwise_disjoint(pinned)
+
+
+def test_each_shape_decides_a_value_once(monkeypatch):
+    # every omega coordinate but the last lists the same n misses and the
+    # full set, so a value is tested against them once, not once per coordinate
+    calls, reads = [], []
+    admits, admitted = clopen._admits, BoxIndex.admitted
+
+    def counted_admits(f, g, value):
+        calls.append((f, g, value))
+        return admits(f, g, value)
+
+    def counted_admitted(index, s, value):
+        reads.append((s, value))
+        return admitted(index, s, value)
+
+    monkeypatch.setattr(clopen, "_admits", counted_admits)
+    monkeypatch.setattr(BoxIndex, "admitted", counted_admitted)
+    for kind in KINDS:
+        for depth in (12, 40):
+            dec = build(kind, depth)
+            calls.clear()
+            reads.clear()
+            check_sample_membership(dec, 100, depth)
+            piece_for_point(dec, dec.limit_point)
+            for x in perturbed_limit_points(dec, random.Random(depth), 40):
+                piece_for_point(dec, x)
+            index = dec.index
+            shape_of = {s: index.coords[s][3] for s, _value in reads if s in index.coords}
+            decided = {(shape_of[s], value) for s, value in reads if s in shape_of}
+            assert len(calls) == sum(len(index.shapes[shape]) for shape, _value in decided)
+            assert len(set(shape_of.values())) <= 3
+            # one call per constraint of each coordinate read
+            unmemoised = sum(len(index.shapes[shape_of[s]])
+                             for s, _value in reads if s in shape_of)
+            if depth == 40:
+                assert len(calls) < unmemoised / 2
+
+
 def piece(label, box):
-    return DecompositionPiece(label, box, box_reduce(box).descriptor)
+    return DecompositionPiece(label, box.ambient, box.constraints, box_reduce(box).descriptor)
 
 
 def hand_built(pieces, ambient, limit=ProductPoint((), Point.of(0, 1))):
-    return Decomposition("hand", ambient, tuple(pieces), limit, (0, 1), 2)
+    return Decomposition("hand", ambient, (), tuple(pieces), limit, (0, 1), 2)
 
 
 # within the bounds of ``hand_built``'s ambient (2, 1) x 2^omega at every
@@ -385,14 +542,14 @@ def test_a_limit_outside_the_ambient_is_refused_before_any_draw(limit):
 
 def test_a_coordinate_outside_a_product_without_a_tail_is_refused_by_every_sampler():
     # the points reach coordinate 2 at depth 2, the neighborhoods coordinate 4
-    dec = Decomposition("hand", ProductDescriptor((2, 2)), (),
+    dec = Decomposition("hand", ProductDescriptor((2, 2)), (), (),
                         ProductPoint((Point.of(0, 1), Point.of(0, 1))), (0, 1), 2)
     for fn in (check_sample_membership, sample_decomposition_points, limit_neighborhood_boxes):
         for count in (0, 1, 50):
             with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
                 fn(dec, count, 0)
     # at depth 1 the points stay within the two factors
-    shallow = Decomposition("hand", dec.ambient, (), dec.limit_point, (0, 1), 1)
+    shallow = Decomposition("hand", dec.ambient, (), (), dec.limit_point, (0, 1), 1)
     points = sample_decomposition_points(shallow, 20, 0)
     assert len(points) == 20 and all(point_in_ambient(dec.ambient, x) for x in points)
     with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
@@ -426,23 +583,21 @@ def signature_oracle(desc):
     return ProductDescriptor(tuple(bounds), desc.omega_tail)
 
 
-def decomposition_json_oracle(dec):
-    return {
-        "kind": dec.kind,
-        "ambient": descriptor_to_json(dec.ambient),
-        "limit_point": str(dec.limit_point),
-        "witnesses": list(dec.witnesses),
-        "depth": dec.depth,
-        "pieces": [
-            {
-                "label": p.label,
-                "box": box_json_oracle(p.box),
-                "type": descriptor_to_json(p.claimed_type),
-                "type_signature": descriptor_to_json(signature_oracle(p.claimed_type)),
-            }
-            for p in dec.pieces
-        ],
-    }
+def decoded_pieces(doc):
+    """(label, box, type, type signature) of each piece of a ``decompose``
+    document: the box rebuilt from the level constraints and the piece's
+    own, the type from its run-length form."""
+    ambient = ProductDescriptor(doc["ambient"]["factors"], doc["ambient"]["omega_tail"])
+
+    def constraints(forms):
+        return tuple((c["coord"], Point(c["F"]), Point(c["G"])) for c in forms)
+
+    levels = constraints(doc["levels"])
+    return [(p["label"], BasicBox(ambient, levels[:p["level"]] + constraints(p["own"])),
+             ProductDescriptor((0,) * p["type"]["zeros"] + tuple(p["type"]["factors"]),
+                               p["type"]["omega_tail"]),
+             p["type_signature"])
+            for p in doc["pieces"]]
 
 
 def ground_of(dec):
@@ -496,12 +651,43 @@ def constraint_count(dec):
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)
-def test_the_json_document_matches_the_per_box_encoder(kind):
+def test_the_json_document_decodes_to_the_eager_pieces(kind):
     for depth in [*range(1, 13), 40]:
         dec = build(kind, depth)
-        assert render(decomposition_to_json(dec)) == render(decomposition_json_oracle(dec))
+        doc = json.loads(render(decomposition_to_json(dec)))
+        assert doc["levels"] == [{"coord": s, "F": list(f), "G": list(g)}
+                                 for s, f, g in dec.levels]
+        assert decoded_pieces(doc) == [
+            (label, box, claimed, descriptor_to_json(signature_oracle(claimed)))
+            for label, box, claimed in pieces_oracle(kind, depth)]
+        assert (doc["kind"], doc["depth"], doc["witnesses"], doc["limit_point"]) == \
+            (dec.kind, depth, list(dec.witnesses), str(dec.limit_point))
     assert [box_to_json(p.box) for p in dec.pieces] == \
         [box_json_oracle(p.box) for p in dec.pieces]
+
+
+@pytest.mark.parametrize("zeros, rest, tail", [
+    (0, (), None), (0, (), 2), (3, (), 1), (2, (1,), 2), (0, (2, 1), 3), (1, (2, 0, 1), 3),
+    (2, (1, 0), None)])
+def test_a_type_is_written_as_its_leading_zeros_and_the_rest(zeros, rest, tail):
+    desc = ProductDescriptor((0,) * zeros + rest, tail)
+    form = run_length(desc)
+    assert form == {"zeros": zeros, "factors": list(rest), "omega_tail": tail}
+    assert ProductDescriptor((0,) * form["zeros"] + tuple(form["factors"]),
+                             form["omega_tail"]) == desc
+
+
+def test_a_deep_document_grows_linearly_with_the_depth():
+    # each piece listed its whole prefix and every factor of its type, so
+    # a depth-1000 document took 25.0 MB, and doubling the depth quadrupled it
+    def size(depth):
+        code, payload = dispatch(["decompose", "--kind", "classif_K", "--depth", str(depth),
+                                  "--samples", "0", "--boxes", "0"])
+        assert code == 0
+        return len(render(payload).encode())
+
+    assert size(1000) < 10 ** 6
+    assert size(400) < 2.2 * size(200)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)
