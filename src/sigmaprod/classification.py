@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -459,32 +460,76 @@ class DecompositionPiece:
         return BasicBox(self.ambient, self.levels[:self.level] + self.own)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
     """A clopen partition of ``ambient`` minus ``limit_point``.  ``levels``
-    holds the level constraints at increasing coordinates, and every piece
-    shares this ambient and these levels."""
+    holds the level constraints at increasing coordinates, and ``rows`` each
+    piece as (label, level, own, type), its type in the form of
+    ``ProductDescriptor.run_length``.  The constructor takes checked pieces
+    sharing this ambient and these levels, and stores their rows."""
 
     kind: str
     ambient: ProductDescriptor
     levels: tuple
-    pieces: tuple
+    rows: tuple
     limit_point: ProductPoint
     witnesses: tuple
     depth: int
 
-    def __post_init__(self):
-        ambient, levels = self.ambient, self.levels
-        for p in self.pieces:
+    def __init__(self, kind, ambient, levels, pieces, limit_point, witnesses, depth):
+        rows = []
+        for p in pieces:
             if not ((p.ambient is ambient or p.ambient == ambient)
                     and (p.levels is levels or p.levels == levels)):
                 raise ValueError(f"piece {p.label} does not share the decomposition's "
                                  "ambient and levels")
+            rows.append((p.label, p.level, p.own, p.claimed_type.run_length()))
+        for name, value in zip(self.__dataclass_fields__, (kind, ambient, levels, tuple(rows),
+                                                            limit_point, witnesses, depth)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def pieces(self) -> "_Pieces":
+        """The pieces, each built from its row when read."""
+        return _Pieces(self)
 
     @cached_property
     def index(self) -> BoxIndex:
-        """Per-coordinate constraint index of the pieces, built on first use."""
-        return BoxIndex(self.ambient, self.levels, [(p.level, p.own) for p in self.pieces])
+        """Per-coordinate constraint index of the rows, built on first use."""
+        return BoxIndex(self.ambient, self.levels,
+                        [(level, own) for _label, level, own, _type in self.rows])
+
+
+class _Pieces(Sequence):
+    """A read-only view of a decomposition's rows, each built as a
+    ``DecompositionPiece`` when read."""
+
+    __slots__ = ("_dec",)
+
+    def __init__(self, dec: Decomposition):
+        self._dec = dec
+
+    def __len__(self) -> int:
+        return len(self._dec.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._piece, self._dec.rows[i]))
+        return self._piece(self._dec.rows[i])
+
+    def _piece(self, row: tuple) -> DecompositionPiece:
+        # checked when its row was stored: the fields are filled directly, in
+        # the class's order, which keeps the instance in its compact layout
+        label, level, own, (zeros, rest, tail) = row
+        piece = object.__new__(DecompositionPiece)
+        setattr_ = object.__setattr__
+        setattr_(piece, "label", label)
+        setattr_(piece, "ambient", self._dec.ambient)
+        setattr_(piece, "own", own)
+        setattr_(piece, "claimed_type", ProductDescriptor((0,) * zeros + rest, tail))
+        setattr_(piece, "level", level)
+        setattr_(piece, "levels", self._dec.levels)
+        return piece
 
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
@@ -542,17 +587,18 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
     # then the full set at each omega coordinate before its own
     levels = (((0, small_set, EMPTY),) if m > 0 else ()) + tuple(
         (offset + k, full_set, EMPTY) for k in range(depth - 1))
-    pieces = [DecompositionPiece(f"B'({j})", ambient, ((0, *misses[j]),),
-                                 ProductDescriptor((m - j,), n), 0, levels)
-              for j in range(m)]
-    # box_reduce works coordinate by coordinate, so an A/B piece's box is
-    # nonempty and of its claimed type exactly when each of its constraints is.
-    # Each distinct one is checked alone, once, naming the first piece that
-    # carries it: the small set at 0, and the misses and the full set at the
-    # first omega coordinate, whose bound n every omega coordinate shares
-    checks = [(offset, f, g, n - i, label(0, i)) for i, (f, g) in enumerate(misses)]
+    # piece B'(j) is level 0 with miss j at coordinate 0, of type (m - j) x n^omega
+    rows = [(f"B'({j})", 0, ((0, f, g),), (0, (m - j,), n))
+            for j, (f, g) in enumerate(misses[:m])]
+    # box_reduce works coordinate by coordinate, so a piece's box is nonempty
+    # and of its claimed type exactly when each of its constraints is.  Each
+    # distinct one is checked alone, once, naming the first piece that carries
+    # it: the B'(j) misses and the small set at 0, and the misses and the full
+    # set at the first omega coordinate, whose bound n every omega coordinate shares
+    checks = [(0, f, g, m - j, f"B'({j})") for j, (f, g) in enumerate(misses[:m])]
     if m > 0:
-        checks.insert(0, (0, small_set, EMPTY, 0, label(0, 0)))
+        checks.append((0, small_set, EMPTY, 0, label(0, 0)))
+    checks += [(offset, f, g, n - i, label(0, i)) for i, (f, g) in enumerate(misses)]
     if depth > 1:
         checks.append((offset, full_set, EMPTY, 0, label(1, 0)))
     for s, f, g, bound, name in checks:
@@ -565,20 +611,20 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
         if not ok:
             raise ValueError(f"piece {name}: claimed type does not match the "
                              "box reduction")
-    # piece (k, i) is level offset + k plus miss i at s = offset + k, of type
-    # 0^s x (n - i); the canonical form drops a last factor equal to the tail
-    for k in range(depth):
-        s = offset + k
-        zeros = (0,) * s
-        for i, (f, g) in enumerate(misses):
-            pieces.append(_prechecked(
-                DecompositionPiece, label=label(k, i), ambient=ambient, own=((s, f, g),),
-                claimed_type=_prechecked(ProductDescriptor,
-                                         factors=zeros + ((n - i,) if i else ()), omega_tail=n),
-                level=s, levels=levels))
-    prefix = (small_set,) if m > 0 else ()
-    limit = ProductPoint(prefix, full_set)
-    return Decomposition(kind, ambient, levels, tuple(pieces), limit, witnesses, depth)
+    rows += _level_rows(offset, n, depth, misses, label)
+    limit = ProductPoint((small_set,) if m > 0 else (), full_set)
+    dec = Decomposition(kind, ambient, levels, (), limit, witnesses, depth)
+    object.__setattr__(dec, "rows", tuple(rows))
+    return dec
+
+
+def _level_rows(offset: int, n: int, depth: int, misses: list, label) -> list:
+    """The rows of the A/B pieces: (k, i) is level s = offset + k plus miss
+    i at s, of type 0^s x (n - i), where the canonical form drops a last
+    factor equal to the tail n."""
+    rests = [(n - i,) if i else () for i in range(n)]
+    return [(label(k, i), offset + k, ((offset + k, f, g),), (offset + k, rests[i], n))
+            for k in range(depth) for i, (f, g) in enumerate(misses)]
 
 
 def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
@@ -604,25 +650,13 @@ def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
     return build, sampling, comparisons
 
 
-def _prechecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
-    without running its ``__post_init__``: for values already checked and in
-    canonical form."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        # as the dataclass's own __init__ does, which keeps the instance's
-        # attributes in the class's compact shared layout
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def check_pairwise_disjoint(dec: Decomposition,
                             budget: Budget | int = DEFAULT_BUDGET) -> list:
     """Symbolically empty pairwise intersections; returns the offending pairs.
     The constraint comparisons are charged to ``budget`` as
     ``BoxIndex.meeting_pairs`` counts them."""
-    return [(dec.pieces[a].label, dec.pieces[b].label)
-            for a, b in dec.index.meeting_pairs(budget)]
+    rows = dec.rows
+    return [(rows[a][0], rows[b][0]) for a, b in dec.index.meeting_pairs(budget)]
 
 
 def piece_for_point(dec: Decomposition, x: ProductPoint):
@@ -630,7 +664,7 @@ def piece_for_point(dec: Decomposition, x: ProductPoint):
     beyond the materialized depth."""
     if x == dec.limit_point:
         return "limit"
-    hits = [dec.pieces[i].label for i in dec.index.containing(x)]
+    hits = [dec.rows[i][0] for i in dec.index.containing(x)]
     if len(hits) > 1:
         raise AssertionError(f"point {x} lies in several pieces: {hits}")
     return hits[0] if hits else None
@@ -843,7 +877,7 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
             if not hits:
                 unresolved.append(ProductPoint(coords, tail))
             elif hits & (hits - 1):
-                labels = [dec.pieces[i].label for i in _bits(hits)]
+                labels = [dec.rows[i][0] for i in _bits(hits)]
                 raise AssertionError(f"point {ProductPoint(coords, tail)} lies in several "
                                      f"pieces: {labels}")
             else:
@@ -881,7 +915,7 @@ def limit_neighborhood_boxes(dec: Decomposition, count: int, seed: int) -> list:
             g = Point([e for j, e in enumerate(pool) if mask >> j & 1]) if mask else EMPTY
             if f or g:
                 constraints.append((s, f, g))
-        boxes.append(_prechecked(BasicBox, ambient=ambient, constraints=tuple(constraints)))
+        boxes.append(BasicBox(ambient, tuple(constraints)))
     return boxes
 
 
@@ -907,7 +941,7 @@ def check_limit_cofinite(dec: Decomposition, boxes) -> CofinitenessReport:
                    & index.constrained_after(box.max_constrained_coord()))
         if outside:
             text = str(box)
-            violations.extend((text, dec.pieces[i].label) for i in _bits(outside))
+            violations.extend((text, dec.rows[i][0]) for i in _bits(outside))
     return CofinitenessReport(len(boxes), tuple(violations))
 
 

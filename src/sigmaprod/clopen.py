@@ -347,8 +347,9 @@ class BoxIndex:
             conflict = below[level]
             for constraint in own:
                 conflict |= clash[constraint]
-            later = self.everything >> (a + 1) << (a + 1)
-            pairs.extend((a, b) for b in _bits(later & ~conflict))
+            meeting = self.everything >> (a + 1) << (a + 1) & ~conflict
+            if meeting:
+                pairs.extend((a, b) for b in _bits(meeting))
         return pairs
 
     def admitted(self, s: int, value: Point) -> int:

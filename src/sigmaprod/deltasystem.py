@@ -103,31 +103,34 @@ def _max_disjoint(cands) -> tuple:
 
     Branch and bound in list order; the first maximum found wins, so the
     outcome is deterministic.  A petal is tested against the one set of the
-    elements the chosen petals use.
+    elements the chosen petals use.  The search is depth first over an
+    explicit stack, taking each fitting petal before leaving it out.
     """
     best: list = []
     chosen: list = []
     used: set = set()
     nodes = 0
-
-    def extend(idx):
-        nonlocal best, nodes
+    # an index idx to visit the node at, or ~idx to take cands[idx] back out
+    stack = [0]
+    while stack:
+        idx = stack.pop()
+        if idx < 0:
+            used.difference_update(cands[~idx][1])
+            chosen.pop()
+            continue
         nodes += 1
         if len(chosen) + (len(cands) - idx) <= len(best):
-            return
+            continue
         if idx == len(cands):
             best = list(chosen)  # longer than best, or the bound above returned
-            return
+            continue
         label, petal = cands[idx]
+        stack.append(idx + 1)  # leaving it out, visited last
         if used.isdisjoint(petal):
             used.update(petal)
             chosen.append(label)
-            extend(idx + 1)
-            used.difference_update(petal)
-            chosen.pop()
-        extend(idx + 1)
-
-    extend(0)
+            stack.append(~idx)
+            stack.append(idx + 1)
     return best, nodes
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .ground import (
     Point,
+    ProductDescriptor,
     format_constraint,
     format_descriptor,
     format_tau,
@@ -80,39 +81,50 @@ def normal_form(nf) -> dict:
             "upper_entries": [[n, v] for n, v in nf.upper_entries]}
 
 
-def run_length(desc) -> dict:
-    """A descriptor as its leading zero factors, the factors after them and
-    its tail: no longer than its positive factors."""
-    factors = desc.factors
-    zeros = factors.count(0)
-    if 0 in factors[zeros:]:  # a zero after a positive factor
-        zeros = next(s for s, n in enumerate(factors) if n)
-    return {"zeros": zeros, "factors": list(factors[zeros:]), "omega_tail": desc.omega_tail}
+def run_length(zeros: int, rest: tuple, tail) -> dict:
+    """A type in the form of ``ProductDescriptor.run_length``: its leading
+    zero factors, the factors after them and its tail, no longer than its
+    positive factors."""
+    return {"zeros": zeros, "factors": list(rest), "omega_tail": tail}
 
 
 def decomposition_to_json(dec) -> dict:
-    """The level constraints once, then each piece as its label, its level,
-    its own constraints, its type in run-length form and its type
+    """The level constraints once, then each row of ``dec`` as its piece's
+    label, level, own constraints, type in run-length form and type
     signature: O(depth·n) for the partitions ``decompose`` builds.  A
-    piece's box is the first ``level`` level constraints plus its own."""
-    signatures: dict = {}  # the positive factors and tail of a type -> its signature's form
+    piece's box is the first ``level`` level constraints plus its own.
+    Each distinct point is written from one list, and each distinct type
+    signature from one object."""
+    lists: dict = {}  # a point -> its list
+
+    def constraints(forms) -> list:
+        out = []
+        for s, f, g in forms:
+            f_list = lists.get(f)
+            if f_list is None:
+                f_list = lists[f] = list(f)
+            g_list = lists.get(g)
+            if g_list is None:
+                g_list = lists[g] = list(g)
+            out.append({"coord": s, "F": f_list, "G": g_list})
+        return out
+
+    signatures: dict = {}  # the factors past the zeros and tail of a type -> its signature
     pieces = []
-    for p in dec.pieces:
-        claimed = run_length(p.claimed_type)
-        key = (tuple(claimed["factors"]), claimed["omega_tail"])
-        signature = signatures.get(key)
+    for label, level, own, (zeros, rest, tail) in dec.rows:
+        signature = signatures.get((rest, tail))
         if signature is None:
-            signature = signatures[key] = descriptor(type_signature(p.claimed_type))
-        pieces.append({"label": p.label, "level": p.level,
-                       "own": [_constraint(s, f, g) for s, f, g in p.own],
-                       "type": claimed, "type_signature": signature})
+            signature = signatures[rest, tail] = descriptor(
+                type_signature(ProductDescriptor(rest, tail)))
+        pieces.append({"label": label, "level": level, "own": constraints(own),
+                       "type": run_length(zeros, rest, tail), "type_signature": signature})
     return {
         "kind": dec.kind,
         "ambient": descriptor(dec.ambient),
         "limit_point": str(dec.limit_point),
         "witnesses": list(dec.witnesses),
         "depth": dec.depth,
-        "levels": [_constraint(s, f, g) for s, f, g in dec.levels],
+        "levels": constraints(dec.levels),
         "pieces": pieces,
     }
 

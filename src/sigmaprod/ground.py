@@ -210,6 +210,15 @@ class ProductDescriptor:
             return self.omega_tail
         raise IndexError(f"coordinate {s} outside a product with {len(self.factors)} factors")
 
+    def run_length(self) -> tuple:
+        """(zeros, rest, tail): the leading zero factors, the factors after
+        them and the tail; ``(0,) * zeros + rest`` gives the factors back."""
+        factors = self.factors
+        zeros = factors.count(0)
+        if 0 in factors[zeros:]:  # a zero after a positive factor
+            zeros = next(s for s, n in enumerate(factors) if n)
+        return zeros, factors[zeros:], self.omega_tail
+
 
 def type_signature(desc: ProductDescriptor) -> ProductDescriptor:
     """Descriptor modulo homeomorphism-preserving rewrites: one-point factors

@@ -380,24 +380,46 @@ def test_decompose_refuses_its_disjointness_charge_before_building_any_piece(mon
     # the comparisons were charged only once all 1,999 pieces and their
     # index were built, and the request exited 2 after 0.9 s
     built = []
-    prechecked = classification._prechecked
+    level_rows = classification._level_rows
 
-    def spy(cls, **fields):
-        built.append(cls)
-        return prechecked(cls, **fields)
+    def spy(*args):
+        rows = level_rows(*args)
+        built.extend(rows)
+        return rows
 
-    monkeypatch.setattr(classification, "_prechecked", spy)
+    monkeypatch.setattr(classification, "_level_rows", spy)
     monkeypatch.setattr(classification.DecompositionPiece, "__post_init__",
-                        lambda piece: built.append(type(piece)))
+                        lambda piece: built.append(piece))
     argv = ["decompose", "--kind", "classif_K", "--depth", "1999", "--samples", "0",
             "--boxes", "0"]
     code, payload = run(argv)
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
     # 1,999,002 units to build, then 2 per coordinate but the last to compare
     assert payload["error"]["needed"] == 1999002 + 2 * 1998 == 2002998
-    assert classification.DecompositionPiece not in built
-    assert run(argv[:4] + ["3"] + argv[5:])[0] == 0  # the spies see a request that builds
-    assert classification.DecompositionPiece in built
+    assert built == []
+    assert run(argv[:4] + ["3"] + argv[5:])[0] == 0  # the spy sees a request that builds
+    assert [label for label, *_rest in built] == ["K(1)", "K(2)", "K(3)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--kind", "absorb_small", "--m", "2", "--n", "3", "--depth", "12"],
+    ["decompose", "--kind", "classif_K", "--depth", "9", "--samples", "40"],
+])
+def test_a_decompose_request_builds_no_piece_object(monkeypatch, argv):
+    # the request reads its pieces as rows: the view's builder and the
+    # checked constructor are never reached
+    built = []
+    piece = classification._Pieces._piece
+    monkeypatch.setattr(classification._Pieces, "_piece",
+                        lambda view, row: built.append(row) or piece(view, row))
+    monkeypatch.setattr(classification.DecompositionPiece, "__post_init__",
+                        lambda piece: built.append(piece))
+    code, payload = run(argv)
+    assert code == 0 and payload["checks"]["membership"]["ok"]
+    assert built == []
+    # the spies see a piece that is read
+    dec = classification.decompose_classif_k(depth=2)
+    assert dec.pieces[1].label == "K(2)" and len(built) == 1
 
 
 def library_charge(m, n, depth, samples, boxes, words):

@@ -196,9 +196,10 @@ def test_a_level_whose_reduction_disagrees_with_its_claim_is_refused(monkeypatch
             desc = real.descriptor
             factors = [desc.bound_at(t) for t in range(box.max_constrained_coord() + 1)]
             factors[-1] += shift
-            return BoxReduction(classification._prechecked(
-                ProductDescriptor, factors=tuple(factors), omega_tail=desc.omega_tail),
-                real.removed)
+            unchecked = object.__new__(ProductDescriptor)
+            object.__setattr__(unchecked, "factors", tuple(factors))
+            object.__setattr__(unchecked, "omega_tail", desc.omega_tail)
+            return BoxReduction(unchecked, real.removed)
         return reduce
 
     for shift in (1, -1):
@@ -280,6 +281,43 @@ def test_the_level_form_answers_as_the_box_form(kind):
             assert index_form(dec.index) == index_form(boxes.index)
             for seed in (depth, depth + 10):
                 assert check_answers(dec, seed) == check_answers(boxes, seed)
+
+
+# every 0 <= m < n <= 4, and classif_K over several witness elements
+ROW_KINDS = [(m, n) for n in range(1, 5) for m in range(n)] + [("K", e) for e in (0, 3, 7)]
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS, ids=str)
+def test_the_rows_agree_with_pieces_built_by_hand(kind):
+    # a built decomposition stores rows and builds a piece only when it is
+    # read; rebuilt through the checked constructor, which reduces each box
+    # anew, every piece is the same, and a decomposition hand-built from
+    # those pieces writes the same document and answers the same checks
+    for depth in range(1, 13):
+        if kind[0] == "K":
+            dec = decompose_classif_k(element=kind[1], depth=depth)
+        else:
+            dec = decompose_absorb_small(*kind, depth=depth)
+        checked = [DecompositionPiece(p.label, p.ambient, p.own, box_reduce(p.box).descriptor,
+                                      p.level, p.levels)
+                   for p in dec.pieces]
+        assert list(dec.pieces) == checked
+        text = render(decomposition_to_json(dec))
+        answers = unordered(check_answers(dec, depth))
+        doc = json.loads(text)
+        doc["pieces"].reverse()
+        for pieces, expected in ((checked, text), (checked[::-1], render(doc))):
+            hand = Decomposition(dec.kind, dec.ambient, dec.levels, pieces, dec.limit_point,
+                                 dec.witnesses, depth)
+            assert render(decomposition_to_json(hand)) == expected
+            assert unordered(check_answers(hand, depth)) == answers
+
+
+def unordered(answers):
+    """``check_answers`` with its lists of violations as sets, which list
+    the pieces in their order."""
+    disjoint, membership, cofinite, located = answers
+    return set(disjoint), membership, cofinite.boxes, set(cofinite.violations), located
 
 
 def inside(box):
@@ -671,7 +709,7 @@ def test_the_json_document_decodes_to_the_eager_pieces(kind):
     (2, (1, 0), None)])
 def test_a_type_is_written_as_its_leading_zeros_and_the_rest(zeros, rest, tail):
     desc = ProductDescriptor((0,) * zeros + rest, tail)
-    form = run_length(desc)
+    form = run_length(*desc.run_length())
     assert form == {"zeros": zeros, "factors": list(rest), "omega_tail": tail}
     assert ProductDescriptor((0,) * form["zeros"] + tuple(form["factors"]),
                              form["omega_tail"]) == desc

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -5,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from sigmaprod import deltasystem
 from sigmaprod.cli import dispatch
 from sigmaprod.deltasystem import (
     EXACT_SEARCH_LIMIT,
@@ -220,6 +222,60 @@ def test_exact_matches_brute_force():
             petals = [family.get(lab) for lab in result.system.petal_labels]
             ok, root = pairwise_is_delta_system(petals)
             assert ok and root == result.system.root
+
+
+def recursive_max_disjoint(cands) -> tuple:
+    """The search as a recursion that closes over itself, which left a
+    reference cycle per call: ``(labels, nodes)``."""
+    best: list = []
+    chosen: list = []
+    used: set = set()
+    nodes = 0
+
+    def extend(idx):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) + (len(cands) - idx) <= len(best):
+            return
+        if idx == len(cands):
+            best = list(chosen)
+            return
+        label, petal = cands[idx]
+        if used.isdisjoint(petal):
+            used.update(petal)
+            chosen.append(label)
+            extend(idx + 1)
+            used.difference_update(petal)
+            chosen.pop()
+        extend(idx + 1)
+
+    extend(0)
+    return best, nodes
+
+
+def test_the_disjoint_search_answers_and_counts_as_the_recursion():
+    rng = random.Random(28)
+    for trial in range(300):
+        size = rng.randint(0, 14)
+        cands = [(f"s{j}", rng.sample(range(10), rng.randint(0, 3))) for j in range(size)]
+        assert deltasystem._max_disjoint(cands) == recursive_max_disjoint(cands)
+
+
+def test_extraction_leaves_no_reference_cycle():
+    # the recursive search left 17 cyclic objects for the collector per call
+    rng = random.Random(5)
+    families = [fam(*[tuple(rng.sample(range(8), 2)) for _ in range(9)]) for _ in range(5)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for family in families:
+            result = extract_delta_system(family, 3)
+            assert result.method == "exact"
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_greedy_path_on_large_families():
