@@ -22,9 +22,10 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .ground import (
@@ -427,109 +428,90 @@ def recover_tau(profile: dict) -> NormalForm:
 # decomposition witnesses
 
 
-@dataclass(frozen=True)
-class DecompositionPiece:
-    """A clopen piece with its verified reduced type.  Its box carries the
-    first ``level`` constraints of ``levels``, its decomposition's level
-    constraints, plus its ``own`` constraints past them; the box is built
-    only when asked for.  A piece built by hand is level 0 and carries all
-    its constraints as its own."""
+class DecompositionPiece(tuple):
+    """A clopen piece with its verified reduced type, stored as the tuple
+    (label, ambient, own, type, level, levels).  Its box carries the first
+    ``level`` constraints of ``levels``, its decomposition's level
+    constraints, plus its ``own`` constraints past them; ``type`` is its
+    reduced type in the form of ``ProductDescriptor.run_length``.  The box
+    and the type's descriptor ``claimed_type`` are built only when read.
+    Calling the class checks the piece; a piece built by hand is level 0 and
+    carries all its constraints as its own."""
 
-    label: str
-    ambient: ProductDescriptor
-    own: tuple
-    claimed_type: ProductDescriptor
-    level: int = 0
-    levels: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.level <= len(self.levels):
-            raise ValueError(f"piece {self.label}: level {self.level} outside "
-                             f"0 .. {len(self.levels)}")
-        box = self.box
-        if box.constraints != self.levels[:self.level] + self.own:
-            raise ValueError(f"piece {self.label}: own constraints must be nontrivial, "
+    def __new__(cls, label: str, ambient: ProductDescriptor, own: tuple,
+                claimed_type: ProductDescriptor, level: int = 0, levels: tuple = ()):
+        if not 0 <= level <= len(levels):
+            raise ValueError(f"piece {label}: level {level} outside 0 .. {len(levels)}")
+        constraints = levels[:level] + own
+        box = BasicBox(ambient, constraints)
+        if box.constraints != constraints:
+            raise ValueError(f"piece {label}: own constraints must be nontrivial, "
                              "at increasing coordinates past its level's")
         # box_reduce raises ValueError on an empty box
-        if box_reduce(box).descriptor != self.claimed_type:
-            raise ValueError(f"piece {self.label}: claimed type does not match the "
+        if box_reduce(box).descriptor != claimed_type:
+            raise ValueError(f"piece {label}: claimed type does not match the "
                              "box reduction")
+        return tuple.__new__(cls, (label, ambient, own, claimed_type.run_length(), level,
+                                   levels))
+
+    label = property(itemgetter(0))
+    ambient = property(itemgetter(1))
+    own = property(itemgetter(2))
+    type = property(itemgetter(3))
+    level = property(itemgetter(4))
+    levels = property(itemgetter(5))
+
+    @property
+    def claimed_type(self) -> ProductDescriptor:
+        zeros, rest, tail = self[3]
+        return ProductDescriptor((0,) * zeros + rest, tail)
 
     @property
     def box(self) -> BasicBox:
-        return BasicBox(self.ambient, self.levels[:self.level] + self.own)
+        return BasicBox(self[1], self[5][:self[4]] + self[2])
+
+    def __getnewargs__(self) -> tuple:
+        # a copy or an unpickled piece is built through the checks again
+        return self[0], self[1], self[2], self.claimed_type, self[4], self[5]
+
+    def __repr__(self) -> str:
+        return f"DecompositionPiece{tuple.__repr__(self)}"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Decomposition:
     """A clopen partition of ``ambient`` minus ``limit_point``.  ``levels``
-    holds the level constraints at increasing coordinates, and ``rows`` each
-    piece as (label, level, own, type), its type in the form of
-    ``ProductDescriptor.run_length``.  The constructor takes checked pieces
-    sharing this ambient and these levels, and stores their rows."""
+    holds the level constraints at increasing coordinates, and ``pieces``
+    the checked pieces, each sharing this ambient and these levels."""
 
     kind: str
     ambient: ProductDescriptor
     levels: tuple
-    rows: tuple
+    pieces: tuple
     limit_point: ProductPoint
     witnesses: tuple
     depth: int
 
-    def __init__(self, kind, ambient, levels, pieces, limit_point, witnesses, depth):
-        rows = []
-        for p in pieces:
-            if not ((p.ambient is ambient or p.ambient == ambient)
-                    and (p.levels is levels or p.levels == levels)):
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(self.pieces))
+        ambient, levels = self.ambient, self.levels
+        for p in self.pieces:
+            if not isinstance(p, DecompositionPiece):
+                raise TypeError(f"{p!r} is not a DecompositionPiece")
+            # p[1] and p[5], its ambient and levels, read without a property call
+            if not ((p[1] is ambient or p[1] == ambient) and (p[5] is levels or p[5] == levels)):
                 raise ValueError(f"piece {p.label} does not share the decomposition's "
                                  "ambient and levels")
-            rows.append((p.label, p.level, p.own, p.claimed_type.run_length()))
-        for name, value in zip(self.__dataclass_fields__, (kind, ambient, levels, tuple(rows),
-                                                            limit_point, witnesses, depth)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def pieces(self) -> "_Pieces":
-        """The pieces, each built from its row when read."""
-        return _Pieces(self)
 
     @cached_property
     def index(self) -> BoxIndex:
-        """Per-coordinate constraint index of the rows, built on first use."""
-        return BoxIndex(self.ambient, self.levels,
-                        [(level, own) for _label, level, own, _type in self.rows])
+        """Per-coordinate constraint index of the pieces, built on first use."""
+        return BoxIndex(self.ambient, self.levels, map(_LEVEL_OWN, self.pieces))
 
 
-class _Pieces(Sequence):
-    """A read-only view of a decomposition's rows, each built as a
-    ``DecompositionPiece`` when read."""
-
-    __slots__ = ("_dec",)
-
-    def __init__(self, dec: Decomposition):
-        self._dec = dec
-
-    def __len__(self) -> int:
-        return len(self._dec.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._piece, self._dec.rows[i]))
-        return self._piece(self._dec.rows[i])
-
-    def _piece(self, row: tuple) -> DecompositionPiece:
-        # checked when its row was stored: the fields are filled directly, in
-        # the class's order, which keeps the instance in its compact layout
-        label, level, own, (zeros, rest, tail) = row
-        piece = object.__new__(DecompositionPiece)
-        setattr_ = object.__setattr__
-        setattr_(piece, "label", label)
-        setattr_(piece, "ambient", self._dec.ambient)
-        setattr_(piece, "own", own)
-        setattr_(piece, "claimed_type", ProductDescriptor((0,) * zeros + rest, tail))
-        setattr_(piece, "level", level)
-        setattr_(piece, "levels", self._dec.levels)
-        return piece
+_LEVEL_OWN = itemgetter(4, 2)  # a piece's (level, own), the member form of BoxIndex
 
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
@@ -587,9 +569,6 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
     # then the full set at each omega coordinate before its own
     levels = (((0, small_set, EMPTY),) if m > 0 else ()) + tuple(
         (offset + k, full_set, EMPTY) for k in range(depth - 1))
-    # piece B'(j) is level 0 with miss j at coordinate 0, of type (m - j) x n^omega
-    rows = [(f"B'({j})", 0, ((0, f, g),), (0, (m - j,), n))
-            for j, (f, g) in enumerate(misses[:m])]
     # box_reduce works coordinate by coordinate, so a piece's box is nonempty
     # and of its claimed type exactly when each of its constraints is.  Each
     # distinct one is checked alone, once, naming the first piece that carries
@@ -611,20 +590,26 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
         if not ok:
             raise ValueError(f"piece {name}: claimed type does not match the "
                              "box reduction")
-    rows += _level_rows(offset, n, depth, misses, label)
     limit = ProductPoint((small_set,) if m > 0 else (), full_set)
-    dec = Decomposition(kind, ambient, levels, (), limit, witnesses, depth)
-    object.__setattr__(dec, "rows", tuple(rows))
-    return dec
+    return Decomposition(kind, ambient, levels,
+                         _partition_pieces(ambient, levels, m, n, offset, depth, misses, label),
+                         limit, witnesses, depth)
 
 
-def _level_rows(offset: int, n: int, depth: int, misses: list, label) -> list:
-    """The rows of the A/B pieces: (k, i) is level s = offset + k plus miss
-    i at s, of type 0^s x (n - i), where the canonical form drops a last
-    factor equal to the tail n."""
+def _partition_pieces(ambient: ProductDescriptor, levels: tuple, m: int, n: int,
+                      offset: int, depth: int, misses: list, label) -> tuple:
+    """The pieces of ``_absorb_small``, filled through ``tuple.__new__``:
+    the caller's check of each distinct constraint checks them.  B'(j) is
+    level 0 with miss j at coordinate 0, of type (m - j) x n^omega; (k, i)
+    is level s = offset + k plus miss i at s, of type 0^s x (n - i), where
+    the canonical form drops a last factor equal to the tail n."""
+    rows = [(f"B'({j})", ambient, ((0, f, g),), (0, (m - j,), n), 0, levels)
+            for j, (f, g) in enumerate(misses[:m])]
     rests = [(n - i,) if i else () for i in range(n)]
-    return [(label(k, i), offset + k, ((offset + k, f, g),), (offset + k, rests[i], n))
-            for k in range(depth) for i, (f, g) in enumerate(misses)]
+    rows += [(label(k, i), ambient, ((s, f, g),), (s, rests[i], n), s, levels)
+             for k, s in enumerate(range(offset, offset + depth))
+             for i, (f, g) in enumerate(misses)]
+    return tuple(map(tuple.__new__, repeat(DecompositionPiece), rows))
 
 
 def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
@@ -655,8 +640,8 @@ def check_pairwise_disjoint(dec: Decomposition,
     """Symbolically empty pairwise intersections; returns the offending pairs.
     The constraint comparisons are charged to ``budget`` as
     ``BoxIndex.meeting_pairs`` counts them."""
-    rows = dec.rows
-    return [(rows[a][0], rows[b][0]) for a, b in dec.index.meeting_pairs(budget)]
+    pieces = dec.pieces
+    return [(pieces[a].label, pieces[b].label) for a, b in dec.index.meeting_pairs(budget)]
 
 
 def piece_for_point(dec: Decomposition, x: ProductPoint):
@@ -664,7 +649,7 @@ def piece_for_point(dec: Decomposition, x: ProductPoint):
     beyond the materialized depth."""
     if x == dec.limit_point:
         return "limit"
-    hits = [dec.rows[i][0] for i in dec.index.containing(x)]
+    hits = [dec.pieces[i].label for i in dec.index.containing(x)]
     if len(hits) > 1:
         raise AssertionError(f"point {x} lies in several pieces: {hits}")
     return hits[0] if hits else None
@@ -877,7 +862,7 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
             if not hits:
                 unresolved.append(ProductPoint(coords, tail))
             elif hits & (hits - 1):
-                labels = [dec.rows[i][0] for i in _bits(hits)]
+                labels = [dec.pieces[i].label for i in _bits(hits)]
                 raise AssertionError(f"point {ProductPoint(coords, tail)} lies in several "
                                      f"pieces: {labels}")
             else:
@@ -941,7 +926,7 @@ def check_limit_cofinite(dec: Decomposition, boxes) -> CofinitenessReport:
                    & index.constrained_after(box.max_constrained_coord()))
         if outside:
             text = str(box)
-            violations.extend((text, dec.rows[i][0]) for i in _bits(outside))
+            violations.extend((text, dec.pieces[i].label) for i in _bits(outside))
     return CofinitenessReport(len(boxes), tuple(violations))
 
 

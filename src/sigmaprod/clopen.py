@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .ground import (
@@ -243,7 +244,9 @@ class BoxIndex:
                 raise ValueError("level constraints must be nontrivial, at increasing "
                                  "coordinates")
             last = s
-        carriers: dict = {}  # (s, F, G) -> mask of the members that carry it
+        # s -> (F, G) -> mask of the members that carry it: the members' own
+        # constraints in member order, then the level constraints
+        by_coord: defaultdict = defaultdict(dict)
         at_level = [0] * (len(levels) + 1)  # level -> mask of the members at it
         for i, (level, own) in enumerate(members):
             if not 0 <= level <= len(levels):
@@ -251,25 +254,20 @@ class BoxIndex:
             bit = 1 << i
             at_level[level] |= bit
             last = levels[level - 1][0] if level else -1
-            for constraint in own:
-                s, f, g = constraint
+            for s, f, g in own:
                 if s <= last or not (f or g):
                     raise ValueError(f"member {i}: own constraints must be nontrivial, at "
                                      "increasing coordinates past its level's")
                 last = s
-                carriers[constraint] = carriers.get(constraint, 0) | bit
+                carriers = by_coord[s]
+                carriers[f, g] = carriers.get((f, g), 0) | bit
         above = 0  # the members above level t, for t from the last level down
         for t in range(len(levels) - 1, -1, -1):
             above |= at_level[t + 1]
             if above:
-                carriers[levels[t]] = carriers.get(levels[t], 0) | above
-        by_coord: dict = {}  # s -> ([(F, G), ...], [mask, ...])
-        for (s, f, g), mask in carriers.items():
-            entry = by_coord.get(s)
-            if entry is None:
-                entry = by_coord[s] = ([], [])
-            entry[0].append((f, g))
-            entry[1].append(mask)
+                s, f, g = levels[t]
+                carriers = by_coord[s]
+                carriers[f, g] = carriers.get((f, g), 0) | above
         # ``shapes[k]`` is the k-th distinct tuple of (F, G) a coordinate lists
         self.shapes = []
         shape_ids: dict = {}
@@ -285,8 +283,8 @@ class BoxIndex:
             if not ambient.has_coordinate(s):
                 raise ValueError(f"coordinate {s} outside ambient")
             bound = ambient.bound_at(s)
-            constraints, masks = by_coord[s]
-            constraints = tuple(constraints)
+            carriers = by_coord[s]
+            constraints, masks = tuple(carriers), list(carriers.values())
             shape = shape_ids.get(constraints)
             if shape is None:
                 shape = shape_ids[constraints] = len(self.shapes)
@@ -321,9 +319,9 @@ class BoxIndex:
         costs = [(len(shape) - 1) * sum(len(f) + len(g) for f, g in shape)
                  for shape in self.shapes]
         Budget.of(budget).charge(sum(costs[entry[3]] for entry in self.coords.values()))
-        tables: dict = {}  # (shape, bound) -> per constraint, the positions it clashes with
+        tables: dict = {}  # (shape, bound) -> per constraint, the other positions it meets
         clash: dict = {}  # (s, F, G) -> mask of the members clashing with it there
-        for s, (bound, _free, _pending, shape, masks) in self.coords.items():
+        for s, (bound, free, _pending, shape, masks) in self.coords.items():
             constraints = self.shapes[shape]
             table = tables.get((shape, bound))
             if table is None:
@@ -331,13 +329,17 @@ class BoxIndex:
                 for j, (f1, g1) in enumerate(constraints):
                     for k in range(j + 1, len(constraints)):
                         f2, g2 = constraints[k]
-                        if not _constraints_meet(f1, g1, f2, g2, bound):
+                        if _constraints_meet(f1, g1, f2, g2, bound):
                             table[j].append(k)
                             table[k].append(j)
-            for (f, g), positions in zip(constraints, table):
-                mask = 0
+            # a member carries one constraint per coordinate, so the masks
+            # here are disjoint: a constraint clashes with the members
+            # constrained here but those carrying it or one that it meets
+            constrained = self.everything ^ free
+            for (f, g), mask, positions in zip(constraints, masks, table):
+                mask ^= constrained
                 for k in positions:
-                    mask |= masks[k]
+                    mask ^= masks[k]
                 clash[s, f, g] = mask
         below = [0]  # level -> the clashes of the level constraints below it
         for constraint in self.levels:

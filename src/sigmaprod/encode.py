@@ -89,10 +89,10 @@ def run_length(zeros: int, rest: tuple, tail) -> dict:
 
 
 def decomposition_to_json(dec) -> dict:
-    """The level constraints once, then each row of ``dec`` as its piece's
-    label, level, own constraints, type in run-length form and type
-    signature: O(depth·n) for the partitions ``decompose`` builds.  A
-    piece's box is the first ``level`` level constraints plus its own.
+    """The level constraints once, then each piece of ``dec`` as its label,
+    level, own constraints, type in run-length form and type signature:
+    O(depth·n) for the partitions ``decompose`` builds.  A piece's box is
+    the first ``level`` level constraints plus its own.
     Each distinct point is written from one list, and each distinct type
     signature from one object."""
     lists: dict = {}  # a point -> its list
@@ -111,7 +111,7 @@ def decomposition_to_json(dec) -> dict:
 
     signatures: dict = {}  # the factors past the zeros and tail of a type -> its signature
     pieces = []
-    for label, level, own, (zeros, rest, tail) in dec.rows:
+    for label, _ambient, own, (zeros, rest, tail), level, _levels in dec.pieces:
         signature = signatures.get((rest, tail))
         if signature is None:
             signature = signatures[rest, tail] = descriptor(

@@ -1,10 +1,12 @@
 """The benchmark's tracer binds library attributes by name, so a rename in
 the library would break ``bench/run.py --trace 1`` only at run time.  These
-tests load ``bench/tracing.py`` by path and check every name it binds."""
+tests load ``bench/tracing.py`` by path and check every name it binds and
+what its hooks read of the library's results."""
 
 import importlib
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 from sigmaprod import classification
@@ -32,6 +34,24 @@ def test_traced_names_exist(monkeypatch):
     clopen = importlib.import_module("sigmaprod.clopen")
     assert cli._HANDLERS and "__post_init__" in vars(clopen.BasicBox)
     assert sorted(BENCH.rglob("*")) == before
+
+
+def test_the_disjointness_hook_reads_the_pieces(monkeypatch):
+    # the hook on check_pairwise_disjoint counts the pairs of the pieces of
+    # its first argument, as len(dec.pieces)
+    tracing = load_tracing(monkeypatch)
+    lib = types.SimpleNamespace(**{layer: importlib.import_module(f"sigmaprod.{layer}")
+                                   for layer in tracing.LAYERS})
+    dec = classification.decompose_classif_k(depth=3)
+    assert len(dec.pieces) == 3
+    tracer = tracing.Tracer()
+    tracer.install(lib)
+    try:
+        assert classification.check_pairwise_disjoint(dec) == []
+    finally:
+        tracer.uninstall()
+    assert tracer.n_calls("classification.check_pairwise_disjoint") == 1
+    assert tracer.counters["disjoint_pairs"] == 3
 
 
 def test_normal_form_keeps_its_cache_controls():

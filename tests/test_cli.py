@@ -10,7 +10,8 @@ import pytest
 
 from sigmaprod import classification, deltasystem, encode, uec
 from sigmaprod.cli import SCHEMA, _invoke, build_parser, dispatch, main, render
-from sigmaprod.ground import DEFAULT_BUDGET, Budget, BudgetExceeded, Point
+from sigmaprod.ground import (DEFAULT_BUDGET, EMPTY, Budget, BudgetExceeded, Point,
+                              ProductDescriptor)
 from test_uec import split_charge, weight_table_charge
 
 
@@ -380,16 +381,15 @@ def test_decompose_refuses_its_disjointness_charge_before_building_any_piece(mon
     # the comparisons were charged only once all 1,999 pieces and their
     # index were built, and the request exited 2 after 0.9 s
     built = []
-    level_rows = classification._level_rows
+    partition_pieces = classification._partition_pieces
 
     def spy(*args):
-        rows = level_rows(*args)
-        built.extend(rows)
-        return rows
+        pieces = partition_pieces(*args)
+        built.extend(pieces)
+        return pieces
 
-    monkeypatch.setattr(classification, "_level_rows", spy)
-    monkeypatch.setattr(classification.DecompositionPiece, "__post_init__",
-                        lambda piece: built.append(piece))
+    monkeypatch.setattr(classification, "_partition_pieces", spy)
+    spy_checked_constructor(monkeypatch, built)
     argv = ["decompose", "--kind", "classif_K", "--depth", "1999", "--samples", "0",
             "--boxes", "0"]
     code, payload = run(argv)
@@ -398,28 +398,45 @@ def test_decompose_refuses_its_disjointness_charge_before_building_any_piece(mon
     assert payload["error"]["needed"] == 1999002 + 2 * 1998 == 2002998
     assert built == []
     assert run(argv[:4] + ["3"] + argv[5:])[0] == 0  # the spy sees a request that builds
-    assert [label for label, *_rest in built] == ["K(1)", "K(2)", "K(3)"]
+    assert [piece.label for piece in built] == ["K(1)", "K(2)", "K(3)"]
+    built.clear()
+    hand_built_piece()  # and the other spy a piece built by hand
+    assert [piece.label for piece in built] == ["hand"]
+
+
+def spy_checked_constructor(monkeypatch, built):
+    """Record in ``built`` each piece the checked constructor returns."""
+    checked = classification.DecompositionPiece.__new__
+
+    def spy(cls, *args, **kwargs):
+        piece = checked(cls, *args, **kwargs)
+        built.append(piece)
+        return piece
+
+    monkeypatch.setattr(classification.DecompositionPiece, "__new__", spy)
+
+
+def hand_built_piece():
+    ambient = ProductDescriptor((), 1)
+    return classification.DecompositionPiece("hand", ambient, ((0, EMPTY, Point.of(0)),),
+                                             ambient)
 
 
 @pytest.mark.parametrize("argv", [
     ["decompose", "--kind", "absorb_small", "--m", "2", "--n", "3", "--depth", "12"],
     ["decompose", "--kind", "classif_K", "--depth", "9", "--samples", "40"],
 ])
-def test_a_decompose_request_builds_no_piece_object(monkeypatch, argv):
-    # the request reads its pieces as rows: the view's builder and the
-    # checked constructor are never reached
+def test_a_decompose_request_never_reaches_the_checked_constructor(monkeypatch, argv):
+    # the request checks its pieces constraint by constraint and fills them
+    # directly: the checked constructor, which reduces each box, is never reached
     built = []
-    piece = classification._Pieces._piece
-    monkeypatch.setattr(classification._Pieces, "_piece",
-                        lambda view, row: built.append(row) or piece(view, row))
-    monkeypatch.setattr(classification.DecompositionPiece, "__post_init__",
-                        lambda piece: built.append(piece))
+    spy_checked_constructor(monkeypatch, built)
     code, payload = run(argv)
     assert code == 0 and payload["checks"]["membership"]["ok"]
     assert built == []
-    # the spies see a piece that is read
-    dec = classification.decompose_classif_k(depth=2)
-    assert dec.pieces[1].label == "K(2)" and len(built) == 1
+    # the spy sees a piece built by hand
+    piece = hand_built_piece()
+    assert built == [piece] and piece.label == "hand"
 
 
 def library_charge(m, n, depth, samples, boxes, words):

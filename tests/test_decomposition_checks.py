@@ -13,7 +13,9 @@ the linear scan, and a reduction that builds every factor anew.  The
 neighborhood boxes are checked against their specification.
 """
 
+import copy
 import json
+import pickle
 import random
 import re
 from itertools import combinations
@@ -187,6 +189,50 @@ def test_a_piece_out_of_level_form_is_refused():
                       dec.witnesses, dec.depth)
 
 
+def test_the_checked_constructor_refuses_with_its_messages():
+    # every refusal of DecompositionPiece(...), word for word, and a
+    # decomposition takes only pieces built by it or by the constructors
+    dec = build((1, 2), 3)
+    p, levels = dec.pieces[-1], dec.levels
+    single = ProductDescriptor((1,), None)
+    own_form = ("piece B(2,1): own constraints must be nontrivial, at increasing "
+                "coordinates past its level's")
+    for args, message in [
+        ((p.own, p.claimed_type, 4, levels), "piece B(2,1): level 4 outside 0 .. 3"),
+        ((p.own, p.claimed_type, -1, levels), "piece B(2,1): level -1 outside 0 .. 3"),
+        ((((2, EMPTY, Point.of(5)),), p.claimed_type, 3, levels), own_form),
+        ((((3, EMPTY, EMPTY),), p.claimed_type, 3, levels), own_form),
+        ((p.own, dec.ambient, 3, levels),
+         "piece B(2,1): claimed type does not match the box reduction"),
+        ((p.own, "(0, (0,), 2)", 3, levels),
+         "piece B(2,1): claimed type does not match the box reduction"),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            DecompositionPiece(p.label, p.ambient, *args)
+        assert str(refused.value) == message
+    for own, message in [(((0, Point((0, 1)), EMPTY),), "cannot reduce an empty box"),
+                         (((1, Point.of(0), EMPTY),), "coordinate 1 outside ambient")]:
+        with pytest.raises(ValueError) as refused:
+            DecompositionPiece("hand", single, own, single)
+        assert str(refused.value) == message
+    with pytest.raises(TypeError, match="is not a DecompositionPiece$"):
+        Decomposition("hand", dec.ambient, levels, (tuple(p),), dec.limit_point,
+                      dec.witnesses, dec.depth)
+
+
+def test_a_decomposition_survives_a_copy():
+    # a copied or unpickled piece goes through the checked constructor again
+    dec = build((1, 2), 3)
+    for copied in (pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
+        assert copied == dec and copied.pieces == dec.pieces
+        assert all(type(p) is DecompositionPiece for p in copied.pieces)
+        assert decomposition_to_json(copied) == decomposition_to_json(dec)
+    p = dec.pieces[-1]
+    mistyped = tuple.__new__(DecompositionPiece, (*p[:3], (0, (), 2), *p[4:]))
+    with pytest.raises(ValueError, match="claimed type does not match the box reduction$"):
+        pickle.loads(pickle.dumps(mistyped))
+
+
 def test_a_level_whose_reduction_disagrees_with_its_claim_is_refused(monkeypatch):
     def shifted(shift):
         # box_reduce with the bound at the last constrained coordinate moved by
@@ -289,10 +335,10 @@ ROW_KINDS = [(m, n) for n in range(1, 5) for m in range(n)] + [("K", e) for e in
 
 @pytest.mark.parametrize("kind", ROW_KINDS, ids=str)
 def test_the_rows_agree_with_pieces_built_by_hand(kind):
-    # a built decomposition stores rows and builds a piece only when it is
-    # read; rebuilt through the checked constructor, which reduces each box
-    # anew, every piece is the same, and a decomposition hand-built from
-    # those pieces writes the same document and answers the same checks
+    # a built decomposition fills its pieces without the checked constructor;
+    # rebuilt through it, which reduces each box anew, every piece is the
+    # same, and a decomposition hand-built from those pieces writes the same
+    # document and answers the same checks
     for depth in range(1, 13):
         if kind[0] == "K":
             dec = decompose_classif_k(element=kind[1], depth=depth)
