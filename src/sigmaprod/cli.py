@@ -303,7 +303,7 @@ def _handle_cb(args) -> dict:
     if None in ks:
         raise CliError(f"malformed bounds list {args.ks!r}")
     index, last = classification.cb_invariants(ks, args.budget)
-    return {"ks": list(ks), "index": index, "last_cardinality": last}
+    return {"ks": list(ks), "index": encode.integer(index), "last_cardinality": last}
 
 
 def _handle_decompose(args) -> dict:

@@ -34,6 +34,16 @@ def fraction(q: Fraction) -> str:
             "digits in its numerator or denominator") from None
 
 
+def integer(n: int) -> int:
+    """``n`` as it is, once the interpreter will write it as text."""
+    try:
+        str(n)
+    except ValueError:  # the interpreter's limit on int-to-string conversion
+        raise OutputTooLarge("the answer holds an integer with more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+    return n
+
+
 def value(v):
     """An exponent or a bound: an int, or "w" for omega."""
     return "w" if is_omega(v) else v

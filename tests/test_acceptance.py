@@ -48,6 +48,7 @@ from sigmaprod.uec import (
     phi,
     weight_partial_sum,
 )
+from test_classification import engine_invariants
 from test_deltasystem import brute_force_max_petals
 
 
@@ -180,7 +181,7 @@ def test_criterion_06_delta_system():
 
 
 def test_criterion_07_cb_engine_vs_closed_form():
-    ok = cb_invariants((0,)) == (1, 1)
+    ok = engine_invariants((0,)) == cb_invariants((0,)) == (1, 1)
     for total in range(1, 9):
         for length in range(1, total + 1):
             for cuts in combinations(range(1, total), length - 1):
@@ -190,9 +191,9 @@ def test_criterion_07_cb_engine_vs_closed_form():
                     parts.append(cut - prev)
                     prev = cut
                 ks = tuple(parts)
-                ok = ok and cb_invariants(ks) == (1 + total, 1)
+                ok = ok and engine_invariants(ks) == cb_invariants(ks) == (1 + total, 1)
     # zero-padded factors contribute nothing
-    ok = ok and cb_invariants((0, 3, 0, 2)) == (6, 1)
+    ok = ok and engine_invariants((0, 3, 0, 2)) == cb_invariants((0, 3, 0, 2)) == (6, 1)
     report(7, "derived-set engine equals 1 + sum(k_i) with final count 1", ok)
 
 

@@ -1,5 +1,5 @@
-import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -425,22 +425,38 @@ def test_cb_invariants_examples():
             cb_invariants(ks)
 
 
+def engine_invariants(ks) -> tuple:
+    """Iterate the derived-set engine from the full product of the sigma_k:
+    (the number of stages until the empty set, the point count of the last
+    nonempty one)."""
+    expr, stages = SpaceExpression.full(ks), 0
+    while not expr.is_empty:
+        last, expr, stages = expr, cb_derivative(expr), stages + 1
+    return stages, last.point_count
+
+
 def test_cb_invariants_match_closed_form():
     for ks in [(1,), (4,), (2, 2), (1, 2, 3), (0, 5), (2, 0, 2)]:
-        assert cb_invariants(ks) == (1 + sum(ks), 1)
+        assert engine_invariants(ks) == cb_invariants(ks) == (1 + sum(ks), 1)
 
 
-def test_cb_invariants_charge_every_stage():
-    # the stages partition the degree vectors below ks, and each positive
-    # coordinate of each vector builds len(ks) entries of its derivative; the
-    # last stage that builds any is the one that overflows
-    for ks in [(0,), (2, 3), (1, 2, 3)]:
-        positive = sum(k * math.prod(j + 1 for j in ks) // (k + 1) for k in ks)
-        total = len(ks) * positive
-        assert cb_invariants(ks, budget=total) == (1 + sum(ks), 1)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_engine_closed_form_and_classify_agree_on_the_derivation_index(ks):
+    # t(n) copies of sigma_n for each n >= 1: the product of the factors ks
+    t = TauSequence.from_values([ks.count(n) for n in range(1, max(ks) + 1)])
+    verdict = classify(t, t, "countable")
+    index = int(re.search(r"derivation index (\d+) ", verdict.detail).group(1))
+    assert engine_invariants(ks) == cb_invariants(ks) == (index, 1)
+
+
+def test_cb_invariants_charge_one_unit_per_factor():
+    for ks in [(0,), (2, 3), (1, 2, 3), (12,) * 5]:
+        budget = Budget(len(ks))
+        assert cb_invariants(ks, budget) == (1 + sum(ks), 1)
+        assert budget.spent == len(ks)
         with pytest.raises(BudgetExceeded) as info:
-            cb_invariants(ks, budget=total - 1)
-        assert info.value.needed == total
+            cb_invariants(ks, budget=len(ks) - 1)
+        assert info.value.needed == len(ks)
 
 
 def test_space_expression_point_count():

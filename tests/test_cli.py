@@ -308,8 +308,8 @@ def test_decompose_reports_checks():
 
 
 def test_decompose_and_cb_count_against_the_budget():
-    # both used to run to the end under any budget: 16.5 s and 54 MB of JSON
-    # for this decompose, 2.1 s for this cb
+    # this decompose used to run to the end under any budget: 16.5 s and
+    # 54 MB of JSON
     started = time.monotonic()
     code, payload = run(["decompose", "--kind", "absorb_small", "--m", "1", "--n", "2",
                          "--depth", "1000", "--budget", "100"])
@@ -317,20 +317,23 @@ def test_decompose_and_cb_count_against_the_budget():
     # the closed-form constraint count and the elements of the distinct
     # constraints, n(n + 1)/2 + n + m, charged before any piece is built
     assert payload["error"]["needed"] == 1 + 2 * (999 * 1000 // 2 + 2 * 1000) + (3 + 2 + 1)
-    code, payload = run(["cb", "--ks", "12,12,12,12,12", "--budget", "10"])
+    # one unit per factor
+    code, payload = run(["cb", "--ks", ",".join(["12"] * 11), "--budget", "10"])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    assert payload["error"]["needed"] == 11
     assert time.monotonic() - started < 2
 
 
-def test_cb_charges_the_entries_of_each_derivative_before_building_it():
-    # each stage used to be charged its term count only, then built len(ks)
-    # entries per positive coordinate of each term: 24 ones exited 2 after
-    # 39 s at 633 MB, and 300 ones ended in a MemoryError
+def test_cb_answers_from_the_closed_form_at_one_unit_per_factor():
+    # the derived-set walk used to charge each stage's entries: 24 ones
+    # exited 2 after 39 s at 633 MB, and 300 ones ended in a MemoryError
     for n in (24, 60, 300):
         started = time.process_time()
         code, payload = run(["cb", "--ks", ",".join(["1"] * n)])
         assert time.process_time() - started < 1, n
-        assert code == 2 and payload["error"]["type"] == "budget-exceeded", n
+        assert code == 0 and payload["index"] == n + 1, n
+        code, payload = run(["cb", "--ks", ",".join(["1"] * (n + 1)), "--budget", str(n)])
+        assert code == 2 and payload["error"]["needed"] == n + 1, n
 
 
 def test_classify_writes_a_long_tau_in_linear_time():
@@ -559,10 +562,8 @@ def test_each_request_charges_its_documented_count(tmp_path):
     levels = 8
     searches = [split_charge(Fraction(v), levels) for v in ("1/3", "1/4", "1/5")]
     cases = [
-        # every vector v <= ks is a term of exactly one stage, and each of its
-        # positive coordinates builds len(ks) entries; the first coordinate is
-        # positive in 2 * 4 vectors, the second in 3 * 3
-        (["cb", "--ks", "2,3"], 2 * (2 * 4 + 3 * 3)),
+        # one unit per factor
+        (["cb", "--ks", "2,3"], 2),
         # constraints 1 + ... + 4 and the elements of ({}, {0}) and {0}, then
         # each sample its 4 coordinates, each box one, then the disjointness
         # comparisons: two constraints of one element each at the first three
@@ -648,6 +649,27 @@ def test_a_rational_too_long_to_write_is_output_too_large(tmp_path):
     path = tmp_path / "bits.json"
     path.write_text(json.dumps([[0, 20000]]))
     code, payload = run(["uec", "l0", "--bits-file", str(path)])
+    assert code == 1 and payload["error"]["type"] == "output-too-large"
+    assert f"{sys.get_int_max_str_digits()} digits" in payload["error"]["message"]
+
+
+# a valid bound of as many nines as the interpreter writes digits: 1 + 2 * bound
+# has one digit more
+LONGEST = "9" * sys.get_int_max_str_digits()
+
+
+def test_a_cb_index_too_long_to_write_is_output_too_large(capsys):
+    # through main: render runs outside the handler's error catch
+    assert main(["cb", "--ks", f"{LONGEST},{LONGEST}"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "output-too-large"
+    assert f"{sys.get_int_max_str_digits()} digits" in error["message"]
+
+
+def test_a_countable_classify_index_too_long_to_write_is_output_too_large():
+    # it used to answer invalid-input with the interpreter's own message
+    code, payload = run(["classify", "--gamma", "countable", "--tau", LONGEST,
+                         "--tau2", f"{LONGEST},{LONGEST}"])
     assert code == 1 and payload["error"]["type"] == "output-too-large"
     assert f"{sys.get_int_max_str_digits()} digits" in payload["error"]["message"]
 

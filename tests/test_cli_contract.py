@@ -37,7 +37,7 @@ CASES = {
     "classify-countable": (["classify", "--tau", "2,1", "--tau2", "1,1",
                             "--gamma", "countable"], {}),
     "cb": (["cb", "--ks", "2,3"], {}),
-    "cb-budget": (["cb", "--ks", "12,12,12,12,12", "--budget", "10"], {}),
+    "cb-budget": (["cb", "--ks", ",".join(["12"] * 11), "--budget", "10"], {}),
     "decompose-absorb-small": (["decompose", "--kind", "absorb_small", "--m", "1",
                                 "--n", "2", "--depth", "4", "--samples", "30",
                                 "--boxes", "5", "--seed", "3"], {}),

@@ -40,3 +40,10 @@ def test_fraction_text_and_its_digit_limit():
         encode.fraction(Fraction(1, 3 ** 9100))
     with pytest.raises(encode.OutputTooLarge):
         encode.fraction(Fraction(10 ** 4400))
+
+
+def test_integer_and_its_digit_limit():
+    assert encode.integer(-12) == -12
+    assert encode.integer(10 ** 4299) == 10 ** 4299
+    with pytest.raises(encode.OutputTooLarge):
+        encode.integer(10 ** 4300)
