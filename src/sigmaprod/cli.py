@@ -18,7 +18,7 @@ from types import SimpleNamespace
 # command uses; ``_invoke`` needs these two for the budget and its errors
 from . import encode, ground
 
-SCHEMA = 2
+SCHEMA = 3
 
 
 class CliError(Exception):
@@ -355,6 +355,9 @@ def _handle_avg(args) -> dict:
     missing = sum(x not in f for x in op.surjection)
     if missing:
         raise CliError(f"function file misses {missing} domain points")
+    extra = len(f) - len(op.surjection)  # none is missing, so these lie outside the domain
+    if extra:
+        raise CliError(f"function file has {extra} points outside the domain")
     return {"k": args.k, "ground": args.ground,
             "values": encode.function_values(op.apply(f))}
 
@@ -440,9 +443,8 @@ def _handle_clopen(args) -> dict:
     if args.action == "reduce":
         return {"box": encode.box(box),
                 **encode.box_reduction(clopen.box_reduce(box, args.budget))}
-    preimage = clopen.preimage_under_union(box, args.k, args.budget)
-    return {"box": encode.box(box), "k": args.k,
-            "preimage": encode.clopen_set(preimage), "count": len(preimage)}
+    placements = clopen.preimage_under_union(box, args.k, args.budget)
+    return {"box": encode.box(box), **encode.union_preimage(box, args.k, placements)}
 
 
 _HANDLERS = {

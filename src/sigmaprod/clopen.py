@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import permutations
 
 from .ground import (
     DEFAULT_BUDGET,
@@ -26,7 +27,6 @@ from .ground import (
     parse_point,
     point_in_ambient,
     read_int,
-    union_fiber,
 )
 
 
@@ -109,9 +109,6 @@ class ClopenSet:
 
     def contains(self, x: ProductPoint) -> bool:
         return any(box_contains(b, x) for b in self.boxes)
-
-    def __len__(self):
-        return len(self.boxes)
 
 
 def box_is_empty(b: BasicBox) -> bool:
@@ -471,14 +468,12 @@ def box_reduce(b: BasicBox, budget: Budget | int = DEFAULT_BUDGET) -> BoxReducti
                         tuple(removed))
 
 
-def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUDGET) -> ClopenSet:
-    """Preimage of a box under the k-fold union map from k-tuples of at-most-singletons.
-
-    One box per tuple x of the union map's fiber over F, constraining each
-    coordinate c by (x[c], G): the receiving coordinate must contain its
-    element (hence equals that singleton), and every coordinate avoids G.
-    The k coordinates of each of the k!/(k - |F|)! placements are charged to
-    ``budget`` before any box is built.
+def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
+    """Preimage of a box (F, G) under the k-fold union map σ_1^k → σ_k, as the
+    placements of F's elements into k slots, in ``permutations`` order.  Placement
+    p stands for the box over σ_1^k constraining slot p[i] by ({F[i]}, G), F in
+    sorted order, and every other coordinate by ({}, G).  The |F| + 1 units of
+    each of the k!/(k - |F|)! placements are charged to ``budget`` first.
     """
     if b.ambient.omega_tail is not None or b.ambient.explicit_len != 1:
         raise ValueError("expected a box over a single factor")
@@ -486,12 +481,9 @@ def preimage_under_union(b: BasicBox, k: int, budget: Budget | int = DEFAULT_BUD
         raise ValueError(f"box ambient bound {b.ambient.bound_at(0)} does not match k={k}")
     if box_is_empty(b):
         raise ValueError("expected a nonempty box")
-    f, g = b.constraint_at(0)
-    Budget.of(budget).charge(math.perm(k, len(f)) * k)
-    domain = ProductDescriptor.power(1, k)
-    boxes = [BasicBox(domain, tuple((c, p, g) for c, p in enumerate(x)))
-             for x in union_fiber([Point.of(el) for el in f], k)]
-    return ClopenSet(domain, tuple(boxes))
+    size = len(b.constraint_at(0)[0])
+    Budget.of(budget).charge(math.perm(k, size) * (size + 1))
+    return tuple(permutations(range(k), size))
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,8 @@ def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
         raise ValueError(f"spec was built for k={spec.k}, got k={k}")
     if k < 1:
         raise ValueError("need at least two coordinates (k >= 1)")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     budget = Budget.of(budget)
     g_all = dict(spec.side_g)
     h_all = dict(spec.side_h)

@@ -73,8 +73,10 @@ def box(b) -> dict:
     }
 
 
-def clopen_set(c) -> dict:
-    return {"ambient": descriptor(c.ambient), "boxes": [box(b) for b in c.boxes]}
+def union_preimage(b, k: int, placements: tuple) -> dict:
+    f, g = b.constraint_at(0)
+    return {"k": k, "F": list(f), "G": list(g), "placements": [list(p) for p in placements],
+            "count": len(placements)}
 
 
 def box_reduction(reduction) -> dict:

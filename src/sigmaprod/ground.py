@@ -1,6 +1,6 @@
 """Ground model shared by every other module.
 
-Ground elements are interned non-negative integers.  An uncountable ground
+Ground elements are ints, negative ones included.  An uncountable ground
 set is never approximated by a large enumeration: finite truncations take an
 explicit ``ground_size`` argument and the symbolic modules (the clopen box
 algebra, the classification rules) carry the infinite case.

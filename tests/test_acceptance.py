@@ -27,7 +27,7 @@ from sigmaprod.classification import (
     normal_form,
 )
 from sigmaprod.cli import dispatch, render
-from sigmaprod.clopen import BasicBox, box_is_empty, preimage_under_union
+from sigmaprod.clopen import BasicBox, box_is_empty
 from sigmaprod.deltasystem import SetFamily, extract_delta_system
 from sigmaprod.ground import (
     EMPTY,
@@ -49,6 +49,7 @@ from sigmaprod.uec import (
     weight_partial_sum,
 )
 from test_classification import engine_invariants
+from test_clopen import decoded_preimage, tuple_preimage
 from test_deltasystem import brute_force_max_petals
 
 
@@ -101,7 +102,8 @@ def test_criterion_03_continuity_witnesses():
                                     {0: (Point(f), Point(g))})
                 if box_is_empty(box):
                     continue
-                pre = preimage_under_union(box, k)
+                pre = decoded_preimage(box, k)
+                mismatches += pre.boxes != tuple_preimage(box, k).boxes
                 for x in points:
                     union = EMPTY
                     for s in range(k):
@@ -110,7 +112,8 @@ def test_criterion_03_continuity_witnesses():
                                 and not set(g) & set(union))
                     if pre.contains(x) != in_image:
                         mismatches += 1
-    report(3, "union-map preimages agree pointwise (ground<=4, k<=4)", mismatches == 0)
+    report(3, "union-map placements decode to the tuple boxes and agree pointwise "
+              "(ground<=4, k<=4)", mismatches == 0)
 
 
 def test_criterion_04_pipeline_numbers():

@@ -10,8 +10,10 @@ import pytest
 
 from sigmaprod import classification, deltasystem, encode, uec
 from sigmaprod.cli import SCHEMA, _invoke, build_parser, dispatch, main, render
+from sigmaprod.clopen import parse_box
 from sigmaprod.ground import (DEFAULT_BUDGET, EMPTY, Budget, BudgetExceeded, Point,
                               ProductDescriptor)
+from test_clopen import placement_boxes, tuple_preimage
 from test_uec import split_charge, weight_table_charge
 
 
@@ -298,6 +300,16 @@ def test_ds_witness_file(tmp_path):
     assert payload["lambda0"] == 100
 
 
+def test_ds_witness_refuses_a_negative_n(tmp_path):
+    # --n -1 used to exit 0 with "failed_stage": "verification" and one check over F = []
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"side_g": {"100": [[], []]},
+                                "side_h": {str(mu): [[], []] for mu in range(4)}}))
+    code, payload = run(["ds", "witness", "--spec", str(path), "--n", "-1", "--k", "1"])
+    assert code == 1 and payload["error"] == {
+        "type": "invalid-input", "message": "n must be non-negative, got -1"}
+
+
 def test_decompose_reports_checks():
     code, payload = run(["decompose", "--kind", "classif_K", "--depth", "4",
                          "--samples", "60", "--boxes", "8"])
@@ -517,18 +529,32 @@ def test_clopen_preimage_counts_against_the_budget():
                          "--k", "30", "--budget", "10"])
     assert time.monotonic() - started < 2
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-    assert payload["error"]["needed"] == math.perm(30, 9) * 30
+    # |F| + 1 units per placement
+    assert payload["error"]["needed"] == math.perm(30, 9) * 10
 
 
 def test_clopen_preimage_charges_the_coordinates_it_builds():
-    # one placement, but its box has a constraint at each of the k coordinates;
-    # charged 1 unit, k = 10**6 used to run for 9 s at 766 MB and write 62 MB
-    k = DEFAULT_BUDGET + 1
+    # |F| + 1 units per placement.  F = {} is one empty placement at any k: k = 10**6
+    # used to be charged k units for one box of k constraints, and ran 11 s at
+    # 635 MB to write 62 MB
     started = time.monotonic()
-    code, payload = run(["clopen", "preimage", "--box", f"[0: F={{}} G={{1}}] @ {k}",
-                         "--k", str(k)])
+    code, payload, args = _invoke(["clopen", "preimage", "--box",
+                                   "[0: F={} G={1}] @ 1000000", "--k", "1000000"])
     assert time.monotonic() - started < 1
-    assert code == 2 and payload["error"]["needed"] == k
+    assert (code, args.budget.spent, payload["placements"]) == (0, 1, [[]])
+    assert len(render(payload)) < 1024
+    code, payload = run(["clopen", "preimage", "--box", "[0: F={1,2} G={}] @ 2000",
+                         "--k", "2000"])
+    assert code == 2 and payload["error"]["needed"] == 2000 * 1999 * 3
+
+
+def test_clopen_preimage_document_decodes_to_the_tuple_boxes():
+    # the box of the schema-2 golden, whose document listed these boxes in full
+    box = "[0: F={1,2} G={3}] @ 3"
+    code, payload = run(["clopen", "preimage", "--box", box, "--k", "3"])
+    assert code == 0 and payload["count"] == 6
+    decoded = placement_boxes(3, payload["F"], payload["G"], payload["placements"])
+    assert decoded.boxes == tuple_preimage(parse_box(box), 3).boxes
 
 
 def test_clopen_reduce_charges_its_explicit_factors():
@@ -582,7 +608,7 @@ def test_each_request_charges_its_documented_count(tmp_path):
         # empty petals, four pruned skips), then each (n + 1)-subset of the
         # four usable labels
         (["ds", "witness", "--spec", str(spec), "--n", "1", "--k", "1"], 9 + math.comb(4, 2)),
-        # each placement of F's elements, 3 * 2, builds a box over 3 coordinates
+        # each placement of F's elements, 3 * 2, is charged |F| + 1 units
         (["clopen", "preimage", "--box", "[0: F={0,1} G={}] @ 3", "--k", "3"], 18),
         # no enumeration
         (["classify", "--tau", "w,w", "--tau2", "5,w"], 0),
@@ -920,12 +946,17 @@ def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
     (["ds", "witness", "--n", "1", "--k", "1", "--spec", "FILE"],
      '{"side_g": {"1": [[], []], "+1": [[], []]}, "side_h": {}}',
      "malformed spec file; expected side_g / side_h objects"),
+    # a point outside the domain used to be dropped without a word
+    (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
+     '[[[[]], "1"], [[[0]], "2"], [[[5]], "3"]]',
+     "function file has 1 points outside the domain"),
 ], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget",
         "bits-fraction", "function-coordinate", "spec-element", "target-exponent",
         "points-exponent", "points-float-exponent", "function-exponent", "function-boolean",
         "function-coordinate-boolean", "bits-boolean", "spec-boolean", "bits-nesting",
         "bits-not-utf8", "family-not-utf8", "points-duplicate-label", "family-point",
-        "points-non-ascii-label", "points-underscore-label", "spec-plus-label"])
+        "points-non-ascii-label", "points-underscore-label", "spec-plus-label",
+        "function-outside-domain"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
     path = tmp_path / "input"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())

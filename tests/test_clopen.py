@@ -1,5 +1,5 @@
 import random
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +27,7 @@ from sigmaprod.ground import (
     ProductDescriptor,
     ProductPoint,
     materialize,
+    union_fiber,
 )
 
 SIGMA1 = ProductDescriptor.single(1)
@@ -142,35 +143,64 @@ def test_reduce_witness_is_bijective():
                 red.transform(x)
 
 
+def placement_boxes(k, f, g, placements):
+    """The clopen set that placements of F's elements into k slots stand for:
+    slot p[i] gets ({F[i]}, G) and every other coordinate ({}, G).  ``f``,
+    ``g`` and the placements may be points and tuples or a document's lists."""
+    domain, g = ProductDescriptor.power(1, k), Point(g)
+    boxes = []
+    for p in placements:
+        constraints = {c: (EMPTY, g) for c in range(k)}
+        constraints.update((slot, (Point.of(el), g)) for el, slot in zip(f, p))
+        boxes.append(BasicBox.make(domain, constraints))
+    return ClopenSet(domain, tuple(boxes))
+
+
+def decoded_preimage(box, k):
+    return placement_boxes(k, *box.constraint_at(0), preimage_under_union(box, k))
+
+
+def tuple_preimage(box, k):
+    """The preimage as ``preimage_under_union`` built it before it returned
+    placements: one box per k-tuple of the union map's fiber over F, each
+    coordinate c constrained by (x[c], G)."""
+    f, g = box.constraint_at(0)
+    domain = ProductDescriptor.power(1, k)
+    return ClopenSet(domain, tuple(BasicBox(domain, tuple((c, p, g) for c, p in enumerate(x)))
+                                   for x in union_fiber([Point.of(el) for el in f], k)))
+
+
 def test_preimage_structure_matches_derived_example():
     box = single_box(2, (0,), (1,))
-    pre = preimage_under_union(box, 2)
-    expected = {
+    assert preimage_under_union(box, 2) == ((0,), (1,))
+    expected = (
         BasicBox.make(ProductDescriptor.power(1, 2),
                       {0: (Point.of(0), Point.of(1)), 1: (EMPTY, Point.of(1))}),
         BasicBox.make(ProductDescriptor.power(1, 2),
                       {0: (EMPTY, Point.of(1)), 1: (Point.of(0), Point.of(1))}),
-    }
-    assert set(pre.boxes) == expected
+    )
+    assert decoded_preimage(box, 2).boxes == expected
 
 
 def test_preimage_of_full_box_is_full():
-    pre = preimage_under_union(BasicBox.full(SIGMA2), 2)
-    assert pre.boxes == (BasicBox.full(ProductDescriptor.power(1, 2)),)
+    assert preimage_under_union(BasicBox.full(SIGMA2), 2) == ((),)
+    assert decoded_preimage(BasicBox.full(SIGMA2), 2).boxes == (
+        BasicBox.full(ProductDescriptor.power(1, 2)),)
 
 
 def test_preimage_of_two_forced_elements():
-    pre = preimage_under_union(single_box(2, (0, 1), ()), 2)
-    assert len(pre.boxes) == 2
+    assert preimage_under_union(single_box(2, (0, 1), ()), 2) == ((0, 1), (1, 0))
 
 
 def test_preimage_charges_its_placements_before_building():
-    # k!/(k - |F|)! placements, 4 * 3 here, each a box over k = 4 coordinates
+    # k!/(k - |F|)! placements, 4 * 3 here, each |F| + 1 = 3 units
     box = single_box(4, (0, 1), (5,))
-    assert len(preimage_under_union(box, 4, budget=48).boxes) == 12
+    assert len(preimage_under_union(box, 4, budget=36)) == 12
     with pytest.raises(BudgetExceeded) as info:
-        preimage_under_union(box, 4, budget=47)
-    assert info.value.needed == 48
+        preimage_under_union(box, 4, budget=35)
+    assert info.value.needed == 36
+    # F = {} is one empty placement, one unit at any k
+    assert preimage_under_union(single_box(10 ** 6, (), (1,)), 10 ** 6, budget=1) == ((),)
 
 
 def union_of(x):
@@ -196,11 +226,32 @@ def test_preimage_membership_equivalence():
             box = single_box(k, f, g)
             if box_is_empty(box):
                 continue
-            pre = preimage_under_union(box, k)
+            pre = decoded_preimage(box, k)
             for x in domain:
                 y = union_of(x)
                 in_box = set(f) <= set(y) and not (set(g) & set(y))
                 assert pre.contains(x) == in_box
+
+
+def test_placements_decode_to_the_tuple_boxes():
+    # every F and G over the ground {0..3}, so over every ground of at most 4
+    # elements; membership on every point for k <= 3, on a seeded sample above
+    rng = random.Random(5)
+    subsets = [Point(c) for m in range(5) for c in combinations(range(4), m)]
+    for k in range(1, 6):
+        points = materialize(ProductDescriptor.power(1, k), 4)
+        if k > 3:
+            points = rng.sample(points, 60)
+        for f in subsets:
+            for g in subsets:
+                box = single_box(k, f, g)
+                if box_is_empty(box):
+                    continue
+                pre = decoded_preimage(box, k)
+                assert pre.boxes == tuple_preimage(box, k).boxes, (k, f, g)
+                for x in points:
+                    y = union_of(x)
+                    assert pre.contains(x) == (f.issubset(y) and g.isdisjoint(y)), (k, f, g, x)
 
 
 def test_union_membership_cover():
