@@ -28,8 +28,8 @@ _EXPORTS = {
         "box_reduce", "preimage_under_union", "union_membership_cover",
     ], "clopen"),
     **dict.fromkeys([
-        "AveragingOperator", "UnionMap", "apply_union", "build_operator", "enumerate_L",
-        "fiber_map", "locality_profile", "product_operator", "restrict_operator",
+        "AveragingOperator", "ExplicitOperator", "UnionMap", "apply_union", "build_operator",
+        "enumerate_L", "fiber_map", "locality_profile", "product_operator", "restrict_operator",
     ], "averaging"),
     **dict.fromkeys([
         "BinaryArray", "SignedVector", "embed_u", "in_L0", "level_bounds", "phi",

@@ -6,8 +6,10 @@ point y gives a positive unital operator that is a one-sided inverse of
 composition with the union map.  Everything here is finite-scale and exact:
 weights are rationals, the three operator axioms are checked as equalities.
 
-Operators are generic over their index sets, so products and restrictions of
-union operators are again operators of the same class.
+The union operator is held in placement form: the rows of the points of one
+size share one tuple of placements, and its (ground_size + 1)^k domain is
+never built to check it.  Products and restrictions are explicit operators,
+generic over their index sets, which a union operator is decoded into.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, permutations, product as iter_product
 
 from .ground import (
     DEFAULT_BUDGET,
@@ -31,12 +33,10 @@ from .encode import operator_to_json  # noqa: F401
 
 def apply_union(xs) -> Point:
     """Union of a tuple of coordinates, each of size at most one."""
-    result = EMPTY
     for x in xs:
         if len(x) > 1:
             raise ValueError(f"coordinate {x} has more than one element")
-        result = result | x
-    return result
+    return Point(chain.from_iterable(xs))
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,16 @@ class RaoCheck:
 
 
 @dataclass(frozen=True)
-class AveragingOperator:
+class ExplicitOperator:
     """A finite-scale averaging operator for a surjection between index sets.
 
     ``surjection[x]`` is the image of the domain index x, and ``rows[y]`` a
-    rational probability measure on the fiber of y; the keys of the two maps,
-    in order, are the domain and the codomain.  Applying the operator to a
-    function integrates each row.  Rows with positive weights summing to one,
-    supported exactly on the fibers, give all three axioms: unitality,
-    positivity, and inverting composition with the surjection.
+    rational probability measure on the fiber of y, as ``(x, weight)`` terms;
+    the keys of the two maps, in order, are the domain and the codomain.
+    Applying the operator to a function integrates each row.  Rows with
+    positive weights summing to one, supported exactly on the fibers, give all
+    three axioms: unitality, positivity, and inverting composition with the
+    surjection.
     """
 
     surjection: dict
@@ -104,8 +105,15 @@ class AveragingOperator:
         return tuple(self.surjection)
 
     @property
+    def domain_size(self) -> int:
+        return len(self.surjection)
+
+    @property
     def codomain(self) -> tuple:
         return tuple(self.rows)
+
+    def explicit(self) -> ExplicitOperator:
+        return self
 
     def apply(self, f: dict) -> dict:
         """Integrate ``f`` (a full vector on the domain) against every row."""
@@ -136,40 +144,123 @@ class AveragingOperator:
         return RaoCheck(unital, positive, unital and fiber_supported, fiber_supported)
 
 
+@dataclass(frozen=True)
+class UnionDomain:
+    """The k-tuples of points of size at most one over ``range(ground_size)``,
+    sized without being built.  They iterate with EMPTY and then the
+    singletons in each coordinate, the last coordinate varying fastest."""
+
+    k: int
+    ground_size: int
+
+    def __len__(self) -> int:
+        return (self.ground_size + 1) ** self.k
+
+    def __iter__(self):
+        coords = [EMPTY] + [Point.of(el) for el in range(self.ground_size)]
+        return iter_product(coords, repeat=self.k)
+
+    def __contains__(self, x) -> bool:
+        return isinstance(x, tuple) and len(x) == self.k and all(
+            isinstance(c, Point) and (not c or (len(c) == 1 and 0 <= c[0] < self.ground_size))
+            for c in x)
+
+
+@dataclass(frozen=True)
+class AveragingOperator:
+    """The averaging operator of the k-fold union map, in placement form.
+
+    ``placements[j]`` is ``tuple(permutations(range(k), j))``, and the row of
+    each codomain point y is ``placements[len(y)]``: placement p stands for the
+    k-tuple holding the i-th element of y in slot p[i] and EMPTY elsewhere,
+    and row y gives weight 1/len(row) to each k-tuple its placements stand
+    for.  ``explicit`` writes the operator out as an ``ExplicitOperator``.
+    """
+
+    k: int
+    ground_size: int
+    codomain: tuple
+    placements: tuple
+
+    @property
+    def rows(self) -> dict:
+        return {y: self.placements[len(y)] for y in self.codomain}
+
+    @property
+    def domain(self) -> UnionDomain:
+        return UnionDomain(self.k, self.ground_size)
+
+    @property
+    def domain_size(self) -> int:
+        """(ground_size + 1)^k, also past the largest int ``len`` returns."""
+        return (self.ground_size + 1) ** self.k
+
+    def fiber(self, y: Point) -> tuple:
+        """The distinct k-tuples the placements of row y stand for, in order."""
+        singletons = [Point.of(el) for el in y]
+        return tuple(dict.fromkeys(union_fiber(singletons, self.k, self.placements[len(y)])))
+
+    def explicit(self) -> ExplicitOperator:
+        """The surjection over the whole domain, and each row as weighted terms."""
+        surjection = {x: apply_union(x) for x in self.domain}
+        rows = {y: tuple((x, Fraction(1, len(row))) for x in self.fiber(y))
+                for y, row in self.rows.items()}
+        return ExplicitOperator(surjection, rows)
+
+    def apply(self, f: dict) -> dict:
+        """Integrate ``f`` (a vector on the domain) against every row."""
+        return {y: sum((f[x] for x in self.fiber(y)), Fraction(0)) / len(row)
+                for y, row in self.rows.items()}
+
+    def check(self) -> RaoCheck:
+        """Test the axioms on one row of each size, in exact integer sums.
+
+        The placements of size j are decoded on the point {0, …, j − 1}, and
+        each k-tuple they stand for is sent through the union map.  Every
+        weight is 1/len(row), so the row is positive.  It is unital when its
+        placements stand for len(row) > 0 distinct k-tuples: the integer
+        numerators of their weights then sum to the common denominator.  It
+        passes ``section`` when it is unital and every k-tuple lies on the
+        fiber, as for an explicit operator.
+
+        One row covers every point y of its size: a relabelling of the ground
+        set that takes {0, …, j − 1} onto y, element by element in order, takes
+        the k-tuple each placement stands for on the one to the k-tuple it
+        stands for on the other.  The relabelling commutes with the union map,
+        so it maps fibers onto fibers, and it keeps the weights, which depend
+        on the placements alone.
+        """
+        unital = fiber_supported = True
+        for j, row in enumerate(self.placements):
+            y = Point(range(j))
+            fiber = self.fiber(y)
+            if not 0 < len(fiber) == len(row):
+                unital = False
+            if any(apply_union(x) != y for x in fiber):
+                fiber_supported = False
+        return RaoCheck(unital, True, unital and fiber_supported, fiber_supported)
+
+
 def build_operator(k: int, ground_size: int,
                    budget: Budget | int = DEFAULT_BUDGET) -> AveragingOperator:
     """The averaging operator of the k-fold union map over a finite ground set.
 
-    Row y carries uniform weight 1/|L(y)| on the disjoint-support fiber L(y).
-    Charges its (ground_size + 1)^k domain tuples to ``budget``, computing
-    the power only up to the room left (``Budget.charge_power``), and then
-    the ground_size // 64 words of the element mask each of them is keyed by.
+    Row y carries uniform weight 1/|L(y)| on the disjoint-support fiber L(y),
+    written as its placements.  Charges the codomain points and the
+    placements, sum over j of C(ground_size, j) + k!/(k - j)!, to ``budget``
+    before building them, adding up terms only up to the room left
+    (``Budget.charge_sum``); the (ground_size + 1)^k domain is not built.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if ground_size < 0:
         raise ValueError(f"ground_size must be non-negative, got {ground_size}")
-    budget = Budget.of(budget)
-    budget.charge_power(ground_size + 1, k)
-    budget.charge((ground_size + 1) ** k * (ground_size // 64))
-    singletons = [Point.of(el) for el in range(ground_size)]
-    codomain = enumerate_sigma_points(k, ground_size)
-    # the (k - 1)-coordinate prefixes are built together with the bitmask of
-    # their elements, and the last coordinate's bit picks each image among the
-    # codomain points; the rows reuse the same EMPTY and singletons, so looking
-    # a term up in the surjection compares its coordinates by identity
-    by_mask = {sum(1 << el for el in y): y for y in codomain}
-    coords = [(EMPTY, 0)] + [(p, 1 << el) for el, p in enumerate(singletons)]
-    prefixes = [((), 0)]
-    for _ in range(k - 1):
-        prefixes = [(x + (p,), mask | bit) for x, mask in prefixes for p, bit in coords]
-    surjection = {x + (p,): by_mask[mask | bit] for x, mask in prefixes for p, bit in coords}
-    rows = {}
-    for y in codomain:
-        fiber = union_fiber([singletons[el] for el in y], k)
-        w = Fraction(1, len(fiber))
-        rows[y] = tuple((x, w) for x in fiber)
-    return AveragingOperator(surjection, rows)
+    sizes = range(min(k, ground_size) + 1)
+    Budget.of(budget).charge_sum(chain((math.comb(ground_size, j) for j in sizes),
+                                       (math.perm(k, j) for j in sizes)))
+    placements = tuple(tuple(permutations(range(k), j)) for j in sizes)
+    return AveragingOperator(k, ground_size, tuple(enumerate_sigma_points(k, ground_size)),
+                             placements)
 
 
 @dataclass(frozen=True)
@@ -209,15 +300,16 @@ def fiber_map(y: Point, y_prime: Point, k: int) -> FiberMap:
     return FiberMap(y, y_prime, k, assignment, n)
 
 
-def product_operator(ops, budget: Budget | int = DEFAULT_BUDGET) -> AveragingOperator:
+def product_operator(ops, budget: Budget | int = DEFAULT_BUDGET) -> ExplicitOperator:
     """Operator for the product surjection; rows are products of factor rows."""
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one factor operator")
     if len(ops) == 1:
         return ops[0]
-    Budget.of(budget).charge(max(math.prod(len(op.surjection) for op in ops),
-                                 math.prod(len(op.rows) for op in ops)))
+    Budget.of(budget).charge(max(math.prod(op.domain_size for op in ops),
+                                 math.prod(len(op.codomain) for op in ops)))
+    ops = [op.explicit() for op in ops]
     surjection = {
         xs: tuple(op.surjection[x] for op, x in zip(ops, xs))
         for xs in iter_product(*(op.surjection for op in ops))
@@ -230,16 +322,17 @@ def product_operator(ops, budget: Budget | int = DEFAULT_BUDGET) -> AveragingOpe
                 (xs + (x,), w * wx) for xs, w in support for x, wx in op.rows[y]
             ]
         rows[ys] = tuple(support)
-    return AveragingOperator(surjection, rows)
+    return ExplicitOperator(surjection, rows)
 
 
-def restrict_operator(op: AveragingOperator, m) -> AveragingOperator:
+def restrict_operator(op, m) -> ExplicitOperator:
     """Restrict to a nonempty set of codomain points, renormalizing each row.
 
     Rows already live on fibers, so for the union operator the filtering is
     vacuous; the renormalization form is kept because it is what makes the
     construction closed under restriction at finite scale.
     """
+    op = op.explicit()
     m_set = set(m)
     if not m_set:
         raise ValueError("restriction target must be nonempty")
@@ -253,7 +346,7 @@ def restrict_operator(op: AveragingOperator, m) -> AveragingOperator:
             raise AssertionError("a row lost all support; the surjection was not onto the target")
         total = sum(w for _x, w in kept)
         rows[y] = tuple((x, w / total) for x, w in kept)
-    return AveragingOperator(surjection, rows)
+    return ExplicitOperator(surjection, rows)
 
 
 @dataclass(frozen=True)
@@ -270,7 +363,8 @@ class LocalityProfile:
     conflicts: tuple
 
 
-def locality_profile(op: AveragingOperator, f_set: Point) -> LocalityProfile:
+def locality_profile(op, f_set: Point) -> LocalityProfile:
+    op = op.explicit()
     if not all(isinstance(c, Point) for c in next(iter(op.surjection), ())):
         raise ValueError("locality profiles are defined for union-map operators")
     table: dict = {}

@@ -271,6 +271,17 @@ def _json_label(label: str) -> int:
     return value
 
 
+def _json_function(raw) -> dict:
+    """The function file's ``[[coords…], rational]`` pairs as a dict; a point
+    given twice is refused, as a label is in the points file."""
+    pairs = [(tuple(ground.Point(map(_json_int, c)) for c in coords), _json_rational(value))
+             for coords, value in raw]
+    f = dict(pairs)
+    if len(f) < len(pairs):
+        raise ValueError("a point is given twice")
+    return f
+
+
 def _json_rational(value) -> Fraction:
     """A rational in a JSON file: ``_parse_fraction`` text, a decimal or an int."""
     if isinstance(value, str):
@@ -346,16 +357,20 @@ def _handle_avg(args) -> dict:
 
     op = averaging.build_operator(args.k, args.ground, args.budget)
     if args.action == "build":
+        # each term is written as its k coordinates
+        args.budget.charge(args.k * sum(map(len, op.rows.values())))
         return {"k": args.k, "ground": args.ground, **encode.operator_to_json(op)}
     if args.action == "check":
         return {"k": args.k, "ground": args.ground, **encode.rao_check(op.check())}
-    f = _read_json(args.f, "function", "[[coords…], rational] pairs", lambda raw: {
-        tuple(ground.Point(map(_json_int, c)) for c in coords): _json_rational(value)
-        for coords, value in raw})
-    missing = sum(x not in f for x in op.surjection)
+    f = _read_json(args.f, "function", "[[coords…], rational] pairs", _json_function)
+    # f is a vector on the whole domain; only the file's points are looked up
+    args.budget.charge_power(args.ground + 1, args.k)
+    domain = op.domain
+    inside = sum(x in domain for x in f)
+    missing = op.domain_size - inside
     if missing:
         raise CliError(f"function file misses {missing} domain points")
-    extra = len(f) - len(op.surjection)  # none is missing, so these lie outside the domain
+    extra = len(f) - inside
     if extra:
         raise CliError(f"function file has {extra} points outside the domain")
     return {"k": args.k, "ground": args.ground,

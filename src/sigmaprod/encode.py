@@ -153,20 +153,16 @@ def decomposition_checks(disjoint, membership, cofinite) -> dict:
     }
 
 
-def _index(x):
-    """A domain or codomain index of an operator: a point, or a tuple of indices."""
-    return list(x) if isinstance(x, Point) else [_index(part) for part in x]
-
-
 def operator_to_json(op) -> dict:
+    """A union-map operator with each placement written as the k-tuple it
+    stands for, of weight 1/|row|."""
     return {
         "rows": [
-            {"y": _index(y), "terms": [[_index(x), w.numerator, w.denominator]
-                                       for x, w in row]}
+            {"y": list(y), "terms": [[[list(c) for c in x], 1, len(row)] for x in op.fiber(y)]}
             for y, row in op.rows.items()
         ],
-        "domain_size": len(op.surjection),
-        "codomain_size": len(op.rows),
+        "domain_size": integer(op.domain_size),
+        "codomain_size": len(op.codomain),
     }
 
 
@@ -177,7 +173,7 @@ def rao_check(report) -> dict:
 
 
 def function_values(f: dict) -> list:
-    return [{"y": _index(y), "value": fraction(v)} for y, v in f.items()]
+    return [{"y": list(y), "value": fraction(v)} for y, v in f.items()]
 
 
 def l0_certificate(cert) -> dict:

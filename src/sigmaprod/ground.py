@@ -73,6 +73,18 @@ class Budget:
                     break
         self.charge(units)
 
+    def charge_sum(self, terms) -> None:
+        """Charge the sum of ``terms``, non-negative ints, without adding up
+        terms past the room left: once the running sum passes the room, that
+        partial sum, a lower bound, is the charge that raises."""
+        units = 0
+        room = self.limit - self.spent
+        for term in terms:
+            units += term
+            if units > room:
+                break
+        self.charge(units)
+
 
 @total_ordering
 class Omega:
@@ -353,11 +365,15 @@ def enumerate_sigma_points(n: int, ground_size: int) -> list:
     return points
 
 
-def union_fiber(singletons: list, k: int) -> tuple:
-    """The fiber of the k-fold union map over the union of ``singletons``: the k-tuples
-    holding each in a slot of its own and EMPTY elsewhere, in ``permutations`` order."""
+def union_fiber(singletons: list, k: int, placements=None) -> tuple:
+    """The k-tuples holding ``singletons[i]`` in slot ``p[i]`` and EMPTY elsewhere,
+    one for each placement p of ``placements``.  By default these are all the
+    injective placements, in ``permutations`` order, and the k-tuples are the
+    fiber of the k-fold union map over the union of ``singletons``."""
+    if placements is None:
+        placements = permutations(range(k), len(singletons))
     tuples = []
-    for placement in permutations(range(k), len(singletons)):
+    for placement in placements:
         coords = [EMPTY] * k
         for single, slot in zip(singletons, placement):
             coords[slot] = single

@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 import pytest
 
 from sigmaprod.averaging import (
-    AveragingOperator,
+    ExplicitOperator,
     RaoCheck,
     UnionMap,
     apply_union,
@@ -19,7 +20,7 @@ from sigmaprod.averaging import (
     product_operator,
     restrict_operator,
 )
-from sigmaprod.ground import EMPTY, Point, enumerate_sigma_points
+from sigmaprod.ground import EMPTY, Budget, BudgetExceeded, Point, enumerate_sigma_points
 
 A, B, C = Point.of(0), Point.of(1), Point.of(2)
 
@@ -99,7 +100,7 @@ def test_operator_inverts_composition():
     op = build_operator(2, 3)
     for z in op.codomain:
         g = {y: Fraction(3, 7) if y == z else Fraction(0) for y in op.codomain}
-        f = {x: g[op.surjection[x]] for x in op.domain}
+        f = {x: g[apply_union(x)] for x in op.domain}
         assert op.apply(f) == g
 
 
@@ -110,12 +111,12 @@ def test_constant_function_averages_to_constant():
 
 
 def test_row_support_is_exactly_the_disjoint_fiber():
-    op = build_operator(3, 3)
-    for y in op.codomain:
-        support = {x for x, _w in op.rows[y]}
+    rows = build_operator(3, 3).explicit().rows
+    for y, row in rows.items():
+        support = {x for x, _w in row}
         assert support == set(enumerate_L(y, 3))
-        assert sum(w for _x, w in op.rows[y]) == 1
-        assert all(w > 0 for _x, w in op.rows[y])
+        assert sum(w for _x, w in row) == 1
+        assert all(w > 0 for _x, w in row)
 
 
 def test_fiber_map_examples():
@@ -147,15 +148,15 @@ def test_product_operator_tensors_weights():
     prod = product_operator([op1, op2])
     for (y1, y2) in prod.codomain:
         weights = dict(prod.rows[(y1, y2)])
-        for (x1, w1) in op1.rows[y1]:
-            for (x2, w2) in op2.rows[y2]:
+        for (x1, w1) in op1.explicit().rows[y1]:
+            for (x2, w2) in op2.explicit().rows[y2]:
                 assert weights[(x1, x2)] == w1 * w2
     assert prod.check().ok
 
 
 def test_restrict_operator():
     op = build_operator(2, 2)
-    assert restrict_operator(op, list(op.codomain)) == op
+    assert restrict_operator(op, list(op.codomain)) == op.explicit()
     point_mass = restrict_operator(op, [EMPTY])
     assert point_mass.rows[EMPTY] == (((EMPTY, EMPTY), Fraction(1)),)
     some = restrict_operator(op, [EMPTY, Point.of(0, 1)])
@@ -165,8 +166,8 @@ def test_restrict_operator():
 
 
 def test_ground_restriction_consistency():
-    big = build_operator(2, 4)
-    small = build_operator(2, 2)
+    big = build_operator(2, 4).explicit()
+    small = build_operator(2, 2).explicit()
     small_domain = set(small.domain)
     for y in small.codomain:
         restricted = tuple((x, w) for x, w in big.rows[y] if x in small_domain)
@@ -219,9 +220,9 @@ def test_restrict_operator_support_check_survives_optimized_mode():
     # the check is an explicit raise, so it holds under ``python -O`` too
     code = (
         "from fractions import Fraction\n"
-        "from sigmaprod.averaging import AveragingOperator, restrict_operator\n"
-        "op = AveragingOperator({'a': 'y', 'b': 'z'},\n"
-        "                       {'y': (('b', Fraction(1)),), 'z': (('a', Fraction(1)),)})\n"
+        "from sigmaprod.averaging import ExplicitOperator, restrict_operator\n"
+        "op = ExplicitOperator({'a': 'y', 'b': 'z'},\n"
+        "                      {'y': (('b', Fraction(1)),), 'z': (('a', Fraction(1)),)})\n"
         "try:\n"
         "    restrict_operator(op, ['y'])\n"
         "except AssertionError as exc:\n"
@@ -239,25 +240,107 @@ def test_restrict_operator_support_check_survives_optimized_mode():
 def test_build_operator_takes_ground_zero_and_rejects_a_negative_ground():
     # ground 0 is the one-point space; a negative one used to leak a KeyError
     op = build_operator(3, 0)
-    assert op.codomain == (EMPTY,) and op.domain == ((EMPTY,) * 3,)
-    assert op.rows[EMPTY] == (((EMPTY,) * 3, Fraction(1)),)
+    assert op.codomain == (EMPTY,) and tuple(op.domain) == ((EMPTY,) * 3,)
+    assert op.rows[EMPTY] == ((),)
+    assert op.explicit().rows[EMPTY] == (((EMPTY,) * 3, Fraction(1)),)
     for ground_size in (-1, -3):
         message = f"ground_size must be non-negative, got {ground_size}"
         with pytest.raises(ValueError, match=message):
             build_operator(3, ground_size)
 
 
+def oracle_build(k, ground_size):
+    """The per-tuple build the placement form replaced: the whole domain as a
+    surjection dict, and each row's fiber as weighted k-tuples."""
+    singletons = [Point.of(el) for el in range(ground_size)]
+    codomain = enumerate_sigma_points(k, ground_size)
+    by_mask = {sum(1 << el for el in y): y for y in codomain}
+    coords = [(EMPTY, 0)] + [(p, 1 << el) for el, p in enumerate(singletons)]
+    prefixes = [((), 0)]
+    for _ in range(k - 1):
+        prefixes = [(x + (p,), mask | bit) for x, mask in prefixes for p, bit in coords]
+    surjection = {x + (p,): by_mask[mask | bit] for x, mask in prefixes for p, bit in coords}
+    rows = {}
+    for y in codomain:
+        fiber = []
+        for placement in permutations(range(k), len(y)):
+            x = [EMPTY] * k
+            for el, slot in zip(y, placement):
+                x[slot] = singletons[el]
+            fiber.append(tuple(x))
+        w = Fraction(1, len(fiber))
+        rows[y] = tuple((x, w) for x in fiber)
+    return ExplicitOperator(surjection, rows)
+
+
+def oracle_decode(op):
+    """The explicit operator a placement operator stands for: row y gives
+    1/len(row) to each k-tuple a placement puts the elements of y at."""
+    rows = {}
+    for y, row in op.rows.items():
+        terms = {}
+        for placement in row:
+            x = [EMPTY] * op.k
+            for el, slot in zip(y, placement):
+                x[slot] = Point.of(el)
+            terms[tuple(x)] = Fraction(1, len(row))
+        rows[y] = tuple(terms.items())
+    return ExplicitOperator(oracle_build(op.k, op.ground_size).surjection, rows)
+
+
 def test_build_operator_matches_the_per_tuple_build():
+    rng = random.Random(36)
     for k in range(1, 5):
-        for g in range(1, 5):
-            op = build_operator(k, g)
-            singles = enumerate_sigma_points(1, g)
-            assert op.domain == tuple(iter_product(singles, repeat=k))
-            assert op.codomain == tuple(enumerate_sigma_points(k, g))
-            assert op.surjection == {x: apply_union(x) for x in op.domain}
-            for y in op.codomain:
-                fiber = enumerate_L(y, k)
-                assert op.rows[y] == tuple((x, Fraction(1, len(fiber))) for x in fiber)
+        for g in range(6):
+            op, oracle = build_operator(k, g), oracle_build(k, g)
+            assert op.codomain == oracle.codomain
+            assert len(op.domain) == len(oracle.domain) == (g + 1) ** k
+            assert tuple(op.domain) == oracle.domain
+            assert all(x in op.domain for x in oracle.domain)
+            assert all(op.rows[y] is op.placements[len(y)] for y in op.codomain)
+            # the decoded rows and the surjection
+            assert op.explicit() == oracle_decode(op) == oracle
+            f = {x: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for x in oracle.domain}
+            assert op.apply(f) == oracle.apply(f)
+            assert op.check() == oracle_check(oracle) == RaoCheck(True, True, True, True)
+
+
+def test_the_domain_holds_only_its_k_tuples():
+    domain = build_operator(2, 3).domain
+    outside = [(A,), (A, B, C), (A, Point.of(3)), (Point.of(-1), A), (Point.of(0, 1), EMPTY),
+               ((0,), EMPTY), [A, B], "ab"]
+    assert not any(x in domain for x in outside)
+    assert (C, EMPTY) in domain and len(domain) == 16
+    # past the largest int len() returns, a product is refused by the budget
+    big = build_operator(70, 1)
+    assert big.domain_size == 2 ** 70
+    with pytest.raises(BudgetExceeded) as info:
+        product_operator([big, build_operator(1, 1)])
+    assert info.value.needed == 2 ** 71
+
+
+def test_build_operator_charges_its_codomain_and_placements(monkeypatch):
+    b = Budget(10 ** 6)
+    op = build_operator(5, 17, budget=b)
+    assert b.spent == 9402 + 326
+    assert len(op.codomain) == 9402 and sum(map(len, op.placements)) == 326
+    # neither the build nor the check walks the 18^5 domain
+    monkeypatch.setattr(type(op.domain), "__iter__", lambda _self: pytest.fail("domain built"))
+    assert build_operator(5, 17).check().ok
+
+
+def test_product_restrict_and_locality_give_the_per_tuple_answers():
+    for k, g in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        op, oracle = build_operator(k, g), oracle_build(k, g)
+        other = build_operator(1, 1)
+        assert product_operator([op, other]) == product_operator([oracle, other.explicit()])
+        some = [y for i, y in enumerate(op.codomain) if i % 2 == 0]
+        assert restrict_operator(op, some) == restrict_operator(oracle, some)
+        for f_set in (EMPTY, A, Point.of(0, 1)):
+            assert locality_profile(op, f_set) == locality_profile(oracle, f_set)
+        for y in op.codomain:
+            fm = fiber_map(EMPTY, y, k)
+            assert tuple(fm.assignment) == tuple(x for x, _w in oracle.rows[y])
 
 
 def oracle_check(op):
@@ -286,7 +369,7 @@ def with_row(op, y, terms):
 
 
 def test_check_matches_the_oracle_on_broken_operators():
-    op = build_operator(2, 2)
+    op = build_operator(2, 2).explicit()
     on_a = [(A, EMPTY), (EMPTY, A)]          # the fiber of {0}
     broken = {
         "zero weight": with_row(op, A, zip(on_a, (Fraction(1), Fraction(0)))),
@@ -309,7 +392,7 @@ def test_check_matches_the_oracle_on_broken_operators():
 
 def test_check_matches_the_oracle_on_unequal_weights():
     # a hand-built operator over plain labels, with unequal and integer weights
-    skew = AveragingOperator(
+    skew = ExplicitOperator(
         {"a": "y", "b": "y", "c": "z"},
         {"y": (("a", Fraction(1, 3)), ("b", Fraction(2, 3))), "z": (("c", 1),)})
     prod = product_operator([skew, build_operator(2, 2)])
@@ -318,3 +401,37 @@ def test_check_matches_the_oracle_on_unequal_weights():
         assert op.check() == oracle_check(op)
         assert op.check().ok
     assert {w for _x, w in prod.rows[("y", A)]} == {Fraction(1, 6), Fraction(1, 3)}
+
+
+def with_placements(op, j, row):
+    placements = list(op.placements)
+    placements[j] = tuple(row)
+    return dataclasses.replace(op, placements=tuple(placements))
+
+
+def test_check_matches_the_oracle_on_broken_placements():
+    op = build_operator(4, 4)
+    pairs = op.placements[2]                 # the rows of the points of size 2
+    broken = {
+        # (0, 0) puts both elements in slot 0, so the k-tuple holds only the second
+        "repeated slot": with_placements(op, 2, ((0, 0),) + pairs[1:]),
+        # a uniform measure on part of each fiber still passes every axiom
+        "dropped placement": with_placements(op, 2, pairs[1:]),
+        "duplicated placement": with_placements(op, 2, pairs + pairs[:1]),
+        "empty row": with_placements(op, 0, ()),
+        # placements of one slot put only the first element of y
+        "row of a smaller size": with_placements(op, 2, op.placements[1]),
+        # placements of three slots put y's two elements at each pair twice
+        "row of a larger size": with_placements(op, 2, op.placements[3]),
+    }
+    expected = {
+        "repeated slot": RaoCheck(True, True, False, False),
+        "dropped placement": RaoCheck(True, True, True, True),
+        "duplicated placement": RaoCheck(False, True, False, True),
+        "empty row": RaoCheck(False, True, False, True),
+        "row of a smaller size": RaoCheck(True, True, False, False),
+        "row of a larger size": RaoCheck(False, True, False, True),
+    }
+    for name, bad in broken.items():
+        assert bad.check() == oracle_check(oracle_decode(bad)) == expected[name], name
+        assert bad.explicit().check() == bad.check(), name

@@ -128,7 +128,7 @@ def test_uec_pipeline_budget_covers_the_whole_run(tmp_path):
     assert payload["error"]["needed"] == table + max(costs) + 2 ** 4
 
 
-def test_avg_charges_its_power_without_computing_it():
+def test_avg_charges_its_power_without_computing_it(tmp_path):
     # (10^6 + 1)^800 has 4801 digits: the error could not be written
     # ("invalid-input"), and at k = 3000000 the power took 33 s to build
     for k in ("800", "3000000"):
@@ -136,25 +136,37 @@ def test_avg_charges_its_power_without_computing_it():
         code, payload = run(["avg", "build", "--k", k, "--ground", "1000000"])
         assert time.monotonic() - started < 1
         assert code == 2 and payload["error"]["type"] == "budget-exceeded"
-        # the power is multiplied up only until it passes the room left
-        assert payload["error"]["needed"] == 1000001 ** 2
-    code, payload = run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "63"])
-    assert code == 2 and payload["error"]["needed"] == 4 ** 3
-    assert run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "64"])[0] == 0
+        # the codomain's C(10^6, j) points are added up only until they pass
+        # the room left
+        assert payload["error"]["needed"] == 1 + 1000000 + math.comb(1000000, 2)
+    # the codomain's 8 points, the 1 + 3 + 6 + 6 placements, then 3 units for
+    # each of the 34 terms written
+    code, payload = run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "125"])
+    assert code == 2 and payload["error"]["needed"] == 8 + 16 + 3 * 34
+    assert run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "126"])[0] == 0
+    # apply reads a vector on the (ground + 1)^k domain: 2^1000 is multiplied
+    # up only until it passes the room left by the 2 points and 1001 placements
+    path = tmp_path / "f.json"
+    path.write_text("[]")
+    code, payload = run(["avg", "apply", "--k", "1000", "--ground", "1", "--f", str(path)])
+    assert code == 2 and payload["error"]["needed"] == 2 + 1001 + 2 ** 21
 
 
-def test_avg_charges_the_mask_words_of_its_domain_tuples():
-    # each domain tuple is keyed by a mask of one bit per ground element:
-    # ground 30000 peaked at 213 MB, and k = 2 at ground 600 ran 7.2 s
-    for k, ground in (("1", "30000"), ("2", "600")):
+def test_avg_charges_what_it_builds_and_writes():
+    # the (ground + 1)^k domain is not built: k = 1 over 30000 elements peaked
+    # at 213 MB when each domain tuple was keyed by a mask of one bit per
+    # element, and k = 5 over 17 elements (18^5 tuples) ran 8.2 s
+    for k, ground in (("1", "30000"), ("5", "17"), ("6", "10")):
         started = time.process_time()
         code, payload = run(["avg", "check", "--k", k, "--ground", ground])
         assert time.process_time() - started < 1, (k, ground)
-        assert code == 2 and payload["error"]["type"] == "budget-exceeded", (k, ground)
-    # one unit per tuple and one per 64-bit word of its mask
+        assert code == 0 and payload["rao_axioms"] == "pass", (k, ground)
+    # the 65 codomain points, the 2 placements, and 1 unit for each term
     _code, _payload, args = _invoke(["avg", "build", "--k", "1", "--ground", "64"])
-    assert args.budget.spent == 65 * (1 + 64 // 64)
-    assert run(["avg", "check", "--k", "1", "--ground", "10000"])[1]["rao_axioms"] == "pass"
+    assert args.budget.spent == 65 + 2 + 1 * 65
+    # 424,051 terms of 6 coordinates (14.1 MB) are refused before encoding
+    code, payload = run(["avg", "build", "--k", "6", "--ground", "10"])
+    assert code == 2 and payload["error"]["needed"] == 848 + 1957 + 6 * 424051
 
 
 def test_a_budget_error_too_long_to_write_drops_its_count():
@@ -596,8 +608,8 @@ def test_each_request_charges_its_documented_count(tmp_path):
         # coordinates
         (["decompose", "--kind", "classif_K", "--depth", "4", "--samples", "60",
           "--boxes", "8"], 10 + 2 + 60 * 4 + 8 + 3 * (1 * 2)),
-        # the domain (ground + 1)^k
-        (["avg", "check", "--k", "2", "--ground", "3"], 4 ** 2),
+        # the codomain's points of each size, then the placements of each size
+        (["avg", "check", "--k", "2", "--ground", "3"], (1 + 3 + 3) + (1 + 2 + 2)),
         # the tail table, the head nodes and the listed solutions, all 27 here
         (["uec", "preimage", "--target", "1/3", "--levels", str(levels)],
          split_charge(Fraction(1, 3), levels, listed=27)),
@@ -721,6 +733,7 @@ def test_error_paths_are_structured():
     assert code == 1 and "error" in payload
     code, payload = run(["avg", "check", "--k", "5", "--ground", "5", "--budget", "10"])
     assert code == 2 and payload["error"]["type"] == "budget-exceeded"
+    assert payload["error"]["needed"] == 1 + 5 + 10  # the codomain, up to passing the room
     code, payload = run(["clopen", "reduce", "--box", "[0: F={0,1} G={}] @ 1"])
     assert code == 1  # reducing an empty box is a precondition failure
     code, payload = run(["cb", "--ks", "2,3", "--json"])
@@ -950,13 +963,17 @@ def test_a_file_flag_that_cannot_be_read_is_a_usage_error(tmp_path):
     (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
      '[[[[]], "1"], [[[0]], "2"], [[[5]], "3"]]',
      "function file has 1 points outside the domain"),
+    # the last value given at a repeated point silently won
+    (["avg", "apply", "--k", "1", "--ground", "1", "--f", "FILE"],
+     '[[[[]], "1"], [[[]], "2"], [[[0]], "3"]]',
+     "malformed function file; expected [[coords…], rational] pairs"),
 ], ids=["function", "domain", "bits", "points", "family", "spec", "spec-side", "budget",
         "bits-fraction", "function-coordinate", "spec-element", "target-exponent",
         "points-exponent", "points-float-exponent", "function-exponent", "function-boolean",
         "function-coordinate-boolean", "bits-boolean", "spec-boolean", "bits-nesting",
         "bits-not-utf8", "family-not-utf8", "points-duplicate-label", "family-point",
         "points-non-ascii-label", "points-underscore-label", "spec-plus-label",
-        "function-outside-domain"])
+        "function-outside-domain", "function-repeated-point"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
     path = tmp_path / "input"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())

@@ -6,13 +6,19 @@ are written to a temporary directory, which the golden file names ``{tmp}``.
 Regenerate it only when an output change is intended, and say so::
 
     PYTHONPATH=src python tests/test_cli_contract.py
+
+With ``--check`` the script compares instead of writing, without pytest: it
+exits 1 at the first case whose output differs from the golden file.
 """
 
 import json
 import sys
 from pathlib import Path
 
-import pytest
+try:
+    import pytest
+except ModuleNotFoundError:  # the --check mode runs without pytest
+    pytest = None
 
 from sigmaprod.cli import dispatch, render
 
@@ -110,7 +116,11 @@ def test_golden_file_covers_every_case():
     assert list(_golden()) == list(CASES)
 
 
-@pytest.mark.parametrize("name", list(CASES))
+def _each_case(test):
+    return pytest.mark.parametrize("name", list(CASES))(test) if pytest else test
+
+
+@_each_case
 def test_output_is_byte_identical(name, tmp_path):
     assert run_case(name, tmp_path) == _golden()[name]
     # the payload holds JSON-native values only, so rendering loses nothing
@@ -119,10 +129,30 @@ def test_output_is_byte_identical(name, tmp_path):
     assert render(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def check_golden(tmp: Path) -> int:
+    """0 when every case matches the golden file, else 1 at the first that does not."""
+    golden = _golden()
+    if list(golden) != list(CASES):
+        print(f"{GOLDEN.name} names {list(golden)}, not the cases {list(CASES)}")
+        return 1
+    for name in CASES:
+        row = run_case(name, tmp)
+        if row != golden[name]:
+            print(f"{name} differs from {GOLDEN.name}\n  golden: {json.dumps(golden[name])}"
+                  f"\n  now:    {json.dumps(row)}")
+            return 1
+    print(f"all {len(CASES)} cases match {GOLDEN.name}")
+    return 0
+
+
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_cli_contract.py [--check]")
     with tempfile.TemporaryDirectory() as tmp:
+        if sys.argv[1:]:
+            sys.exit(check_golden(Path(tmp)))
         rows = [run_case(name, Path(tmp)) for name in CASES]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))

@@ -339,6 +339,24 @@ def test_charge_power_stops_past_the_room():
     assert b.spent == 82
 
 
+def test_charge_sum_stops_past_the_room():
+    b = Budget(100)
+    b.charge_sum([30, 0, 51])
+    assert b.spent == 81
+
+    def terms():
+        yield 10
+        yield 10
+        pytest.fail("a term past the room was taken")
+
+    with pytest.raises(BudgetExceeded) as info:
+        b.charge_sum(terms())
+    # 10 + 10 is the first partial sum past the 19 units left
+    assert info.value.needed == 81 + 20 and b.spent == 81
+    b.charge_sum([])
+    assert b.spent == 81
+
+
 def test_a_count_too_long_to_write_is_left_out_of_the_error():
     limit = sys.get_int_max_str_digits()
     b = Budget(10)
@@ -355,12 +373,14 @@ def test_one_budget_spans_library_calls():
     b = Budget(100)
     decompose_classif_k(0, 6, budget=b)
     # the pieces' constraints, 1 + 2 + ... + 6, and the 2 elements of their
-    # distinct points, then the domain (3 + 1)^2
+    # distinct points, then the codomain's 1 + 3 + 3 points and the 1 + 2 + 2
+    # placements
     build_operator(2, 3, budget=b)
-    assert b.spent == 21 + 2 + 16
+    assert b.spent == 21 + 2 + 7 + 5
     with pytest.raises(BudgetExceeded) as info:
-        build_operator(2, 8, budget=b)
-    assert info.value.needed == 21 + 2 + 16 + 81 and b.spent == 39
+        build_operator(3, 8, budget=b)
+    # the codomain's points of sizes 0 to 3, 1 + 8 + 28 + 56, pass the room
+    assert info.value.needed == 35 + 93 and b.spent == 35
 
 
 def test_only_the_budget_raises_budget_exceeded():

@@ -24,8 +24,8 @@ EXPORTS = {
                "parse_tau"],
     "clopen": ["BasicBox", "ClopenSet", "box_contains", "box_intersect", "box_is_empty",
                "box_reduce", "preimage_under_union", "union_membership_cover"],
-    "averaging": ["AveragingOperator", "UnionMap", "apply_union", "build_operator",
-                  "enumerate_L", "fiber_map", "locality_profile", "product_operator",
+    "averaging": ["AveragingOperator", "ExplicitOperator", "UnionMap", "apply_union",
+                  "build_operator", "enumerate_L", "fiber_map", "locality_profile", "product_operator",
                   "restrict_operator"],
     "uec": ["BinaryArray", "SignedVector", "embed_u", "in_L0", "level_bounds", "phi",
             "phi_preimage", "pipeline_check", "support_counts"],
@@ -63,7 +63,7 @@ def fresh(code: str) -> dict:
 
 
 def test_the_package_exports_the_same_names():
-    assert len(NAMES) == 60 == len(set(NAMES))
+    assert len(NAMES) == 61 == len(set(NAMES))
     assert sorted(sigmaprod.__all__) == NAMES
     for module, names in EXPORTS.items():
         source = importlib.import_module(f"sigmaprod.{module}")
