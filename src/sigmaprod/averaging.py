@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, permutations, product as iter_product
 
 from .ground import (
@@ -174,13 +175,18 @@ class AveragingOperator:
     each codomain point y is ``placements[len(y)]``: placement p stands for the
     k-tuple holding the i-th element of y in slot p[i] and EMPTY elsewhere,
     and row y gives weight 1/len(row) to each k-tuple its placements stand
-    for.  ``explicit`` writes the operator out as an ``ExplicitOperator``.
+    for.  ``codomain`` is built from (k, ground_size) the first time it is
+    read; ``check`` never reads it.  ``explicit`` writes the operator out as
+    an ``ExplicitOperator``.
     """
 
     k: int
     ground_size: int
-    codomain: tuple
     placements: tuple
+
+    @cached_property
+    def codomain(self) -> tuple:
+        return tuple(enumerate_sigma_points(self.k, self.ground_size))
 
     @property
     def rows(self) -> dict:
@@ -249,7 +255,8 @@ def build_operator(k: int, ground_size: int,
     written as its placements.  Charges the codomain points and the
     placements, sum over j of C(ground_size, j) + k!/(k - j)!, to ``budget``
     before building them, adding up terms only up to the room left
-    (``Budget.charge_sum``); the (ground_size + 1)^k domain is not built.
+    (``Budget.charge_sum``); the codomain is built only when read, and the
+    (ground_size + 1)^k domain is not built.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -259,8 +266,7 @@ def build_operator(k: int, ground_size: int,
     Budget.of(budget).charge_sum(chain((math.comb(ground_size, j) for j in sizes),
                                        (math.perm(k, j) for j in sizes)))
     placements = tuple(tuple(permutations(range(k), j)) for j in sizes)
-    return AveragingOperator(k, ground_size, tuple(enumerate_sigma_points(k, ground_size)),
-                             placements)
+    return AveragingOperator(k, ground_size, placements)
 
 
 @dataclass(frozen=True)

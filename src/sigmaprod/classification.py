@@ -167,6 +167,21 @@ COUNTABLE_VERSUS_PERFECT = ClassificationVerdict(
     "a countable compactum cannot be homeomorphic to a perfect one")
 
 
+# the detail text of the uncountable verdicts that name the two values differing
+_DIFFERING_VALUES = {
+    "largest-embeddable-bound": "the largest n whose space embeds differs: {} versus {}",
+    "omega-threshold": "omega-thresholds differ: {} versus {} (largest bound "
+                       "embeddable into every clopen set)",
+}
+
+
+@lru_cache(maxsize=1024)
+def _values_differ(rule: str, a: str, b: str) -> ClassificationVerdict:
+    """The NOT_HOMEOMORPHIC verdict of ``rule`` for the text values a and b,
+    one shared object per key while the key stays in the memo."""
+    return ClassificationVerdict(NOT_HOMEOMORPHIC, rule, _DIFFERING_VALUES[rule].format(a, b))
+
+
 class _Invariants:
     """Everything ``classify`` reads of one sequence, computed in one walk over
     its entries.
@@ -235,18 +250,16 @@ def classify(tau: TauSequence, tau2: TauSequence,
     largest embeddable bound, and the completely decided finite-support case;
     in the undecided regime the verdict is OPEN.  Over a countable ground set
     finite products compare by derivation index and infinite products are all
-    homeomorphic.
+    homeomorphic.  Verdicts are immutable, and a call may return the object an
+    earlier call returned.
     """
     # the kept invariants, read inline: this is the hot path of a batch
     a = tau._invariants or _invariants(tau)
     b = tau2._invariants or _invariants(tau2)
-    # verdicts built by tuple.__new__, skipping the NamedTuple's Python-level __new__
     if gamma == "uncountable":
         # equal normal forms have equal support bounds, so j decides first
         if a.j != b.j:
-            return tuple.__new__(ClassificationVerdict, (
-                NOT_HOMEOMORPHIC, "largest-embeddable-bound",
-                f"the largest n whose space embeds differs: {a.j} versus {b.j}"))
+            return _values_differ("largest-embeddable-bound", a.j, b.j)
         if a.i == b.i and a.upper == b.upper and a.tail == b.tail:
             if a.saturated:
                 return OMEGA_SATURATED
@@ -255,10 +268,7 @@ def classify(tau: TauSequence, tau2: TauSequence,
             return ABSORPTION_NORMAL_FORM
         if a.j_finite:
             if a.i != b.i:
-                return tuple.__new__(ClassificationVerdict, (
-                    NOT_HOMEOMORPHIC, "omega-threshold",
-                    f"omega-thresholds differ: {a.i} versus {b.i} (largest bound "
-                    "embeddable into every clopen set)"))
+                return _values_differ("omega-threshold", a.i, b.i)
             return UPPER_EXPONENTS
         if a.saturated or b.saturated:
             return OPEN_VERDICT_ONE_SATURATED
@@ -266,6 +276,7 @@ def classify(tau: TauSequence, tau2: TauSequence,
     if gamma != "countable":
         raise ValueError(f"gamma must be 'uncountable' or 'countable', got {gamma!r}")
     if a.index is not None and b.index is not None:
+        # built by tuple.__new__, skipping the NamedTuple's Python-level __new__
         try:
             if a.index == b.index:
                 return tuple.__new__(ClassificationVerdict, (

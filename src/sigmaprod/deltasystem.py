@@ -97,38 +97,40 @@ class ExtractionResult:
         return self.system is not None
 
 
-def _max_disjoint(cands) -> tuple:
-    """``(labels, nodes)``: the largest sub-list of (label, petal) with pairwise
-    disjoint petals, and the nodes of the search that found it.
+def _max_disjoint(petals) -> tuple:
+    """``(indices, nodes)``: the largest sub-list of the int masks ``petals``
+    with pairwise disjoint bits, as indices into it, and the nodes of the
+    search that found it.
 
     Branch and bound in list order; the first maximum found wins, so the
-    outcome is deterministic.  A petal is tested against the one set of the
-    elements the chosen petals use.  The search is depth first over an
-    explicit stack, taking each fitting petal before leaving it out.
+    outcome is deterministic.  A petal is tested against the one mask of the
+    bits the chosen petals use.  The search is depth first over an explicit
+    stack, taking each fitting petal before leaving it out.
     """
     best: list = []
     chosen: list = []
-    used: set = set()
+    used = 0
     nodes = 0
-    # an index idx to visit the node at, or ~idx to take cands[idx] back out
+    end = len(petals)
+    # an index idx to visit the node at, or ~idx to take petals[idx] back out
     stack = [0]
     while stack:
         idx = stack.pop()
         if idx < 0:
-            used.difference_update(cands[~idx][1])
+            used ^= petals[~idx]
             chosen.pop()
             continue
         nodes += 1
-        if len(chosen) + (len(cands) - idx) <= len(best):
+        if len(chosen) + (end - idx) <= len(best):
             continue
-        if idx == len(cands):
+        if idx == end:
             best = list(chosen)  # longer than best, or the bound above returned
             continue
-        label, petal = cands[idx]
+        petal = petals[idx]
         stack.append(idx + 1)  # leaving it out, visited last
-        if used.isdisjoint(petal):
-            used.update(petal)
-            chosen.append(label)
+        if not used & petal:
+            used |= petal
+            chosen.append(idx)
             stack.append(~idx)
             stack.append(idx + 1)
     return best, nodes
@@ -137,22 +139,26 @@ def _max_disjoint(cands) -> tuple:
 def _extract_exact(group, budget: Budget) -> tuple:
     """``(count, root, labels)``: the best delta-system of one cardinality
     class; try every candidate root (a pairwise intersection) and pack
-    disjoint petals.  The nodes of each root's search are charged to
+    disjoint petals.  Sets are int masks, one bit per element in order of
+    first appearance: a member holding the root is a candidate, and its petal
+    is the rest of its bits.  The nodes of each root's search are charged to
     ``budget`` once it ends."""
-    best = (0, EMPTY, ())
-    roots = dict.fromkeys(a & b for (_l1, a), (_l2, b) in combinations(group, 2))
-    for root in roots:
-        in_root = set(root)
-        cands = []
-        for label, s in group:
-            petal = [e for e in s if e not in in_root]
-            if len(petal) == len(s) - len(root):
-                cands.append((label, petal))
-        labels, nodes = _max_disjoint(cands)
+    bit: dict = {}
+    masks = []
+    for _label, s in group:
+        m = 0
+        for e in s:
+            m |= 1 << bit.setdefault(e, len(bit))
+        masks.append(m)
+    best, best_root, best_cands = [], 0, []
+    for root in dict.fromkeys(a & b for a, b in combinations(masks, 2)):
+        cands = [i for i, m in enumerate(masks) if m & root == root]
+        picked, nodes = _max_disjoint([masks[i] ^ root for i in cands])
         budget.charge(nodes)
-        if len(labels) > best[0]:
-            best = (len(labels), root, tuple(labels))
-    return best
+        if len(picked) > len(best):
+            best, best_root, best_cands = picked, root, cands
+    root = Point(e for e, i in bit.items() if best_root >> i & 1)
+    return len(best), root, tuple(group[best_cands[i]][0] for i in best)
 
 
 def _er_extract(cands, petal_size, budget: Budget) -> tuple:

@@ -5,16 +5,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sigmaprod.classification import (
+    ABSORPTION_NORMAL_FORM,
+    COUNTABLE_INFINITE_PRODUCT,
+    COUNTABLE_VERSUS_PERFECT,
+    FINITE_SUPPORT_INVARIANTS,
     HOMEOMORPHIC,
     NOT_HOMEOMORPHIC,
+    OMEGA_SATURATED,
     OPEN,
     OPEN_QUESTION,
     OPEN_QUESTION_ONE_SATURATED,
+    OPEN_VERDICT,
+    OPEN_VERDICT_ONE_SATURATED,
+    UPPER_EXPONENTS,
     ClassificationVerdict,
     DecompositionPiece,
     NormalForm,
     SpaceExpression,
     _Invariants,
+    _values_differ,
     cb_derivative,
     cb_invariants,
     check_limit_cofinite,
@@ -375,6 +384,89 @@ def test_invariants_match_i_of_and_j_of(tau):
     assert (inv.threshold, inv.upper, inv.tail, inv.index) == (i, upper, tail, index)
     assert inv.saturated == is_omega(i) and inv.j_finite == (not is_omega(j))
     assert normal_form(tau) == NormalForm(i, upper, tail)
+
+
+def constructed_verdict(tau1, tau2, gamma):
+    """Oracle: the verdict built afresh from the invariants on every call, as
+    ``classify`` built it before its memo."""
+    a, b = _Invariants(tau1), _Invariants(tau2)
+    if gamma == "uncountable":
+        if a.j != b.j:
+            return ClassificationVerdict(
+                NOT_HOMEOMORPHIC, "largest-embeddable-bound",
+                f"the largest n whose space embeds differs: {a.j} versus {b.j}")
+        if a.i == b.i and a.upper == b.upper and a.tail == b.tail:
+            if a.saturated:
+                return OMEGA_SATURATED
+            return FINITE_SUPPORT_INVARIANTS if a.j_finite else ABSORPTION_NORMAL_FORM
+        if a.j_finite:
+            if a.i != b.i:
+                return ClassificationVerdict(
+                    NOT_HOMEOMORPHIC, "omega-threshold",
+                    f"omega-thresholds differ: {a.i} versus {b.i} (largest bound "
+                    "embeddable into every clopen set)")
+            return UPPER_EXPONENTS
+        return OPEN_VERDICT_ONE_SATURATED if a.saturated or b.saturated else OPEN_VERDICT
+    if a.index is not None and b.index is not None:
+        if a.index == b.index:
+            return ClassificationVerdict(
+                HOMEOMORPHIC, "countable-derivation-index",
+                f"both countable compacta have derivation index {a.index} "
+                "and a single point at the last stage")
+        return ClassificationVerdict(
+            NOT_HOMEOMORPHIC, "countable-derivation-index",
+            f"derivation indices differ: {a.index} versus {b.index}")
+    if a.index is None and b.index is None:
+        return COUNTABLE_INFINITE_PRODUCT
+    return COUNTABLE_VERSUS_PERFECT
+
+
+@st.composite
+def tau_pairs(draw):
+    """Two sequences; half the time the second keeps the first's indices and
+    last entry and redraws the values before it, so the support bounds agree
+    and the thresholds decide."""
+    tau1 = draw(sparse_taus())
+    if not tau1.entries or draw(st.booleans()):
+        return tau1, draw(sparse_taus())
+    *head, last = tau1.entries
+    values = draw(st.lists(tau_values, min_size=len(head), max_size=len(head)))
+    return tau1, TauSequence(tuple((n, v) for (n, _v), v in zip(head, values)) + (last,),
+                             tau1.tail)
+
+
+@given(tau_pairs(), st.sampled_from(["uncountable", "countable"]))
+def test_verdicts_match_the_construction_and_repeat(pair, gamma):
+    tau1, tau2 = pair
+    verdict = classify(tau1, tau2, gamma)
+    assert verdict == constructed_verdict(tau1, tau2, gamma)
+    assert type(verdict) is ClassificationVerdict
+    again = classify(tau1, tau2, gamma)
+    assert again == verdict
+    if verdict.rule in ("largest-embeddable-bound", "omega-threshold"):
+        assert again is verdict  # the memo's shared object
+
+
+def test_the_verdict_memo_stays_bounded():
+    maxsize = _values_differ.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for n in range(1, maxsize + 100):
+        verdict = classify(TauSequence(((n, 1),)), TauSequence(((n + 1, 1),)))
+        assert verdict.detail == f"the largest n whose space embeds differs: {n} versus {n + 1}"
+        assert _values_differ.cache_info().currsize <= maxsize
+
+
+def test_verdicts_name_values_of_hundreds_of_digits():
+    big = 10 ** 300
+    verdict = classify(TauSequence(((big, 1),)), TauSequence(((big + 1, 1),)))
+    assert verdict == constructed_verdict(TauSequence(((big, 1),)),
+                                          TauSequence(((big + 1, 1),)), "uncountable")
+    assert verdict.detail == f"the largest n whose space embeds differs: {big} versus {big + 1}"
+    a = TauSequence(((big, OMEGA), (big + 1, 1)))
+    b = TauSequence(((3, OMEGA), (big + 1, 1)))
+    verdict = classify(a, b)
+    assert verdict.rule == "omega-threshold" and verdict == constructed_verdict(a, b, "uncountable")
+    assert verdict.detail.startswith(f"omega-thresholds differ: {big} versus 3 (")
 
 
 def test_verdicts_are_named_tuples():

@@ -258,7 +258,9 @@ def test_the_disjoint_search_answers_and_counts_as_the_recursion():
     for trial in range(300):
         size = rng.randint(0, 14)
         cands = [(f"s{j}", rng.sample(range(10), rng.randint(0, 3))) for j in range(size)]
-        assert deltasystem._max_disjoint(cands) == recursive_max_disjoint(cands)
+        masks = [sum(1 << e for e in petal) for _label, petal in cands]
+        indices, nodes = deltasystem._max_disjoint(masks)
+        assert ([cands[i][0] for i in indices], nodes) == recursive_max_disjoint(cands)
 
 
 def test_extraction_leaves_no_reference_cycle():
@@ -511,3 +513,29 @@ def test_greedy_root_can_be_deeper_than_the_recursion_limit():
     result = extract_delta_system(family, 2, 10 ** 8)
     assert result.method == "greedy" and result.max_petals == EXACT_SEARCH_LIMIT + 1
     assert result.system.root == Point(core)
+
+
+def mixed_family(rng, n_members):
+    """Sets of str elements, or of ints, each family of one kind so that its
+    points sort; labels mix ints, strs and tuples."""
+    universe = rng.randint(2, 16)
+    names = [f"e{i}" for i in range(universe)] if rng.random() < 0.5 else list(range(universe))
+    sizes = rng.sample(range(4), rng.randint(1, 2))
+    labels = rng.sample([*range(n_members), *(f"m{i}" for i in range(n_members)),
+                         *((i, "t") for i in range(n_members))], n_members)
+    return SetFamily.from_pairs(
+        (label, Point(rng.sample(names, min(rng.choice(sizes), universe))))
+        for label in labels)
+
+
+def test_mask_search_matches_the_list_search_on_mixed_families():
+    rng = random.Random(37)
+    for trial in range(300):
+        family = mixed_family(rng, rng.randint(0, EXACT_SEARCH_LIMIT))
+        p = rng.randint(2, 5)
+        expected, nodes = oracle_extract(family, p)
+        budget = Budget(10 ** 9)
+        got = extract_delta_system(family, p, budget)
+        assert got == expected and budget.spent == nodes
+        if got.ok:
+            assert type(got.system.root) is Point
