@@ -48,10 +48,7 @@ class UnionMap:
     ground_size: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.ground_size < 1:
-            raise ValueError("ground_size must be at least 1")
+        _refuse_sizes(self.k, self.ground_size)
 
     def __call__(self, xs) -> Point:
         if len(xs) != self.k:
@@ -247,6 +244,13 @@ class AveragingOperator:
         return RaoCheck(unital, True, unital and fiber_supported, fiber_supported)
 
 
+def _refuse_sizes(k: int, ground_size: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if ground_size < 0:
+        raise ValueError(f"ground_size must be non-negative, got {ground_size}")
+
+
 def build_operator(k: int, ground_size: int,
                    budget: Budget | int = DEFAULT_BUDGET) -> AveragingOperator:
     """The averaging operator of the k-fold union map over a finite ground set.
@@ -258,10 +262,7 @@ def build_operator(k: int, ground_size: int,
     (``Budget.charge_sum``); the codomain is built only when read, and the
     (ground_size + 1)^k domain is not built.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if ground_size < 0:
-        raise ValueError(f"ground_size must be non-negative, got {ground_size}")
+    _refuse_sizes(k, ground_size)
     sizes = range(min(k, ground_size) + 1)
     Budget.of(budget).charge_sum(chain((math.comb(ground_size, j) for j in sizes),
                                        (math.perm(k, j) for j in sizes)))

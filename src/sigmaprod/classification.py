@@ -681,106 +681,74 @@ def _refuse_unsampleable(dec: Decomposition, count: int, what: str, beyond: int)
         raise ValueError(f"point {limit} outside ambient {ambient}")
 
 
-def sample_decomposition_points(dec: Decomposition, count: int, seed: int) -> list:
-    """Seeded eventually-constant points with prefix within the materialized
-    depth and the limit tail, so membership is decidable from the pieces.
+class _Sampler:
+    """The seeded draws of ``sample_decomposition_points``, which
+    ``check_sample_membership`` repeats, after ``_refuse_unsampleable``.
 
-    Over the G elements of ``_sample_ground`` each coordinate is a code of
-    G + 1 random bits, as ``getrandbits(G + 1)`` would draw it: bit 0 set
-    picks the limit point's value, with probability 1/2; otherwise bits
-    1 .. G pick a subset of the ground, cut to the first min(bound, size) of
-    its elements in ground order.  Every value within the coordinate's bound
-    is reachable.  ``_drawn_prefixes`` draws the codes.
-    """
-    _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
-    tail = dec.limit_point.tail_value
-    value_at = _code_decoder(dec)[0]
-    return [ProductPoint([value_at(bits, s) for s in range(width)], tail)
-            for width, bits in _drawn_prefixes(dec, count, seed)]
+    Over the G elements of ``_sample_ground`` each coordinate's code is one
+    ``getrandbits(G + 1)`` draw: bit 0 set picks the limit point's value,
+    with probability 1/2; otherwise bits 1 .. G pick a subset of the
+    ground, cut to the first min(bound, size) of its elements in ground
+    order.  Every value within the coordinate's bound is reachable.  A point
+    draws its width, then its codes in coordinate order.  One located before
+    its last code draws the ``words`` bits of each code left in a single
+    call, which moves the generator on as those codes' draws would."""
 
+    def __init__(self, dec: Decomposition, count: int, seed: int):
+        _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
+        self.dec, self.count = dec, count
+        self.getrandbits = random.Random(seed).getrandbits
+        self.ground = _sample_ground(dec)
+        self.size = len(self.ground) + 1
+        self.words = 32 * ((self.size + 31) // 32)  # the bits of the 32-bit words a code takes
+        tables: dict = {}  # one per distinct bound
+        # per coordinate below the widest point: the limit's value, and its bound's
+        # table from the code of each value decoded so far that is not the limit's
+        limit, ambient = dec.limit_point, dec.ambient
+        self.coordinates = [(limit.coordinate(s), tables.setdefault(ambient.bound_at(s), {}))
+                            for s in range(ambient.explicit_len + dec.depth - 1)]
+        self.values: dict = {}  # the elements a code picks, cut to the bound -> their value
 
-def _code_slot(ground_size: int) -> int:
-    """The bits one coordinate's code takes in a point's draw: G + 1 rounded
-    up to whole 32-bit words, the words ``getrandbits(G + 1)`` consumes."""
-    return 32 * ((ground_size + 32) // 32)
-
-
-def _drawn_prefixes(dec: Decomposition, count: int, seed: int):
-    """The raw draws of each point of ``sample_decomposition_points``, as
-    (w, bits): the point's drawn coordinates are 0 .. w - 1, past which it
-    takes the limit's tail value, and ``bits`` holds their codes.
-
-    The width is drawn as ``random.Random(seed).randint`` draws it, then
-    every code in one ``getrandbits`` call.  That call fills 32-bit words
-    lowest first, and ``getrandbits(G + 1)`` would fill whole words too,
-    keeping the highest bits of its last, so coordinate s owns the
-    ``_code_slot`` bits from s·slot on and its code is what the s-th of
-    such calls would return.  The caller refuses an unsampleable
-    decomposition first."""
-    getrandbits = random.Random(seed).getrandbits
-    slot = _code_slot(len(dec.witnesses) + _EXTRA_ELEMENTS)
-    explicit = dec.ambient.explicit_len
-    widths = dec.depth  # prefix widths explicit .. explicit + depth - 1
-    if count and widths < 1:  # no width could be drawn
-        raise ValueError("sampling needs a positive depth")
-    # Random._randbelow_with_getrandbits(widths): getrandbits(bit length)
-    # until it falls below widths
-    width_bits = widths.bit_length()
-    for _ in range(count):
-        width = getrandbits(width_bits)
-        while width >= widths:
+    def widths(self):
+        """Each point's width, the coordinates it draws before the limit's tail."""
+        explicit, widths = self.dec.ambient.explicit_len, self.dec.depth
+        if self.count and widths < 1:  # no width could be drawn
+            raise ValueError("sampling needs a positive depth")
+        # Random._randbelow_with_getrandbits(widths): getrandbits(bit length)
+        # until it falls below widths
+        getrandbits, width_bits = self.getrandbits, widths.bit_length()
+        for _ in range(self.count):
             width = getrandbits(width_bits)
-        width += explicit
-        yield width, getrandbits(slot * width)
+            while width >= widths:
+                width = getrandbits(width_bits)
+            yield width + explicit
 
-
-def _code_decoder(dec: Decomposition):
-    """(value_at, coordinates, layout) for the codes ``_drawn_prefixes``
-    draws.  ``value_at(bits, s)`` is the value at coordinate s of the point
-    whose codes are ``bits``; each distinct value is built once per decoder
-    and shared, and so are the limit point's.
-
-    With ``coordinates[s]`` = (shift, low_shift, limit value, table, bound)
-    and ``layout`` = (top, low, low_mask), coordinate s's code is
-    ``bits >> shift & top``, shifted up by ``low`` and joined by
-    ``bits >> low_shift & low_mask`` when ``low`` is nonzero (a code longer
-    than a word).  ``table`` maps the code of each value decoded so far that
-    is not the limit's, for the coordinates of one bound, to that value."""
-    ground = _sample_ground(dec)
-    slot = _code_slot(len(ground))
-    size = len(ground) + 1
-    # a code's highest ``size - low`` bits are the highest of its slot's last
-    # word; a code of more than one word holds the ``low`` bits of the
-    # slot's other words below them
-    low = slot - 32
-    high = slot - (size - low)
-    top, low_mask = (1 << (size - low)) - 1, (1 << low) - 1
-    widest = dec.ambient.explicit_len + dec.depth - 1
-    tables: dict = {}  # one per distinct bound
-    values: dict = {}  # the elements a code picks, cut to the bound -> their value
-    coordinates = []
-    for s in range(widest):
-        bound = dec.ambient.bound_at(s)
-        coordinates.append((s * slot + high, s * slot, dec.limit_point.coordinate(s),
-                            tables.setdefault(bound, {}), bound))
-
-    def value_at(bits: int, s: int) -> Point:
-        shift, low_shift, limit_value, table, bound = coordinates[s]
-        code = bits >> shift & top
-        if low:
-            code = code << low | bits >> low_shift & low_mask
+    def value(self, s: int, code: int) -> Point:
+        """The value at coordinate s that ``code`` picks; each distinct value
+        is built once per sampler, and the limit point's are its own."""
+        limit_value, table = self.coordinates[s]
         if code & 1:
             return limit_value
         value = table.get(code)
         if value is None:
-            picked = tuple([e for j, e in enumerate(ground, 1) if code >> j & 1][:bound])
-            value = values.get(picked)
+            bound = self.dec.ambient.bound_at(s)
+            picked = tuple([e for j, e in enumerate(self.ground, 1) if code >> j & 1][:bound])
+            value = self.values.get(picked)
             if value is None:
-                value = values[picked] = Point(picked)
+                value = self.values[picked] = Point(picked)
             table[code] = value
         return value
 
-    return value_at, coordinates, (top, low, low_mask)
+
+def sample_decomposition_points(dec: Decomposition, count: int, seed: int) -> list:
+    """Seeded eventually-constant points with prefix within the materialized
+    depth and the limit tail, so membership is decidable from the pieces.
+    ``_Sampler`` draws them."""
+    sampler = _Sampler(dec, count, seed)
+    getrandbits, size, value = sampler.getrandbits, sampler.size, sampler.value
+    tail = dec.limit_point.tail_value
+    return [ProductPoint([value(s, getrandbits(size)) for s in range(width)], tail)
+            for width in sampler.widths()]
 
 
 @dataclass(frozen=True)
@@ -797,48 +765,50 @@ class MembershipReport:
 
 def check_sample_membership(dec: Decomposition, count: int, seed: int) -> MembershipReport:
     """Locate each point of ``sample_decomposition_points(dec, count, seed)``
-    as ``piece_for_point`` does, decoding its coordinates in order only until
-    it is decided: at a coordinate whose value is not the limit point's, once
-    the pieces admitting its values so far are one that no later coordinate
+    as ``piece_for_point`` does, drawing its codes in order only until it is
+    decided: at a coordinate whose value is not the limit point's, once the
+    pieces admitting its values so far are one that no later coordinate
     constrains, or else at its last drawn coordinate.  Each (coordinate,
     value) mask of ``BoxIndex.admitted`` is read once.  The point is built
     only when it lies in no piece or in several."""
-    _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
+    sampler = _Sampler(dec, count, seed)
+    getrandbits, size, value_at = sampler.getrandbits, sampler.size, sampler.value
+    words = sampler.words
     limit, index = dec.limit_point, dec.index
     tail = limit.tail_value
     limit_len = len(limit.prefix)
     everything, admitted = index.everything, index.admitted
     masks = {s: {} for s in index.coords}  # coordinate -> value -> admitted mask
-    value_at, coordinates, (top, low, low_mask) = _code_decoder(dec)
-    # per coordinate below the widest point: its decoding, the boxes whose
-    # constraint there is read (none where no box is constrained), that
-    # coordinate's mask table, and the boxes constrained further on
+    # per coordinate below the widest point: the limit's value and the code
+    # table, the boxes whose constraint there is read (none where no box is
+    # constrained), that coordinate's mask table, and the boxes constrained
+    # further on
     steps = []
-    for s, decoding in enumerate(coordinates):
+    for s, (limit_value, table) in enumerate(sampler.coordinates):
         entry = index.coords.get(s)
-        steps.append((*decoding[:4], entry[2] if entry else 0, masks.get(s),
+        steps.append((limit_value, table, entry[2] if entry else 0, masks.get(s),
                       index.constrained_after(s)))
     # past a point's last drawn coordinate the walk reads the tail value
     constrained = list(index.coords)
     tail_walk = [(s, index.coords[s][2], masks[s]) for s in constrained]
+    coords = [None] * len(steps)  # the values of the point walked, up to its coordinate
     in_piece = 0
     at_limit = 0
     unresolved = []
-    for width, bits in _drawn_prefixes(dec, count, seed):
+    for width in sampler.widths():
         hits = everything
         differs = False
         for s in range(width):
-            # value_at(bits, s), inlined while the value is in the table
-            shift, low_shift, value, table, read, s_masks, after = steps[s]
-            code = bits >> shift & top
-            if low:
-                code = code << low | bits >> low_shift & low_mask
+            # value_at(s, code), inlined while the value is in the table
+            value, table, read, s_masks, after = steps[s]
+            code = getrandbits(size)
             if not code & 1:
                 limit_value = value
                 value = table.get(code)
                 if value is None:
-                    value = value_at(bits, s)
+                    value = value_at(s, code)
                 differs = differs or value != limit_value
+            coords[s] = value
             if hits & read:
                 mask = s_masks.get(value)
                 if mask is None:
@@ -847,12 +817,12 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
             # not the limit, and inside exactly one piece, whatever follows
             if differs and hits and not hits & (hits - 1 | after):
                 in_piece += 1
+                getrandbits(words * (width - 1 - s))  # the codes left unread
                 break
         else:
             if not differs and width >= limit_len:
                 at_limit += 1
                 continue
-            coords = [value_at(bits, s) for s in range(width)]
             for s, pending, table in tail_walk[bisect_left(constrained, width):]:
                 if not hits & pending:
                     break  # no later coordinate constrains a remaining hit
@@ -861,11 +831,11 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
                     mask = table[tail] = admitted(s, tail)
                 hits &= mask
             if not hits:
-                unresolved.append(ProductPoint(coords, tail))
+                unresolved.append(ProductPoint(coords[:width], tail))
             elif hits & (hits - 1):
                 labels = [dec.pieces[i].label for i in _bits(hits)]
-                raise AssertionError(f"point {ProductPoint(coords, tail)} lies in several "
-                                     f"pieces: {labels}")
+                raise AssertionError(f"point {ProductPoint(coords[:width], tail)} lies in "
+                                     f"several pieces: {labels}")
             else:
                 in_piece += 1
     return MembershipReport(count, in_piece, at_limit, tuple(unresolved))

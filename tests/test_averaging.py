@@ -58,6 +58,10 @@ def test_union_map_object():
         p((A,))
     with pytest.raises(ValueError):
         UnionMap(0, 3)
+    # the empty ground, as build_operator takes it; a negative one is refused
+    assert UnionMap(2, 0).operator().check().ok
+    with pytest.raises(ValueError, match="ground_size must be non-negative, got -1"):
+        UnionMap(2, -1)
 
 
 def test_enumerate_L_examples():

@@ -167,6 +167,13 @@ def test_avg_charges_what_it_builds_and_writes():
     # 424,051 terms of 6 coordinates (14.1 MB) are refused before encoding
     code, payload = run(["avg", "build", "--k", "6", "--ground", "10"])
     assert code == 2 and payload["error"]["needed"] == 848 + 1957 + 6 * 424051
+    # check decodes each of the 1 + 126 + 126·125 + 126·125·124 placements into
+    # 126 coordinates: charged one unit per placement, this passed the default
+    # budget and ran for tens of seconds at over 2 GB
+    placements = 1 + 126 + 126 * 125 + 126 * 125 * 124
+    code, payload = run(["avg", "check", "--k", "126", "--ground", "3"])
+    assert code == 2 and payload["error"]["needed"] == 8 + placements + 126 * placements
+    assert payload["error"]["needed"] == 250_047_387
 
 
 def test_a_budget_error_too_long_to_write_drops_its_count():
@@ -608,8 +615,10 @@ def test_each_request_charges_its_documented_count(tmp_path):
         # coordinates
         (["decompose", "--kind", "classif_K", "--depth", "4", "--samples", "60",
           "--boxes", "8"], 10 + 2 + 60 * 4 + 8 + 3 * (1 * 2)),
-        # the codomain's points of each size, then the placements of each size
-        (["avg", "check", "--k", "2", "--ground", "3"], (1 + 3 + 3) + (1 + 2 + 2)),
+        # the codomain's points of each size, the placements of each size,
+        # then k units for each placement that check decodes
+        (["avg", "check", "--k", "2", "--ground", "3"],
+         (1 + 3 + 3) + (1 + 2 + 2) + 2 * (1 + 2 + 2)),
         # the tail table, the head nodes and the listed solutions, all 27 here
         (["uec", "preimage", "--target", "1/3", "--levels", str(levels)],
          split_charge(Fraction(1, 3), levels, listed=27)),

@@ -783,12 +783,16 @@ def test_sampled_points_match_the_per_coordinate_draws(kind):
             assert sample_decomposition_points(dec, 40, seed) == oracle_points(dec, 40, seed)
 
 
-@pytest.mark.parametrize("m, n", [(1, 24), (0, 30), (1, 31), (0, 62), (1, 63), (2, 100)])
-def test_sampled_points_over_grounds_of_one_word_and_more(m, n):
+@pytest.mark.parametrize("m, n, depth, seeds", [
+    *(pytest.param(m, n, 4, 4, id=f"{m}-{n}")
+      for m, n in [(1, 24), (0, 30), (1, 31), (0, 62), (1, 63), (2, 100)]),
+    pytest.param(0, 30, 10, 2, id="0-30-depth-10"), pytest.param(1, 63, 10, 2, id="1-63-depth-10")])
+def test_sampled_points_over_grounds_of_one_word_and_more(m, n, depth, seeds):
     # the codes of G + 1 = 27, 32, 33, 64, 65 and 103 bits: up to a word, a
-    # word exactly, just past one, two words exactly, just past two, and more
-    dec = decompose_absorb_small(m, n, depth=4)
-    for seed in range(4):
+    # word exactly, just past one, two words exactly, just past two, and more.
+    # At depth 10 a located point leaves many codes of 2 and 3 words unread
+    dec = decompose_absorb_small(m, n, depth=depth)
+    for seed in range(seeds):
         points = sample_decomposition_points(dec, 60, seed)
         assert points == oracle_points(dec, 60, seed)
         assert check_sample_membership(dec, 60, seed) == membership_oracle(dec, 60, seed)
