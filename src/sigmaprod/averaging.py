@@ -256,16 +256,18 @@ def build_operator(k: int, ground_size: int,
     """The averaging operator of the k-fold union map over a finite ground set.
 
     Row y carries uniform weight 1/|L(y)| on the disjoint-support fiber L(y),
-    written as its placements.  Charges the codomain points and the
-    placements, sum over j of C(ground_size, j) + k!/(k - j)!, to ``budget``
-    before building them, adding up terms only up to the room left
+    written as its placements.  Charges the codomain points, the placements,
+    and the k coordinates ``check`` decodes each placement into, sum over j
+    of C(ground_size, j) + (1 + k) k!/(k - j)!, to ``budget`` before building
+    any of them, adding up terms only up to the room left
     (``Budget.charge_sum``); the codomain is built only when read, and the
     (ground_size + 1)^k domain is not built.
     """
     _refuse_sizes(k, ground_size)
     sizes = range(min(k, ground_size) + 1)
     Budget.of(budget).charge_sum(chain((math.comb(ground_size, j) for j in sizes),
-                                       (math.perm(k, j) for j in sizes)))
+                                       (math.perm(k, j) for j in sizes),
+                                       (k * math.perm(k, j) for j in sizes)))
     placements = tuple(tuple(permutations(range(k), j)) for j in sizes)
     return AveragingOperator(k, ground_size, placements)
 

@@ -681,76 +681,6 @@ def _refuse_unsampleable(dec: Decomposition, count: int, what: str, beyond: int)
         raise ValueError(f"point {limit} outside ambient {ambient}")
 
 
-class _Sampler:
-    """The seeded draws of ``sample_decomposition_points``, which
-    ``check_sample_membership`` repeats, after ``_refuse_unsampleable``.
-
-    Over the G elements of ``_sample_ground`` each coordinate's code is one
-    ``getrandbits(G + 1)`` draw: bit 0 set picks the limit point's value,
-    with probability 1/2; otherwise bits 1 .. G pick a subset of the
-    ground, cut to the first min(bound, size) of its elements in ground
-    order.  Every value within the coordinate's bound is reachable.  A point
-    draws its width, then its codes in coordinate order.  One located before
-    its last code draws the ``words`` bits of each code left in a single
-    call, which moves the generator on as those codes' draws would."""
-
-    def __init__(self, dec: Decomposition, count: int, seed: int):
-        _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
-        self.dec, self.count = dec, count
-        self.getrandbits = random.Random(seed).getrandbits
-        self.ground = _sample_ground(dec)
-        self.size = len(self.ground) + 1
-        self.words = 32 * ((self.size + 31) // 32)  # the bits of the 32-bit words a code takes
-        tables: dict = {}  # one per distinct bound
-        # per coordinate below the widest point: the limit's value, and its bound's
-        # table from the code of each value decoded so far that is not the limit's
-        limit, ambient = dec.limit_point, dec.ambient
-        self.coordinates = [(limit.coordinate(s), tables.setdefault(ambient.bound_at(s), {}))
-                            for s in range(ambient.explicit_len + dec.depth - 1)]
-        self.values: dict = {}  # the elements a code picks, cut to the bound -> their value
-
-    def widths(self):
-        """Each point's width, the coordinates it draws before the limit's tail."""
-        explicit, widths = self.dec.ambient.explicit_len, self.dec.depth
-        if self.count and widths < 1:  # no width could be drawn
-            raise ValueError("sampling needs a positive depth")
-        # Random._randbelow_with_getrandbits(widths): getrandbits(bit length)
-        # until it falls below widths
-        getrandbits, width_bits = self.getrandbits, widths.bit_length()
-        for _ in range(self.count):
-            width = getrandbits(width_bits)
-            while width >= widths:
-                width = getrandbits(width_bits)
-            yield width + explicit
-
-    def value(self, s: int, code: int) -> Point:
-        """The value at coordinate s that ``code`` picks; each distinct value
-        is built once per sampler, and the limit point's are its own."""
-        limit_value, table = self.coordinates[s]
-        if code & 1:
-            return limit_value
-        value = table.get(code)
-        if value is None:
-            bound = self.dec.ambient.bound_at(s)
-            picked = tuple([e for j, e in enumerate(self.ground, 1) if code >> j & 1][:bound])
-            value = self.values.get(picked)
-            if value is None:
-                value = self.values[picked] = Point(picked)
-            table[code] = value
-        return value
-
-
-def sample_decomposition_points(dec: Decomposition, count: int, seed: int) -> list:
-    """Seeded eventually-constant points with prefix within the materialized
-    depth and the limit tail, so membership is decidable from the pieces.
-    ``_Sampler`` draws them."""
-    sampler = _Sampler(dec, count, seed)
-    getrandbits, size, value = sampler.getrandbits, sampler.size, sampler.value
-    tail = dec.limit_point.tail_value
-    return [ProductPoint([value(s, getrandbits(size)) for s in range(width)], tail)
-            for width in sampler.widths()]
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     total: int
@@ -764,49 +694,77 @@ class MembershipReport:
 
 
 def check_sample_membership(dec: Decomposition, count: int, seed: int) -> MembershipReport:
-    """Locate each point of ``sample_decomposition_points(dec, count, seed)``
-    as ``piece_for_point`` does, drawing its codes in order only until it is
-    decided: at a coordinate whose value is not the limit point's, once the
-    pieces admitting its values so far are one that no later coordinate
-    constrains, or else at its last drawn coordinate.  Each (coordinate,
-    value) mask of ``BoxIndex.admitted`` is read once.  The point is built
-    only when it lies in no piece or in several."""
-    sampler = _Sampler(dec, count, seed)
-    getrandbits, size, value_at = sampler.getrandbits, sampler.size, sampler.value
-    words = sampler.words
-    limit, index = dec.limit_point, dec.index
+    """Draw ``count`` seeded eventually-constant points, with prefix within
+    the materialized depth and the limit tail, and locate each as
+    ``piece_for_point`` does, after ``_refuse_unsampleable``.
+
+    A point draws its width, the coordinates before the limit's tail, as
+    ``Random.randrange(depth)`` past the explicit factors does, then one
+    code per coordinate in order.  Over the G elements of ``_sample_ground``
+    a code is one ``getrandbits(G + 1)`` draw: bit 0 set picks the limit
+    point's value, with probability 1/2; otherwise bits 1 .. G pick a
+    subset of the ground, cut to the first min(bound, size) of its elements
+    in ground order.  Every value within the coordinate's bound is
+    reachable.
+
+    Codes are drawn only until the point is decided: at a coordinate whose
+    value is not the limit point's, once the pieces admitting its values so
+    far are one that no later coordinate constrains, or else at its last
+    drawn coordinate.  A point decided early draws the 32-bit words of its
+    unread codes in one call, which moves the generator on as their draws
+    would.  Each (coordinate, value) mask of ``BoxIndex.admitted`` is read
+    once.  The point is built only when it lies in no piece or in several."""
+    _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
+    ambient, limit, index, depth = dec.ambient, dec.limit_point, dec.index, dec.depth
+    if count and depth < 1:  # no width could be drawn
+        raise ValueError("sampling needs a positive depth")
+    explicit = ambient.explicit_len
+    getrandbits = random.Random(seed).getrandbits
+    ground = _sample_ground(dec)
+    size = len(ground) + 1
+    words = 32 * ((size + 31) // 32)  # the bits of the 32-bit words a code takes
     tail = limit.tail_value
     limit_len = len(limit.prefix)
     everything, admitted = index.everything, index.admitted
     masks = {s: {} for s in index.coords}  # coordinate -> value -> admitted mask
-    # per coordinate below the widest point: the limit's value and the code
-    # table, the boxes whose constraint there is read (none where no box is
-    # constrained), that coordinate's mask table, and the boxes constrained
-    # further on
+    tables: dict = {}  # bound -> code -> the value decoded from it, not the limit's
+    values: dict = {}  # the elements a code picks, cut to the bound -> their value
+    # per coordinate below the widest point: the limit's value, its bound's
+    # code table, the boxes whose constraint there is read (none where no box
+    # is constrained), that coordinate's mask table, and the boxes
+    # constrained further on
     steps = []
-    for s, (limit_value, table) in enumerate(sampler.coordinates):
+    for s in range(explicit + depth - 1):
         entry = index.coords.get(s)
-        steps.append((limit_value, table, entry[2] if entry else 0, masks.get(s),
-                      index.constrained_after(s)))
+        steps.append((limit.coordinate(s), tables.setdefault(ambient.bound_at(s), {}),
+                      entry[2] if entry else 0, masks.get(s), index.constrained_after(s)))
     # past a point's last drawn coordinate the walk reads the tail value
     constrained = list(index.coords)
     tail_walk = [(s, index.coords[s][2], masks[s]) for s in constrained]
     coords = [None] * len(steps)  # the values of the point walked, up to its coordinate
+    width_bits = depth.bit_length()
     in_piece = 0
     at_limit = 0
     unresolved = []
-    for width in sampler.widths():
+    for _ in range(count):
+        # Random._randbelow_with_getrandbits(depth): getrandbits(bit length)
+        # until it falls below depth
+        width = getrandbits(width_bits)
+        while width >= depth:
+            width = getrandbits(width_bits)
+        width += explicit
         hits = everything
         differs = False
         for s in range(width):
-            # value_at(s, code), inlined while the value is in the table
             value, table, read, s_masks, after = steps[s]
             code = getrandbits(size)
             if not code & 1:
                 limit_value = value
                 value = table.get(code)
                 if value is None:
-                    value = value_at(s, code)
+                    picked = [e for j, e in enumerate(ground, 1) if code >> j & 1]
+                    picked = tuple(picked[:ambient.bound_at(s)])
+                    value = table[code] = values.setdefault(picked, Point(picked))
                 differs = differs or value != limit_value
             coords[s] = value
             if hits & read:

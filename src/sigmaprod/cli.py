@@ -361,8 +361,6 @@ def _handle_avg(args) -> dict:
         args.budget.charge(args.k * sum(map(len, op.rows.values())))
         return {"k": args.k, "ground": args.ground, **encode.operator_to_json(op)}
     if args.action == "check":
-        # check decodes each placement into its k coordinates
-        args.budget.charge(args.k * sum(map(len, op.placements)))
         return {"k": args.k, "ground": args.ground, **encode.rao_check(op.check())}
     f = _read_json(args.f, "function", "[[coords…], rational] pairs", _json_function)
     # f is a vector on the whole domain; only the file's points are looked up

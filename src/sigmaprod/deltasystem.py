@@ -355,7 +355,8 @@ def common_point_witness(spec: NeighborhoodSpec, n: int, k: int,
         return CommonPointWitness(False, lambda0, s_labels, m_labels, root, (), "s-size",
                                   f"only {len(s_labels)} usable labels, need {n + 1}")
     ambient = ProductDescriptor.power(n + 1, k + 1)
-    budget.charge(math.comb(len(s_labels), n + 1))
+    # each checked subset builds a box and a point over k + 1 coordinates
+    budget.charge(math.comb(len(s_labels), n + 1) * (k + 1))
     checks = []
     all_ok = True
     for f_labels in combinations(s_labels, n + 1):

@@ -168,6 +168,15 @@ class Point(tuple):
 EMPTY = Point()
 
 
+def _without_trailing(entries: tuple, tail) -> tuple:
+    """``entries`` without its trailing run of entries equal to ``tail``:
+    the cut is found first and sliced once, so a long run is linear."""
+    end = len(entries)
+    while end and entries[end - 1] == tail:
+        end -= 1
+    return entries[:end]
+
+
 @dataclass(frozen=True)
 class ProductDescriptor:
     """A finite or countable product of sigma factors, each given by its bound.
@@ -190,8 +199,7 @@ class ProductDescriptor:
             if type(n) is not int or n < 0:
                 raise ValueError(f"factor bound must be a non-negative integer, got {n!r}")
         if tail:
-            while factors and factors[-1] == self.omega_tail:
-                factors = factors[:-1]
+            factors = _without_trailing(factors, self.omega_tail)
         object.__setattr__(self, "factors", factors)
 
     @classmethod
@@ -250,10 +258,7 @@ class ProductPoint:
     tail_value: Point = EMPTY
 
     def __post_init__(self):
-        prefix = tuple(self.prefix)
-        while prefix and prefix[-1] == self.tail_value:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "prefix", _without_trailing(tuple(self.prefix), self.tail_value))
 
     def coordinate(self, s: int) -> Point:
         if s < 0:

@@ -8,6 +8,7 @@ from itertools import permutations, product as iter_product
 
 import pytest
 
+from sigmaprod import averaging
 from sigmaprod.averaging import (
     ExplicitOperator,
     RaoCheck,
@@ -326,11 +327,19 @@ def test_the_domain_holds_only_its_k_tuples():
 def test_build_operator_charges_its_codomain_and_placements(monkeypatch):
     b = Budget(10 ** 6)
     op = build_operator(5, 17, budget=b)
-    assert b.spent == 9402 + 326
+    # the codomain points, the placements, and the 5 coordinates check
+    # decodes each placement into
+    assert b.spent == 9402 + 326 + 5 * 326
     assert len(op.codomain) == 9402 and sum(map(len, op.placements)) == 326
     # neither the build nor the check walks the 18^5 domain
     monkeypatch.setattr(type(op.domain), "__iter__", lambda _self: pytest.fail("domain built"))
     assert build_operator(5, 17).check().ok
+    # refused before any placement is built: k = 126 over 3 elements built its
+    # 1,968,877 placement tuples (a 153 MB peak) and only then was refused
+    monkeypatch.setattr(averaging, "permutations", lambda *_a: pytest.fail("placements built"))
+    with pytest.raises(BudgetExceeded) as info:
+        build_operator(126, 3)
+    assert info.value.needed == 3_969_387
 
 
 def test_product_restrict_and_locality_give_the_per_tuple_answers():

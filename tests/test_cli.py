@@ -139,17 +139,18 @@ def test_avg_charges_its_power_without_computing_it(tmp_path):
         # the codomain's C(10^6, j) points are added up only until they pass
         # the room left
         assert payload["error"]["needed"] == 1 + 1000000 + math.comb(1000000, 2)
-    # the codomain's 8 points, the 1 + 3 + 6 + 6 placements, then 3 units for
-    # each of the 34 terms written
-    code, payload = run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "125"])
-    assert code == 2 and payload["error"]["needed"] == 8 + 16 + 3 * 34
-    assert run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "126"])[0] == 0
+    # the codomain's 8 points, the 1 + 3 + 6 + 6 placements and 3 units for
+    # each, then 3 units for each of the 34 terms written
+    code, payload = run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "173"])
+    assert code == 2 and payload["error"]["needed"] == 8 + 16 + 3 * 16 + 3 * 34
+    assert run(["avg", "build", "--k", "3", "--ground", "3", "--budget", "174"])[0] == 0
     # apply reads a vector on the (ground + 1)^k domain: 2^1000 is multiplied
-    # up only until it passes the room left by the 2 points and 1001 placements
+    # up only until it passes the room left by the 2 points, the 1001
+    # placements and their 1000 units each
     path = tmp_path / "f.json"
     path.write_text("[]")
     code, payload = run(["avg", "apply", "--k", "1000", "--ground", "1", "--f", str(path)])
-    assert code == 2 and payload["error"]["needed"] == 2 + 1001 + 2 ** 21
+    assert code == 2 and payload["error"]["needed"] == 2 + 1001 + 1000 * 1001 + 2 ** 20
 
 
 def test_avg_charges_what_it_builds_and_writes():
@@ -161,19 +162,24 @@ def test_avg_charges_what_it_builds_and_writes():
         code, payload = run(["avg", "check", "--k", k, "--ground", ground])
         assert time.process_time() - started < 1, (k, ground)
         assert code == 0 and payload["rao_axioms"] == "pass", (k, ground)
-    # the 65 codomain points, the 2 placements, and 1 unit for each term
+    # the 65 codomain points, the 2 placements and 1 unit for each, and 1
+    # unit for each term
     _code, _payload, args = _invoke(["avg", "build", "--k", "1", "--ground", "64"])
-    assert args.budget.spent == 65 + 2 + 1 * 65
+    assert args.budget.spent == 65 + 2 + 1 * 2 + 1 * 65
     # 424,051 terms of 6 coordinates (14.1 MB) are refused before encoding
     code, payload = run(["avg", "build", "--k", "6", "--ground", "10"])
-    assert code == 2 and payload["error"]["needed"] == 848 + 1957 + 6 * 424051
+    assert code == 2 and payload["error"]["needed"] == 848 + 1957 + 6 * 1957 + 6 * 424051
     # check decodes each of the 1 + 126 + 126·125 + 126·125·124 placements into
     # 126 coordinates: charged one unit per placement, this passed the default
-    # budget and ran for tens of seconds at over 2 GB
+    # budget and ran for tens of seconds at over 2 GB; charged after the
+    # build, it was refused only once the placements existed (needed
+    # 250,047,387).  The sum is added up until it passes the room, at the
+    # 126 units of each size-2 placement
     placements = 1 + 126 + 126 * 125 + 126 * 125 * 124
     code, payload = run(["avg", "check", "--k", "126", "--ground", "3"])
-    assert code == 2 and payload["error"]["needed"] == 8 + placements + 126 * placements
-    assert payload["error"]["needed"] == 250_047_387
+    assert code == 2
+    assert payload["error"]["needed"] == 8 + placements + 126 * (1 + 126 + 126 * 125)
+    assert payload["error"]["needed"] == 3_969_387
 
 
 def test_a_budget_error_too_long_to_write_drops_its_count():
@@ -282,12 +288,13 @@ def test_ds_witness_charges_its_petal_search_to_the_request(tmp_path):
         deltasystem.extract_delta_system(family, 2, 7)
     code, payload = run(argv + ["--budget", "7"])
     assert code == 2 and payload["error"]["needed"] == info.value.needed
-    # the whole request: the petal search, then each 2-subset of the usable labels
+    # the whole request: the petal search, then each 2-subset of the usable
+    # labels over its k + 1 = 2 coordinates
     search = Budget(10 ** 6)
     deltasystem.extract_delta_system(family, 2, search)
     code, payload, args = _invoke(argv)
     assert code == 0
-    assert args.budget.spent == search.spent + math.comb(len(payload["s_labels"]), 2)
+    assert args.budget.spent == search.spent + math.comb(len(payload["s_labels"]), 2) * 2
 
 
 def test_uec_preimage_rejects_levels_below_one():
@@ -305,6 +312,10 @@ def test_ds_extract_file(tmp_path):
     code, payload = run(["ds", "extract", "--family", str(path), "--petals", "3"])
     assert code == 0 and payload["found"] is True
     assert payload["root"] == [1]
+    # blank lines and # lines are skipped, not read as members
+    path.write_text("# three sets\n\n1: {1,2}\n   \n2: {1,3}\n  # 4: {5,6}\n3: {1,4}\n\n")
+    assert run(["ds", "extract", "--family", str(path), "--petals", "3"]) == (code, payload)
+    assert payload["family_size"] == 3
 
 
 def test_ds_witness_file(tmp_path):
@@ -317,6 +328,18 @@ def test_ds_witness_file(tmp_path):
     code, payload = run(["ds", "witness", "--spec", str(path), "--n", "1", "--k", "1"])
     assert code == 0 and payload["ok"] is True
     assert payload["lambda0"] == 100
+
+
+def test_ds_witness_without_a_two_petal_delta_system_fails_at_that_stage(tmp_path):
+    # the side-two coordinate-1 sets {7} and {7, 8}: no two of them have one size
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"side_g": {"100": [[], []]},
+                                "side_h": {"1": [[], [7]], "2": [[], [7, 8]]}}))
+    code, payload = run(["ds", "witness", "--spec", str(path), "--n", "1", "--k", "1"])
+    assert code == 0 and payload == {
+        "schema": SCHEMA, "ok": False, "lambda0": None, "s_labels": [], "m_labels": [],
+        "root": None, "checks": [], "failed_stage": "delta-system",
+        "detail": "no two-petal delta-system among the exclusions"}
 
 
 def test_ds_witness_refuses_a_negative_n(tmp_path):
@@ -365,6 +388,29 @@ def test_cb_answers_from_the_closed_form_at_one_unit_per_factor():
         assert code == 0 and payload["index"] == n + 1, n
         code, payload = run(["cb", "--ks", ",".join(["1"] * (n + 1)), "--budget", str(n)])
         assert code == 2 and payload["error"]["needed"] == n + 1, n
+
+
+def test_clopen_reduce_far_out_drops_the_tail_run_in_linear_time():
+    # canonical forms dropped trailing tail-equal factors one slice at a
+    # time, 16 s on a 2-core host; timed in CPU seconds
+    started = time.process_time()
+    code, payload = run(["clopen", "reduce", "--box", "[100000: F={} G={1}] @ 3^w"])
+    assert time.process_time() - started < 1
+    assert code == 0 and payload["box"]["constraints"] == [{"coord": 100000, "F": [], "G": [1]}]
+
+
+def test_ds_witness_over_many_coordinates_runs_in_linear_time(tmp_path):
+    # each checked subset's point dropped its k - 1 trailing empty
+    # coordinates one slice at a time, 2.8 s at k = 20,000 on a 2-core host
+    k = 20000
+    blank = [[]] * (k + 1)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"side_g": {"100": blank, "101": blank},
+                                "side_h": {"1": blank, "2": blank, "3": blank}}))
+    started = time.process_time()
+    code, payload = run(["ds", "witness", "--spec", str(path), "--n", "1", "--k", str(k)])
+    assert time.process_time() - started < 1
+    assert code == 0 and payload["ok"] is True and len(payload["checks"]) == 3
 
 
 def test_classify_writes_a_long_tau_in_linear_time():
@@ -616,7 +662,8 @@ def test_each_request_charges_its_documented_count(tmp_path):
         (["decompose", "--kind", "classif_K", "--depth", "4", "--samples", "60",
           "--boxes", "8"], 10 + 2 + 60 * 4 + 8 + 3 * (1 * 2)),
         # the codomain's points of each size, the placements of each size,
-        # then k units for each placement that check decodes
+        # and k units for each placement that check decodes, all charged
+        # before building
         (["avg", "check", "--k", "2", "--ground", "3"],
          (1 + 3 + 3) + (1 + 2 + 2) + 2 * (1 + 2 + 2)),
         # the tail table, the head nodes and the listed solutions, all 27 here
@@ -627,8 +674,9 @@ def test_each_request_charges_its_documented_count(tmp_path):
          weight_table_charge(levels) + sum(searches)),
         # the petal search under the one root {} (the five nodes taking all four
         # empty petals, four pruned skips), then each (n + 1)-subset of the
-        # four usable labels
-        (["ds", "witness", "--spec", str(spec), "--n", "1", "--k", "1"], 9 + math.comb(4, 2)),
+        # four usable labels, over k + 1 = 2 coordinates
+        (["ds", "witness", "--spec", str(spec), "--n", "1", "--k", "1"],
+         9 + math.comb(4, 2) * 2),
         # each placement of F's elements, 3 * 2, is charged |F| + 1 units
         (["clopen", "preimage", "--box", "[0: F={0,1} G={}] @ 3", "--k", "3"], 18),
         # no enumeration
@@ -1000,6 +1048,10 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
      "malformed descriptor '2x ^w'"),
     (["clopen", "empty", "--box", "[0: F={} G={}] @ \u00b2"], "invalid-input",
      "malformed descriptor '\u00b2'"),
+    (["clopen", "empty", "--box", "[0: F={} G={}] @ 2^wx1"], "invalid-input",
+     "malformed descriptor '2^wx1': tail must come last"),
+    (["clopen", "empty", "--box", "0: F={} G={} @ 2"], "invalid-input",
+     "malformed box '0: F={} G={} @ 2': constraints must be bracketed"),
     (["clopen", "empty", "--box", "[0: F={\u0661} G={}] @ 2"], "invalid-input",
      "malformed point '{\u0661}': elements must be integers"),
     (["classify", "--tau", "\u00b2", "--tau2", "1"], "invalid-input",
@@ -1027,7 +1079,8 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv, content, message):
      "argument --boxes: invalid int value: '+0'"),
     (["--seed", " 5", "cb", "--ks", "1"], "usage", "argument --seed: invalid int value: ' 5'"),
 ], ids=["box-coordinate", "box-empty-constraint", "descriptor-empty-tail",
-        "descriptor-superscript", "point-arabic-indic", "tau-superscript", "tau-arabic-indic",
+        "descriptor-superscript", "descriptor-tail-first", "box-unbracketed",
+        "point-arabic-indic", "tau-superscript", "tau-arabic-indic",
         "ks-arabic-indic", "ks-plus", "tau-long", "box-coordinate-long",
         "descriptor-factor-long", "descriptor-tail-long", "ks-long", "budget-underscore",
         "depth-arabic-indic", "boxes-plus", "seed-space"])

@@ -5,11 +5,13 @@ the linear scan of ``box_contains`` over every piece, and the per-piece
 ``box_subset`` test; the library answers from the per-coordinate index.
 A decomposition built by levels answers every check as the same pieces do
 in box form, each carrying its whole box, and so do mutated ones.  The JSON
-document, the point sampler, the sampled membership check and
-``box_reduce`` are checked against code that draws or builds each part on its
-own: every piece's box rebuilt from the document, a sampler that calls
-``getrandbits`` once per coordinate, that sampler's points each located by
-the linear scan, and a reduction that builds every factor anew.  The
+document, the sampled membership check and ``box_reduce`` are checked
+against code that draws or builds each part on its own: every piece's box
+rebuilt from the document, a sampler that calls ``getrandbits`` once per
+coordinate, that sampler's points each located by the linear scan, and a
+reduction that builds every factor anew.  Over a decomposition without
+pieces every drawn point but the limit is unresolved, so the check's own
+draws are compared with that sampler's points.  The
 neighborhood boxes are checked against their specification.
 """
 
@@ -35,7 +37,6 @@ from sigmaprod.classification import (
     decomposition_to_json,
     limit_neighborhood_boxes,
     piece_for_point,
-    sample_decomposition_points,
 )
 from sigmaprod.cli import dispatch, render
 from sigmaprod.clopen import (
@@ -272,7 +273,7 @@ def test_constructed_decompositions_match_the_brute_force_checks(kind):
     for depth in range(1, 13):
         dec = build(kind, depth)
         assert check_pairwise_disjoint(dec) == pairs_oracle(dec) == []
-        points = (sample_decomposition_points(dec, 30, seed=depth)
+        points = (oracle_points(dec, 30, depth)
                   + perturbed_limit_points(dec, rng, 30) + [dec.limit_point])
         answers = [piece_for_point(dec, x) for x in points]
         assert answers == [scan_oracle(dec, x) for x in points]
@@ -309,7 +310,7 @@ def check_answers(dec, seed):
     max_coord = dec.ambient.explicit_len + dec.depth + 1
     boxes = (limit_neighborhood_boxes(dec, 10, seed)
              + [random_box(rng, dec.ambient, max_coord) for _ in range(10)])
-    points = (sample_decomposition_points(dec, 30, seed)
+    points = (oracle_points(dec, 30, seed)
               + perturbed_limit_points(dec, rng, 30) + [dec.limit_point])
     return (check_pairwise_disjoint(dec), outcome(check_sample_membership, dec, 100, seed),
             check_limit_cofinite(dec, boxes), [outcome(piece_for_point, dec, x) for x in points])
@@ -619,7 +620,7 @@ def test_a_limit_outside_the_ambient_is_refused_before_any_draw(limit):
     dec = hand_built([piece("P0", BasicBox.make(ambient, {0: (Point.of(0), EMPTY)}))],
                      ambient, limit)
     refusal = (ValueError, f"point {limit} outside ambient {ambient}")
-    for fn in (check_sample_membership, sample_decomposition_points, limit_neighborhood_boxes):
+    for fn in (check_sample_membership, limit_neighborhood_boxes):
         for count in (0, 1, 200):
             assert outcome(fn, dec, count, 0) == refusal
 
@@ -628,21 +629,22 @@ def test_a_coordinate_outside_a_product_without_a_tail_is_refused_by_every_sampl
     # the points reach coordinate 2 at depth 2, the neighborhoods coordinate 4
     dec = Decomposition("hand", ProductDescriptor((2, 2)), (), (),
                         ProductPoint((Point.of(0, 1), Point.of(0, 1))), (0, 1), 2)
-    for fn in (check_sample_membership, sample_decomposition_points, limit_neighborhood_boxes):
+    for fn in (check_sample_membership, limit_neighborhood_boxes):
         for count in (0, 1, 50):
             with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
                 fn(dec, count, 0)
-    # at depth 1 the points stay within the two factors
+    # at depth 1 the points stay within the two factors: without pieces,
+    # every point drawn but the limit is unresolved
     shallow = Decomposition("hand", dec.ambient, (), (), dec.limit_point, (0, 1), 1)
-    points = sample_decomposition_points(shallow, 20, 0)
-    assert len(points) == 20 and all(point_in_ambient(dec.ambient, x) for x in points)
+    report = check_sample_membership(shallow, 20, 0)
+    assert report.in_piece == 0 and len(report.unresolved) + report.at_limit == 20
+    assert report.unresolved and all(point_in_ambient(dec.ambient, x) for x in report.unresolved)
     with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
         limit_neighborhood_boxes(shallow, 5, 0)
 
 
 @pytest.mark.parametrize("fn, what", [
     (check_sample_membership, "samples"),
-    (sample_decomposition_points, "samples"),
     (limit_neighborhood_boxes, "boxes"),
 ])
 def test_a_negative_count_is_refused(fn, what):
@@ -774,13 +776,36 @@ def test_a_deep_document_grows_linearly_with_the_depth():
     assert size(400) < 2.2 * size(200)
 
 
+def drawn_points(dec, count, seed, keep=slice(0)):
+    """The points ``check_sample_membership`` draws over ``dec`` with only
+    the pieces ``keep`` picks, none by default, that lie in none of them:
+    each is built whole as an unresolved point.  A point located in a piece
+    kept draws its unread codes in one skip."""
+    sparse = Decomposition(dec.kind, dec.ambient, dec.levels, dec.pieces[keep],
+                           dec.limit_point, dec.witnesses, dec.depth)
+    return list(check_sample_membership(sparse, count, seed).unresolved)
+
+
+def unlocated_oracle(dec, count, seed, keep=slice(0)):
+    """The per-coordinate sampler's points but the limit that lie in none of
+    the pieces ``keep`` picks, tried one by one."""
+    kept = dec.pieces[keep]
+    return [x for x in oracle_points(dec, count, seed)
+            if x != dec.limit_point and not any(box_contains(p.box, x) for p in kept)]
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=str)
 def test_sampled_points_match_the_per_coordinate_draws(kind):
-    # one getrandbits call per point draws what one call per coordinate does
+    # the walk draws what one getrandbits call per coordinate does: every
+    # code of a point in no piece, and the codes of a located point up to its
+    # stop followed by one skip over the rest
+    every_other = slice(None, None, 2)
     for depth in [*range(1, 14), 40]:
         dec = build(kind, depth)
         for seed in range(6):
-            assert sample_decomposition_points(dec, 40, seed) == oracle_points(dec, 40, seed)
+            assert drawn_points(dec, 40, seed) == unlocated_oracle(dec, 40, seed)
+            assert drawn_points(dec, 40, seed, every_other) == \
+                unlocated_oracle(dec, 40, seed, every_other)
 
 
 @pytest.mark.parametrize("m, n, depth, seeds", [
@@ -792,9 +817,10 @@ def test_sampled_points_over_grounds_of_one_word_and_more(m, n, depth, seeds):
     # word exactly, just past one, two words exactly, just past two, and more.
     # At depth 10 a located point leaves many codes of 2 and 3 words unread
     dec = decompose_absorb_small(m, n, depth=depth)
+    every_other = slice(None, None, 2)
     for seed in range(seeds):
-        points = sample_decomposition_points(dec, 60, seed)
-        assert points == oracle_points(dec, 60, seed)
+        points = drawn_points(dec, 60, seed, every_other)
+        assert points == unlocated_oracle(dec, 60, seed, every_other)
         assert check_sample_membership(dec, 60, seed) == membership_oracle(dec, 60, seed)
     for x in points:
         for s, value in enumerate(x.prefix):
@@ -805,14 +831,17 @@ def test_sampled_points_over_grounds_of_one_word_and_more(m, n, depth, seeds):
 def test_every_value_within_the_bound_is_drawn(kind):
     dec = build(kind, 3)
     ground = ground_of(dec)
+    drawn = drawn_points(dec, 3000, 5)
     for s in range(dec.ambient.explicit_len + 2):
         bound = dec.ambient.bound_at(s)
         within = {Point(c) for k in range(bound + 1) for c in combinations(ground, k)}
         codes = {decode_oracle(code, ground, dec.limit_point.coordinate(s), bound)
                  for code in range(2 ** (len(ground) + 1))}
         assert codes == within  # the limit's value is one of them
-        # a point drawn narrower holds the limit's tail value at s, within too
-        assert {x.coordinate(s) for x in sample_decomposition_points(dec, 3000, 5)} == within
+        # the values the walk draws, read off the points it leaves
+        # unresolved; a point drawn narrower holds the limit's tail value at
+        # s, within too
+        assert {x.coordinate(s) for x in drawn} == within
 
 
 def check_neighborhood_spec(dec, seed):

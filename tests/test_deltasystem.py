@@ -385,7 +385,7 @@ def test_witness_with_fewer_than_two_side_two_labels():
     assert result.ok and result.root == EMPTY
     assert result.m_labels == result.s_labels == (7,)
     assert [f for f, _nonempty, _witnessed in result.checks] == [(7,)]
-    assert budget.spent == 1  # the one 1-subset, and no petal search
+    assert budget.spent == 2  # the one 1-subset over k + 1 = 2 coordinates, and no petal search
     result = common_point_witness(empty_spec(1, g_labels=[100], h_labels=[]), 0, 1)
     assert not result.ok and result.failed_stage == "thinning"
     assert result.root == EMPTY and result.m_labels == ()

@@ -373,14 +373,14 @@ def test_one_budget_spans_library_calls():
     b = Budget(100)
     decompose_classif_k(0, 6, budget=b)
     # the pieces' constraints, 1 + 2 + ... + 6, and the 2 elements of their
-    # distinct points, then the codomain's 1 + 3 + 3 points and the 1 + 2 + 2
-    # placements
+    # distinct points, then the codomain's 1 + 3 + 3 points, the 1 + 2 + 2
+    # placements and the 2 coordinates of each
     build_operator(2, 3, budget=b)
-    assert b.spent == 21 + 2 + 7 + 5
+    assert b.spent == 21 + 2 + 7 + 5 + 2 * 5
     with pytest.raises(BudgetExceeded) as info:
         build_operator(3, 8, budget=b)
     # the codomain's points of sizes 0 to 3, 1 + 8 + 28 + 56, pass the room
-    assert info.value.needed == 35 + 93 and b.spent == 35
+    assert info.value.needed == 45 + 93 and b.spent == 45
 
 
 def test_only_the_budget_raises_budget_exceeded():
