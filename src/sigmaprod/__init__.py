@@ -43,7 +43,7 @@ _EXPORTS = {
         "ClassificationVerdict", "Decomposition", "NormalForm", "SpaceExpression",
         "cb_derivative", "cb_invariants", "classify", "decompose_absorb_small",
         "decompose_classif_k", "embed_product_into_sigma", "max_power_embeddable",
-        "normal_form", "recover_tau", "retract_witness",
+        "normal_form", "recover_tau", "retract_witness", "split_tagged_point",
     ], "classification"),
 }
 

@@ -232,11 +232,16 @@ class _Invariants:
         self.index = 1 + weight if finite_tail and not cut else None
 
 
+# the invariants of every sequence with an omega tail, whatever its entries
+_SATURATED = _Invariants(TauSequence((), OMEGA))
+
+
 def _invariants(tau: TauSequence) -> _Invariants:
     """Compute the invariants of ``tau`` and keep them on the object itself:
     they live as long as the sequence does, and a new sequence object computes
-    its own.  Callers read ``tau._invariants`` first, None until this ran."""
-    inv = _Invariants(tau)
+    its own, except that every omega-tail sequence shares ``_SATURATED``.
+    Callers read ``tau._invariants`` first, None until this ran."""
+    inv = _SATURATED if is_omega(tau.tail) else _Invariants(tau)
     object.__setattr__(tau, "_invariants", inv)
     return inv
 
@@ -882,7 +887,8 @@ def embed_product_into_sigma(xs, ks) -> Point:
 
 
 def split_tagged_point(y: Point, nfactors: int) -> tuple:
-    """Inverse of the tagged union: separate elements by their factor tag."""
+    """Inverse of ``embed_product_into_sigma``: separate the elements of a
+    tagged union by their (1-based) factor tag into ``nfactors`` points."""
     coords = [[] for _ in range(nfactors)]
     for el, idx in y:
         coords[idx - 1].append(el)

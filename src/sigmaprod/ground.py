@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import total_ordering
+from dataclasses import dataclass, field
+from functools import lru_cache, total_ordering
 from itertools import combinations, permutations, product as iter_product
 
 GroundElement = int
@@ -295,19 +295,28 @@ def point_in_ambient(desc: ProductDescriptor, x: ProductPoint) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _entry(idx: int, val: TauValue) -> tuple:
+    """The (index, value) pair, one shared object per pair while it stays in
+    the memo.  Called only on checked values: the memo's keys treat 1, True
+    and 1.0 alike, so an unchecked call could store or return a bool."""
+    return idx, val
+
+
+@dataclass(frozen=True, slots=True)
 class TauSequence:
     """Exponent sequence: ``value_at(n)`` copies of the n-th sigma space, n >= 1.
 
     Stored sparsely as (index, value) entries over an eventually-constant
-    tail; canonical form drops entries equal to the tail.
+    tail; canonical form drops entries equal to the tail.  Equal entries of
+    separately built sequences are one shared pair.
     """
 
     entries: tuple = ()
     tail: TauValue = 0
-    # where classification keeps the sequence's invariants once computed; a
-    # class attribute, not a field, so equality, hashing and repr ignore it
-    _invariants = None
+    # where classification keeps the sequence's invariants once computed;
+    # equality, hashing and repr ignore it
+    _invariants: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_tau_value(self.tail)
@@ -321,7 +330,7 @@ class TauSequence:
             prev = idx
             _check_tau_value(val)
             if val != self.tail:
-                canon.append((idx, val))
+                canon.append(_entry(idx, val))
         object.__setattr__(self, "entries", tuple(canon))
 
     @classmethod

@@ -33,11 +33,6 @@ def truncation_tail(levels: int) -> Fraction:
     return Fraction(1 << levels, 3 ** levels)
 
 
-def weight_partial_sum(levels: int) -> Fraction:
-    """Sum of r_n for n < levels; equals 1 - (2/3)^levels exactly."""
-    return 1 - truncation_tail(levels)
-
-
 def _level_sum(counts: dict, levels: int) -> int:
     """Σ c_n·2^n·3^(levels-1-n) over ``counts`` (level n -> c_n, each n below
     ``levels``): the weighted sum Σ c_n·r_n times 3^levels, an integer."""

@@ -1,5 +1,9 @@
+import copy
+import gc
+import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +26,7 @@ from sigmaprod.classification import (
     DecompositionPiece,
     NormalForm,
     SpaceExpression,
+    _SATURATED,
     _Invariants,
     _values_differ,
     cb_derivative,
@@ -322,6 +327,70 @@ def test_classify_keeps_the_invariants_on_each_sequence_object():
     # an equal but new object computes its own, without normal_form
     assert classify(parse_tau("1,w,2"), b) == classify(a, b)
     assert normal_form.cache_info().misses == 0
+
+
+def test_a_sequence_keeps_its_invariants_in_a_declared_slot():
+    for text in ("1,w,2", "3 tail=w"):
+        tau = parse_tau(text)
+        assert not hasattr(tau, "__dict__")
+        for computed in (False, True):
+            if computed:
+                classify(tau, tau)
+            copies = pickle.loads(pickle.dumps(tau)), copy.deepcopy(tau)
+            assert [c._invariants is None for c in copies] == [not computed] * 2
+            # a new equal sequence has none yet: the comparisons ignore them
+            for other in (parse_tau(text), *copies):
+                assert other == tau and hash(other) == hash(tau) and repr(other) == repr(tau)
+                assert classify(other, tau) == classify(tau, tau)
+    # the text the dataclass wrote when the invariants were a class attribute
+    assert repr(tau) == "TauSequence(entries=((1, 3),), tail=w)"
+    assert repr(parse_tau("1,w,2")) == "TauSequence(entries=((1, 1), (2, w), (3, 2)), tail=0)"
+
+
+def test_every_omega_tail_sequence_shares_one_invariants_object():
+    for text in ("tail=w", "1,2 tail=w", "w,0,3 tail=w"):
+        tau = parse_tau(text)
+        classify(tau, tau)
+        assert tau._invariants is _SATURATED
+    assert parse_tau("w,w")._invariants is None
+    classify(tau, parse_tau("w,w"))
+    assert _SATURATED.saturated and _SATURATED.i == _SATURATED.j == "w"
+
+
+def distinct_taus(rng, count):
+    """``count`` distinct sequences: at most 6 entries in {0, 1, 2, 3, w}
+    over a tail in {0, 1, 2, w}."""
+    values, seen, taus = (0, 1, 2, 3, OMEGA), set(), []
+    while len(taus) < count:
+        tau = TauSequence.from_values([rng.choice(values) for _ in range(rng.randint(0, 6))],
+                                      rng.choice((0, 1, 2, OMEGA)))
+        if tau not in seen:
+            seen.add(tau)
+            taus.append(tau)
+    return taus
+
+
+def test_a_classified_sequence_keeps_few_bytes():
+    # each kept sequence held about 519 bytes when it built its own
+    # (index, value) pairs, kept an instance dict and, over an omega tail,
+    # invariants of its own; the memos are filled before the count starts
+    def classify_all(taus):
+        for previous, tau in zip(taus[-1:] + taus, taus):
+            for gamma in ("uncountable", "countable"):
+                classify(previous, tau, gamma)
+
+    classify_all(distinct_taus(random.Random(42), 2_000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = distinct_taus(random.Random(43), 20_000)
+        classify_all(kept)
+        gc.collect()
+        per_sequence = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_sequence <= 300, per_sequence
 
 
 def test_classify_keeps_nothing_in_the_normal_form_cache():

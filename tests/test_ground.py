@@ -16,6 +16,7 @@ from sigmaprod.ground import (
     ProductDescriptor,
     ProductPoint,
     TauSequence,
+    _entry,
     format_descriptor,
     format_tau,
     i_of,
@@ -72,6 +73,37 @@ def test_tau_sequence_refuses_bool():
     for entries, tail in [(((True, 2),), 0), (((1, True),), 0), ((), True), (((1, False),), 1)]:
         with pytest.raises(ValueError):
             TauSequence(entries, tail)
+
+
+def test_equal_entries_of_separate_sequences_are_one_pair():
+    _entry.cache_clear()
+    a = parse_tau("1,w,2 tail=3")
+    b = TauSequence(((1, 1), (2, OMEGA), (3, 2)), 3)
+    c = TauSequence.from_values([1, OMEGA, 2, 3, 3], 3)
+    assert a == b == c
+    for x, y, z in zip(a.entries, b.entries, c.entries):
+        assert x is y is z
+    # the memo is bounded: twice as many distinct pairs as it keeps
+    maxsize = _entry.cache_info().maxsize
+    for idx in range(1, 2 * maxsize + 1):
+        TauSequence(((idx, 5),))
+        assert _entry.cache_info().currsize <= maxsize
+    assert _entry.cache_info().currsize == maxsize
+
+
+def test_the_pair_memo_sees_only_checked_values():
+    # the memo's keys treat 1, True and 1.0 alike, so the checks run before
+    # it: it neither stores a bool or a float nor answers one with (1, 1)
+    _entry.cache_clear()
+    built = []
+    for _ in range(2):  # before (1, 1) is in the memo, and after
+        for entries in (((True, 1),), ((1, True),), ((1, 1.0),), ((1.0, 1),)):
+            with pytest.raises(ValueError):
+                TauSequence(entries)
+        built.append(TauSequence(((1, 1),)))
+    assert built[0].entries[0] is built[1].entries[0]
+    for tau in built:
+        assert [type(x) for pair in tau.entries for x in pair] == [int, int]
 
 
 @pytest.mark.parametrize("parse, text", [

@@ -36,7 +36,7 @@ EXPORTS = {
                        "SpaceExpression", "cb_derivative", "cb_invariants", "classify",
                        "decompose_absorb_small", "decompose_classif_k",
                        "embed_product_into_sigma", "max_power_embeddable", "normal_form",
-                       "recover_tau", "retract_witness"],
+                       "recover_tau", "retract_witness", "split_tagged_point"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
@@ -63,7 +63,7 @@ def fresh(code: str) -> dict:
 
 
 def test_the_package_exports_the_same_names():
-    assert len(NAMES) == 61 == len(set(NAMES))
+    assert len(NAMES) == 62 == len(set(NAMES))
     assert sorted(sigmaprod.__all__) == NAMES
     for module, names in EXPORTS.items():
         source = importlib.import_module(f"sigmaprod.{module}")

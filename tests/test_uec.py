@@ -25,14 +25,18 @@ from sigmaprod.uec import (
     support_counts,
     truncation_tail,
     weight_digits,
-    weight_partial_sum,
 )
+
+
+def weight_partial_sum(levels: int) -> Fraction:
+    """Oracle: the sum of r_n for n < levels, 1 - (2/3)^levels exactly."""
+    return 1 - Fraction(2, 3) ** levels
 
 
 def test_weight_series():
     for levels in range(1, 41):
         total = sum(level_weight(n) for n in range(levels))
-        assert total == weight_partial_sum(levels) == 1 - Fraction(2, 3) ** levels
+        assert total == weight_partial_sum(levels) == 1 - truncation_tail(levels)
     for n in range(200):
         assert level_weight(n) == Fraction(1, 3) * Fraction(2, 3) ** n
         assert truncation_tail(n) == Fraction(2, 3) ** n
