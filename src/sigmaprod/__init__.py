@@ -40,10 +40,10 @@ _EXPORTS = {
         "extract_delta_system", "free_transversal", "neighborhood_emptiness_bound",
     ], "deltasystem"),
     **dict.fromkeys([
-        "ClassificationVerdict", "Decomposition", "NormalForm", "SpaceExpression",
-        "cb_derivative", "cb_invariants", "classify", "decompose_absorb_small",
-        "decompose_classif_k", "embed_product_into_sigma", "max_power_embeddable",
-        "normal_form", "recover_tau", "retract_witness", "split_tagged_point",
+        "ClassificationVerdict", "Decomposition", "NormalForm", "cb_invariants", "classify",
+        "decompose_absorb_small", "decompose_classif_k", "decompose_countable",
+        "embed_product_into_sigma", "max_power_embeddable", "normal_form", "recover_tau",
+        "retract_witness", "split_tagged_point",
     ], "classification"),
 }
 

@@ -8,8 +8,9 @@ the omega-threshold is finite, mismatches are an open question and the
 verdict says so rather than guessing.
 
 For a countable ground set the finite products are countable compacta,
-classified by the derivation index of the iterated derived-set operation;
-the infinite products are all homeomorphic.
+classified by their derivation index 1 + sum of n * v, which the clopen
+partition of ``decompose_countable`` proves by induction; the infinite
+products are all homeomorphic.
 
 The decomposition constructors emit the clopen partitions behind the
 absorption rules, by levels: the pinned constraints once, and each piece as
@@ -22,11 +23,11 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 from .ground import (
     DEFAULT_BUDGET,
@@ -132,10 +133,7 @@ def normal_form(tau: TauSequence) -> NormalForm:
     return NormalForm(inv.threshold, inv.upper, inv.tail)
 
 
-class ClassificationVerdict(NamedTuple):
-    outcome: str
-    rule: str
-    detail: str
+ClassificationVerdict = namedtuple("ClassificationVerdict", "outcome rule detail")
 
 
 # verdicts whose text does not depend on the sequences, shared by every call
@@ -281,7 +279,7 @@ def classify(tau: TauSequence, tau2: TauSequence,
     if gamma != "countable":
         raise ValueError(f"gamma must be 'uncountable' or 'countable', got {gamma!r}")
     if a.index is not None and b.index is not None:
-        # built by tuple.__new__, skipping the NamedTuple's Python-level __new__
+        # built by tuple.__new__, skipping the namedtuple's Python-level __new__
         try:
             if a.index == b.index:
                 return tuple.__new__(ClassificationVerdict, (
@@ -300,69 +298,25 @@ def classify(tau: TauSequence, tau2: TauSequence,
 
 
 # ---------------------------------------------------------------------------
-# derived-set engine (countable ground set, finite products)
+# derivation index (countable ground set, finite products)
 
 
-@dataclass(frozen=True)
-class SpaceExpression:
-    """Formal finite union of degree vectors inside a fixed product.
-
-    A vector v denotes the subspace where coordinate s has at most v[s]
-    elements; the derived set decrements one positive coordinate at a time.
-    """
-
-    bounds: tuple
-    terms: tuple = ()
-
-    def __post_init__(self):
-        bounds = tuple(self.bounds)
-        terms = []
-        for v in sorted(set(tuple(t) for t in self.terms)):
-            if len(v) != len(bounds):
-                raise ValueError("term length must match the number of coordinates")
-            if any(d < 0 or d > b for d, b in zip(v, bounds)):
-                raise ValueError(f"term {v} violates the degree bounds {bounds}")
-            terms.append(v)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "terms", tuple(terms))
-
-    @classmethod
-    def full(cls, bounds) -> "SpaceExpression":
-        return cls(bounds, (tuple(bounds),))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    @property
-    def point_count(self) -> TauValue:
-        """How many points the terms denote over a countably infinite ground
-        set: a term with a positive degree denotes infinitely many, and the
-        all-zero term the one point whose coordinates are all empty."""
-        if any(any(v) for v in self.terms):
-            return OMEGA
-        return len(self.terms)
-
-
-def _derive(terms) -> set:
-    """Derived set of a union of terms: each loses one from one positive coordinate."""
-    return {v[:s] + (d - 1,) + v[s + 1:] for v in terms for s, d in enumerate(v) if d > 0}
-
-
-def cb_derivative(expr: SpaceExpression) -> SpaceExpression:
-    """Derived set: full-degree points are isolated; the derivative of a union is the union."""
-    return SpaceExpression(expr.bounds, tuple(_derive(expr.terms)))
-
-
-def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
-    """(1 + sum(ks), 1): the derivation index of the product of the sigma_k over
-    a countable ground set, and the point count of its last stage, as the stages
-    of ``cb_derivative`` reach them.  Charges ``budget`` one unit per factor."""
+def _factor_bounds(ks) -> tuple:
+    """``ks`` as a tuple, refused when empty or holding a bool or a negative."""
     ks = tuple(ks)
     if not ks:
         raise ValueError("need at least one factor")
     if any(type(k) is not int or k < 0 for k in ks):
         raise ValueError("factor bounds must be non-negative integers")
+    return ks
+
+
+def cb_invariants(ks, budget: Budget | int = DEFAULT_BUDGET) -> tuple:
+    """(1 + sum(ks), 1): the derivation index of the product of the sigma_k over
+    a countable ground set, and the point count of its last stage, as the
+    partition of ``decompose_countable`` proves them by induction on sum(ks).
+    Charges ``budget`` one unit per factor."""
+    ks = _factor_bounds(ks)
     Budget.of(budget).charge(len(ks))
     return 1 + sum(ks), 1
 
@@ -377,9 +331,7 @@ def max_power_embeddable(n: int, nf: NormalForm) -> TauValue:
     threshold, else the sum of the exponents from n up."""
     if n < 1:
         raise ValueError("bounds are indexed from 1")
-    if is_omega(nf.i) or n <= nf.i:
-        return OMEGA
-    if nf.upper_tail > 0:
+    if is_omega(nf.i) or n <= nf.i or nf.upper_tail > 0:
         return OMEGA
     return sum(v for m, v in nf.upper_entries if m >= n)
 
@@ -639,6 +591,49 @@ def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
     comparisons = (m * (m * (m + 1) // 2 + m) + (depth - 1) * n * (misses + n)
                    + (n - 1) * misses)
     return build, sampling, comparisons
+
+
+def decompose_countable(ks, window: int = 4,
+                        budget: Budget | int = DEFAULT_BUDGET) -> Decomposition:
+    """Clopen partition of X minus its all-empty point ``ProductPoint()``, for
+    X the product of the sigma_k, k in ``ks``, over the naturals, through the
+    elements below ``window``.
+
+    Piece P(a, S), for an element a and a nonempty set S of the coordinates
+    with k_s > 0, constrains each s in S by ({a}, {0, ..., a - 1}) and every
+    other s by ({}, {0, ..., a}): its points have least element a over all
+    coordinates, held by exactly those in S.  So the pieces split X minus the
+    all-empty point into basic boxes, and ``box_reduce`` checks each type,
+    the product of the sigma_{k_s - [s in S]}.  Split by the first nonempty
+    coordinate they would not be clopen: "x_s is empty" is not open.
+
+    Induction on sum(ks) gives X the derivation index 1 + sum(ks) and the
+    all-empty point as its last stage; with sum(ks) = 0 there are no pieces
+    and X is that point.  A piece's type has the smaller sum sum(ks) - |S|,
+    largest at |S| = 1, which every level holds.  R_a = {x : every x_s
+    misses 0, ..., a - 1} holds every piece of level a or more, and the R_a
+    are a neighbourhood base at the all-empty point, so the last stages of
+    infinitely many top pieces accumulate there alone.
+
+    Points whose least element is ``window`` or more lie in no piece.  The
+    n(a + 1) elements of the constraints of a piece of level a, over n
+    factors, are all charged to ``budget`` before any piece is built."""
+    ks = _factor_bounds(ks)
+    if type(window) is not int or window < 1:
+        raise ValueError("the window must be a positive integer")
+    positive = [s for s, k in enumerate(ks) if k]
+    Budget.of(budget).charge(((1 << len(positive)) - 1) * len(ks) * window * (window + 1) // 2)
+    subsets = [(Point(c), ProductDescriptor(tuple(k - (s in c) for s, k in enumerate(ks))))
+               for size in range(1, len(positive) + 1) for c in combinations(positive, size)]
+    ambient = ProductDescriptor(ks)
+    pieces = []
+    for a in range(window):
+        at, below, upto = Point.of(a), Point(range(a)), Point(range(a + 1))
+        for held, claimed in subsets:
+            own = tuple((s, at, below) if s in held else (s, EMPTY, upto) for s in range(len(ks)))
+            pieces.append(DecompositionPiece(f"P({a},{held})", ambient, own, claimed))
+    return Decomposition("countable", ambient, (), pieces, ProductPoint(),
+                         tuple(range(window)), window)
 
 
 def check_pairwise_disjoint(dec: Decomposition,

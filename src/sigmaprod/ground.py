@@ -347,6 +347,10 @@ class TauSequence:
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else 0
 
+    def __reduce__(self):
+        # copies and unpickled sequences take the memo's pairs and no invariants
+        return TauSequence, (self.entries, self.tail)
+
     def __str__(self):
         return format_tau(self)
 

@@ -48,7 +48,7 @@ from sigmaprod.uec import (
     phi,
     truncation_tail,
 )
-from test_classification import engine_invariants
+from test_classification import partition_invariants
 from test_clopen import decoded_preimage, tuple_preimage
 from test_deltasystem import brute_force_max_petals
 from test_uec import weight_partial_sum
@@ -185,7 +185,7 @@ def test_criterion_06_delta_system():
 
 
 def test_criterion_07_cb_engine_vs_closed_form():
-    ok = engine_invariants((0,)) == cb_invariants((0,)) == (1, 1)
+    ok = partition_invariants((0,)) == cb_invariants((0,)) == (1, 1)
     for total in range(1, 9):
         for length in range(1, total + 1):
             for cuts in combinations(range(1, total), length - 1):
@@ -195,10 +195,10 @@ def test_criterion_07_cb_engine_vs_closed_form():
                     parts.append(cut - prev)
                     prev = cut
                 ks = tuple(parts)
-                ok = ok and engine_invariants(ks) == cb_invariants(ks) == (1 + total, 1)
+                ok = ok and partition_invariants(ks) == cb_invariants(ks) == (1 + total, 1)
     # zero-padded factors contribute nothing
-    ok = ok and engine_invariants((0, 3, 0, 2)) == cb_invariants((0, 3, 0, 2)) == (6, 1)
-    report(7, "derived-set engine equals 1 + sum(k_i) with final count 1", ok)
+    ok = ok and partition_invariants((0, 3, 0, 2)) == cb_invariants((0, 3, 0, 2)) == (6, 1)
+    report(7, "countable partition induction equals 1 + sum(k_i) with final count 1", ok)
 
 
 class _Facts:

@@ -1,9 +1,12 @@
 import copy
+import dataclasses
+import functools
 import gc
 import pickle
 import random
 import re
 import tracemalloc
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,11 +28,9 @@ from sigmaprod.classification import (
     ClassificationVerdict,
     DecompositionPiece,
     NormalForm,
-    SpaceExpression,
     _SATURATED,
     _Invariants,
     _values_differ,
-    cb_derivative,
     cb_invariants,
     check_limit_cofinite,
     check_pairwise_disjoint,
@@ -37,6 +38,7 @@ from sigmaprod.classification import (
     classify,
     decompose_absorb_small,
     decompose_classif_k,
+    decompose_countable,
     embed_product_into_sigma,
     embeddability_profile,
     limit_neighborhood_boxes,
@@ -47,7 +49,8 @@ from sigmaprod.classification import (
     retract_witness,
     split_tagged_point,
 )
-from sigmaprod.clopen import BasicBox, box_contains, box_is_empty, box_reduce
+from sigmaprod import classification
+from sigmaprod.clopen import BasicBox, box_contains, box_is_empty, box_reduce, box_subset
 from sigmaprod.ground import (
     EMPTY,
     OMEGA,
@@ -62,6 +65,7 @@ from sigmaprod.ground import (
     j_of,
     materialize,
     parse_tau,
+    type_signature,
 )
 from sigmaprod.encode import value as value_to_json
 
@@ -336,12 +340,16 @@ def test_a_sequence_keeps_its_invariants_in_a_declared_slot():
         for computed in (False, True):
             if computed:
                 classify(tau, tau)
-            copies = pickle.loads(pickle.dumps(tau)), copy.deepcopy(tau)
-            assert [c._invariants is None for c in copies] == [not computed] * 2
+            # a copy is built through the constructor: it takes the memo's
+            # pairs and computes its own invariants, or shares _SATURATED
+            copies = pickle.loads(pickle.dumps(tau)), copy.deepcopy(tau), copy.copy(tau)
+            assert all(c._invariants is None for c in copies)
+            assert all(c.entries[0] is tau.entries[0] for c in copies)
             # a new equal sequence has none yet: the comparisons ignore them
             for other in (parse_tau(text), *copies):
                 assert other == tau and hash(other) == hash(tau) and repr(other) == repr(tau)
                 assert classify(other, tau) == classify(tau, tau)
+                assert (other._invariants is _SATURATED) == is_omega(tau.tail)
     # the text the dataclass wrote when the invariants were a class attribute
     assert repr(tau) == "TauSequence(entries=((1, 3),), tail=w)"
     assert repr(parse_tau("1,w,2")) == "TauSequence(entries=((1, 1), (2, w), (3, 2)), tail=0)"
@@ -543,35 +551,18 @@ def test_verdicts_are_named_tuples():
     assert isinstance(verdict, tuple)
     assert verdict._fields == ("outcome", "rule", "detail")
     assert verdict == ClassificationVerdict(*verdict)
+    # a shared verdict, and the countable index verdicts built through tuple.__new__
+    for gamma, pair in [("uncountable", ("1", "2")), ("countable", ("1", "2")),
+                        ("countable", ("2", "0,1"))]:
+        verdict = classify(*map(parse_tau, pair), gamma)
+        assert type(verdict) is ClassificationVerdict and verdict.outcome == verdict[0]
+        assert pickle.loads(pickle.dumps(verdict)) == verdict == copy.deepcopy(verdict)
+        assert repr(verdict) == (f"ClassificationVerdict(outcome={verdict[0]!r}, "
+                                 f"rule={verdict[1]!r}, detail={verdict[2]!r})")
 
 
 # ---------------------------------------------------------------------------
-# derived-set engine
-
-
-def test_cb_derivative_single_factor():
-    # oracle: the box pinning a full-size set is that point alone, so the
-    # full-size points are isolated and one derivative lowers the bound
-    full = SpaceExpression.full((2,))
-    assert cb_derivative(full).terms == ((1,),)
-    point = SpaceExpression.full((0,))
-    assert cb_derivative(point).is_empty
-
-
-def test_cb_derivative_product_rule():
-    # oracle: isolated points of a product are pairs of isolated points, so
-    # the derivative of (1,1) is the union of (0,1) and (1,0)
-    square = SpaceExpression.full((1, 1))
-    assert cb_derivative(square).terms == ((0, 1), (1, 0))
-
-
-def test_cb_derivative_of_union_is_union_of_derivatives():
-    expr = SpaceExpression((2, 2), ((2, 0), (1, 1)))
-    derived = cb_derivative(expr)
-    parts = set()
-    for term in expr.terms:
-        parts.update(cb_derivative(SpaceExpression((2, 2), (term,))).terms)
-    assert set(derived.terms) == parts
+# derivation index over a countable ground set
 
 
 def test_cb_invariants_examples():
@@ -586,19 +577,39 @@ def test_cb_invariants_examples():
             cb_invariants(ks)
 
 
-def engine_invariants(ks) -> tuple:
-    """Iterate the derived-set engine from the full product of the sigma_k:
-    (the number of stages until the empty set, the point count of the last
-    nonempty one)."""
-    expr, stages = SpaceExpression.full(ks), 0
-    while not expr.is_empty:
-        last, expr, stages = expr, cb_derivative(expr), stages + 1
-    return stages, last.point_count
+def piece_level(piece) -> int:
+    """The element a of the piece P(a, S): each of its constraints holds 0, ..., a."""
+    _s, f, g = piece.own[0]
+    return max(f + g)
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_invariants(signature: tuple) -> tuple:
+    dec = decompose_countable(signature, 2)
+    top = {}  # level -> the largest derivation index of its pieces' types
+    for piece in dec.pieces:
+        index, _count = partition_invariants(piece.claimed_type.factors)
+        top[piece_level(piece)] = max(top.get(piece_level(piece), 0), index)
+    # every level holds a piece of the largest index, so over the whole ground
+    # set infinitely many such pieces keep points at the stage before last,
+    # and they accumulate only at the all-empty point, which every R_a holds
+    assert len(set(top.values())) <= 1 and (not top or len(top) == 2), (signature, top)
+    return 1 + max(top.values(), default=0), 1
+
+
+def partition_invariants(ks) -> tuple:
+    """By induction on sum(ks) over the pieces of ``decompose_countable``: the
+    derivation index of the product of the sigma_k over a countable ground
+    set, 1 + the largest index of a piece's type, and the point count of its
+    last stage.  A type counts up to zero factors and the order of its
+    factors (``type_signature``), so each one is decomposed once."""
+    signature = type_signature(ProductDescriptor(tuple(ks))).factors
+    return _partition_invariants(signature or (0,))
 
 
 def test_cb_invariants_match_closed_form():
     for ks in [(1,), (4,), (2, 2), (1, 2, 3), (0, 5), (2, 0, 2)]:
-        assert engine_invariants(ks) == cb_invariants(ks) == (1 + sum(ks), 1)
+        assert partition_invariants(ks) == cb_invariants(ks) == (1 + sum(ks), 1)
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=4))
@@ -607,7 +618,7 @@ def test_engine_closed_form_and_classify_agree_on_the_derivation_index(ks):
     t = TauSequence.from_values([ks.count(n) for n in range(1, max(ks) + 1)])
     verdict = classify(t, t, "countable")
     index = int(re.search(r"derivation index (\d+) ", verdict.detail).group(1))
-    assert engine_invariants(ks) == cb_invariants(ks) == (index, 1)
+    assert partition_invariants(ks) == cb_invariants(ks) == (index, 1)
 
 
 def test_cb_invariants_charge_one_unit_per_factor():
@@ -620,15 +631,108 @@ def test_cb_invariants_charge_one_unit_per_factor():
         assert info.value.needed == len(ks)
 
 
-def test_space_expression_point_count():
-    assert SpaceExpression((2, 3), ((0, 0),)).point_count == 1
-    assert SpaceExpression((2, 3)).point_count == 0
-    assert is_omega(SpaceExpression.full((2, 3)).point_count)
-    assert is_omega(SpaceExpression((2, 3), ((0, 0), (0, 1))).point_count)
+def bounds_up_to(total: int, factors: int):
+    """Every tuple of 1 .. ``factors`` non-negative bounds summing to at most ``total``."""
+    for length in range(1, factors + 1):
+        for ks in iter_product(range(total + 1), repeat=length):
+            if sum(ks) <= total:
+                yield ks
+
+
+def least_element(x: ProductPoint):
+    """The least element over all coordinates of a point of a finite product,
+    None at the all-empty point."""
+    return min((min(c) for c in x.prefix if c), default=None)
+
+
+def test_countable_partition_matches_brute_force():
+    window = 4
+    for ks in bounds_up_to(6, 3):
+        dec = decompose_countable(ks, window)
+        n, positive = len(ks), [s for s, k in enumerate(ks) if k]
+        assert len(dec.pieces) == window * (2 ** len(positive) - 1), ks
+        assert dec.limit_point == ProductPoint() and dec.ambient == ProductDescriptor(ks)
+        assert check_pairwise_disjoint(dec) == []
+        hit = set()
+        for x in materialize(dec.ambient, 6):
+            a = least_element(x)
+            found = piece_for_point(dec, x)
+            if a is None:
+                assert found == "limit"
+            elif a >= window:
+                assert found is None, (ks, x)
+            else:
+                held = Point(s for s in range(n) if a in x.coordinate(s))
+                assert found == f"P({a},{held})", (ks, x, found)
+                hit.add(found)
+        # every piece holds a point no other piece holds
+        assert hit == {piece.label for piece in dec.pieces}, ks
+        for piece in dec.pieces:
+            a, held = piece_level(piece), [s for s, f, _g in piece.own if f]
+            claimed = tuple(k - (s in held) for s, k in enumerate(ks))
+            assert piece.claimed_type == ProductDescriptor(claimed) and held, (ks, piece)
+            # R_b, every coordinate missing 0 .. b - 1, holds the pieces of level b or more
+            for b in range(window + 1):
+                r_b = BasicBox(dec.ambient, tuple((s, EMPTY, Point(range(b))) for s in range(n)))
+                assert box_subset(piece.box, r_b) == (a >= b), (ks, piece, b)
+
+
+def test_dropping_any_piece_of_the_countable_partition_uncovers_a_point():
+    for ks in [(1,), (2, 1), (1, 1, 1), (0, 3, 0, 2)]:
+        dec = decompose_countable(ks, 3)
+        for i, piece in enumerate(dec.pieces):
+            # the point holding only the piece's level, at its coordinates
+            at = Point.of(piece_level(piece))
+            x = ProductPoint(tuple(at if f else EMPTY for _s, f, _g in piece.own))
+            assert piece_for_point(dec, x) == piece.label
+            rest = dataclasses.replace(dec, pieces=dec.pieces[:i] + dec.pieces[i + 1:])
+            assert piece_for_point(rest, x) is None, (ks, piece.label)
+
+
+def test_countable_partition_refusals():
+    for ks in [(), (True,), (2, False), (1, -1)]:
+        with pytest.raises(ValueError, match="need at least one factor|factor bounds"):
+            decompose_countable(ks)
+    for window in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            decompose_countable((1, 2), window)
+    # no coordinate with a positive bound: the product is its all-empty point
+    assert decompose_countable((0, 0), 3).pieces == ()
+
+
+def test_countable_partition_charges_before_any_piece_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(classification, "box_reduce",
+                        lambda box: built.append(box) or box_reduce(box))
+    for ks, window in [((1,), 1), ((2, 1), 4), ((0, 3, 0, 2), 3), ((1, 1, 1), 2)]:
+        r = sum(1 for k in ks if k)
+        units = (2 ** r - 1) * len(ks) * window * (window + 1) // 2
+        budget = Budget(units)
+        decompose_countable(ks, window, budget)
+        assert budget.spent == units and len(built) == window * (2 ** r - 1)
+        built.clear()
+        with pytest.raises(BudgetExceeded) as info:
+            decompose_countable(ks, window, units - 1)
+        assert info.value.needed == units and built == []
+    # 2^200 - 1 pieces are counted, not enumerated
+    with pytest.raises(BudgetExceeded) as info:
+        decompose_countable((1,) * 200, 1)
+    assert info.value.needed == (2 ** 200 - 1) * 200 and built == []
 
 
 # ---------------------------------------------------------------------------
 # embeddability profiles
+
+
+def test_an_upper_tail_of_one_makes_every_power_above_the_threshold_embeddable():
+    nf = NormalForm(0, ((1, 1), (3, 2)), 1)
+    assert nf.upper_entries == ((3, 2),)
+    assert max_power_embeddable(2, nf) == max_power_embeddable(4, nf) == OMEGA
+
+
+def test_recover_tau_reads_a_profile_ending_positive():
+    # the window stops at 2, where the profile is still 1, not 0
+    assert recover_tau({1: 2, 2: 1}) == NormalForm(0, ((1, 1), (2, 1)), 0)
 
 
 def test_max_power_examples():

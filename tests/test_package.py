@@ -33,8 +33,8 @@ EXPORTS = {
                     "extract_delta_system", "free_transversal",
                     "neighborhood_emptiness_bound"],
     "classification": ["ClassificationVerdict", "Decomposition", "NormalForm",
-                       "SpaceExpression", "cb_derivative", "cb_invariants", "classify",
-                       "decompose_absorb_small", "decompose_classif_k",
+                       "cb_invariants", "classify", "decompose_absorb_small",
+                       "decompose_classif_k", "decompose_countable",
                        "embed_product_into_sigma", "max_power_embeddable", "normal_form",
                        "recover_tau", "retract_witness", "split_tagged_point"],
 }
@@ -63,7 +63,7 @@ def fresh(code: str) -> dict:
 
 
 def test_the_package_exports_the_same_names():
-    assert len(NAMES) == 62 == len(set(NAMES))
+    assert len(NAMES) == 61 == len(set(NAMES))
     assert sorted(sigmaprod.__all__) == NAMES
     for module, names in EXPORTS.items():
         source = importlib.import_module(f"sigmaprod.{module}")
@@ -108,6 +108,17 @@ def test_names_and_submodules_resolve_on_first_access():
 def test_importing_the_cli_loads_only_its_front_end():
     result = fresh("import sigmaprod, sigmaprod.cli\nreport = {}")
     assert set(result["loaded"]) == BASE
+
+
+def test_the_cli_and_the_classifier_load_neither_typing_nor_argparse():
+    # -S: no site, so no .pth file loads either of them first; the child
+    # finds src through PYTHONPATH, which -S keeps
+    code = ("import sys, sigmaprod.cli, sigmaprod.classification\n"
+            "print(sorted({'typing', 'argparse'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # one valid request per command family, with the modules it loads past BASE
