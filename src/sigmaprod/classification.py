@@ -51,6 +51,7 @@ from .clopen import (
     box_intersect,
     box_is_empty,
     box_reduce,
+    _admits,
     _bits,
 )
 # bound by this name in bench/tracing.py
@@ -468,8 +469,18 @@ class Decomposition:
         """Per-coordinate constraint index of the pieces, built on first use."""
         return BoxIndex(self.ambient, self.levels, map(_LEVEL_OWN, self.pieces))
 
+    @cached_property
+    def level_partition(self):
+        """``check_level_partition`` of this decomposition, run on first use:
+        None when the levels prove the partition, and then the disjointness,
+        sampled membership and cofiniteness checks answer from the levels
+        without building ``index``.  The size of the levels bounds its
+        search, so no budget is charged."""
+        return check_level_partition(self, sys.maxsize)
+
 
 _LEVEL_OWN = itemgetter(4, 2)  # a piece's (level, own), the member form of BoxIndex
+_LEVEL = itemgetter(4)
 
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
@@ -576,7 +587,10 @@ def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
     ``decompose_classif_k`` with m = 0, n = 1): building it, drawing
     ``samples`` points from it, and ``check_pairwise_disjoint`` on it.  All
     three follow from (m, n, depth), so the whole charge can be tried before
-    any piece is built."""
+    any piece is built.  The disjointness check charges the comparisons of
+    the index although the levels prove the partition and none is made;
+    with the building charge it bounds the proof's nodes, 2k + 1 for each
+    level shape over k witnesses."""
     offset = 1 if m > 0 else 0
     # B'(j) carries one constraint and A/B(k, i) k + 1 + offset; the distinct ones
     # hold n(n + 1)/2 elements in the misses, n in the full set and m in the small set
@@ -585,8 +599,8 @@ def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
     # each point costs its widest prefix plus its tail, one unit per 64-bit
     # word of each coordinate's code of G + 1 bits, G = n + _EXTRA_ELEMENTS
     sampling = samples * (offset + depth) * (1 + (n + _EXTRA_ELEMENTS) // 64)
-    # BoxIndex.meeting_pairs charges (g - 1)·Σ(|F| + |G|) per coordinate over
-    # its g distinct constraints: at 0 the m misses B'(j) and the small set,
+    # BoxIndex.meeting_pairs would charge (g - 1)·Σ(|F| + |G|) per coordinate
+    # over its g distinct constraints: at 0 the m misses B'(j) and the small set,
     # at each omega coordinate the n misses and, but at the last, the full set
     comparisons = (m * (m * (m + 1) // 2 + m) + (depth - 1) * n * (misses + n)
                    + (n - 1) * misses)
@@ -636,13 +650,155 @@ def decompose_countable(ks, window: int = 4,
                          tuple(range(window)), window)
 
 
+def check_level_partition(dec: Decomposition, budget: Budget | int = DEFAULT_BUDGET):
+    """Prove, level by level, that the pieces and the remainder past the last
+    level partition the ambient; returns None, a witness ("uncovered" or
+    "overlap", level, S), or ("refused", level or None, reason) for a
+    decomposition outside level form.
+
+    Level form: level t pins coordinate t to the limit's value (t, limit_t,
+    {}) for t below L = len(levels), each piece's own constraints are one
+    constraint at its level's coordinate, and the limit's value fills the
+    bound at every coordinate t <= L.  Past the last pin, at L, the limit's
+    value plays the pin.  Then R_t = {x : x_s = limit_s for s < t} holds
+    every piece of level t or more, and the R_t are a neighbourhood base at
+    the limit.  The blocks of level t are its pieces' own constraints and
+    its pin.  If every value at coordinate t satisfies exactly one block, R_t
+    is split into its pieces and R_(t + 1); by induction on t the pieces are
+    pairwise disjoint, and with the remainder R_(L + 1) they cover the
+    ambient.  A value satisfies (F, G) by its trace S on the elements the
+    blocks name, and over an infinite ground set every such S with |S| at
+    most the bound is the trace of a value.  So the check asks, of each
+    distinct (bound, blocks) shape, whether every such S satisfies exactly
+    one block; a witness names its first level and S.  The constructors emit
+    the same shape at every level past their offset, so one check per shape
+    proves the partition at every depth, the infinite one included.
+
+    The search decides the named elements in order of first appearance, in
+    or out, cuts a branch once the bound is full, and settles it once no
+    block still alive names an undecided element; states are memoised on
+    (element, count, alive blocks).  One unit per node is charged to
+    ``budget``.  A level whose search passes 1 + 2·Σ(|F| + |G|) nodes over
+    its blocks is refused: the constructors' levels over n witnesses take
+    2n + 1."""
+    meter = Budget.of(budget)
+    shapes = _level_shapes(dec)
+    if isinstance(shapes, tuple):
+        return shapes
+    proved = set()
+    for t, bound, blocks in shapes:
+        if (bound, blocks) not in proved:
+            witness = _one_block_each(bound, blocks, meter)
+            if witness is not None:
+                kind, held = witness
+                if kind == "refused":
+                    return kind, t, f"the search at level {t} passes {held} nodes"
+                return kind, t, held
+            proved.add((bound, blocks))
+    return None
+
+
+def _level_shapes(dec: Decomposition):
+    """(t, bound, blocks) for each level t = 0 .. len(levels), the blocks its
+    pieces' own (F, G) in piece order then its pin; or the refusal of
+    ``check_level_partition``."""
+    levels, limit, ambient = dec.levels, dec.limit_point, dec.ambient
+    top = len(levels)
+    if not ambient.has_coordinate(top):
+        return "refused", None, f"coordinate {top}, past the last level, outside ambient"
+    own = [[] for _ in range(top + 1)]
+    for p in dec.pieces:
+        constraints, level = p[2], p[4]
+        if len(constraints) != 1 or constraints[0][0] != level:
+            return ("refused", level,
+                    f"piece {p[0]} is not one constraint at coordinate {level}")
+        own[level].append(constraints[0][1:])
+    shapes = []
+    for t, blocks in enumerate(own):
+        value, bound = limit.coordinate(t), ambient.bound_at(t)
+        if t < top and levels[t] != (t, value, EMPTY):
+            return "refused", t, f"level {t} does not pin coordinate {t} to the limit's value"
+        if len(value) != bound:
+            return "refused", t, f"the limit's value at {t} does not fill the bound {bound}"
+        blocks.append((value, EMPTY))
+        shapes.append((t, bound, tuple(blocks)))
+    return shapes
+
+
+def _one_block_each(bound: int, blocks: tuple, meter: Budget):
+    """None when every set S of the elements ``blocks`` name, |S| <= bound,
+    satisfies exactly one block (F inside S, G outside); else ("uncovered"
+    or "overlap", S) for the first S found, or ("refused", nodes) once the
+    search passes its node bound.  An explicit-stack depth-first search,
+    trying each element out before in."""
+    elements = list(dict.fromkeys(e for f, g in blocks for e in (*f, *g)))
+    position = {e: j for j, e in enumerate(elements)}
+    needs_in = [0] * len(elements)  # element -> mask of the blocks whose F holds it
+    needs_out = [0] * len(elements)  # element -> mask of the blocks whose G holds it
+    for b, (f, g) in enumerate(blocks):
+        for e in f:
+            needs_in[position[e]] |= 1 << b
+        for e in g:
+            needs_out[position[e]] |= 1 << b
+    # naming[j]: the blocks naming an element at position j or later
+    naming = [0] * (len(elements) + 1)
+    for j in range(len(elements) - 1, -1, -1):
+        naming[j] = naming[j + 1] | needs_in[j] | needs_out[j]
+    cap = 1 + 2 * sum(len(f) + len(g) for f, g in blocks)
+    nodes = 0
+    seen = set()
+    stack = [(0, 0, (1 << len(blocks)) - 1, 0)]  # (element, count in, alive, mask of S)
+    while stack:
+        j, count, alive, held = stack.pop()
+        if (j, count, alive) in seen:
+            continue
+        seen.add((j, count, alive))
+        nodes += 1
+        if nodes > cap:
+            return "refused", cap
+        meter.charge(1)
+        if not alive & naming[j]:
+            # the alive blocks are decided: S, and S with any of the
+            # undecided elements, satisfies exactly them
+            if not alive or alive & (alive - 1):
+                return ("overlap" if alive else "uncovered",
+                        Point(e for k, e in enumerate(elements) if held >> k & 1))
+            continue
+        if count < bound:
+            stack.append((j + 1, count + 1, alive & ~needs_out[j], held | 1 << j))
+        stack.append((j + 1, count, alive & ~needs_in[j], held))
+    return None
+
+
+def _meeting_units(dec: Decomposition) -> int:
+    """The units ``BoxIndex.meeting_pairs`` charges over ``dec``, counted
+    without the index: (g - 1)·Σ(|F| + |G|) over the g distinct constraints
+    at each coordinate, where a level constraint lies once a piece is above
+    its level."""
+    found = {c for p in dec.pieces for c in p[2]}
+    found.update(dec.levels[:max(map(_LEVEL, dec.pieces), default=0)])
+    count: dict = {}  # coordinate -> its distinct constraints
+    size: dict = {}  # coordinate -> their elements
+    for s, f, g in found:
+        count[s] = count.get(s, 0) + 1
+        size[s] = size.get(s, 0) + len(f) + len(g)
+    return sum((count[s] - 1) * size[s] for s in count)
+
+
 def check_pairwise_disjoint(dec: Decomposition,
                             budget: Budget | int = DEFAULT_BUDGET) -> list:
     """Symbolically empty pairwise intersections; returns the offending pairs.
     The constraint comparisons are charged to ``budget`` as
-    ``BoxIndex.meeting_pairs`` counts them."""
+    ``BoxIndex.meeting_pairs`` counts them, before any is made; when the
+    levels prove the partition (``check_level_partition``) no pair meets and
+    none is compared."""
+    units = _meeting_units(dec)
+    Budget.of(budget).charge(units)
+    if dec.level_partition is None:
+        return []
     pieces = dec.pieces
-    return [(pieces[a].label, pieces[b].label) for a, b in dec.index.meeting_pairs(budget)]
+    # the index charges the same units again, to a meter that holds just them
+    return [(pieces[a].label, pieces[b].label) for a, b in dec.index.meeting_pairs(units)]
 
 
 def piece_for_point(dec: Decomposition, x: ProductPoint):
@@ -712,10 +868,15 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     far are one that no later coordinate constrains, or else at its last
     drawn coordinate.  A point decided early draws the 32-bit words of its
     unread codes in one call, which moves the generator on as their draws
-    would.  Each (coordinate, value) mask of ``BoxIndex.admitted`` is read
-    once.  The point is built only when it lies in no piece or in several."""
+    would.  The point is built only when it lies in no piece or in several.
+
+    When the levels prove the partition (``check_level_partition``), a
+    point first off the limit at a coordinate t <= len(levels) lies in one
+    piece, of level t, and is decided there; a point first off it further on
+    lies in none.  Otherwise the pieces admitting each value are read from
+    ``BoxIndex.admitted``, once per (coordinate, value)."""
     _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
-    ambient, limit, index, depth = dec.ambient, dec.limit_point, dec.index, dec.depth
+    ambient, limit, depth = dec.ambient, dec.limit_point, dec.depth
     if count and depth < 1:  # no width could be drawn
         raise ValueError("sampling needs a positive depth")
     explicit = ambient.explicit_len
@@ -725,30 +886,81 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     words = 32 * ((size + 31) // 32)  # the bits of the 32-bit words a code takes
     tail = limit.tail_value
     limit_len = len(limit.prefix)
+    width_bits = depth.bit_length()
+    values: dict = {}  # the elements a code picks, cut to the bound -> their value
+
+    def decoded(table, code, bound):
+        """The value ``code`` picks under ``bound``, not the limit's, kept in
+        ``table``, its bound's code table."""
+        picked = [e for j, e in enumerate(ground, 1) if code >> j & 1]
+        picked = tuple(picked[:bound])
+        value = table[code] = values.setdefault(picked, Point(picked))
+        return value
+
+    tables: dict = {}  # bound -> code -> the value decoded from it, not the limit's
+    bounds = [ambient.bound_at(s) for s in range(explicit + depth - 1)]
+    coords = [None] * len(bounds)  # the values of the point walked, up to its coordinate
+    in_piece = 0
+    at_limit = 0
+    unresolved = []
+    if dec.level_partition is None:
+        top = len(dec.levels)
+        # per coordinate below the widest point: the limit's value, the
+        # bound and its code table
+        steps = [(limit.coordinate(s), bound, tables.setdefault(bound, {}))
+                 for s, bound in enumerate(bounds)]
+        for _ in range(count):
+            # Random._randbelow_with_getrandbits(depth): getrandbits(bit length)
+            # until it falls below depth
+            width = getrandbits(width_bits)
+            while width >= depth:
+                width = getrandbits(width_bits)
+            width += explicit
+            first = None  # the first coordinate off the limit
+            for s in range(width):
+                value, bound, table = steps[s]
+                code = getrandbits(size)
+                if not code & 1:
+                    limit_value = value
+                    value = table.get(code)
+                    if value is None:
+                        value = decoded(table, code, bound)
+                    if first is None and value != limit_value:
+                        first = s
+                        if s <= top:  # in one piece of level s
+                            in_piece += 1
+                            getrandbits(words * (width - 1 - s))  # the codes left unread
+                            break
+                coords[s] = value
+            else:
+                if first is None:
+                    if width >= limit_len:
+                        at_limit += 1
+                        continue
+                    # the point holds the tail value from its width on, and the
+                    # limit's prefix ends on a value off the tail
+                    first = next(t for t in range(width, limit_len) if limit.prefix[t] != tail)
+                if first <= top:
+                    in_piece += 1
+                else:
+                    unresolved.append(ProductPoint(coords[:width], tail))
+        return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
+    index = dec.index
     everything, admitted = index.everything, index.admitted
     masks = {s: {} for s in index.coords}  # coordinate -> value -> admitted mask
-    tables: dict = {}  # bound -> code -> the value decoded from it, not the limit's
-    values: dict = {}  # the elements a code picks, cut to the bound -> their value
     # per coordinate below the widest point: the limit's value, its bound's
     # code table, the boxes whose constraint there is read (none where no box
     # is constrained), that coordinate's mask table, and the boxes
     # constrained further on
     steps = []
-    for s in range(explicit + depth - 1):
+    for s, bound in enumerate(bounds):
         entry = index.coords.get(s)
-        steps.append((limit.coordinate(s), tables.setdefault(ambient.bound_at(s), {}),
+        steps.append((limit.coordinate(s), tables.setdefault(bound, {}),
                       entry[2] if entry else 0, masks.get(s), index.constrained_after(s)))
     # past a point's last drawn coordinate the walk reads the tail value
     constrained = list(index.coords)
     tail_walk = [(s, index.coords[s][2], masks[s]) for s in constrained]
-    coords = [None] * len(steps)  # the values of the point walked, up to its coordinate
-    width_bits = depth.bit_length()
-    in_piece = 0
-    at_limit = 0
-    unresolved = []
     for _ in range(count):
-        # Random._randbelow_with_getrandbits(depth): getrandbits(bit length)
-        # until it falls below depth
         width = getrandbits(width_bits)
         while width >= depth:
             width = getrandbits(width_bits)
@@ -762,9 +974,7 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
                 limit_value = value
                 value = table.get(code)
                 if value is None:
-                    picked = [e for j, e in enumerate(ground, 1) if code >> j & 1]
-                    picked = tuple(picked[:ambient.bound_at(s)])
-                    value = table[code] = values.setdefault(picked, Point(picked))
+                    value = decoded(table, code, bounds[s])
                 differs = differs or value != limit_value
             coords[s] = value
             if hits & read:
@@ -845,8 +1055,24 @@ class CofinitenessReport:
 
 def check_limit_cofinite(dec: Decomposition, boxes) -> CofinitenessReport:
     """Each neighborhood of the limit must contain every piece that starts
-    beyond the neighborhood's last constrained coordinate."""
+    beyond the neighborhood's last constrained coordinate.
+
+    When the levels prove the partition (``check_level_partition``), a piece
+    of level t lies in R_t, the points that agree with the limit below t.  So
+    a box containing the limit, constrained up to coordinate c, contains
+    every piece of level past c, and a box missing it meets none of them:
+    those are its violations, and no other piece is constrained past c."""
     boxes = list(boxes)
+    if dec.level_partition is None:
+        ambient, limit, pieces = dec.ambient, dec.limit_point, dec.pieces
+        violations = []
+        for box in boxes:
+            if box.ambient != ambient:
+                raise ValueError("cannot compare boxes over different ambients")
+            if not all(_admits(f, g, limit.coordinate(s)) for s, f, g in box.constraints):
+                last, text = box.max_constrained_coord(), str(box)
+                violations.extend((text, p[0]) for p in pieces if p[4] > last)
+        return CofinitenessReport(len(boxes), tuple(violations))
     index = dec.index
     violations = []
     for box in boxes:

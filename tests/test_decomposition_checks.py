@@ -2,11 +2,13 @@
 
 The oracles below are the pairwise ``box_intersect`` + ``box_is_empty`` loop,
 the linear scan of ``box_contains`` over every piece, and the per-piece
-``box_subset`` test; the library answers from the per-coordinate index.
-A decomposition built by levels answers every check as the same pieces do
-in box form, each carrying its whole box, and so do mutated ones.  The JSON
-document, the sampled membership check and ``box_reduce`` are checked
-against code that draws or builds each part on its own: every piece's box
+``box_subset`` test; the library answers from the per-coordinate index,
+or from the levels once they prove the partition (``test_level_partition``
+checks that proof).  A decomposition built by levels answers every check as
+the same pieces do in box form, each carrying its whole box, and so do
+mutated ones.  The JSON document, the sampled membership check and
+``box_reduce`` are checked against code that draws or builds each part on
+its own: every piece's box
 rebuilt from the document, a sampler that calls ``getrandbits`` once per
 coordinate, that sampler's points each located by the linear scan, and a
 reduction that builds every factor anew.  Over a decomposition without
@@ -293,6 +295,15 @@ def eager(dec):
                    for p in dec.pieces)
     return Decomposition(dec.kind, dec.ambient, (), pieces, dec.limit_point, dec.witnesses,
                          dec.depth)
+
+
+def index_route(dec):
+    """The same pieces with the level proof set aside, so that every check
+    answers through the index."""
+    copy = Decomposition(dec.kind, dec.ambient, dec.levels, dec.pieces, dec.limit_point,
+                         dec.witnesses, dec.depth)
+    vars(copy)["level_partition"] = ("refused", None, "the index route")
+    return copy
 
 
 def index_form(index):
@@ -592,6 +603,8 @@ def walked(dec, coords):
 
 @pytest.mark.parametrize("kind", KINDS, ids=str)
 def test_the_sampled_check_reads_each_coordinate_value_once_up_to_the_stop(kind, monkeypatch):
+    # the index walk, over the box form: a built decomposition is proved by
+    # its levels and reads no mask, and so is the box form of (0, n) at depth 1
     admitted = BoxIndex.admitted
     calls = []
 
@@ -601,7 +614,7 @@ def test_the_sampled_check_reads_each_coordinate_value_once_up_to_the_stop(kind,
 
     monkeypatch.setattr(BoxIndex, "admitted", counted)
     for depth in (1, 5, 12, 40):
-        dec = build(kind, depth)
+        dec = index_route(eager(build(kind, depth)))
         for seed in (1, 2):
             calls.clear()
             check_sample_membership(dec, 100, seed)
@@ -810,12 +823,13 @@ def test_sampled_points_match_the_per_coordinate_draws(kind):
 
 @pytest.mark.parametrize("m, n, depth, seeds", [
     *(pytest.param(m, n, 4, 4, id=f"{m}-{n}")
-      for m, n in [(1, 24), (0, 30), (1, 31), (0, 62), (1, 63), (2, 100)]),
+      for m, n in [(1, 24), (0, 29), (0, 30), (1, 31), (1, 61), (0, 62), (1, 63), (2, 100)]),
     pytest.param(0, 30, 10, 2, id="0-30-depth-10"), pytest.param(1, 63, 10, 2, id="1-63-depth-10")])
 def test_sampled_points_over_grounds_of_one_word_and_more(m, n, depth, seeds):
-    # the codes of G + 1 = 27, 32, 33, 64, 65 and 103 bits: up to a word, a
-    # word exactly, just past one, two words exactly, just past two, and more.
-    # At depth 10 a located point leaves many codes of 2 and 3 words unread
+    # the codes of G + 1 = n + 3 = 27, 32, 33, 34, 64, 65, 66 and 103 bits: up
+    # to a word, a word exactly, just past one, two words exactly, just past
+    # two, and more.  At depth 10 a located point leaves many codes of 2 and 3
+    # words unread
     dec = decompose_absorb_small(m, n, depth=depth)
     every_other = slice(None, None, 2)
     for seed in range(seeds):

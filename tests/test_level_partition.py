@@ -1,0 +1,526 @@
+"""The level proof of a decomposition, and the checks that answer from it.
+
+``check_level_partition`` is checked against brute force over truncated
+products: every point of the product over the named elements, cut past the
+last level, must lie in exactly one of the pieces and the remainder R_(L + 1)
+of the points that agree with the limit up to L = len(levels).  Each witness
+it reports is confirmed by the point it names.  A decomposition the levels
+prove answers disjointness, sampled membership and cofiniteness without the
+``BoxIndex``; those answers are compared with the index route on the same
+pieces and on their box form, and mutated decompositions must fall back to
+the index with the answers it gives.
+"""
+
+import random
+from itertools import combinations, product
+
+import pytest
+
+from sigmaprod import classification
+from sigmaprod.classification import (
+    CofinitenessReport,
+    Decomposition,
+    DecompositionPiece,
+    MembershipReport,
+    check_level_partition,
+    check_limit_cofinite,
+    check_pairwise_disjoint,
+    check_sample_membership,
+    decompose_absorb_small,
+    decompose_classif_k,
+    decompose_countable,
+    limit_neighborhood_boxes,
+    piece_for_point,
+)
+from sigmaprod.cli import dispatch
+from sigmaprod.clopen import BasicBox, BoxIndex, box_contains, box_reduce
+from sigmaprod.ground import EMPTY, Budget, BudgetExceeded, Point, ProductDescriptor, ProductPoint
+
+from test_decomposition_checks import (
+    KINDS,
+    build,
+    check_answers,
+    cofinite_oracle,
+    eager,
+    index_route,
+    membership_oracle,
+    outcome,
+    pairs_oracle,
+    releveled,
+    sample_oracle,
+    walked,
+)
+
+SWEEP_KINDS = [(m, n) for n in range(1, 5) for m in range(n)] + [("K", e) for e in (0, 3)]
+
+
+def built(kind, depth):
+    if kind[0] == "K":
+        return decompose_classif_k(element=kind[1], depth=depth)
+    return decompose_absorb_small(*kind, depth=depth)
+
+
+def index_charge(dec):
+    """The units ``BoxIndex.meeting_pairs`` charges over a new index of
+    ``dec``'s pieces."""
+    meter = Budget(10 ** 9)
+    BoxIndex(dec.ambient, dec.levels, [(p.level, p.own) for p in dec.pieces]).meeting_pairs(meter)
+    return meter.spent
+
+
+def answers(dec, seed):
+    """Disjointness and the units it charges, the membership report or the
+    error raised instead, and the cofiniteness report."""
+    rng = random.Random(seed)
+    boxes = limit_neighborhood_boxes(dec, 15, seed)
+    # boxes that miss the limit too, up to two coordinates past the depth
+    for _ in range(10):
+        s = rng.randrange(dec.ambient.explicit_len + dec.depth + 2)
+        boxes.append(BasicBox(dec.ambient, ((s, EMPTY, Point.of(rng.choice(dec.witnesses))),)))
+    meter = Budget(10 ** 9)
+    return (check_pairwise_disjoint(dec, meter), meter.spent,
+            outcome(check_sample_membership, dec, 100, seed), check_limit_cofinite(dec, boxes))
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS, ids=str)
+def test_the_level_route_answers_as_the_index_route(kind):
+    for depth in [*range(1, 14), 40]:
+        dec = built(kind, depth)
+        assert dec.level_partition is None
+        for seed in (depth, depth + 100, 7):
+            level = answers(dec, seed)
+            assert level == answers(index_route(dec), seed) == answers(eager(dec), seed)
+            assert level[0] == [] and level[2].ok
+        assert "index" not in vars(dec)
+        assert level[1] == index_charge(dec)
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "hand"], ids=str)
+def test_the_level_walk_draws_as_the_index_walk(kind, monkeypatch):
+    # a point first off the limit at or below the last level is decided
+    # there on both routes, and skips the codes it leaves unread in one call;
+    # a point off it further on draws every code.  The points of a built
+    # decomposition end at its last level, and those of the hand-built one,
+    # of one level, reach coordinate 3
+    limit = ProductPoint((Point.of(2, 3), Point.of(0, 1)), Point.of(2, 3))
+    calls = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(classification.random, "Random", Counted)
+    for depth in (1, 2, 5, 12):
+        if kind == "hand":
+            dec = proved_hand_built(ProductDescriptor((), 2), limit, 1, depth)
+        else:
+            dec = build(kind, depth)
+        for seed in range(3):
+            calls.clear()
+            report = check_sample_membership(dec, 100, seed)
+            drawn = calls[:]
+            calls.clear()
+            assert check_sample_membership(index_route(eager(dec)), 100, seed) == report
+            assert calls == drawn
+
+
+# ---------------------------------------------------------------------------
+# brute force over truncated products
+
+
+def named(dec):
+    """The elements the levels, the pieces and the limit up to L name."""
+    top = len(dec.levels)
+    elements = {e for p in dec.pieces for _s, f, g in p[2] for e in (*f, *g)}
+    elements.update(e for t in range(top + 1) for e in dec.limit_point.coordinate(t))
+    return sorted(elements)
+
+
+def holders(dec, boxes, x):
+    """The labels of the pieces holding ``x``, then "rest" when it agrees
+    with the limit up to L."""
+    top = len(dec.levels)
+    where = [p.label for p, box in zip(dec.pieces, boxes) if box_contains(box, x)]
+    if all(x.coordinate(t) == dec.limit_point.coordinate(t) for t in range(top + 1)):
+        where.append("rest")
+    return where
+
+
+def brute_force(dec):
+    """The first point of the product over the named elements, with values
+    past L empty, that lies in no piece and not in the remainder, or in
+    several of them; None when there is none."""
+    top, ambient = len(dec.levels), dec.ambient
+    ground = named(dec)
+    values = [[Point(c) for k in range(ambient.bound_at(t) + 1) for c in combinations(ground, k)]
+              for t in range(top + 1)]
+    boxes = [p.box for p in dec.pieces]
+    for coords in product(*values):
+        x = ProductPoint(coords, EMPTY)
+        where = holders(dec, boxes, x)
+        if len(where) != 1:
+            return x, where
+    return None
+
+
+def confirm(dec, witness):
+    """The point the witness names: the limit below its level, S there and
+    the empty set past it.  It must lie in no piece and outside R_(level + 1)
+    ("uncovered"), or in two of them ("overlap")."""
+    kind, level, held = witness
+    limit = dec.limit_point
+    x = ProductPoint(tuple(limit.coordinate(t) for t in range(level)) + (held,), EMPTY)
+    assert len(held) <= dec.ambient.bound_at(level)
+    pieces = [p.label for p in dec.pieces if box_contains(p.box, x)]
+    rest = held == limit.coordinate(level)  # x lies in R_(level + 1)
+    if kind == "uncovered":
+        assert not pieces and not rest
+    else:
+        assert len(pieces) + rest >= 2
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_a_built_decomposition_is_proved_as_brute_force_finds(kind):
+    for depth in (1, 2):
+        dec = build(kind, depth)
+        assert check_level_partition(dec) is None
+        assert brute_force(dec) is None
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 3), (2, 3), (1, 4), (5, 30), (0, 100)])
+def test_each_level_shape_is_searched_once_in_2n_plus_1_nodes(m, n):
+    # absorb_small has the shape of coordinate 0 when m > 0 and the periodic
+    # one; classif_K has one.  So the nodes do not grow with the depth
+    for depth in (1, 2, 40):
+        meter = Budget(10 ** 9)
+        assert check_level_partition(decompose_absorb_small(m, n, depth), meter) is None
+        assert meter.spent == (2 * m + 1 if m else 0) + 2 * n + 1
+    meter = Budget(3)
+    assert check_level_partition(decompose_classif_k(4, 1999), meter) is None
+    assert meter.spent == 3
+    with pytest.raises(BudgetExceeded):
+        check_level_partition(decompose_absorb_small(m, n, 3), 2 * n)
+
+
+def mutants(dec):
+    """(name, mutant) for the four mutations of ``dec``, whose last level
+    before the top holds the pieces mutated: a dropped piece, a miss that
+    avoids one more element, a miss moved one coordinate on, and a limit
+    whose value at the top level no longer fills its bound."""
+    offset, witnesses = dec.ambient.explicit_len, dec.witnesses
+    parts = [(p.label, p.level, p.own) for p in dec.pieces]
+    target = len(parts) - 2 * len(witnesses)
+    label, level, ((s, f, g),) = parts[target]
+    assert level == s == offset + dec.depth - 2
+    extra = Point.of(max(witnesses) + 1)
+    yield "dropped", releveled(dec, dec.levels, parts[:target] + parts[target + 1:])
+    yield "widened", releveled(dec, dec.levels, parts[:target] + [(label, level, ((s, f, g | extra),))]
+                               + parts[target + 1:])
+    yield "shifted", releveled(dec, dec.levels, parts[:target] + [(label, level, ((s + 1, f, g),))]
+                               + parts[target + 1:])
+    top = len(dec.levels)
+    limit = dec.limit_point
+    prefix = tuple(limit.coordinate(t) for t in range(top)) + (Point(witnesses[:-1]),)
+    yield "unfilled", Decomposition(dec.kind, dec.ambient, dec.levels, dec.pieces,
+                                    ProductPoint(prefix, limit.tail_value), witnesses, dec.depth)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_each_mutant_is_caught_and_falls_back_to_the_index(kind, monkeypatch):
+    dec = build(kind, 3)
+    seen = {}
+    for name, mutant in mutants(dec):
+        found = check_level_partition(mutant)
+        seen[name] = found[0]
+        if found[0] == "refused":
+            assert found[1] is not None and isinstance(found[2], str)
+        else:
+            confirm(mutant, found)
+            assert found[1] == len(dec.levels) - 1
+        assert brute_force(mutant) is not None  # every mutation breaks the partition
+        # the checks go through the index, and answer as the box form does
+        assert mutant.level_partition == found
+        built_index = []
+        init = BoxIndex.__init__
+
+        def spied(index, *args):
+            built_index.append(args)
+            init(index, *args)
+
+        monkeypatch.setattr(BoxIndex, "__init__", spied)
+        for seed in range(3):
+            assert check_answers(mutant, seed) == check_answers(eager(mutant), seed)
+        monkeypatch.setattr(BoxIndex, "__init__", init)
+        assert built_index
+    assert seen == {"dropped": "uncovered", "widened": "uncovered", "shifted": "refused",
+                    "unfilled": "refused"}
+
+
+def level_blocks(rng, elements, limit_value, bound):
+    """The own (F, G) of a random partition of the values within ``bound``
+    into subcubes over ``elements``: each branch decides a random element,
+    and the branch of ``limit_value`` is decided to the end, where the pin
+    takes its place.  A subcube that holds no value within the bound is left
+    out."""
+    blocks = []
+
+    def grow(todo, f, g, on_path):
+        if len(f) > bound:
+            return
+        if not todo or (not on_path and (f or g) and rng.random() < 0.35):
+            if not on_path:
+                blocks.append((Point(f), Point(g)))
+            return
+        e = rng.choice(sorted(todo))
+        grow(todo - {e}, f | {e}, g, on_path and e in limit_value)
+        grow(todo - {e}, f, g | {e}, on_path and e not in limit_value)
+
+    grow(frozenset(elements), frozenset(), frozenset(), True)
+    rng.shuffle(blocks)
+    return blocks
+
+
+def random_level_decomposition(rng):
+    """A hand-built decomposition in level form over 1-3 levels of bound
+    1-2 over three elements, its pieces a random partition at each level,
+    often mutated: a piece dropped, a G widened or an F narrowed."""
+    bound = rng.randint(1, 2)
+    ambient = ProductDescriptor((), bound)
+    top = rng.randint(0, 2)
+    values = [Point(rng.sample(range(3), bound)) for _ in range(top + 1)]
+    limit = ProductPoint(tuple(values), values[-1])
+    levels = tuple((t, values[t], EMPTY) for t in range(top))
+    parts = []
+    for t, value in enumerate(values):
+        for f, g in level_blocks(rng, range(3), set(value), bound):
+            parts.append((t, f, g))
+    if parts and rng.random() < 0.6:
+        j = rng.randrange(len(parts))
+        t, f, g = parts[j]
+        mutated = rng.choice([None, (t, f, g | Point.of(rng.randrange(3))),
+                              (t, f - Point(f[:1]), g)])
+        if mutated is None or mutated[1] or mutated[2]:
+            parts[j:j + 1] = [mutated] if mutated else []
+    pieces = []
+    for j, (t, f, g) in enumerate(parts):
+        own = ((t, f, g),)
+        box = BasicBox(ambient, levels[:t] + own)
+        if box_contains(box, limit) or not f + g:
+            continue
+        try:
+            claimed = box_reduce(box).descriptor
+        except ValueError:  # the mutation emptied it
+            continue
+        pieces.append(DecompositionPiece(f"P{j}", ambient, own, claimed, t, levels))
+    return Decomposition("hand", ambient, levels, tuple(pieces), limit, (0, 1, 2), top + 1)
+
+
+def test_random_level_decompositions_are_proved_as_brute_force_finds():
+    rng = random.Random(47)
+    seen = {}
+    for trial in range(150):
+        dec = random_level_decomposition(rng)
+        found = check_level_partition(dec)
+        kind = found[0] if found else "proved"
+        seen[kind] = seen.get(kind, 0) + 1
+        if found is None:
+            assert brute_force(dec) is None
+        elif kind != "refused":
+            confirm(dec, found)
+            assert brute_force(dec) is not None
+        if trial % 5 == 0:
+            for seed in range(2):
+                assert answers(dec, seed) == answers(index_route(dec), seed)
+        assert answers(dec, 0)[1] == index_charge(dec)
+    assert set(seen) == {"proved", "uncovered", "overlap"}, seen
+    assert seen["proved"] >= 30
+
+
+def test_a_partition_whose_search_passes_its_bound_is_left_to_the_index():
+    # a partition of the values of bound 1 over the elements 0, 1, 3, 4, 5,
+    # with the pin {5}: the search decides 3 first, and in its branch walks
+    # the elements it forces out, past 1 + 2 * 7 nodes
+    ambient = ProductDescriptor.omega_power(1)
+    limit = ProductPoint((), Point.of(5))
+    pieces = [DecompositionPiece(label, ambient, ((0, Point(f), Point(g)),),
+                                 ProductDescriptor((), 1) if not f else
+                                 ProductDescriptor((0,), 1))
+              for label, f, g in [("P0", (3,), (0, 1, 4)), ("P1", (), (3, 5))]]
+    dec = Decomposition("hand", ambient, (), tuple(pieces), limit, (0, 1, 3, 4, 5), 3)
+    assert check_level_partition(dec) == ("refused", 0, "the search at level 0 passes 15 nodes")
+    assert brute_force(dec) is None
+    assert check_pairwise_disjoint(dec) == pairs_oracle(dec) == []
+    # past coordinate 0 the points agree with the limit, in no piece
+    report = check_sample_membership(dec, 200, 1)
+    assert report == membership_oracle(dec, 200, 1)
+    assert report.in_piece and report.at_limit and report.unresolved
+    boxes = limit_neighborhood_boxes(dec, 20, 1)
+    assert list(check_limit_cofinite(dec, boxes).violations) == cofinite_oracle(dec, boxes)
+
+
+def test_decompositions_outside_level_form_are_refused():
+    dec = build((1, 2), 3)
+    assert check_level_partition(decompose_countable((1, 1))) == \
+        ("refused", 0, "piece P(0,{0}) is not one constraint at coordinate 0")
+    assert check_level_partition(decompose_countable((2,))) == \
+        ("refused", 0, "the limit's value at 0 does not fill the bound 2")
+    assert check_level_partition(decompose_countable((0,))) is None
+    # a level that pins another value than the limit's
+    moved = ProductPoint((dec.limit_point.coordinate(0), Point.of(0, 5)), Point.of(0, 1))
+    assert check_level_partition(Decomposition(
+        dec.kind, dec.ambient, dec.levels, dec.pieces, moved, dec.witnesses, dec.depth)) == \
+        ("refused", 1, "level 1 does not pin coordinate 1 to the limit's value")
+    # levels that skip a coordinate
+    gap = ((0,) + dec.levels[0][1:], (2,) + dec.levels[1][1:])
+    skipping = releveled(dec, gap, [("B'(0)", 0, dec.pieces[0].own)])
+    assert check_level_partition(skipping) == \
+        ("refused", 1, "level 1 does not pin coordinate 1 to the limit's value")
+    # a last level past a product without a tail
+    single = ProductDescriptor((2,))
+    pinned = Decomposition("hand", single, ((0, Point.of(0, 1), EMPTY),), (),
+                           ProductPoint((Point.of(0, 1),)), (0, 1), 1)
+    assert check_level_partition(pinned) == \
+        ("refused", None, "coordinate 1, past the last level, outside ambient")
+
+
+# ---------------------------------------------------------------------------
+# the CLI and the refusals
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "classif_K", "--depth", "12"],
+    ["--kind", "classif_K", "--element", "5", "--depth", "1", "--samples", "0", "--boxes", "0"],
+    ["--kind", "absorb_small", "--m", "0", "--n", "3", "--depth", "40"],
+    ["--kind", "absorb_small", "--m", "2", "--n", "3", "--depth", "9", "--samples", "300"],
+    ["--kind", "absorb_small", "--m", "1", "--n", "4", "--depth", "1", "--boxes", "40"],
+], ids=" ".join)
+def test_a_decompose_request_builds_no_index(argv, monkeypatch):
+    calls = []
+    init = BoxIndex.__init__
+
+    def spied(index, *args):
+        calls.append(args)
+        init(index, *args)
+
+    monkeypatch.setattr(BoxIndex, "__init__", spied)
+    code, payload = dispatch(["decompose", *argv])
+    assert code == 0 and payload["checks"]["pairwise_disjoint"]
+    assert payload["checks"]["membership"]["ok"] and payload["checks"]["limit_cofinite"]["ok"]
+    assert calls == []
+    # the spy sees the index that locating a point builds
+    piece_for_point(build((1, 2), 2), ProductPoint((), EMPTY))
+    assert len(calls) == 1
+
+
+def proved_hand_built(ambient, limit, top, depth):
+    """Levels 0 .. top over ``ambient``, whose bound is 2 at each of them:
+    at each coordinate t, where the limit's value is {a, b}, a < b, the
+    pieces missing a, and holding a but not b, with {a, b} as the pin."""
+    levels = tuple((t, limit.coordinate(t), EMPTY) for t in range(top))
+    pieces = []
+    for t in range(top + 1):
+        a, b = limit.coordinate(t)
+        for f, g in ((EMPTY, Point.of(a)), (Point.of(a), Point.of(b))):
+            box = BasicBox(ambient, levels[:t] + ((t, f, g),))
+            pieces.append(DecompositionPiece(f"P({t},{len(f)})", ambient, ((t, f, g),),
+                                             box_reduce(box).descriptor, t, levels))
+    return Decomposition("hand", ambient, levels, tuple(pieces), limit, (0, 1), depth)
+
+
+def test_a_point_narrower_than_the_limits_prefix_is_located_where_it_leaves_the_limit():
+    # the limit holds its tail value {2, 3} at coordinate 0 and {0, 1} at 1,
+    # the last level: a point of width 0 holds the tail value everywhere, so
+    # it agrees with the limit at 0 and lies in the piece of level 1 missing 0
+    ambient = ProductDescriptor((), 2)
+    limit = ProductPoint((Point.of(2, 3), Point.of(0, 1)), Point.of(2, 3))
+    for depth in (1, 2, 3):
+        dec = proved_hand_built(ambient, limit, 1, depth)
+        assert dec.level_partition is None
+        for seed in range(3):
+            report = check_sample_membership(dec, 60, seed)
+            assert report == membership_oracle(dec, 60, seed)
+            assert report == check_sample_membership(index_route(dec), 60, seed)
+    assert check_sample_membership(proved_hand_built(ambient, limit, 1, 1), 5, 0) == \
+        MembershipReport(5, 5, 0, ())
+
+
+def test_the_index_walk_goes_on_while_its_one_piece_is_constrained_further():
+    # after coordinate 0 a point missing 0 there is admitted by P0 alone,
+    # which also constrains coordinate 1: the walk must read it there
+    ambient = ProductDescriptor.omega_power(2)
+    boxes = [BasicBox(ambient, ((0, EMPTY, Point.of(0)), (1, Point.of(0), EMPTY))),
+             BasicBox(ambient, ((0, Point.of(0), EMPTY),))]
+    pieces = [DecompositionPiece(f"P{j}", ambient, box.constraints, box_reduce(box).descriptor)
+              for j, box in enumerate(boxes)]
+    dec = Decomposition("hand", ambient, (), tuple(pieces), ProductPoint((), Point.of(0, 1)),
+                        (0, 1), 3)
+    assert dec.level_partition[0] == "refused"
+    unresolved = 0
+    for seed in range(4):
+        report = check_sample_membership(dec, 60, seed)
+        assert report == membership_oracle(dec, 60, seed)
+        unresolved += len(report.unresolved)
+    assert unresolved
+
+
+def test_the_index_walk_reads_the_tail_while_a_piece_admitting_it_is_constrained(monkeypatch):
+    # a point of width 1 at the limit's value {2, 3} at 0 holds the tail
+    # value {2, 3} at 1, where the limit holds {0, 1}: only the piece of
+    # level 1 missing 0 admits it, constrained nowhere past 1, so the walk
+    # over the box form reads no mask at 2
+    limit = ProductPoint((Point.of(2, 3), Point.of(0, 1), Point.of(0, 1)), Point.of(2, 3))
+    dec = index_route(eager(proved_hand_built(ProductDescriptor((), 2), limit, 2, 2)))
+    admitted = BoxIndex.admitted
+    calls = []
+
+    def counted(index, s, value):
+        calls.append((s, value))
+        return admitted(index, s, value)
+
+    monkeypatch.setattr(BoxIndex, "admitted", counted)
+    for seed in range(3):
+        calls.clear()
+        report = check_sample_membership(dec, 50, seed)
+        assert report == membership_oracle(dec, 50, seed) and report.ok
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {pair for coords in sample_oracle(dec, 50, seed)
+                              for pair in walked(dec, coords)}
+    assert (1, limit.tail_value) in calls
+
+
+def test_a_proved_decomposition_keeps_every_refusal(monkeypatch):
+    dec = build((1, 2), 3)
+    assert dec.level_partition is None
+    other = BasicBox(ProductDescriptor.omega_power(2), ((0, EMPTY, Point.of(0)),))
+    for boxes in ([other], limit_neighborhood_boxes(dec, 3, 0) + [other]):
+        with pytest.raises(ValueError, match="^cannot compare boxes over different ambients$"):
+            check_limit_cofinite(dec, boxes)
+    assert check_limit_cofinite(dec, []) == CofinitenessReport(0, ())
+    # refused before any generator is made
+    drawn = []
+    monkeypatch.setattr(classification.random, "Random", lambda seed: drawn.append(seed))
+    for fn, what in ((check_sample_membership, "samples"), (limit_neighborhood_boxes, "boxes")):
+        with pytest.raises(ValueError, match=rf"^{what} must be non-negative$"):
+            fn(dec, -1, 0)
+    # the limit's value {0, 1} at coordinate 1 passes the bound 1 there, past
+    # the one level, which proves the partition
+    outside = proved_hand_built(ProductDescriptor((2, 1), 2), ProductPoint((), Point.of(0, 1)),
+                                0, 2)
+    assert outside.level_partition is None
+    for fn in (check_sample_membership, limit_neighborhood_boxes):
+        with pytest.raises(ValueError, match=r"^point \( tail=\{0,1\}\) outside ambient"):
+            fn(outside, 5, 0)
+    # a product without a tail: the points of depth 2 reach coordinate 2
+    finite = proved_hand_built(ProductDescriptor((2, 2)),
+                               ProductPoint((Point.of(0, 1), Point.of(0, 1))), 1, 2)
+    assert finite.level_partition is None
+    with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
+        check_sample_membership(finite, 5, 0)
+    assert drawn == []
+    monkeypatch.undo()
+    shallow = proved_hand_built(finite.ambient, finite.limit_point, 1, 1)
+    report = check_sample_membership(shallow, 50, 0)
+    assert report == check_sample_membership(index_route(shallow), 50, 0)
+    assert report.ok and report.total == 50 and report.at_limit
+    assert isinstance(report, MembershipReport)
