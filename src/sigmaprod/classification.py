@@ -478,9 +478,13 @@ class Decomposition:
         search, so no budget is charged."""
         return check_level_partition(self, sys.maxsize)
 
+    @cached_property
+    def level_shapes(self):
+        """``_level_shapes``, run once for the proof and the disjointness charge."""
+        return _level_shapes(self)
+
 
 _LEVEL_OWN = itemgetter(4, 2)  # a piece's (level, own), the member form of BoxIndex
-_LEVEL = itemgetter(4)
 
 
 def decompose_absorb_small(m: int, n: int, depth: int = 6,
@@ -587,10 +591,11 @@ def decompose_charges(m: int, n: int, depth: int, samples: int) -> tuple:
     ``decompose_classif_k`` with m = 0, n = 1): building it, drawing
     ``samples`` points from it, and ``check_pairwise_disjoint`` on it.  All
     three follow from (m, n, depth), so the whole charge can be tried before
-    any piece is built.  The disjointness check charges the comparisons of
-    the index although the levels prove the partition and none is made;
-    with the building charge it bounds the proof's nodes, 2k + 1 for each
-    level shape over k witnesses."""
+    any piece is built.  The disjointness check charges the comparisons
+    ``BoxIndex.meeting_pairs`` would make, counted from the level shapes,
+    although the levels prove the partition and none is made; with the
+    building charge it bounds the proof's nodes, 2k + 1 for each level
+    shape over k witnesses."""
     offset = 1 if m > 0 else 0
     # B'(j) carries one constraint and A/B(k, i) k + 1 + offset; the distinct ones
     # hold n(n + 1)/2 elements in the misses, n in the full set and m in the small set
@@ -682,25 +687,24 @@ def check_level_partition(dec: Decomposition, budget: Budget | int = DEFAULT_BUD
     its blocks is refused: the constructors' levels over n witnesses take
     2n + 1."""
     meter = Budget.of(budget)
-    shapes = _level_shapes(dec)
+    shapes = dec.level_shapes
     if isinstance(shapes, tuple):
         return shapes
-    proved = set()
-    for t, bound, blocks in shapes:
-        if (bound, blocks) not in proved:
-            witness = _one_block_each(bound, blocks, meter)
-            if witness is not None:
-                kind, held = witness
-                if kind == "refused":
-                    return kind, t, f"the search at level {t} passes {held} nodes"
-                return kind, t, held
-            proved.add((bound, blocks))
+    for (bound, blocks), levels in shapes.items():
+        witness = _one_block_each(bound, blocks, meter)
+        if witness is not None:
+            kind, held = witness
+            t = levels[0]  # the first level of the shape
+            if kind == "refused":
+                return kind, t, f"the search at level {t} passes {held} nodes"
+            return kind, t, held
     return None
 
 
 def _level_shapes(dec: Decomposition):
-    """(t, bound, blocks) for each level t = 0 .. len(levels), the blocks its
-    pieces' own (F, G) in piece order then its pin; or the refusal of
+    """{(bound, blocks): its levels t, ascending} over t = 0 .. len(levels),
+    in order of first level, where the blocks of level t are its pieces' own
+    (F, G) in piece order then its pin; or the refusal of
     ``check_level_partition``."""
     levels, limit, ambient = dec.levels, dec.limit_point, dec.ambient
     top = len(levels)
@@ -713,7 +717,7 @@ def _level_shapes(dec: Decomposition):
             return ("refused", level,
                     f"piece {p[0]} is not one constraint at coordinate {level}")
         own[level].append(constraints[0][1:])
-    shapes = []
+    shapes: dict = {}
     for t, blocks in enumerate(own):
         value, bound = limit.coordinate(t), ambient.bound_at(t)
         if t < top and levels[t] != (t, value, EMPTY):
@@ -721,7 +725,7 @@ def _level_shapes(dec: Decomposition):
         if len(value) != bound:
             return "refused", t, f"the limit's value at {t} does not fill the bound {bound}"
         blocks.append((value, EMPTY))
-        shapes.append((t, bound, tuple(blocks)))
+        shapes.setdefault((bound, tuple(blocks)), []).append(t)
     return shapes
 
 
@@ -770,35 +774,30 @@ def _one_block_each(bound: int, blocks: tuple, meter: Budget):
     return None
 
 
-def _meeting_units(dec: Decomposition) -> int:
-    """The units ``BoxIndex.meeting_pairs`` charges over ``dec``, counted
-    without the index: (g - 1)·Σ(|F| + |G|) over the g distinct constraints
-    at each coordinate, where a level constraint lies once a piece is above
-    its level."""
-    found = {c for p in dec.pieces for c in p[2]}
-    found.update(dec.levels[:max(map(_LEVEL, dec.pieces), default=0)])
-    count: dict = {}  # coordinate -> its distinct constraints
-    size: dict = {}  # coordinate -> their elements
-    for s, f, g in found:
-        count[s] = count.get(s, 0) + 1
-        size[s] = size.get(s, 0) + len(f) + len(g)
-    return sum((count[s] - 1) * size[s] for s in count)
-
-
 def check_pairwise_disjoint(dec: Decomposition,
                             budget: Budget | int = DEFAULT_BUDGET) -> list:
     """Symbolically empty pairwise intersections; returns the offending pairs.
     The constraint comparisons are charged to ``budget`` as
-    ``BoxIndex.meeting_pairs`` counts them, before any is made; when the
+    ``BoxIndex.meeting_pairs`` counts them, before any is made.  When the
     levels prove the partition (``check_level_partition``) no pair meets and
-    none is compared."""
-    units = _meeting_units(dec)
+    none is compared; the units are counted per distinct level shape, from
+    its pieces' own constraints and its pin while a piece lies above it."""
+    if dec.level_partition is not None:
+        pieces = dec.pieces
+        return [(pieces[a].label, pieces[b].label) for a, b in dec.index.meeting_pairs(budget)]
+    shapes = dec.level_shapes
+    # the last level holding a piece: a level without one has its pin alone
+    last = max((levels[-1] for (_bound, blocks), levels in shapes.items() if len(blocks) > 1),
+               default=0)
+    units = 0
+    for (_bound, blocks), levels in shapes.items():
+        size = sum(len(f) + len(g) for f, g in blocks)
+        pinned = bisect_left(levels, last)  # the levels that carry their pin
+        # without the pin (V, {}) a level has one constraint and |V| elements fewer
+        units += (pinned * (len(blocks) - 1) * size
+                  + (len(levels) - pinned) * (len(blocks) - 2) * (size - len(blocks[-1][0])))
     Budget.of(budget).charge(units)
-    if dec.level_partition is None:
-        return []
-    pieces = dec.pieces
-    # the index charges the same units again, to a meter that holds just them
-    return [(pieces[a].label, pieces[b].label) for a, b in dec.index.meeting_pairs(units)]
+    return []
 
 
 def piece_for_point(dec: Decomposition, x: ProductPoint):
@@ -873,8 +872,10 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     When the levels prove the partition (``check_level_partition``), a
     point first off the limit at a coordinate t <= len(levels) lies in one
     piece, of level t, and is decided there; a point first off it further on
-    lies in none.  Otherwise the pieces admitting each value are read from
-    ``BoxIndex.admitted``, once per (coordinate, value)."""
+    lies in none.  Up to there one mask test per code tells the limit's
+    value, and only the codes past it, or over a ground that repeats an
+    element, are decoded.  Otherwise the pieces admitting each value are
+    read from ``BoxIndex.admitted``, once per (coordinate, value)."""
     _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
     ambient, limit, depth = dec.ambient, dec.limit_point, dec.depth
     if count and depth < 1:  # no width could be drawn
@@ -898,17 +899,31 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
         return value
 
     tables: dict = {}  # bound -> code -> the value decoded from it, not the limit's
-    bounds = [ambient.bound_at(s) for s in range(explicit + depth - 1)]
-    coords = [None] * len(bounds)  # the values of the point walked, up to its coordinate
+    widest = explicit + depth - 1  # the coordinates a point can draw
+    coords = [None] * widest  # the values of the point walked, up to its coordinate
     in_piece = 0
     at_limit = 0
     unresolved = []
     if dec.level_partition is None:
         top = len(dec.levels)
-        # per coordinate below the widest point: the limit's value, the
-        # bound and its code table
+        # up to top the limit's value V fills the bound, so over a ground of
+        # distinct elements a code picks V exactly when bit 0 is set or its
+        # bits 1 .. p are V's, p the ground position of V's last element (no
+        # code picks a V outside the ground); codes past top, or over a ground
+        # that repeats an element, are decoded
+        position = {e: j for j, e in enumerate(ground, 1)}
+        reach = min(top + 1, widest) if len(position) == len(ground) else 0
+        found: dict = {}  # V -> (the mask of bits 1 .. p, V's bits)
+        for value in {*limit.prefix[:reach], tail}:
+            places = [position.get(e) for e in value]
+            found[value] = ((0, 1) if None in places else
+                            ((2 << max(places, default=0)) - 2, sum(1 << j for j in places)))
+        pinned = limit.prefix[:reach] + (tail,) * (reach - limit_len)
+        coords[:reach] = pinned
+        tests = [found[value] for value in pinned]
+        # per coordinate from reach on: the limit's value, the bound and its code table
         steps = [(limit.coordinate(s), bound, tables.setdefault(bound, {}))
-                 for s, bound in enumerate(bounds)]
+                 for s in range(reach, widest) for bound in (ambient.bound_at(s),)]
         for _ in range(count):
             # Random._randbelow_with_getrandbits(depth): getrandbits(bit length)
             # until it falls below depth
@@ -916,37 +931,46 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
             while width >= depth:
                 width = getrandbits(width_bits)
             width += explicit
-            first = None  # the first coordinate off the limit
-            for s in range(width):
-                value, bound, table = steps[s]
+            for s in range(min(width, reach)):
+                low, want = tests[s]
                 code = getrandbits(size)
-                if not code & 1:
-                    limit_value = value
-                    value = table.get(code)
-                    if value is None:
-                        value = decoded(table, code, bound)
-                    if first is None and value != limit_value:
-                        first = s
-                        if s <= top:  # in one piece of level s
-                            in_piece += 1
-                            getrandbits(words * (width - 1 - s))  # the codes left unread
-                            break
-                coords[s] = value
-            else:
-                if first is None:
-                    if width >= limit_len:
-                        at_limit += 1
-                        continue
-                    # the point holds the tail value from its width on, and the
-                    # limit's prefix ends on a value off the tail
-                    first = next(t for t in range(width, limit_len) if limit.prefix[t] != tail)
-                if first <= top:
+                if not code & 1 and code & low != want:  # in one piece, of level s
                     in_piece += 1
+                    getrandbits(words * (width - 1 - s))  # the codes left unread
+                    break
+            else:
+                first = None  # the first coordinate off the limit
+                for s, (value, bound, table) in zip(range(reach, width), steps):
+                    code = getrandbits(size)
+                    if not code & 1:
+                        limit_value = value
+                        value = table.get(code)
+                        if value is None:
+                            value = decoded(table, code, bound)
+                        if first is None and value != limit_value:
+                            first = s
+                            if s <= top:  # in one piece of level s
+                                in_piece += 1
+                                getrandbits(words * (width - 1 - s))
+                                break
+                    coords[s] = value
                 else:
-                    unresolved.append(ProductPoint(coords[:width], tail))
+                    if first is None:
+                        if width >= limit_len:
+                            at_limit += 1
+                            continue
+                        # the point holds the tail value from its width on, and
+                        # the limit's prefix ends on a value off the tail
+                        first = next(t for t in range(width, limit_len)
+                                     if limit.prefix[t] != tail)
+                    if first <= top:
+                        in_piece += 1
+                    else:
+                        unresolved.append(ProductPoint(coords[:width], tail))
         return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
     index = dec.index
     everything, admitted = index.everything, index.admitted
+    bounds = [ambient.bound_at(s) for s in range(widest)]
     masks = {s: {} for s in index.coords}  # coordinate -> value -> admitted mask
     # per coordinate below the widest point: the limit's value, its bound's
     # code table, the boxes whose constraint there is read (none where no box
@@ -1013,30 +1037,40 @@ def limit_neighborhood_boxes(dec: Decomposition, count: int, seed: int) -> list:
     """Seeded basic boxes around the limit point.
 
     Each box constrains up to three distinct coordinates below depth + 2
-    past the explicit factors, drawn by ``randrange``.  At each, F is the
-    part of the limit's value picked by a ``getrandbits`` mask, and G the
-    part of the extra elements outside that value picked by another, so the
-    box contains the limit by construction."""
+    past the explicit factors, each drawn as ``Random.randrange`` draws it.
+    At each, F is the part of the limit's value picked by a ``getrandbits``
+    mask, and G the part of the extra elements outside that value picked by
+    another, so the box contains the limit by construction."""
     beyond = dec.depth + 1
     _refuse_unsampleable(dec, count, "boxes", beyond)
-    rng = random.Random(seed)
-    getrandbits, randrange = rng.getrandbits, rng.randrange
+    getrandbits = random.Random(seed).getrandbits
     ambient, limit = dec.ambient, dec.limit_point
     extras = _sample_ground(dec)[len(dec.witnesses):]
     max_coord = ambient.explicit_len + beyond
+    if count and max_coord < 1:
+        raise ValueError("boxes need a coordinate below depth + 2 past the explicit factors")
+    coord_bits = max_coord.bit_length()
     pools: dict = {}  # a value of the limit's -> the extras outside it
+    new = tuple.__new__  # F and G are picked in order from a sorted value or pool
     boxes = []
     for _ in range(count):
+        drawn = set()
+        for _ in range(getrandbits(2)):
+            # Random.randrange(max_coord): getrandbits(bit length) until below it
+            s = getrandbits(coord_bits)
+            while s >= max_coord:
+                s = getrandbits(coord_bits)
+            drawn.add(s)
         constraints = []
-        for s in sorted({randrange(max_coord) for _ in range(getrandbits(2))}):
+        for s in sorted(drawn):
             value = limit.coordinate(s)
             pool = pools.get(value)
             if pool is None:
                 pool = pools[value] = [e for e in extras if e not in value]
             mask = getrandbits(len(value))
-            f = Point([e for j, e in enumerate(value) if mask >> j & 1]) if mask else EMPTY
+            f = new(Point, [e for j, e in enumerate(value) if mask >> j & 1]) if mask else EMPTY
             mask = getrandbits(len(pool))
-            g = Point([e for j, e in enumerate(pool) if mask >> j & 1]) if mask else EMPTY
+            g = new(Point, [e for j, e in enumerate(pool) if mask >> j & 1]) if mask else EMPTY
             if f or g:
                 constraints.append((s, f, g))
         boxes.append(BasicBox(ambient, tuple(constraints)))

@@ -8,7 +8,11 @@ it reports is confirmed by the point it names.  A decomposition the levels
 prove answers disjointness, sampled membership and cofiniteness without the
 ``BoxIndex``; those answers are compared with the index route on the same
 pieces and on their box form, and mutated decompositions must fall back to
-the index with the answers it gives.
+the index with the answers it gives.  The membership walk's mask test and
+the neighbourhood draw are compared, ``getrandbits`` call by call, with the
+decoding walk and the ``randrange`` draw they replaced, and the
+disjointness charge counted from the level shapes with ``decompose_charges``
+and with the index's own.
 """
 
 import random
@@ -41,7 +45,9 @@ from test_decomposition_checks import (
     build,
     check_answers,
     cofinite_oracle,
+    decode_oracle,
     eager,
+    ground_of,
     index_route,
     membership_oracle,
     outcome,
@@ -96,33 +102,22 @@ def test_the_level_route_answers_as_the_index_route(kind):
 
 
 @pytest.mark.parametrize("kind", [*KINDS, "hand"], ids=str)
-def test_the_level_walk_draws_as_the_index_walk(kind, monkeypatch):
+def test_the_level_walk_draws_as_the_index_walk(kind, counted):
     # a point first off the limit at or below the last level is decided
     # there on both routes, and skips the codes it leaves unread in one call;
     # a point off it further on draws every code.  The points of a built
     # decomposition end at its last level, and those of the hand-built one,
     # of one level, reach coordinate 3
     limit = ProductPoint((Point.of(2, 3), Point.of(0, 1)), Point.of(2, 3))
-    calls = []
-
-    class Counted(random.Random):
-        def getrandbits(self, k):
-            calls.append(k)
-            return super().getrandbits(k)
-
-    monkeypatch.setattr(classification.random, "Random", Counted)
     for depth in (1, 2, 5, 12):
         if kind == "hand":
             dec = proved_hand_built(ProductDescriptor((), 2), limit, 1, depth)
         else:
             dec = build(kind, depth)
         for seed in range(3):
-            calls.clear()
-            report = check_sample_membership(dec, 100, seed)
-            drawn = calls[:]
-            calls.clear()
-            assert check_sample_membership(index_route(eager(dec)), 100, seed) == report
-            assert calls == drawn
+            drawn_alike(counted, check_sample_membership,
+                        lambda dec, *args: check_sample_membership(index_route(eager(dec)), *args),
+                        dec, 100, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -524,3 +519,261 @@ def test_a_proved_decomposition_keeps_every_refusal(monkeypatch):
     assert report == check_sample_membership(index_route(shallow), 50, 0)
     assert report.ok and report.total == 50 and report.at_limit
     assert isinstance(report, MembershipReport)
+
+
+# ---------------------------------------------------------------------------
+# the mask walk, the box draw and the charge from the level shapes, each
+# against the code it replaced
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The bit counts of the ``getrandbits`` calls every ``random.Random``
+    makes from now on, in order."""
+    calls = []
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(classification.random, "Random", Counted)
+    return calls
+
+
+def drawn_alike(calls, fn, oracle, *args):
+    """``fn(*args)`` and ``oracle(*args)`` return equal answers through the
+    same ``getrandbits`` calls; returns the answer."""
+    calls.clear()
+    answer = fn(*args)
+    drawn = calls[:]
+    calls.clear()
+    assert answer == oracle(*args)
+    assert calls == drawn
+    return answer
+
+
+def decoding_level_walk(dec, count, seed):
+    """The membership walk of a decomposition its levels prove, decoding
+    every drawn code into a value and comparing it with the limit's: a point
+    first off the limit at t <= len(levels) lies in one piece and skips its
+    unread codes in one call, and one first off it further on in none."""
+    ambient, limit, depth = dec.ambient, dec.limit_point, dec.depth
+    explicit, top, tail = ambient.explicit_len, len(dec.levels), limit.tail_value
+    getrandbits = random.Random(seed).getrandbits
+    ground = ground_of(dec)
+    size = len(ground) + 1
+    words = 32 * ((size + 31) // 32)
+    coords = [None] * (explicit + depth - 1)
+    in_piece = at_limit = 0
+    unresolved = []
+    for _ in range(count):
+        width = getrandbits(depth.bit_length())
+        while width >= depth:
+            width = getrandbits(depth.bit_length())
+        width += explicit
+        first = None
+        for s in range(width):
+            value = decode_oracle(getrandbits(size), ground, limit.coordinate(s),
+                                  ambient.bound_at(s))
+            if first is None and value != limit.coordinate(s):
+                first = s
+                if s <= top:
+                    in_piece += 1
+                    getrandbits(words * (width - 1 - s))
+                    break
+            coords[s] = value
+        else:
+            if first is None:
+                if width >= len(limit.prefix):
+                    at_limit += 1
+                    continue
+                first = next(t for t in range(width, len(limit.prefix))
+                             if limit.prefix[t] != tail)
+            if first <= top:
+                in_piece += 1
+            else:
+                unresolved.append(ProductPoint(coords[:width], tail))
+    return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS, ids=str)
+def test_the_mask_walk_draws_and_answers_as_the_decoding_walk(kind, counted, monkeypatch):
+    for depth in [*range(1, 14), 40]:
+        dec = built(kind, depth)
+        for seed in (depth, 7):
+            drawn_alike(counted, check_sample_membership, decoding_level_walk, dec, 100, seed)
+    # over a ground of distinct elements no code up to the last level is
+    # decoded, and no value is built
+    decs = [built(kind, depth) for depth in (1, 12)]
+    assert all(dec.level_partition is None for dec in decs)
+    made = []
+    monkeypatch.setattr(classification, "Point", lambda *args: made.append(args))
+    for dec in decs:
+        assert check_sample_membership(dec, 100, 5).ok
+    assert made == []
+
+
+@pytest.mark.parametrize("m, n, witnesses", [
+    (1, 3, (7, 2, 5)), (0, 4, (3, 2, 1, 0)), (2, 3, (9, 0, 4)), (1, 30, tuple(range(60, 0, -2))),
+    # codes of G + 1 = n + 3 bits: 32, 33, 64 and 65
+    (0, 29, None), (1, 30, None), (0, 61, None), (1, 62, None),
+], ids=str)
+def test_the_mask_walk_over_unsorted_witnesses_and_wide_codes(m, n, witnesses, counted):
+    for depth in (1, 4, 10):
+        dec = decompose_absorb_small(m, n, depth, witnesses)
+        assert dec.level_partition is None
+        for seed in range(3):
+            drawn_alike(counted, check_sample_membership, decoding_level_walk, dec, 60, seed)
+
+
+def test_the_mask_walk_over_hand_built_level_forms(counted):
+    # the proved ones among the random level forms, over other witnesses and
+    # depths: (5,) leaves every value of the limit outside the ground, (1,)
+    # leaves 0 out, (2, 0, 1) is unsorted and (0, 0, 2) repeats an element,
+    # so its codes are decoded; a depth past top + 1 draws points wider than
+    # the last level, off the limit only past it and in no piece
+    rng = random.Random(47)
+    proved = unresolved = 0
+    for _ in range(150):
+        dec = random_level_decomposition(rng)
+        if dec.level_partition is not None:
+            continue
+        proved += 1
+        top = len(dec.levels)
+        for witnesses, depth in (((0, 1, 2), top + 1), ((2, 0, 1), top + 3), ((1,), top + 2),
+                                 ((5,), top + 2), ((0, 0, 2), top + 3)):
+            variant = Decomposition(dec.kind, dec.ambient, dec.levels, dec.pieces,
+                                    dec.limit_point, witnesses, depth)
+            assert variant.level_partition is None
+            for seed in range(2):
+                report = drawn_alike(counted, check_sample_membership, decoding_level_walk,
+                                     variant, 40, seed)
+                unresolved += len(report.unresolved)
+    assert proved >= 30 and unresolved
+
+
+def randrange_boxes(dec, count, seed):
+    """The neighbourhood boxes with their coordinates drawn by
+    ``Random.randrange`` and each F and G built as a new ``Point``."""
+    rng = random.Random(seed)
+    ambient, limit = dec.ambient, dec.limit_point
+    extras = ground_of(dec)[len(dec.witnesses):]
+    max_coord = ambient.explicit_len + dec.depth + 1
+    boxes = []
+    for _ in range(count):
+        constraints = []
+        for s in sorted({rng.randrange(max_coord) for _ in range(rng.getrandbits(2))}):
+            value = limit.coordinate(s)
+            pool = [e for e in extras if e not in value]
+            mask = rng.getrandbits(len(value))
+            f = Point([e for j, e in enumerate(value) if mask >> j & 1]) if mask else EMPTY
+            mask = rng.getrandbits(len(pool))
+            g = Point([e for j, e in enumerate(pool) if mask >> j & 1]) if mask else EMPTY
+            if f or g:
+                constraints.append((s, f, g))
+        boxes.append(BasicBox(ambient, tuple(constraints)))
+    return boxes
+
+
+def texts(draw):
+    """``draw`` with each box it returns written as text."""
+    return lambda *args: [str(box) for box in draw(*args)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_the_box_draw_matches_randrange(k, counted):
+    # max_coord, the coordinates drawn from, at 2^k - 1, 2^k and 2^k + 1;
+    # m = 1 has one explicit factor, and the hand-built decomposition none,
+    # at any depth, so at depth 0 it draws from a single coordinate
+    limit = ProductPoint((Point.of(2, 3), Point.of(0, 1)), Point.of(2, 3))
+    hand = proved_hand_built(ProductDescriptor((), 2), limit, 1, 1)
+    for max_coord in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+        decs = [built(kind, max_coord - explicit - 1)
+                for kind, explicit in (((0, 2), 0), ((1, 3), 1), (("K", 3), 0))
+                if max_coord - explicit - 1 >= 1]
+        decs.append(Decomposition("hand", hand.ambient, hand.levels, hand.pieces, limit, (0, 1),
+                                  max_coord - 1))
+        for dec in decs:
+            for seed in range(25):
+                for count in (0, 1, 12):
+                    drawn_alike(counted, texts(limit_neighborhood_boxes), texts(randrange_boxes),
+                                dec, count, seed)
+
+
+def test_boxes_over_no_coordinate_are_refused():
+    # explicit factors 0 and depth -1 leave no coordinate to draw: refused
+    # before any draw, where the draw would never end
+    limit = ProductPoint((Point.of(2, 3), Point.of(0, 1)), Point.of(2, 3))
+    dec = proved_hand_built(ProductDescriptor((), 2), limit, 1, -1)
+    assert limit_neighborhood_boxes(dec, 0, 0) == []
+    with pytest.raises(ValueError, match="^boxes need a coordinate below depth"):
+        limit_neighborhood_boxes(dec, 1, 0)
+
+
+def test_the_level_charge_is_the_index_charge_of_the_built_partition():
+    for n in range(1, 6):
+        for m in range(n):
+            for depth in range(1, 41):
+                dec = decompose_absorb_small(m, n, depth)
+                meter = Budget(10 ** 9)
+                assert check_pairwise_disjoint(dec, meter) == []
+                assert meter.spent == classification.decompose_charges(m, n, depth, 0)[2]
+                if depth in (1, 2, 9, 40):
+                    assert meter.spent == index_charge(dec)
+                assert "index" not in vars(dec)
+    for depth in (1, 2, 40):
+        dec = decompose_classif_k(3, depth)
+        meter = Budget(10 ** 9)
+        check_pairwise_disjoint(dec, meter)
+        assert meter.spent == classification.decompose_charges(0, 1, depth, 0)[2]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_the_mutants_are_charged_once_as_the_index_charges(kind):
+    for name, mutant in mutants(build(kind, 3)):
+        meter = Budget(10 ** 9)
+        check_pairwise_disjoint(mutant, meter)
+        assert meter.spent == index_charge(mutant), name
+        with pytest.raises(BudgetExceeded):
+            check_pairwise_disjoint(mutant, meter.spent - 1 if meter.spent else -1)
+
+
+def test_the_proof_and_the_charge_share_one_pass_over_the_levels(monkeypatch):
+    shapes = classification._level_shapes
+    calls = []
+
+    def counted_shapes(dec):
+        calls.append(dec)
+        return shapes(dec)
+
+    monkeypatch.setattr(classification, "_level_shapes", counted_shapes)
+    dec = decompose_absorb_small(1, 3, 12)
+    for _ in range(2):
+        assert check_pairwise_disjoint(dec) == []
+        assert check_level_partition(dec) is None
+    assert calls == [dec]
+
+
+def test_a_last_level_without_pieces_carries_no_pin_in_the_charge(counted):
+    # coordinate 1 has bound 0, so the limit's value {} alone partitions it:
+    # both pieces lie at level 0, and with none above it the index holds no
+    # level constraint there.  Its two own constraints of 1 and 2 elements
+    # cost (2 - 1)·3.  Every code picks {} at coordinate 1, which the walk
+    # tests with an empty mask
+    ambient = ProductDescriptor((2,), 0)
+    levels = ((0, Point.of(0, 1), EMPTY),)
+    pieces = []
+    for label, f, g in (("P0", EMPTY, Point.of(0)), ("P1", Point.of(0), Point.of(1))):
+        box = BasicBox(ambient, ((0, f, g),))
+        pieces.append(DecompositionPiece(label, ambient, ((0, f, g),),
+                                         box_reduce(box).descriptor, 0, levels))
+    dec = Decomposition("hand", ambient, levels, tuple(pieces),
+                        ProductPoint((Point.of(0, 1),), EMPTY), (0, 1), 2)
+    assert dec.level_partition is None and brute_force(dec) is None
+    meter = Budget(10 ** 9)
+    assert check_pairwise_disjoint(dec, meter) == []
+    assert meter.spent == index_charge(dec) == 3
+    for seed in range(3):
+        report = drawn_alike(counted, check_sample_membership, decoding_level_walk, dec, 60, seed)
+        assert report.ok and report.at_limit
