@@ -51,8 +51,8 @@ from .clopen import (
     box_intersect,
     box_is_empty,
     box_reduce,
+    box_subset,
     _admits,
-    _bits,
 )
 # bound by this name in bench/tracing.py
 from .encode import decomposition_to_json  # noqa: F401
@@ -862,20 +862,17 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     in ground order.  Every value within the coordinate's bound is
     reachable.
 
-    Codes are drawn only until the point is decided: at a coordinate whose
-    value is not the limit point's, once the pieces admitting its values so
-    far are one that no later coordinate constrains, or else at its last
-    drawn coordinate.  A point decided early draws the 32-bit words of its
-    unread codes in one call, which moves the generator on as their draws
-    would.  The point is built only when it lies in no piece or in several.
-
-    When the levels prove the partition (``check_level_partition``), a
-    point first off the limit at a coordinate t <= len(levels) lies in one
-    piece, of level t, and is decided there; a point first off it further on
-    lies in none.  Up to there one mask test per code tells the limit's
-    value, and only the codes past it, or over a ground that repeats an
-    element, are decoded.  Otherwise the pieces admitting each value are
-    read from ``BoxIndex.admitted``, once per (coordinate, value)."""
+    When the levels prove the partition (``check_level_partition``), the
+    ground repeats no element and no point reaches past coordinate
+    len(levels), that of the last pieces, a point first off the limit at a
+    coordinate t lies in one piece, of level t.  Over a ground of distinct elements the limit's value V at t fills
+    the bound, so a code picks V exactly when bit 0 is set or its bits
+    1 .. p are V's, p the ground position of V's last element (no code
+    picks a V outside the ground): one mask test per code, and no value is
+    built.  The point is decided at its first code off the limit and draws
+    the 32-bit words of its unread codes in one call, which moves the
+    generator on as their draws would.  Every other decomposition draws
+    each point whole and locates it with ``piece_for_point``."""
     _refuse_unsampleable(dec, count, "samples", dec.depth - 1)
     ambient, limit, depth = dec.ambient, dec.limit_point, dec.depth
     if count and depth < 1:  # no width could be drawn
@@ -884,152 +881,69 @@ def check_sample_membership(dec: Decomposition, count: int, seed: int) -> Member
     getrandbits = random.Random(seed).getrandbits
     ground = _sample_ground(dec)
     size = len(ground) + 1
-    words = 32 * ((size + 31) // 32)  # the bits of the 32-bit words a code takes
     tail = limit.tail_value
-    limit_len = len(limit.prefix)
     width_bits = depth.bit_length()
-    values: dict = {}  # the elements a code picks, cut to the bound -> their value
-
-    def decoded(table, code, bound):
-        """The value ``code`` picks under ``bound``, not the limit's, kept in
-        ``table``, its bound's code table."""
-        picked = [e for j, e in enumerate(ground, 1) if code >> j & 1]
-        picked = tuple(picked[:bound])
-        value = table[code] = values.setdefault(picked, Point(picked))
-        return value
-
-    tables: dict = {}  # bound -> code -> the value decoded from it, not the limit's
     widest = explicit + depth - 1  # the coordinates a point can draw
-    coords = [None] * widest  # the values of the point walked, up to its coordinate
-    in_piece = 0
-    at_limit = 0
-    unresolved = []
-    if dec.level_partition is None:
-        top = len(dec.levels)
-        # up to top the limit's value V fills the bound, so over a ground of
-        # distinct elements a code picks V exactly when bit 0 is set or its
-        # bits 1 .. p are V's, p the ground position of V's last element (no
-        # code picks a V outside the ground); codes past top, or over a ground
-        # that repeats an element, are decoded
-        position = {e: j for j, e in enumerate(ground, 1)}
-        reach = min(top + 1, widest) if len(position) == len(ground) else 0
+    top = len(dec.levels)
+    position = {e: j for j, e in enumerate(ground, 1)}
+    walk = (dec.level_partition is None and widest <= top + 1
+            and len(position) == len(ground))
+    if walk:
+        words = 32 * ((size + 31) // 32)  # the bits of the 32-bit words a code takes
+        limit_len = len(limit.prefix)
+        pinned = (limit.prefix + (tail,) * widest)[:widest]  # the limit's values
         found: dict = {}  # V -> (the mask of bits 1 .. p, V's bits)
-        for value in {*limit.prefix[:reach], tail}:
+        for value in set(pinned):
             places = [position.get(e) for e in value]
             found[value] = ((0, 1) if None in places else
                             ((2 << max(places, default=0)) - 2, sum(1 << j for j in places)))
-        pinned = limit.prefix[:reach] + (tail,) * (reach - limit_len)
-        coords[:reach] = pinned
         tests = [found[value] for value in pinned]
-        # per coordinate from reach on: the limit's value, the bound and its code table
-        steps = [(limit.coordinate(s), bound, tables.setdefault(bound, {}))
-                 for s in range(reach, widest) for bound in (ambient.bound_at(s),)]
-        for _ in range(count):
-            # Random._randbelow_with_getrandbits(depth): getrandbits(bit length)
-            # until it falls below depth
-            width = getrandbits(width_bits)
-            while width >= depth:
-                width = getrandbits(width_bits)
-            width += explicit
-            for s in range(min(width, reach)):
-                low, want = tests[s]
-                code = getrandbits(size)
-                if not code & 1 and code & low != want:  # in one piece, of level s
-                    in_piece += 1
-                    getrandbits(words * (width - 1 - s))  # the codes left unread
-                    break
-            else:
-                first = None  # the first coordinate off the limit
-                for s, (value, bound, table) in zip(range(reach, width), steps):
-                    code = getrandbits(size)
-                    if not code & 1:
-                        limit_value = value
-                        value = table.get(code)
-                        if value is None:
-                            value = decoded(table, code, bound)
-                        if first is None and value != limit_value:
-                            first = s
-                            if s <= top:  # in one piece of level s
-                                in_piece += 1
-                                getrandbits(words * (width - 1 - s))
-                                break
-                    coords[s] = value
-                else:
-                    if first is None:
-                        if width >= limit_len:
-                            at_limit += 1
-                            continue
-                        # the point holds the tail value from its width on, and
-                        # the limit's prefix ends on a value off the tail
-                        first = next(t for t in range(width, limit_len)
-                                     if limit.prefix[t] != tail)
-                    if first <= top:
-                        in_piece += 1
-                    else:
-                        unresolved.append(ProductPoint(coords[:width], tail))
-        return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
-    index = dec.index
-    everything, admitted = index.everything, index.admitted
-    bounds = [ambient.bound_at(s) for s in range(widest)]
-    masks = {s: {} for s in index.coords}  # coordinate -> value -> admitted mask
-    # per coordinate below the widest point: the limit's value, its bound's
-    # code table, the boxes whose constraint there is read (none where no box
-    # is constrained), that coordinate's mask table, and the boxes
-    # constrained further on
-    steps = []
-    for s, bound in enumerate(bounds):
-        entry = index.coords.get(s)
-        steps.append((limit.coordinate(s), tables.setdefault(bound, {}),
-                      entry[2] if entry else 0, masks.get(s), index.constrained_after(s)))
-    # past a point's last drawn coordinate the walk reads the tail value
-    constrained = list(index.coords)
-    tail_walk = [(s, index.coords[s][2], masks[s]) for s in constrained]
+    else:
+        bounds = [ambient.bound_at(s) for s in range(widest)]
+    in_piece = 0
+    at_limit = 0
+    unresolved = []
     for _ in range(count):
+        # Random._randbelow_with_getrandbits(depth): getrandbits(bit length)
+        # until it falls below depth
         width = getrandbits(width_bits)
         while width >= depth:
             width = getrandbits(width_bits)
         width += explicit
-        hits = everything
-        differs = False
+        if not walk:
+            coords = []
+            for s in range(width):
+                code = getrandbits(size)
+                if code & 1:
+                    coords.append(limit.coordinate(s))
+                else:
+                    picked = [e for j, e in enumerate(ground, 1) if code >> j & 1]
+                    coords.append(Point(picked[:bounds[s]]))
+            x = ProductPoint(coords, tail)
+            where = piece_for_point(dec, x)
+            if where == "limit":
+                at_limit += 1
+            elif where is None:
+                unresolved.append(x)
+            else:
+                in_piece += 1
+            continue
         for s in range(width):
-            value, table, read, s_masks, after = steps[s]
+            low, want = tests[s]
             code = getrandbits(size)
-            if not code & 1:
-                limit_value = value
-                value = table.get(code)
-                if value is None:
-                    value = decoded(table, code, bounds[s])
-                differs = differs or value != limit_value
-            coords[s] = value
-            if hits & read:
-                mask = s_masks.get(value)
-                if mask is None:
-                    mask = s_masks[value] = admitted(s, value)
-                hits &= mask
-            # not the limit, and inside exactly one piece, whatever follows
-            if differs and hits and not hits & (hits - 1 | after):
+            if not code & 1 and code & low != want:  # in one piece, of level s
                 in_piece += 1
                 getrandbits(words * (width - 1 - s))  # the codes left unread
                 break
         else:
-            if not differs and width >= limit_len:
+            # the point agrees with the limit up to its width and holds the
+            # tail value from there on
+            if width >= limit_len:
                 at_limit += 1
-                continue
-            for s, pending, table in tail_walk[bisect_left(constrained, width):]:
-                if not hits & pending:
-                    break  # no later coordinate constrains a remaining hit
-                mask = table.get(tail)
-                if mask is None:
-                    mask = table[tail] = admitted(s, tail)
-                hits &= mask
-            if not hits:
-                unresolved.append(ProductPoint(coords[:width], tail))
-            elif hits & (hits - 1):
-                labels = [dec.pieces[i].label for i in _bits(hits)]
-                raise AssertionError(f"point {ProductPoint(coords[:width], tail)} lies in "
-                                     f"several pieces: {labels}")
-            else:
+            elif next(t for t in range(width, limit_len) if limit.prefix[t] != tail) <= top:
                 in_piece += 1
+            else:
+                unresolved.append(ProductPoint(pinned[:width], tail))
     return MembershipReport(count, in_piece, at_limit, tuple(unresolved))
 
 
@@ -1095,27 +1009,31 @@ def check_limit_cofinite(dec: Decomposition, boxes) -> CofinitenessReport:
     of level t lies in R_t, the points that agree with the limit below t.  So
     a box containing the limit, constrained up to coordinate c, contains
     every piece of level past c, and a box missing it meets none of them:
-    those are its violations, and no other piece is constrained past c."""
+    those are its violations, and no other piece is constrained past c.
+    Otherwise each piece constrained past c is compared with the box by
+    ``box_subset``."""
     boxes = list(boxes)
-    if dec.level_partition is None:
-        ambient, limit, pieces = dec.ambient, dec.limit_point, dec.pieces
-        violations = []
-        for box in boxes:
-            if box.ambient != ambient:
-                raise ValueError("cannot compare boxes over different ambients")
-            if not all(_admits(f, g, limit.coordinate(s)) for s, f, g in box.constraints):
-                last, text = box.max_constrained_coord(), str(box)
-                violations.extend((text, p[0]) for p in pieces if p[4] > last)
-        return CofinitenessReport(len(boxes), tuple(violations))
-    index = dec.index
+    ambient, pieces = dec.ambient, dec.pieces
+    if any(box.ambient != ambient for box in boxes):
+        raise ValueError("cannot compare boxes over different ambients")
+    proved = dec.level_partition is None
+    if proved:
+        limit = dec.limit_point
+    else:
+        boxed = [(p[0], p.box) for p in pieces]
     violations = []
     for box in boxes:
-        # the pieces not inside that are constrained past the box's last coordinate
-        outside = (index.not_within_mask(box)
-                   & index.constrained_after(box.max_constrained_coord()))
-        if outside:
+        last = box.max_constrained_coord()
+        if not proved:
+            labels = [label for label, piece in boxed
+                      if piece.max_constrained_coord() > last and not box_subset(piece, box)]
+        elif all(_admits(f, g, limit.coordinate(s)) for s, f, g in box.constraints):
+            continue
+        else:
+            labels = [p[0] for p in pieces if p[4] > last]
+        if labels:
             text = str(box)
-            violations.extend((text, dec.pieces[i].label) for i in _bits(outside))
+            violations.extend((text, label) for label in labels)
     return CofinitenessReport(len(boxes), tuple(violations))
 
 

@@ -9,7 +9,6 @@ ground set; finite enumeration is only ever a test oracle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations
@@ -224,8 +223,9 @@ class BoxIndex:
     constraints are walked for it.  Coordinates that list the same
     constraints in the same order share one tuple of them, so what depends
     only on the constraints and the bound is computed once per such tuple.
-    Queries about the whole family then compare a few distinct constraints
-    per coordinate instead of building a box per pair or scanning every box.
+    ``meeting_pairs`` then compares a few distinct constraints per
+    coordinate instead of building a box per pair, and ``containing``
+    locates a point through ``admitted`` instead of scanning every box.
     Every query answers in increasing member order.
     """
 
@@ -297,7 +297,6 @@ class BoxIndex:
             pending |= constrained
             self.coords[s] = (bound, self.everything & ~constrained, pending, shape, masks)
         self.coords = dict(reversed(self.coords.items()))
-        self._constrained = list(self.coords)  # the constrained coordinates, ascending
         self._admitting: dict = {}  # (shape, value) -> positions of the constraints it satisfies
 
     def meeting_pairs(self, budget: Budget | int = DEFAULT_BUDGET) -> list:
@@ -380,33 +379,6 @@ class BoxIndex:
                 break
             hits &= self.admitted(s, x.coordinate(s))
         return list(_bits(hits))
-
-    def constrained_after(self, s: int) -> int:
-        """Mask of the members constrained at some coordinate past ``s``."""
-        at = bisect_right(self._constrained, s)
-        if at == len(self._constrained):
-            return 0
-        return self.coords[self._constrained[at]][2]
-
-    def not_within(self, box: BasicBox) -> list:
-        """Indices of the members not contained in ``box``."""
-        return list(_bits(self.not_within_mask(box)))
-
-    def not_within_mask(self, box: BasicBox) -> int:
-        """Mask of the members not contained in ``box``."""
-        if box.ambient != self.ambient:
-            raise ValueError("cannot compare boxes over different ambients")
-        inside = self.everything
-        for s, f2, g2 in box.constraints:
-            bound, free, _pending, shape, masks = self.coords.get(
-                s, (self.ambient.bound_at(s), self.everything, 0, None, ()))
-            here = free if _constraint_within(EMPTY, EMPTY, f2, g2, bound) else 0
-            if masks:
-                for (f1, g1), mask in zip(self.shapes[shape], masks):
-                    if _constraint_within(f1, g1, f2, g2, bound):
-                        here |= mask
-            inside &= here
-        return self.everything & ~inside
 
 
 def box_complement(b: BasicBox) -> ClopenSet:

@@ -414,9 +414,6 @@ def test_box_index_matches_the_pairwise_and_per_box_answers():
         for x in points:
             assert index.containing(x) == [
                 i for i, b in enumerate(boxes) if box_contains(b, x)]
-        for other in (random_box() for _ in range(5)):
-            assert index.not_within(other) == [
-                i for i, b in enumerate(boxes) if not box_subset(b, other)]
     # a later box repeating an earlier constraint still clashes with the
     # boxes in between
     inside, outside = single_box(2, (0,), ()), single_box(2, (), (0,))
@@ -446,7 +443,7 @@ def test_box_index_refuses_members_that_are_not_in_level_form():
 
 
 def test_box_index_masks_match_the_per_box_answers():
-    # the masks behind containing, not_within and the decomposition checks
+    # the masks behind containing and the decomposition checks
     rng = random.Random(9)
     desc = ProductDescriptor((1, 0, 2), 1)
     values = sorted({x.coordinate(s) for x in materialize(desc, 3, depth=4) for s in range(5)})
@@ -472,9 +469,3 @@ def test_box_index_masks_match_the_per_box_answers():
                 assert index.admitted(s, value) == mask(
                     i for i, (f, g) in enumerate(parts)
                     if set(f) <= set(value) and set(g).isdisjoint(value))
-        for s in range(-1, 6):
-            assert index.constrained_after(s) == mask(
-                i for i, b in enumerate(boxes) if b.max_constrained_coord() > s)
-        for other in (random_box() for _ in range(5)):
-            assert index.not_within_mask(other) == mask(index.not_within(other)) == mask(
-                i for i, b in enumerate(boxes) if not box_subset(b, other))

@@ -2,14 +2,14 @@
 
 The oracles below are the pairwise ``box_intersect`` + ``box_is_empty`` loop,
 the linear scan of ``box_contains`` over every piece, and the per-piece
-``box_subset`` test; the library answers from the per-coordinate index,
-or from the levels once they prove the partition (``test_level_partition``
-checks that proof).  A decomposition built by levels answers every check as
-the same pieces do in box form, each carrying its whole box, and so do
-mutated ones.  The JSON document, the sampled membership check and
-``box_reduce`` are checked against code that draws or builds each part on
-its own: every piece's box
-rebuilt from the document, a sampler that calls ``getrandbits`` once per
+``box_subset`` test; the library answers disjointness and locates points
+from the per-coordinate index, or answers from the levels once they prove
+the partition (``test_level_partition`` checks that proof).  A
+decomposition built by levels answers every check as the same pieces do
+in box form, each carrying its whole box, and so do mutated ones.  The
+JSON document, the sampled membership check and ``box_reduce`` are
+checked against code that draws or builds each part on its own: every
+piece's box rebuilt from the document, a sampler that calls ``getrandbits`` once per
 coordinate, that sampler's points each located by the linear scan, and a
 reduction that builds every factor anew.  Over a decomposition without
 pieces every drawn point but the limit is unresolved, so the check's own
@@ -299,7 +299,8 @@ def eager(dec):
 
 def index_route(dec):
     """The same pieces with the level proof set aside, so that every check
-    answers through the index."""
+    takes the route off the proof: the index for disjointness and
+    ``piece_for_point``, and ``box_subset`` per piece for cofiniteness."""
     copy = Decomposition(dec.kind, dec.ambient, dec.levels, dec.pieces, dec.limit_point,
                          dec.witnesses, dec.depth)
     vars(copy)["level_partition"] = ("refused", None, "the index route")
@@ -496,6 +497,15 @@ def test_overlapping_pieces_are_reported_in_order():
     with pytest.raises(AssertionError, match=r"several pieces: \['P0', 'P1', 'P2'\]"):
         piece_for_point(dec, x)
     assert outcome(piece_for_point, dec, x) == outcome(scan_oracle, dec, x)
+    # the sampled check stops at the first drawn point in several pieces,
+    # naming it and them in piece order
+    for seed in range(3):
+        holders = [(x, [p.label for p in dec.pieces if box_contains(p.box, x)])
+                   for x in oracle_points(dec, 60, seed) if x != dec.limit_point]
+        first, labels = next((x, labels) for x, labels in holders if len(labels) > 1)
+        with pytest.raises(AssertionError) as info:
+            check_sample_membership(dec, 60, seed)
+        assert str(info.value) == f"point {first} lies in several pieces: {labels}"
     outside = ProductPoint((Point.of(0, 1, 2),), EMPTY)
     assert outcome(piece_for_point, dec, outside) == outcome(scan_oracle, dec, outside)
     assert outcome(piece_for_point, dec, outside)[0] is ValueError
@@ -570,58 +580,6 @@ def test_sampled_membership_matches_the_scan_of_every_sampled_point(kind):
                 assert report.ok and report.total == count
                 at_limit += report.at_limit
     assert at_limit
-
-
-def walked(dec, coords):
-    """The (coordinate, value) pairs that locating the point drawn as
-    ``coords`` reads: each constrained coordinate in order while a piece
-    admitting the point so far is constrained there or further on.  It stops
-    after a drawn coordinate once the point differs from the limit there or
-    before and one piece admits it that is constrained nowhere further on,
-    and after the last drawn one when the point is the limit."""
-    limit = dec.limit_point
-    x = ProductPoint(tuple(coords), limit.tail_value)
-    constrained = {s for p in dec.pieces for s, _f, _g in p.box.constraints}
-    alive = list(dec.pieces)
-    pairs = []
-    differs = False
-    for s in range(max(len(coords), max(constrained) + 1)):
-        if s == len(coords) and x == limit:
-            break
-        value = x.coordinate(s)
-        if s in constrained and any(p.box.max_constrained_coord() >= s for p in alive):
-            pairs.append((s, value))
-            alive = [p for p in alive
-                     if set(p.box.constraint_at(s)[0]) <= set(value)
-                     and set(p.box.constraint_at(s)[1]).isdisjoint(value)]
-        if s < len(coords):
-            differs = differs or value != limit.coordinate(s)
-            if differs and len(alive) == 1 and alive[0].box.max_constrained_coord() <= s:
-                break
-    return pairs
-
-
-@pytest.mark.parametrize("kind", KINDS, ids=str)
-def test_the_sampled_check_reads_each_coordinate_value_once_up_to_the_stop(kind, monkeypatch):
-    # the index walk, over the box form: a built decomposition is proved by
-    # its levels and reads no mask, and so is the box form of (0, n) at depth 1
-    admitted = BoxIndex.admitted
-    calls = []
-
-    def counted(index, s, value):
-        calls.append((s, value))
-        return admitted(index, s, value)
-
-    monkeypatch.setattr(BoxIndex, "admitted", counted)
-    for depth in (1, 5, 12, 40):
-        dec = index_route(eager(build(kind, depth)))
-        for seed in (1, 2):
-            calls.clear()
-            check_sample_membership(dec, 100, seed)
-            expected = {pair for coords in sample_oracle(dec, 100, seed)
-                        for pair in walked(dec, coords)}
-            assert len(calls) == len(set(calls))  # one lookup per (coordinate, value)
-            assert set(calls) == expected
 
 
 @pytest.mark.parametrize("limit", [

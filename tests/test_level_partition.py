@@ -6,17 +6,19 @@ last level, must lie in exactly one of the pieces and the remainder R_(L + 1)
 of the points that agree with the limit up to L = len(levels).  Each witness
 it reports is confirmed by the point it names.  A decomposition the levels
 prove answers disjointness, sampled membership and cofiniteness without the
-``BoxIndex``; those answers are compared with the index route on the same
-pieces and on their box form, and mutated decompositions must fall back to
-the index with the answers it gives.  The membership walk's mask test and
-the neighbourhood draw are compared, ``getrandbits`` call by call, with the
-decoding walk and the ``randrange`` draw they replaced, and the
-disjointness charge counted from the level shapes with ``decompose_charges``
-and with the index's own.
+``BoxIndex``; those answers are compared with the route off the proof on
+the same pieces and on their box form, and mutated decompositions must fall
+back to that route, answering as brute force does.  The membership walk's
+mask test and the neighbourhood draw are compared with the decoding walk,
+the ``piece_for_point`` route and the ``randrange`` draw, by the 32-bit
+words drawn and the generator's final state, and the disjointness charge
+counted from the level shapes with ``decompose_charges`` and with the
+index's own.
 """
 
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,9 +54,8 @@ from test_decomposition_checks import (
     membership_oracle,
     outcome,
     pairs_oracle,
+    random_box,
     releveled,
-    sample_oracle,
-    walked,
 )
 
 SWEEP_KINDS = [(m, n) for n in range(1, 5) for m in range(n)] + [("K", e) for e in (0, 3)]
@@ -74,18 +75,24 @@ def index_charge(dec):
     return meter.spent
 
 
-def answers(dec, seed):
-    """Disjointness and the units it charges, the membership report or the
-    error raised instead, and the cofiniteness report."""
+def neighborhoods(dec, seed):
+    """Drawn neighbourhoods of the limit, and boxes that miss it, up to two
+    coordinates past the depth."""
     rng = random.Random(seed)
     boxes = limit_neighborhood_boxes(dec, 15, seed)
-    # boxes that miss the limit too, up to two coordinates past the depth
     for _ in range(10):
         s = rng.randrange(dec.ambient.explicit_len + dec.depth + 2)
         boxes.append(BasicBox(dec.ambient, ((s, EMPTY, Point.of(rng.choice(dec.witnesses))),)))
+    return boxes
+
+
+def answers(dec, seed):
+    """Disjointness and the units it charges, the membership report or the
+    error raised instead, and the cofiniteness report."""
     meter = Budget(10 ** 9)
     return (check_pairwise_disjoint(dec, meter), meter.spent,
-            outcome(check_sample_membership, dec, 100, seed), check_limit_cofinite(dec, boxes))
+            outcome(check_sample_membership, dec, 100, seed),
+            check_limit_cofinite(dec, neighborhoods(dec, seed)))
 
 
 @pytest.mark.parametrize("kind", SWEEP_KINDS, ids=str)
@@ -102,12 +109,12 @@ def test_the_level_route_answers_as_the_index_route(kind):
 
 
 @pytest.mark.parametrize("kind", [*KINDS, "hand"], ids=str)
-def test_the_level_walk_draws_as_the_index_walk(kind, counted):
-    # a point first off the limit at or below the last level is decided
-    # there on both routes, and skips the codes it leaves unread in one call;
-    # a point off it further on draws every code.  The points of a built
-    # decomposition end at its last level, and those of the hand-built one,
-    # of one level, reach coordinate 3
+def test_the_mask_walk_draws_as_the_plain_route(kind, counted):
+    # the points of a built decomposition end at its last level, so the mask
+    # walk draws them, and the box form draws each point whole for
+    # piece_for_point.  Those of the hand-built one, of one level, reach
+    # past its last level at depths 5 and 12, where both sides take the
+    # plain route
     limit = ProductPoint((Point.of(2, 3), Point.of(0, 1)), Point.of(2, 3))
     for depth in (1, 2, 5, 12):
         if kind == "hand":
@@ -234,7 +241,7 @@ def test_each_mutant_is_caught_and_falls_back_to_the_index(kind, monkeypatch):
             confirm(mutant, found)
             assert found[1] == len(dec.levels) - 1
         assert brute_force(mutant) is not None  # every mutation breaks the partition
-        # the checks go through the index, and answer as the box form does
+        # the checks take the route off the proof, and answer as the box form does
         assert mutant.level_partition == found
         built_index = []
         init = BoxIndex.__init__
@@ -246,6 +253,13 @@ def test_each_mutant_is_caught_and_falls_back_to_the_index(kind, monkeypatch):
         monkeypatch.setattr(BoxIndex, "__init__", spied)
         for seed in range(3):
             assert check_answers(mutant, seed) == check_answers(eager(mutant), seed)
+            # and as brute force does: the scan of every sampled point, and
+            # box_subset per piece constrained past each box
+            assert outcome(check_sample_membership, mutant, 100, seed) == \
+                outcome(membership_oracle, mutant, 100, seed)
+            boxes = neighborhoods(mutant, seed)
+            assert list(check_limit_cofinite(mutant, boxes).violations) == \
+                cofinite_oracle(mutant, boxes)
         monkeypatch.setattr(BoxIndex, "__init__", init)
         assert built_index
     assert seen == {"dropped": "uncovered", "widened": "uncovered", "shifted": "refused",
@@ -361,6 +375,24 @@ def test_decompositions_outside_level_form_are_refused():
     assert check_level_partition(decompose_countable((2,))) == \
         ("refused", 0, "the limit's value at 0 does not fill the bound 2")
     assert check_level_partition(decompose_countable((0,))) is None
+    # at window 1 a countable partition can be sampled, no point reaching
+    # past its explicit factors: its checks answer as brute force does, on
+    # the proved (0,) too
+    seen = set()
+    for ks in [(1, 1), (2,), (0,), (1, 2, 0)]:
+        countable = decompose_countable(ks, 1)
+        for seed in range(3):
+            report = check_sample_membership(countable, 100, seed)
+            assert report == membership_oracle(countable, 100, seed)
+            seen.update(name for name in ("in_piece", "at_limit", "unresolved")
+                        if getattr(report, name))
+            rng = random.Random(seed)
+            boxes = [random_box(rng, countable.ambient, len(ks)) for _ in range(20)]
+            violations = check_limit_cofinite(countable, boxes).violations
+            assert list(violations) == cofinite_oracle(countable, boxes)
+            if violations:
+                seen.add("violations")
+    assert seen == {"in_piece", "at_limit", "unresolved", "violations"}
     # a level that pins another value than the limit's
     moved = ProductPoint((dec.limit_point.coordinate(0), Point.of(0, 5)), Point.of(0, 1))
     assert check_level_partition(Decomposition(
@@ -442,7 +474,7 @@ def test_a_point_narrower_than_the_limits_prefix_is_located_where_it_leaves_the_
 
 def test_the_index_walk_goes_on_while_its_one_piece_is_constrained_further():
     # after coordinate 0 a point missing 0 there is admitted by P0 alone,
-    # which also constrains coordinate 1: the walk must read it there
+    # which also constrains coordinate 1: locating it must read it there
     ambient = ProductDescriptor.omega_power(2)
     boxes = [BasicBox(ambient, ((0, EMPTY, Point.of(0)), (1, Point.of(0), EMPTY))),
              BasicBox(ambient, ((0, Point.of(0), EMPTY),))]
@@ -457,31 +489,6 @@ def test_the_index_walk_goes_on_while_its_one_piece_is_constrained_further():
         assert report == membership_oracle(dec, 60, seed)
         unresolved += len(report.unresolved)
     assert unresolved
-
-
-def test_the_index_walk_reads_the_tail_while_a_piece_admitting_it_is_constrained(monkeypatch):
-    # a point of width 1 at the limit's value {2, 3} at 0 holds the tail
-    # value {2, 3} at 1, where the limit holds {0, 1}: only the piece of
-    # level 1 missing 0 admits it, constrained nowhere past 1, so the walk
-    # over the box form reads no mask at 2
-    limit = ProductPoint((Point.of(2, 3), Point.of(0, 1), Point.of(0, 1)), Point.of(2, 3))
-    dec = index_route(eager(proved_hand_built(ProductDescriptor((), 2), limit, 2, 2)))
-    admitted = BoxIndex.admitted
-    calls = []
-
-    def counted(index, s, value):
-        calls.append((s, value))
-        return admitted(index, s, value)
-
-    monkeypatch.setattr(BoxIndex, "admitted", counted)
-    for seed in range(3):
-        calls.clear()
-        report = check_sample_membership(dec, 50, seed)
-        assert report == membership_oracle(dec, 50, seed) and report.ok
-        assert len(calls) == len(set(calls))
-        assert set(calls) == {pair for coords in sample_oracle(dec, 50, seed)
-                              for pair in walked(dec, coords)}
-    assert (1, limit.tail_value) in calls
 
 
 def test_a_proved_decomposition_keeps_every_refusal(monkeypatch):
@@ -528,29 +535,39 @@ def test_a_proved_decomposition_keeps_every_refusal(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The bit counts of the ``getrandbits`` calls every ``random.Random``
-    makes from now on, in order."""
-    calls = []
+    """From now on, the bit counts of the ``getrandbits`` calls every
+    ``random.Random`` makes, in order, and the generators made."""
+    counted = SimpleNamespace(calls=[], made=[])
 
     class Counted(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            counted.made.append(self)
+
         def getrandbits(self, k):
-            calls.append(k)
+            counted.calls.append(k)
             return super().getrandbits(k)
 
     monkeypatch.setattr(classification.random, "Random", Counted)
-    return calls
+    return counted
 
 
-def drawn_alike(calls, fn, oracle, *args):
-    """``fn(*args)`` and ``oracle(*args)`` return equal answers through the
-    same ``getrandbits`` calls; returns the answer."""
-    calls.clear()
-    answer = fn(*args)
-    drawn = calls[:]
-    calls.clear()
-    assert answer == oracle(*args)
-    assert calls == drawn
-    return answer
+def drawn_alike(counted, fn, oracle, *args):
+    """``fn(*args)`` and ``oracle(*args)`` return equal answers through
+    ``getrandbits`` calls that take as many 32-bit words, a call of k bits
+    taking ceil(k / 32), and leave their generator in the same state;
+    returns the answer.  A walk that skips a point's unread codes in one
+    call and one that draws each of them are drawn alike."""
+    def run(draw):
+        counted.calls.clear()
+        counted.made.clear()
+        answer = draw(*args)
+        (rng,) = counted.made
+        return answer, sum(-(-k // 32) for k in counted.calls), rng.getstate()
+
+    answer = run(fn)
+    assert answer == run(oracle)
+    return answer[0]
 
 
 def decoding_level_walk(dec, count, seed):
@@ -604,8 +621,12 @@ def test_the_mask_walk_draws_and_answers_as_the_decoding_walk(kind, counted, mon
         for seed in (depth, 7):
             drawn_alike(counted, check_sample_membership, decoding_level_walk, dec, 100, seed)
     # over a ground of distinct elements no code up to the last level is
-    # decoded, and no value is built
+    # decoded, and no value is built; also where the points reach the
+    # coordinate of the last pieces, past the levels, as the hand-built
+    # ones of one level do at depth 3
+    limit = ProductPoint((Point.of(2, 3), Point.of(0, 1)), Point.of(2, 3))
     decs = [built(kind, depth) for depth in (1, 12)]
+    decs.append(proved_hand_built(ProductDescriptor((), 2), limit, 1, 3))
     assert all(dec.level_partition is None for dec in decs)
     made = []
     monkeypatch.setattr(classification, "Point", lambda *args: made.append(args))
@@ -630,9 +651,12 @@ def test_the_mask_walk_over_unsorted_witnesses_and_wide_codes(m, n, witnesses, c
 def test_the_mask_walk_over_hand_built_level_forms(counted):
     # the proved ones among the random level forms, over other witnesses and
     # depths: (5,) leaves every value of the limit outside the ground, (1,)
-    # leaves 0 out, (2, 0, 1) is unsorted and (0, 0, 2) repeats an element,
-    # so its codes are decoded; a depth past top + 1 draws points wider than
-    # the last level, off the limit only past it and in no piece
+    # leaves 0 out, (2, 0, 1) is unsorted and (0, 0, 2) repeats an element;
+    # a depth past top + 2 draws points wider than the coordinates 0 .. top
+    # of the levels, off the limit only past them and in no piece.  The mask
+    # walk takes the variants of depth top + 1 and top + 2 over a ground of
+    # distinct elements, the plain route the others, and every report is the
+    # brute force's too
     rng = random.Random(47)
     proved = unresolved = 0
     for _ in range(150):
@@ -642,14 +666,18 @@ def test_the_mask_walk_over_hand_built_level_forms(counted):
         proved += 1
         top = len(dec.levels)
         for witnesses, depth in (((0, 1, 2), top + 1), ((2, 0, 1), top + 3), ((1,), top + 2),
-                                 ((5,), top + 2), ((0, 0, 2), top + 3)):
+                                 ((5,), top + 2), ((0, 0, 2), top + 3), ((0, 0, 2), top + 1)):
             variant = Decomposition(dec.kind, dec.ambient, dec.levels, dec.pieces,
                                     dec.limit_point, witnesses, depth)
             assert variant.level_partition is None
             for seed in range(2):
                 report = drawn_alike(counted, check_sample_membership, decoding_level_walk,
                                      variant, 40, seed)
+                assert report == membership_oracle(variant, 40, seed)
                 unresolved += len(report.unresolved)
+                boxes = neighborhoods(variant, seed)
+                assert list(check_limit_cofinite(variant, boxes).violations) == \
+                    cofinite_oracle(variant, boxes)
     assert proved >= 30 and unresolved
 
 
