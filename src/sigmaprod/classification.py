@@ -471,16 +471,20 @@ class Decomposition:
 
     @cached_property
     def level_partition(self):
-        """``check_level_partition`` of this decomposition, run on first use:
-        None when the levels prove the partition, and then the disjointness,
-        sampled membership and cofiniteness checks answer from the levels
-        without building ``index``.  The size of the levels bounds its
-        search, so no budget is charged."""
+        """``check_level_partition`` of this decomposition: None when the
+        levels prove the partition, and then the disjointness, sampled
+        membership and cofiniteness checks answer from the levels without
+        building ``index``.  The constructors' partitions are handed it,
+        proved once per process for each (kind, m, n, witnesses) and kept in
+        the bounded memo of ``_level_schema``; any other decomposition runs
+        the proof on first use.  The size of the levels bounds its search, so no budget is
+        charged."""
         return check_level_partition(self, sys.maxsize)
 
     @cached_property
     def level_shapes(self):
-        """``_level_shapes``, run once for the proof and the disjointness charge."""
+        """``_level_shapes``, run once for the proof and the disjointness
+        charge; the constructors' partitions are handed theirs."""
         return _level_shapes(self)
 
 
@@ -528,20 +532,54 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
     """The partition of ``decompose_absorb_small`` for checked arguments;
     ``label(k, i)`` names the piece that pins k omega coordinates to the full
     witness set and misses witness i in the next.  Witnesses None stands for
-    0 .. n - 1, built only once the charge has passed."""
+    0 .. n - 1, built only once the charge has passed.  The parts that do not
+    depend on the depth come from ``_level_schema``, and the decomposition
+    is handed its level shapes and its proof, as ``_level_shapes`` and
+    ``check_level_partition`` would find them."""
     offset = 1 if m > 0 else 0
     Budget.of(budget).charge(decompose_charges(m, n, depth, 0)[0])
     if witnesses is None:
         witnesses = tuple(range(n))
-    full_set = Point(witnesses)
-    small_set = Point(witnesses[:m])
-    # (F, G) at the first coordinate that misses witness i, shared by every piece
-    misses = [(Point(witnesses[:i]), Point.of(witnesses[i])) for i in range(n)]
-    ambient = ProductDescriptor((m,) if m > 0 else (), n)
+    names = (*(label(0, i) for i in range(n)), label(1, 0))
+    # the memo keys int witnesses alone: it would take 1, 1.0 and True for one
+    schema = (_level_schema if all(type(w) is int for w in witnesses)
+              else _level_schema.__wrapped__)(m, n, witnesses, names, depth > 1)
+    ambient, full_set = schema.ambient, schema.full_set
     # piece (k, i) pins the first offset + k coordinates: the small set at 0,
     # then the full set at each omega coordinate before its own
-    levels = (((0, small_set, EMPTY),) if m > 0 else ()) + tuple(
+    levels = (((0, schema.small_set, EMPTY),) if m > 0 else ()) + tuple(
         (offset + k, full_set, EMPTY) for k in range(depth - 1))
+    dec = Decomposition(kind, ambient, levels,
+                        _partition_pieces(ambient, levels, m, n, offset, depth, schema.misses,
+                                          label),
+                        schema.limit, witnesses, depth)
+    shapes = {schema.first: [0]} if m > 0 else {}
+    shapes[schema.periodic] = list(range(offset, offset + depth))
+    # what the cached properties would store on first use
+    vars(dec).update(level_shapes=shapes, level_partition=schema.proof)
+    return dec
+
+
+_Schema = namedtuple("_Schema", "ambient misses full_set small_set limit first periodic proof")
+
+
+@lru_cache(maxsize=256)
+def _level_schema(m: int, n: int, witnesses: tuple, names: tuple, deep: bool) -> _Schema:
+    """What the partition of ``_absorb_small`` over (m, n, witnesses) holds at
+    every depth, checked and proved once per key: the ambient, the misses
+    (F, G) at the first coordinate that misses witness i, the full and the
+    small set, the limit point, the level shapes (bound, blocks) of
+    coordinate 0 (None when m = 0) and of every omega coordinate, and the
+    answer of ``check_level_partition``, whose levels lie in those two
+    shapes.  ``names`` are label(0, i) for each witness i, then label(1, 0),
+    the pieces the type checks name; the full set at the first omega
+    coordinate is checked when ``deep``, the depth being past 1.  A failed
+    check raises, so the memo holds only keys whose checks passed."""
+    offset = 1 if m > 0 else 0
+    full_set = Point(witnesses)
+    small_set = Point(witnesses[:m])
+    misses = tuple((Point(witnesses[:i]), Point.of(witnesses[i])) for i in range(n))
+    ambient = ProductDescriptor((m,) if m > 0 else (), n)
     # box_reduce works coordinate by coordinate, so a piece's box is nonempty
     # and of its claimed type exactly when each of its constraints is.  Each
     # distinct one is checked alone, once, naming the first piece that carries
@@ -549,10 +587,10 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
     # set at the first omega coordinate, whose bound n every omega coordinate shares
     checks = [(0, f, g, m - j, f"B'({j})") for j, (f, g) in enumerate(misses[:m])]
     if m > 0:
-        checks.append((0, small_set, EMPTY, 0, label(0, 0)))
-    checks += [(offset, f, g, n - i, label(0, i)) for i, (f, g) in enumerate(misses)]
-    if depth > 1:
-        checks.append((offset, full_set, EMPTY, 0, label(1, 0)))
+        checks.append((0, small_set, EMPTY, 0, names[0]))
+    checks += [(offset, f, g, n - i, names[i]) for i, (f, g) in enumerate(misses)]
+    if deep:
+        checks.append((offset, full_set, EMPTY, 0, names[n]))
     for s, f, g, bound, name in checks:
         box = BasicBox(ambient, ((s, f, g),))
         try:
@@ -564,13 +602,16 @@ def _absorb_small(kind: str, m: int, n: int, depth: int, witnesses: tuple | None
             raise ValueError(f"piece {name}: claimed type does not match the "
                              "box reduction")
     limit = ProductPoint((small_set,) if m > 0 else (), full_set)
-    return Decomposition(kind, ambient, levels,
-                         _partition_pieces(ambient, levels, m, n, offset, depth, misses, label),
-                         limit, witnesses, depth)
+    # the blocks of a level: its pieces' own (F, G) in piece order, then its pin
+    first = (m, (*misses[:m], (small_set, EMPTY))) if m > 0 else None
+    periodic = (n, (*misses, (full_set, EMPTY)))
+    shapes = {first: [0], periodic: [offset]} if m > 0 else {periodic: [offset]}
+    return _Schema(ambient, misses, full_set, small_set, limit, first, periodic,
+                   _prove(shapes, Budget(sys.maxsize)))
 
 
 def _partition_pieces(ambient: ProductDescriptor, levels: tuple, m: int, n: int,
-                      offset: int, depth: int, misses: list, label) -> tuple:
+                      offset: int, depth: int, misses: tuple, label) -> tuple:
     """The pieces of ``_absorb_small``, filled through ``tuple.__new__``:
     the caller's check of each distinct constraint checks them.  B'(j) is
     level 0 with miss j at coordinate 0, of type (m - j) x n^omega; (k, i)
@@ -634,8 +675,9 @@ def decompose_countable(ks, window: int = 4,
     are a neighbourhood base at the all-empty point, so the last stages of
     infinitely many top pieces accumulate there alone.
 
-    Points whose least element is ``window`` or more lie in no piece.  The
-    n(a + 1) elements of the constraints of a piece of level a, over n
+    Points whose least element is ``window`` or more lie in no piece, and
+    the window is stored as the depth, so the samplers refuse the partition.
+    The n(a + 1) elements of the constraints of a piece of level a, over n
     factors, are all charged to ``budget`` before any piece is built."""
     ks = _factor_bounds(ks)
     if type(window) is not int or window < 1:
@@ -690,6 +732,13 @@ def check_level_partition(dec: Decomposition, budget: Budget | int = DEFAULT_BUD
     shapes = dec.level_shapes
     if isinstance(shapes, tuple):
         return shapes
+    return _prove(shapes, meter)
+
+
+def _prove(shapes: dict, meter: Budget):
+    """``check_level_partition`` over the level shapes ``shapes``, each with
+    its levels: None, or the witness at the first level of the first shape
+    that fails."""
     for (bound, blocks), levels in shapes.items():
         witness = _one_block_each(bound, blocks, meter)
         if witness is not None:
@@ -823,12 +872,17 @@ def _sample_ground(dec: Decomposition) -> list:
 
 def _refuse_unsampleable(dec: Decomposition, count: int, what: str, beyond: int) -> None:
     """Refuse, before any draw, ``count`` draws that reach ``beyond``
-    coordinates past the explicit factors: a negative count, a coordinate
-    the ambient lacks, or a limit point outside the ambient.  A drawn value
-    is the limit's or within its coordinate's bound, so past these checks
-    every drawn point and box lies in the ambient."""
+    coordinates past the explicit factors: a negative count, a partition of
+    ``decompose_countable``, a coordinate the ambient lacks, or a limit
+    point outside the ambient.  A drawn value is the limit's or within its
+    coordinate's bound, so past these checks every drawn point and box lies
+    in the ambient."""
     if count < 0:
         raise ValueError(f"{what} must be non-negative")
+    if dec.kind == "countable":
+        # its points past the window lie in no piece, and its product has no tail
+        raise ValueError("cannot sample a countable decomposition: its depth counts "
+                         "elements, not coordinates")
     ambient, limit = dec.ambient, dec.limit_point
     if beyond > 0 and ambient.omega_tail is None:
         raise ValueError(f"coordinate {ambient.explicit_len} outside ambient")

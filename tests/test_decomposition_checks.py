@@ -36,6 +36,7 @@ from sigmaprod.classification import (
     check_sample_membership,
     decompose_absorb_small,
     decompose_classif_k,
+    decompose_countable,
     decomposition_to_json,
     limit_neighborhood_boxes,
     piece_for_point,
@@ -236,7 +237,9 @@ def test_a_decomposition_survives_a_copy():
         pickle.loads(pickle.dumps(mistyped))
 
 
-def test_a_level_whose_reduction_disagrees_with_its_claim_is_refused(monkeypatch):
+def test_a_level_whose_reduction_disagrees_with_its_claim_is_refused(monkeypatch,
+                                                                   cold_schemas):
+    # the memo is emptied first: a warm key would never call the patched reduction
     def shifted(shift):
         # box_reduce with the bound at the last constrained coordinate moved by
         # shift, left out of canonical form so that a bound below 0 survives
@@ -612,6 +615,19 @@ def test_a_coordinate_outside_a_product_without_a_tail_is_refused_by_every_sampl
     assert report.unresolved and all(point_in_ambient(dec.ambient, x) for x in report.unresolved)
     with pytest.raises(ValueError, match=r"^coordinate 2 outside ambient$"):
         limit_neighborhood_boxes(shallow, 5, 0)
+
+
+@pytest.mark.parametrize("call", [
+    # each raised "coordinate 2 outside ambient"
+    lambda: check_sample_membership(decompose_countable((1, 1)), 10, 0),
+    lambda: limit_neighborhood_boxes(decompose_countable((1, 1), 1), 3, 0),
+    # and this one found 3 points of the correct partition in no piece
+    lambda: check_sample_membership(decompose_countable((1, 1), 1), 10, 0),
+])
+def test_a_countable_partition_is_refused_by_every_sampler(call):
+    with pytest.raises(ValueError, match=r"^cannot sample a countable decomposition: "
+                                         r"its depth counts elements, not coordinates$"):
+        call()
 
 
 @pytest.mark.parametrize("fn, what", [

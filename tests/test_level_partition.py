@@ -35,6 +35,7 @@ from sigmaprod.classification import (
     decompose_absorb_small,
     decompose_classif_k,
     decompose_countable,
+    decomposition_to_json,
     limit_neighborhood_boxes,
     piece_for_point,
 )
@@ -375,24 +376,19 @@ def test_decompositions_outside_level_form_are_refused():
     assert check_level_partition(decompose_countable((2,))) == \
         ("refused", 0, "the limit's value at 0 does not fill the bound 2")
     assert check_level_partition(decompose_countable((0,))) is None
-    # at window 1 a countable partition can be sampled, no point reaching
-    # past its explicit factors: its checks answer as brute force does, on
-    # the proved (0,) too
-    seen = set()
+    # a countable partition is refused by the samplers (its depth counts
+    # elements), but its cofiniteness answers as brute force does, on the
+    # proved (0,) too
+    violated = False
     for ks in [(1, 1), (2,), (0,), (1, 2, 0)]:
         countable = decompose_countable(ks, 1)
         for seed in range(3):
-            report = check_sample_membership(countable, 100, seed)
-            assert report == membership_oracle(countable, 100, seed)
-            seen.update(name for name in ("in_piece", "at_limit", "unresolved")
-                        if getattr(report, name))
             rng = random.Random(seed)
             boxes = [random_box(rng, countable.ambient, len(ks)) for _ in range(20)]
             violations = check_limit_cofinite(countable, boxes).violations
             assert list(violations) == cofinite_oracle(countable, boxes)
-            if violations:
-                seen.add("violations")
-    assert seen == {"in_piece", "at_limit", "unresolved", "violations"}
+            violated = violated or bool(violations)
+    assert violated
     # a level that pins another value than the limit's
     moved = ProductPoint((dec.limit_point.coordinate(0), Point.of(0, 5)), Point.of(0, 1))
     assert check_level_partition(Decomposition(
@@ -777,10 +773,117 @@ def test_the_proof_and_the_charge_share_one_pass_over_the_levels(monkeypatch):
 
     monkeypatch.setattr(classification, "_level_shapes", counted_shapes)
     dec = decompose_absorb_small(1, 3, 12)
+    hand = by_hand(dec)  # only the constructor hands over its shapes
+    for built in (dec, hand):
+        for _ in range(2):
+            assert check_pairwise_disjoint(built) == []
+            assert check_level_partition(built) is None
+    assert calls == [hand]
+    assert dec.level_shapes == hand.level_shapes
+
+
+def built_with(kind, depth, witnesses, budget):
+    """The constructor's partition of ``kind`` over ``witnesses`` (None for
+    the default), its element for ``"K"``."""
+    if kind == "K":
+        return decompose_classif_k(witnesses, depth, budget)
+    return decompose_absorb_small(*kind, depth, witnesses, budget)
+
+
+def by_hand(dec):
+    """The same fields through the dataclass alone: nothing handed over."""
+    return Decomposition(dec.kind, dec.ambient, dec.levels, dec.pieces, dec.limit_point,
+                         dec.witnesses, dec.depth)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_a_warm_memo_builds_what_a_cold_one_builds(kind, cold_schemas):
+    # the default witnesses and a permutation of them; K's default element and another
+    variants = (0, 5) if kind == "K" else (None, tuple(range(kind[1]))[::-1])
+    for depth in (*range(1, 14), 40):
+        for witnesses in variants:
+            builds = []
+            for warm in (False, True):
+                if not warm:
+                    cold_schemas.cache_clear()
+                hits = cold_schemas.cache_info().hits
+                meter = Budget(10 ** 9)
+                dec = built_with(kind, depth, witnesses, meter)
+                assert cold_schemas.cache_info().hits == hits + warm
+                with pytest.raises(BudgetExceeded) as info:
+                    built_with(kind, depth, witnesses, meter.spent - 1)
+                assert info.value.needed == meter.spent
+                builds.append((dec, decomposition_to_json(dec), meter.spent))
+            assert builds[0] == builds[1], (depth, witnesses)
+            # what the constructor hands over is what the proof finds by hand
+            hand = by_hand(dec)
+            assert vars(dec)["level_shapes"] == classification._level_shapes(hand)
+            assert vars(dec)["level_partition"] is check_level_partition(hand) is None
+
+
+def test_a_failing_type_check_is_not_kept(monkeypatch, cold_schemas):
+    reduced = []
+
+    def failing(box, budget=None):
+        reduced.append(box)
+        raise ValueError("the box is empty")
+
+    monkeypatch.setattr(classification, "box_reduce", failing)
     for _ in range(2):
-        assert check_pairwise_disjoint(dec) == []
-        assert check_level_partition(dec) is None
-    assert calls == [dec]
+        with pytest.raises(ValueError, match=r"^piece B'\(0\): claimed type does not match"):
+            decompose_absorb_small(1, 3, 4)
+    assert len(reduced) == 2 and cold_schemas.cache_info().currsize == 0
+    monkeypatch.undo()
+    dec = decompose_absorb_small(1, 3, 4)
+    assert cold_schemas.cache_info().currsize == 1
+    # a warm key reduces no box, at any depth; a cold one reduces B'(0), the
+    # small set, the 3 misses and the full set once each
+    counted = []
+    monkeypatch.setattr(classification, "box_reduce",
+                        lambda box: counted.append(box) or box_reduce(box))
+    assert decompose_absorb_small(1, 3, 4) == dec
+    decompose_absorb_small(1, 3, 40)
+    assert counted == []
+    cold_schemas.cache_clear()
+    decompose_absorb_small(1, 3, 40)
+    decompose_absorb_small(1, 3, 9)
+    assert len(counted) == 6
+
+
+def test_the_full_set_is_checked_from_depth_2_on(monkeypatch, cold_schemas):
+    # a reduction that refuses the full set alone, which no piece carries at
+    # depth 1: depth 1 and depth 2 are two keys, and only depth 2 is refused
+    def refusing_the_full_set(box, *args):
+        if box.constraints[0][1] == Point.of(0, 1, 2):
+            raise ValueError("the box is empty")
+        return box_reduce(box, *args)
+
+    monkeypatch.setattr(classification, "box_reduce", refusing_the_full_set)
+    for _ in range(2):
+        assert decompose_absorb_small(0, 3, 1).pieces
+        with pytest.raises(ValueError, match=r"^piece A\(1,0\): claimed type does not match"):
+            decompose_absorb_small(0, 3, 2)
+    assert cold_schemas.cache_info().currsize == 1
+
+
+def test_the_memo_keeps_each_witness_type(cold_schemas):
+    # 1, True and 1.0 are one key to an lru_cache: only int witnesses are kept
+    elements = (1, True, 1.0)
+    alone = []
+    for element in elements:
+        cold_schemas.cache_clear()
+        alone.append(repr(decomposition_to_json(decompose_classif_k(element, 3))))
+    assert len(set(alone)) == 3
+    assert [repr(decomposition_to_json(decompose_classif_k(element, 3)))
+            for element in elements] == alone
+    assert cold_schemas.cache_info().currsize == 1
+
+
+def test_the_memo_stays_bounded(cold_schemas):
+    for element in range(10000):
+        decompose_classif_k(element, 1)
+    info = cold_schemas.cache_info()
+    assert info.misses == 10000 and info.currsize <= info.maxsize == 256
 
 
 def test_a_last_level_without_pieces_carries_no_pin_in_the_charge(counted):
